@@ -10,6 +10,7 @@ immutable afterwards; ``normalize`` returns a new model.
 from __future__ import annotations
 
 import copy
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .diagnostics import SourceSpan
@@ -292,25 +293,38 @@ class Model:
         if element in self.stages:
             st = self.stages[element]
             return f"{self.qualified_name(st.thimac)}.{st.kind.value}"
-        for edge in self.flows:
-            if edge.id == element:
-                return (
-                    f"{self.qualified_name(edge.from_stage)}"
-                    f"->{self.qualified_name(edge.to_stage)}"
-                )
-        for trig in self.triggers:
-            if trig.id == element:
-                return (
-                    f"{self.qualified_name(trig.from_stage)}"
-                    f"~>{self.qualified_name(trig.to_stage)}"
-                )
-        for mem in self.memories:
-            if mem.id == element:
-                return (
-                    f"{self.qualified_name(mem.from_stage)}"
-                    f"~~{self.qualified_name(mem.to_stage)}"
-                )
-        raise KeyError(f"unknown element id {element}")
+        names = self.qualified_names([element])
+        if element not in names:
+            raise KeyError(f"unknown element id {element}")
+        return names[element]
+
+    def qualified_names(
+        self, elements: Iterable[ElementId]
+    ) -> dict[ElementId, str]:
+        """The ``qualified_name`` of each of ``elements``; unknown ids are
+        left out.
+
+        Edges are named in one pass over the edge lists, however many
+        are asked for, so a caller naming many elements asks once.
+        """
+        wanted = set(elements)
+        names = {
+            e: self.qualified_name(e)
+            for e in wanted
+            if e in self.thimacs or e in self.stages
+        }
+        for arrow, edges in (
+            ("->", self.flows),
+            ("~>", self.triggers),
+            ("~~", self.memories),
+        ):
+            for edge in edges:
+                if edge.id in wanted:
+                    names[edge.id] = (
+                        f"{self.qualified_name(edge.from_stage)}{arrow}"
+                        f"{self.qualified_name(edge.to_stage)}"
+                    )
+        return names
 
     def same_machine(self, stage_a: ElementId, stage_b: ElementId) -> bool:
         return self.stages[stage_a].thimac == self.stages[stage_b].thimac

@@ -106,10 +106,23 @@ def from_json(text: str) -> ParseResult:
         err("JSON_MALFORMED", "top-level value must be an object")
         return ParseResult(None, [], None, diags)
 
+    def objects(items, section: str) -> list[dict]:
+        """The entries of a JSON list that are objects; reports the rest."""
+        if not isinstance(items, list):
+            err("JSON_MALFORMED", f"{section} must be a list")
+            return []
+        found = []
+        for item in items:
+            if isinstance(item, dict):
+                found.append(item)
+            else:
+                err("JSON_MALFORMED", f"{section} entry {item!r} must be an object")
+        return found
+
     model = Model()
     thimac_ids: dict[str, int] = {}
 
-    for entry in doc.get("thimacs", []):
+    for entry in objects(doc.get("thimacs", []), "thimacs"):
         name = entry.get("name")
         if not isinstance(name, str) or not name:
             err("JSON_MALFORMED", "thimac entry without a name")
@@ -128,7 +141,7 @@ def from_json(text: str) -> ParseResult:
             err("DUPLICATE_DEF", str(exc))
             continue
         thimac_ids[name] = tid
-        for stage in entry.get("stages", []):
+        for stage in objects(entry.get("stages", []), f"thimac '{name}' stages"):
             kind_name = stage.get("kind")
             try:
                 kind = StageKind.from_name(kind_name)
@@ -152,7 +165,7 @@ def from_json(text: str) -> ParseResult:
             err("DANGLING_REF", f"{context}: no stage at '{qualified}'")
         return sid
 
-    for entry in doc.get("flows", []):
+    for entry in objects(doc.get("flows", []), "flows"):
         src = stage_ref(entry.get("from"), "flow")
         dst = stage_ref(entry.get("to"), "flow")
         if src is None or dst is None:
@@ -166,20 +179,20 @@ def from_json(text: str) -> ParseResult:
         edge = next(f for f in model.flows if f.id == fid)
         edge.implicit_segments = segments
 
-    for entry in doc.get("triggers", []):
+    for entry in objects(doc.get("triggers", []), "triggers"):
         src = stage_ref(entry.get("from"), "trigger")
         dst = stage_ref(entry.get("to"), "trigger")
         if src is not None and dst is not None:
             model.add_trigger(src, dst)
 
-    for entry in doc.get("memories", []):
+    for entry in objects(doc.get("memories", []), "memories"):
         src = stage_ref(entry.get("from"), "memory")
         dst = stage_ref(entry.get("to"), "memory")
         if src is not None and dst is not None:
             model.add_memory(src, dst)
 
     events: list[EventDef] = []
-    for entry in doc.get("events", []):
+    for entry in objects(doc.get("events", []), "events"):
         eid = entry.get("id")
         if not isinstance(eid, str) or not eid:
             err("JSON_MALFORMED", "event entry without an id")
@@ -204,7 +217,9 @@ def from_json(text: str) -> ParseResult:
 
     chronology = None
     chrono_doc = doc.get("chronology")
-    if chrono_doc is not None:
+    if chrono_doc is not None and not isinstance(chrono_doc, dict):
+        err("JSON_MALFORMED", "chronology must be an object or null")
+    elif chrono_doc is not None:
         chronology = Chronology()
         for node in chrono_doc.get("nodes", []):
             if isinstance(node, str):

@@ -169,9 +169,9 @@ def tokenize(text: str, file: str) -> tuple[list[Token], list[Diagnostic]]:
                 )
             )
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # str.isdigit also accepts digits such as "²"
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             word = text[i:j]
             advance(j - i)

@@ -44,9 +44,9 @@ defines none):
 from __future__ import annotations
 
 import enum
-import json
 import logging
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from .behavior import Chronology, EventDef, instances, region_edges
 from .core import ElementId, FlowEdge, Model, StageKind, is_normalized
@@ -93,7 +93,6 @@ class Trace:
 @dataclass
 class SimConfig:
     max_steps_per_event: int = 10000
-    scheduler: str = "declaration-order-fifo"
 
     def __post_init__(self) -> None:
         if self.max_steps_per_event < 1:
@@ -404,30 +403,61 @@ def coverage(model: Model, trace: Trace, events: list[EventDef]) -> dict:
 
 
 def trace_to_json(model: Model, trace: Trace) -> str:
-    """Stable-keyed JSON rendering for golden comparisons and replay."""
-    doc = {
-        "eventOrder": [
-            {"event": e, "instance": i, "tick": t}
-            for e, i, t in trace.event_order
-        ],
-        "firings": [
-            {
-                "step": f.step,
-                "event": f.event,
-                "instance": f.instance,
-                "element": model.qualified_name(f.element),
-                "kind": f.kind.value,
-                "token": f.token,
-            }
-            for f in trace.firings
-        ],
-        "finalTokens": [
-            {
-                "id": t.id,
-                "thing": t.thing,
-                "location": model.qualified_name(t.location),
-            }
-            for t in trace.final_tokens
-        ],
+    """Stable-keyed JSON rendering for golden comparisons and replay.
+
+    The text is exactly ``json.dumps(doc, indent=2) + "\n"`` for the
+    document ``{"eventOrder", "firings", "finalTokens"}``, but is written
+    directly: each string is escaped once and each entry is filled into
+    a fixed template, since the indenting encoder runs in pure Python.
+    """
+    named = {f.element for f in trace.firings}
+    named.update(t.location for t in trace.final_tokens)
+    quoted = {
+        eid: encode_basestring_ascii(name)
+        for eid, name in model.qualified_names(named).items()
     }
-    return json.dumps(doc, indent=2) + "\n"
+    kinds = {kind: encode_basestring_ascii(kind.value) for kind in FiringKind}
+    strings: dict[str, str] = {}
+
+    def q(text: str) -> str:
+        if text not in strings:
+            strings[text] = encode_basestring_ascii(text)
+        return strings[text]
+
+    # every entry starts with its separator; _json_list drops the first one
+    event_order = [
+        f',\n    {{\n      "event": {q(e)},\n      "instance": {i},\n'
+        f'      "tick": {t}\n    }}'
+        for e, i, t in trace.event_order
+    ]
+    firings = [
+        f',\n    {{\n      "step": {f.step},\n      "event": {q(f.event)},\n'
+        f'      "instance": {f.instance},\n      "element": {quoted[f.element]},\n'
+        f'      "kind": {kinds[f.kind]},\n'
+        f'      "token": {"null" if f.token is None else f.token}\n    }}'
+        for f in trace.firings
+    ]
+    final_tokens = [
+        f',\n    {{\n      "id": {t.id},\n      "thing": {q(t.thing)},\n'
+        f'      "location": {quoted[t.location]}\n    }}'
+        for t in trace.final_tokens
+    ]
+    return "".join(
+        [
+            "{\n",
+            *_json_list("eventOrder", event_order),
+            ",\n",
+            *_json_list("firings", firings),
+            ",\n",
+            *_json_list("finalTokens", final_tokens),
+            "\n}\n",
+        ]
+    )
+
+
+def _json_list(key: str, entries: list[str]) -> list[str]:
+    """The pieces of one indented list member of the trace document."""
+    if not entries:
+        return [f'  "{key}": []']
+    entries[0] = entries[0][1:]
+    return [f'  "{key}": [', *entries, "\n  ]"]

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import json
 import random
 import re
 
 from tmkit.behavior import Chronology
 from tmkit.core import Model, StageKind
+from tmkit.sim import Trace
 
 KINDS = list(StageKind)
 
@@ -152,6 +154,37 @@ def random_legal_chain_model(rng: random.Random, machines: int = 3) -> Model:
         if src_tail != dst:
             model.add_flow(src_tail, dst)
     return model
+
+
+def reference_trace_to_json(model: Model, trace: Trace) -> str:
+    """The trace document through ``json.dumps``: the byte-format oracle
+    for ``tmkit.sim.trace_to_json``."""
+    doc = {
+        "eventOrder": [
+            {"event": e, "instance": i, "tick": t}
+            for e, i, t in trace.event_order
+        ],
+        "firings": [
+            {
+                "step": f.step,
+                "event": f.event,
+                "instance": f.instance,
+                "element": model.qualified_name(f.element),
+                "kind": f.kind.value,
+                "token": f.token,
+            }
+            for f in trace.firings
+        ],
+        "finalTokens": [
+            {
+                "id": t.id,
+                "thing": t.thing,
+                "location": model.qualified_name(t.location),
+            }
+            for t in trace.final_tokens
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def random_digraph(

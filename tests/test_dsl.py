@@ -160,6 +160,18 @@ def test_parse_recovers_and_reports_multiple_errors():
     assert "SYNTAX" in codes
 
 
+@pytest.mark.parametrize(
+    "source",
+    [
+        "thimac a @\u00b2 { stage create; }",
+        "thimac a { stage create; }\nevent E { region { a; } repeat \u00b3; }",
+    ],
+)
+def test_parse_non_ascii_digits_are_lex_errors(source):
+    result = dsl.parse(source, "digits.tm")
+    assert "LEX" in {d.code for d in errors(result)}
+
+
 def test_every_diagnostic_carries_a_span_inside_the_text():
     text = "thimac a { stage create;\nflow a.create -> missing.x;\n@@@\n"
     result = dsl.parse(text, "spans.tm")
@@ -367,6 +379,22 @@ def test_from_json_dangling_reference():
 
 def test_from_json_malformed_text():
     result = dsl.from_json("{not json")
+    assert result.model is None
+    assert any(d.code == "JSON_MALFORMED" for d in errors(result))
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"thimacs": [1]},
+        {"thimacs": [{"name": "a", "stages": [1]}]},
+        {"flows": [[1, 2]]},
+        {"events": [3]},
+        {"chronology": []},
+    ],
+)
+def test_from_json_entries_that_are_not_objects(doc):
+    result = dsl.from_json(json.dumps(doc))
     assert result.model is None
     assert any(d.code == "JSON_MALFORMED" for d in errors(result))
 

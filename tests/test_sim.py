@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import json
 import logging
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tmkit import dsl
-from tmkit.behavior import topological_orders_contains
-from tmkit.core import normalize
+from tmkit.behavior import EventDef, topological_orders_contains
+from tmkit.core import Model, normalize
 from tmkit.errors import PreconditionViolated, StepBudgetExceeded
 from tmkit.sim import (
     FiringKind,
@@ -17,6 +21,9 @@ from tmkit.sim import (
     simulate,
     trace_to_json,
 )
+
+from _support import random_legal_chain_model, reference_trace_to_json
+from conftest import CORPUS_NAMES
 
 
 def run_source(source: str, config: SimConfig | None = None):
@@ -68,6 +75,84 @@ def test_steps_strictly_increase_and_ticks_index_event_order(load_corpus):
     steps = [f.step for f in trace.firings]
     assert steps == sorted(set(steps))
     assert [t for _, _, t in trace.event_order] == list(range(len(trace.event_order)))
+
+
+# -- trace bytes -------------------------------------------------------------
+
+
+def assert_trace_json_matches_reference(model, trace):
+    assert trace_to_json(model, trace) == reference_trace_to_json(model, trace)
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_trace_json_matches_reference_on_corpus(load_corpus, name):
+    result = load_corpus(name)
+    model = normalize(result.model)
+    assert_trace_json_matches_reference(
+        model, simulate(model, result.events, result.chronology)
+    )
+
+
+def test_trace_json_of_a_run_without_events():
+    model = Model()
+    trace = simulate(model, [], None)
+    assert_trace_json_matches_reference(model, trace)
+    assert trace_to_json(model, trace) == (
+        '{\n  "eventOrder": [],\n  "firings": [],\n  "finalTokens": []\n}\n'
+    )
+
+
+def test_trace_json_with_stage_and_trigger_fires():
+    model, _, trace = run_source(
+        "thimac msg { stage create; stage process; }\n"
+        "flow msg.create -> msg.process;\n"
+        "thimac reply { stage create; }\n"
+        "trigger msg.process ~> reply.create;\n"
+        "event E1 { region { msg; } }\n"
+        "event E2 { region { msg.process; reply.create; } }\n"
+        "chronology { E1 -> E2; }"
+    )
+    fired = {f.kind for f in trace.firings if f.token is None}
+    assert fired == {FiringKind.STAGE_FIRE, FiringKind.TRIGGER_FIRE}
+    assert_trace_json_matches_reference(model, trace)
+
+
+def test_trace_json_escapes_names_and_event_ids():
+    quote, clef = 'say "hi" \\ bye', "zo\u0142w \U0001d11e"
+    doc = {
+        "thimacs": [
+            {"name": quote, "stages": [{"kind": "create"}, {"kind": "process"}]},
+            {"name": clef, "stages": [{"kind": "create"}, {"kind": "transfer"}]},
+        ],
+        "flows": [
+            {"from": f"{quote}.create", "to": f"{quote}.process"},
+            {"from": f"{clef}.create", "to": f"{clef}.transfer"},
+        ],
+        "triggers": [{"from": f"{quote}.process", "to": f"{clef}.create"}],
+        "events": [
+            {"id": 'E"\\\u00e9', "region": [f"{quote}.create", f"{quote}.process"]},
+            {
+                "id": "E\U0001d11e",
+                "region": [f"{quote}.process", f"{clef}.create", f"{clef}.transfer"],
+            },
+        ],
+    }
+    result = dsl.from_json(json.dumps(doc))
+    assert result.model is not None, [d.render() for d in result.diagnostics]
+    model = normalize(result.model)
+    trace = simulate(model, result.events, result.chronology)
+    assert FiringKind.TRIGGER_FIRE in kinds(trace)
+    text = trace_to_json(model, trace)
+    assert text.isascii() and "\\ud834\\udd1e" in text
+    assert_trace_json_matches_reference(model, trace)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 1_000_000))
+def test_trace_json_matches_reference_on_generated_models(seed):
+    model = normalize(random_legal_chain_model(random.Random(seed)))
+    event = EventDef("E", region=set(model.stages), multiplicity=2)
+    assert_trace_json_matches_reference(model, simulate(model, [event], None))
 
 
 # -- event ordering -----------------------------------------------------------
