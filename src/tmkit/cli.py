@@ -119,7 +119,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         return EXIT_INVALID
     config = sim.SimConfig(max_steps_per_event=args.max_steps)
     try:
-        trace = sim.simulate(model, result.events, result.chronology, config)
+        # validated just above; simulate would validate again
+        trace = sim._simulate_validated(
+            model, result.events, result.chronology, config
+        )
     except StepBudgetExceeded as exc:
         print(f"simulation error: {exc}", file=sys.stderr)
         return EXIT_SIM

@@ -5,12 +5,18 @@ most one stage per kind; the transfer stage is a single bidirectional
 port. Flow edges carry things between stages, trigger edges are causal
 dashes. Models are append-only during construction and treated as
 immutable afterwards; ``normalize`` returns a new model.
+
+Thimacs and edges enter a ``Model`` only through its ``add_*`` methods,
+which keep three indexes: thimacs by ``(parent, name)``, flows and
+triggers by ``(from, to)``. Lookups (``find_thimac``, ``find_stage``,
+``find_flow``) and the duplicate checks are one dict probe each, so
+building and resolving a model is linear in its size. ``copy`` and
+``normalize`` rebuild the indexes for the model they return.
 """
 
 from __future__ import annotations
 
-import copy
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 from .diagnostics import SourceSpan
@@ -126,6 +132,9 @@ class Model:
         self.triggers: list[TriggerEdge] = []
         self.memories: list[MemoryEdge] = []
         self._next_id = 1
+        self._thimac_index: dict[tuple[ElementId | None, str], ElementId] = {}
+        self._flow_index: dict[tuple[ElementId, ElementId], FlowEdge] = {}
+        self._trigger_index: dict[tuple[ElementId, ElementId], TriggerEdge] = {}
 
     # -- construction -------------------------------------------------
 
@@ -143,16 +152,16 @@ class Model:
     ) -> ElementId:
         if parent is not None and parent not in self.thimacs:
             raise UnknownParent(f"no thimac with id {parent}")
-        siblings = self.roots if parent is None else self.thimacs[parent].children
-        for sib in siblings:
-            if self.thimacs[sib].name == name:
-                raise DuplicateName(
-                    f"thimac '{name}' already declared under "
-                    f"{'the model root' if parent is None else self.qualified_name(parent)}"
-                )
+        if (parent, name) in self._thimac_index:
+            raise DuplicateName(
+                f"thimac '{name}' already declared under "
+                f"{'the model root' if parent is None else self.qualified_name(parent)}"
+            )
         eid = self._alloc()
         self.thimacs[eid] = Thimac(eid, name, parent, annotation=annotation, span=span)
+        siblings = self.roots if parent is None else self.thimacs[parent].children
         siblings.append(eid)
+        self._thimac_index[parent, name] = eid
         return eid
 
     def add_stage(
@@ -199,7 +208,9 @@ class Model:
             # parallel duplicates collapse to the first edge
             return existing.id
         eid = self._alloc()
-        self.flows.append(FlowEdge(eid, src, dst, span=span))
+        edge = FlowEdge(eid, src, dst, span=span)
+        self.flows.append(edge)
+        self._flow_index[src, dst] = edge
         return eid
 
     def add_trigger(
@@ -210,11 +221,13 @@ class Model:
     ) -> ElementId:
         src = self._resolve_endpoint(from_stage)
         dst = self._resolve_endpoint(to_stage)
-        for t in self.triggers:
-            if t.from_stage == src and t.to_stage == dst:
-                return t.id
+        existing = self._trigger_index.get((src, dst))
+        if existing is not None:
+            return existing.id
         eid = self._alloc()
-        self.triggers.append(TriggerEdge(eid, src, dst, span=span))
+        edge = TriggerEdge(eid, src, dst, span=span)
+        self.triggers.append(edge)
+        self._trigger_index[src, dst] = edge
         return eid
 
     def add_memory(
@@ -240,25 +253,34 @@ class Model:
     # -- lookup -------------------------------------------------------
 
     def find_flow(self, src: ElementId, dst: ElementId) -> FlowEdge | None:
-        for f in self.flows:
-            if f.from_stage == src and f.to_stage == dst:
-                return f
-        return None
+        return self._flow_index.get((src, dst))
 
-    def find_thimac(self, path: str) -> ElementId | None:
-        parts = path.split(".")
-        scope = self.roots
+    def _thimac_at(self, segments: Sequence[str]) -> ElementId | None:
         current: ElementId | None = None
-        for part in parts:
-            current = None
-            for tid in scope:
-                if self.thimacs[tid].name == part:
-                    current = tid
-                    break
+        for part in segments:
+            current = self._thimac_index.get((current, part))
             if current is None:
                 return None
-            scope = self.thimacs[current].children
         return current
+
+    def find_thimac(self, path: str) -> ElementId | None:
+        return self._thimac_at(path.split("."))
+
+    def resolve(
+        self, segments: Sequence[str]
+    ) -> tuple[ElementId | None, StageKind | None]:
+        """Map a path's dotted segments to ``(thimac id, stage kind)``.
+
+        A trailing stage-kind segment gives the kind (``None`` without
+        one); the segments before it walk the thimac tree from the
+        roots. The id is ``None`` when those segments are empty or name
+        no thimac. This is the one path resolver: the parser, JSON
+        import and ``find_stage`` each add only their own diagnostics.
+        """
+        kind = _KIND_BY_NAME.get(segments[-1]) if segments else None
+        if kind is not None:
+            segments = segments[:-1]
+        return self._thimac_at(segments), kind
 
     def find_stage(self, path: str) -> ElementId | None:
         """Resolve a dotted path to a stage id.
@@ -267,19 +289,10 @@ class Model:
         a thimac denotes its transfer port (box-to-box sugar) without
         materializing it.
         """
-        parts = path.split(".")
-        kind: StageKind | None = None
-        if parts and parts[-1] in STAGE_KIND_NAMES:
-            kind = StageKind.from_name(parts[-1])
-            parts = parts[:-1]
-        if not parts:
-            return None
-        tid = self.find_thimac(".".join(parts))
+        tid, kind = self.resolve(path.split("."))
         if tid is None:
             return None
-        if kind is None:
-            kind = StageKind.TRANSFER
-        return self.thimacs[tid].stages.get(kind)
+        return self.thimacs[tid].stages.get(StageKind.TRANSFER if kind is None else kind)
 
     def qualified_name(self, element: ElementId) -> str:
         if element in self.thimacs:
@@ -363,7 +376,41 @@ class Model:
         )
 
     def copy(self) -> "Model":
-        return copy.deepcopy(self)
+        """An independent copy: new element objects and containers, with
+        the (immutable) source spans shared."""
+        out = Model()
+        out.roots = list(self.roots)
+        out.thimacs = {
+            t.id: Thimac(
+                t.id,
+                t.name,
+                t.parent,
+                dict(t.stages),
+                list(t.children),
+                t.annotation,
+                t.span,
+            )
+            for t in self.thimacs.values()
+        }
+        out.stages = {
+            s.id: Stage(s.id, s.kind, s.thimac, s.annotation, s.span)
+            for s in self.stages.values()
+        }
+        out.flows = [
+            FlowEdge(f.id, f.from_stage, f.to_stage, list(f.implicit_segments), f.span)
+            for f in self.flows
+        ]
+        out.triggers = [
+            TriggerEdge(t.id, t.from_stage, t.to_stage, t.span) for t in self.triggers
+        ]
+        out.memories = [
+            MemoryEdge(m.id, m.from_stage, m.to_stage, m.span) for m in self.memories
+        ]
+        out._next_id = self._next_id
+        out._thimac_index = dict(self._thimac_index)
+        out._flow_index = {(f.from_stage, f.to_stage): f for f in out.flows}
+        out._trigger_index = {(t.from_stage, t.to_stage): t for t in out.triggers}
+        return out
 
 
 STAGE_KIND_NAMES = {
@@ -375,6 +422,7 @@ STAGE_KIND_NAMES = {
     "arrive",
     "accept",
 }
+_KIND_BY_NAME = {name: StageKind.from_name(name) for name in STAGE_KIND_NAMES}
 
 
 # -- normalization ----------------------------------------------------
@@ -480,15 +528,13 @@ def normalize(model: Model, strict: bool = True) -> Model:
                 )
             )
     # expansions may recreate edges declared elsewhere; keep the first
-    deduped: list[FlowEdge] = []
-    seen: set[tuple[ElementId, ElementId]] = set()
+    out.flows = []
+    out._flow_index = {}
     for flow in new_flows:
         key = (flow.from_stage, flow.to_stage)
-        if key in seen:
-            continue
-        seen.add(key)
-        deduped.append(flow)
-    out.flows = deduped
+        if key not in out._flow_index:
+            out._flow_index[key] = flow
+            out.flows.append(flow)
     return out
 
 

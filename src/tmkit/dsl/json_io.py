@@ -106,13 +106,17 @@ def from_json(text: str) -> ParseResult:
         err("JSON_MALFORMED", "top-level value must be an object")
         return ParseResult(None, [], None, diags)
 
-    def objects(items, section: str) -> list[dict]:
-        """The entries of a JSON list that are objects; reports the rest."""
+    def entries(items, section: str) -> list:
+        """A JSON list, or (reported) none for any other value."""
         if not isinstance(items, list):
             err("JSON_MALFORMED", f"{section} must be a list")
             return []
+        return items
+
+    def objects(items, section: str) -> list[dict]:
+        """The entries of a JSON list that are objects; reports the rest."""
         found = []
-        for item in items:
+        for item in entries(items, section):
             if isinstance(item, dict):
                 found.append(item)
             else:
@@ -170,14 +174,13 @@ def from_json(text: str) -> ParseResult:
         dst = stage_ref(entry.get("to"), "flow")
         if src is None or dst is None:
             continue
-        fid = model.add_flow(src, dst)
+        model.add_flow(src, dst)
         segments = []
-        for seg in entry.get("implicitSegments", []):
+        for seg in entries(entry.get("implicitSegments", []), "flow implicitSegments"):
             sid = stage_ref(seg, "flow implicitSegments")
             if sid is not None:
                 segments.append(sid)
-        edge = next(f for f in model.flows if f.id == fid)
-        edge.implicit_segments = segments
+        model.find_flow(src, dst).implicit_segments = segments
 
     for entry in objects(doc.get("triggers", []), "triggers"):
         src = stage_ref(entry.get("from"), "trigger")
@@ -198,7 +201,7 @@ def from_json(text: str) -> ParseResult:
             err("JSON_MALFORMED", "event entry without an id")
             continue
         region: set[int] = set()
-        for ref in entry.get("region", []):
+        for ref in entries(entry.get("region", []), f"event '{eid}' region"):
             sid = stage_ref(ref, f"event '{eid}' region")
             if sid is not None:
                 region.add(sid)
@@ -207,7 +210,13 @@ def from_json(text: str) -> ParseResult:
             err("JSON_MALFORMED", f"event '{eid}' repeat must be a positive integer")
             repeat = 1
         events.append(
-            EventDef(eid, entry.get("label"), region, repeat, list(entry.get("contains", [])))
+            EventDef(
+                eid,
+                entry.get("label"),
+                region,
+                repeat,
+                list(entries(entry.get("contains", []), f"event '{eid}' contains")),
+            )
         )
     declared = {e.id for e in events}
     for event in events:
@@ -221,10 +230,10 @@ def from_json(text: str) -> ParseResult:
         err("JSON_MALFORMED", "chronology must be an object or null")
     elif chrono_doc is not None:
         chronology = Chronology()
-        for node in chrono_doc.get("nodes", []):
+        for node in entries(chrono_doc.get("nodes", []), "chronology nodes"):
             if isinstance(node, str):
                 chronology.add_node(node)
-        for pair in chrono_doc.get("edges", []):
+        for pair in entries(chrono_doc.get("edges", []), "chronology edges"):
             if (
                 isinstance(pair, list)
                 and len(pair) == 2

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import re
+from bisect import bisect_right
+from typing import NamedTuple
 
 from ..diagnostics import Diagnostic, Severity, SourceSpan
 
@@ -44,8 +46,12 @@ class TokenKind(enum.Enum):
     EOF = "end of input"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """One lexeme with its 1-based start and (inclusive) end position.
+
+    A named tuple rather than a dataclass: the lexer builds one per
+    lexeme, and tuple construction is about twice as fast."""
+
     kind: TokenKind
     text: str
     line: int
@@ -64,141 +70,110 @@ _PUNCT = {
     ".": TokenKind.DOT,
     ",": TokenKind.COMMA,
     "@": TokenKind.AT,
+    "->": TokenKind.ARROW,
+    "~>": TokenKind.DASH_ARROW,
 }
+
+# Each match skips blanks and complete comments, then takes one lexeme
+# (or, at the end of the text, none). ``BAD`` takes any single
+# character the other alternatives refuse, so matches tile the whole
+# text and ``finditer`` never skips input. Identifiers and integers are
+# ASCII only: ``str.isalpha`` and ``str.isdigit`` would also accept
+# characters such as "é" and "²".
+_SCANNER = re.compile(
+    r"""
+    (?: [ \t\r\n]+ | //[^\n]* | /\*.*?\*/ )*
+    (?:
+        (?P<WORD>[A-Za-z][A-Za-z0-9_]*)
+      | (?P<PUNCT>->|~>|[{};.,@])
+      | (?P<INT>[0-9]+)
+      | (?P<STRING>"(?:[^"\\\n]+|\\.?)*(?P<CLOSE>")?)
+      | (?P<OPEN_COMMENT>/\*.*)
+      | (?P<BAD>.)
+      | \Z
+    )
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+_NEWLINE = re.compile("\n")
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+_ESCAPES = {"n": "\n", "t": "\t"}
+
+
+def _unescape(match: re.Match) -> str:
+    return _ESCAPES.get(match[1], match[1])
 
 
 def tokenize(text: str, file: str) -> tuple[list[Token], list[Diagnostic]]:
+    """Split ``text`` into tokens (ending with EOF) and lexical diagnostics.
+
+    Lines count "\n" only; columns count characters from 1, so a tab or
+    a "\r" is one column. A string stops before an unescaped newline; a
+    backslash escapes any character, a newline included.
+    """
+    # offset of the first character of each line; line n starts at [n - 1]
+    line_starts = [0]
+    line_starts += [m.end() for m in _NEWLINE.finditer(text)]
     tokens: list[Token] = []
     diags: list[Diagnostic] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-
-    def advance(count: int = 1) -> None:
-        nonlocal i, line, col
-        for _ in range(count):
-            if i < n and text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            advance()
+    append = tokens.append
+    for m in _SCANNER.finditer(text):
+        index = m.lastindex
+        if index is None:  # blanks and comments up to the end of the text
             continue
-        if ch == "/" and i + 1 < n and text[i + 1] == "/":
-            while i < n and text[i] != "\n":
-                advance()
-            continue
-        if ch == "/" and i + 1 < n and text[i + 1] == "*":
-            start = SourceSpan(file, line, col, line, col + 1)
-            advance(2)
-            closed = False
-            while i < n:
-                if text[i] == "*" and i + 1 < n and text[i + 1] == "/":
-                    advance(2)
-                    closed = True
-                    break
-                advance()
-            if not closed:
-                diags.append(
-                    Diagnostic(
-                        Severity.ERROR, "LEX", "unterminated block comment", start
-                    )
-                )
-            continue
-
-        start_line, start_col = line, col
-        if ch == "-" and i + 1 < n and text[i + 1] == ">":
-            advance(2)
-            tokens.append(
-                Token(TokenKind.ARROW, "->", start_line, start_col, line, col - 1)
-            )
-            continue
-        if ch == "~" and i + 1 < n and text[i + 1] == ">":
-            advance(2)
-            tokens.append(
-                Token(TokenKind.DASH_ARROW, "~>", start_line, start_col, line, col - 1)
-            )
-            continue
-        if ch in _PUNCT:
-            advance()
-            tokens.append(
-                Token(_PUNCT[ch], ch, start_line, start_col, line, col - 1)
-            )
-            continue
-        if ch == '"':
-            advance()
-            buf = []
-            terminated = False
-            while i < n:
-                c = text[i]
-                if c == '"':
-                    advance()
-                    terminated = True
-                    break
-                if c == "\n":
-                    break
-                if c == "\\" and i + 1 < n:
-                    advance()
-                    esc = text[i]
-                    buf.append({"n": "\n", "t": "\t"}.get(esc, esc))
-                    advance()
-                    continue
-                buf.append(c)
-                advance()
+        group = m.lastgroup
+        lexeme = m.group(index)
+        start = m.start(index)
+        line = bisect_right(line_starts, start)
+        col = start - line_starts[line - 1] + 1
+        if group == "WORD":
+            kind = TokenKind.KEYWORD if lexeme in KEYWORDS else TokenKind.IDENT
+            append(Token(kind, lexeme, line, col, line, col + len(lexeme) - 1))
+        elif group == "PUNCT":
+            append(Token(_PUNCT[lexeme], lexeme, line, col, line, col + len(lexeme) - 1))
+        elif group == "INT":
+            append(Token(TokenKind.INT, lexeme, line, col, line, col + len(lexeme) - 1))
+        elif group == "STRING":
+            terminated = m.group("CLOSE") is not None
+            body = lexeme[1:-1] if terminated else lexeme[1:]
+            if "\\" in body:
+                body = _ESCAPE.sub(_unescape, body)
+            end = m.end()
+            end_line = bisect_right(line_starts, end)
+            end_col = end - line_starts[end_line - 1] + 1
             if not terminated:
                 diags.append(
                     Diagnostic(
                         Severity.ERROR,
                         "LEX",
                         "unterminated string literal",
-                        SourceSpan(file, start_line, start_col, line, col),
+                        SourceSpan(file, line, col, end_line, end_col),
                     )
                 )
-            tokens.append(
+            append(
                 Token(
-                    TokenKind.STRING,
-                    "".join(buf),
-                    start_line,
-                    start_col,
-                    line,
-                    max(start_col, col - 1),
+                    TokenKind.STRING, body, line, col, end_line, max(col, end_col - 1)
                 )
             )
-            continue
-        if "0" <= ch <= "9":  # str.isdigit also accepts digits such as "²"
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            word = text[i:j]
-            advance(j - i)
-            tokens.append(
-                Token(TokenKind.INT, word, start_line, start_col, line, col - 1)
+        elif group == "OPEN_COMMENT":
+            diags.append(
+                Diagnostic(
+                    Severity.ERROR,
+                    "LEX",
+                    "unterminated block comment",
+                    SourceSpan(file, line, col, line, col + 1),
+                )
             )
-            continue
-        if ch.isalpha() and ch.isascii():
-            j = i
-            while j < n and (text[j].isalnum() and text[j].isascii() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            advance(j - i)
-            kind = TokenKind.KEYWORD if word in KEYWORDS else TokenKind.IDENT
-            tokens.append(
-                Token(kind, word, start_line, start_col, line, col - 1)
+        else:
+            diags.append(
+                Diagnostic(
+                    Severity.ERROR,
+                    "LEX",
+                    f"unexpected character {lexeme!r}",
+                    SourceSpan(file, line, col, line, col),
+                )
             )
-            continue
-        diags.append(
-            Diagnostic(
-                Severity.ERROR,
-                "LEX",
-                f"unexpected character {ch!r}",
-                SourceSpan(file, start_line, start_col, start_line, start_col),
-            )
-        )
-        advance()
-
-    tokens.append(Token(TokenKind.EOF, "", line, col, line, col))
+    line = len(line_starts)
+    col = len(text) - line_starts[-1] + 1
+    append(Token(TokenKind.EOF, "", line, col, line, col))
     return tokens, diags

@@ -414,24 +414,28 @@ class _Lowering:
         for decl in self.p.thimacs:
             declare(decl, None)
 
-    def resolve_stage(self, path: _Path, materialize_port: bool) -> int | None:
-        """A path names a stage; one ending at a thimac means its port."""
-        segments = path.segments
-        kind: StageKind | None = None
-        if segments[-1] in STAGE_KIND_NAMES:
-            kind = StageKind.from_name(segments[-1])
-            segments = segments[:-1]
+    def unresolved_thimac(self, path: _Path, kind: StageKind | None) -> None:
+        segments = path.segments[:-1] if kind is not None else path.segments
         if not segments:
             self.diag("UNRESOLVED_PATH", f"path '{path.text()}' names no thimac", path.span)
-            return None
-        tid = self.model.find_thimac(".".join(segments))
-        if tid is None:
+        else:
             self.diag(
                 "UNRESOLVED_PATH",
                 f"no thimac at path '{'.'.join(segments)}'",
                 path.span,
             )
+
+    def resolve_stage(self, path: _Path, materialize_port: bool) -> int | None:
+        """A path names a stage; one ending at a thimac means its port."""
+        tid, kind = self.model.resolve(path.segments)
+        if tid is None:
+            self.unresolved_thimac(path, kind)
             return None
+        return self.stage_of(path, tid, kind, materialize_port)
+
+    def stage_of(
+        self, path: _Path, tid: int, kind: StageKind | None, materialize_port: bool
+    ) -> int | None:
         if kind is None:
             if materialize_port:
                 return self.model.ensure_transfer(tid)
@@ -447,7 +451,7 @@ class _Lowering:
         if sid is None:
             self.diag(
                 "UNRESOLVED_PATH",
-                f"thimac '{'.'.join(segments)}' has no {kind.value} stage",
+                f"thimac '{'.'.join(path.segments[:-1])}' has no {kind.value} stage",
                 path.span,
             )
         return sid
@@ -492,16 +496,13 @@ class _Lowering:
 
     def region_members(self, path: _Path) -> set[int]:
         """A region path: a stage, or a thimac meaning all its stages."""
-        segments = path.segments
-        if segments[-1] in STAGE_KIND_NAMES:
-            sid = self.resolve_stage(path, materialize_port=False)
-            return {sid} if sid is not None else set()
-        tid = self.model.find_thimac(".".join(segments))
+        tid, kind = self.model.resolve(path.segments)
         if tid is None:
-            self.diag(
-                "UNRESOLVED_PATH", f"no thimac at path '{path.text()}'", path.span
-            )
+            self.unresolved_thimac(path, kind)
             return set()
+        if kind is not None:
+            sid = self.stage_of(path, tid, kind, materialize_port=False)
+            return {sid} if sid is not None else set()
         out: set[int] = set()
         stack = [tid]
         while stack:

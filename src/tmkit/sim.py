@@ -350,14 +350,24 @@ def simulate(
     definitions, free of validation errors. With no chronology, all
     declared events run once in declaration order.
     """
-    config = config or SimConfig()
-    diags = validate(model, events, chronology)
-    errors = [d for d in diags if d.is_error]
+    errors = [d for d in validate(model, events, chronology) if d.is_error]
     if errors:
         raise PreconditionViolated(
             f"validation reported {len(errors)} error(s); first: "
             + errors[0].render()
         )
+    return _simulate_validated(model, events, chronology, config)
+
+
+def _simulate_validated(
+    model: Model,
+    events: list[EventDef],
+    chronology: Chronology | None,
+    config: SimConfig | None = None,
+) -> Trace:
+    """``simulate`` for a caller that has already validated the model and
+    behavior definitions and found no errors."""
+    config = config or SimConfig()
     if not is_normalized(model):
         raise PreconditionViolated("model is not normalized")
     if chronology is None:

@@ -7,7 +7,9 @@ import random
 import re
 
 from tmkit.behavior import Chronology
-from tmkit.core import Model, StageKind
+from tmkit.core import STAGE_KIND_NAMES, Model, StageKind
+from tmkit.diagnostics import Diagnostic, Severity, SourceSpan
+from tmkit.dsl.lexer import KEYWORDS, Token, TokenKind
 from tmkit.sim import Trace
 
 KINDS = list(StageKind)
@@ -122,6 +124,36 @@ def random_model(
     return model
 
 
+def scan_thimac(model: Model, path: str) -> int | None:
+    """``Model.find_thimac`` by scanning each scope's children in order."""
+    scope = model.roots
+    current = None
+    for part in path.split("."):
+        current = next((t for t in scope if model.thimacs[t].name == part), None)
+        if current is None:
+            return None
+        scope = model.thimacs[current].children
+    return current
+
+
+def scan_stage(model: Model, path: str) -> int | None:
+    """``Model.find_stage`` over ``scan_thimac``: a trailing stage kind
+    names that stage, a bare thimac path its transfer port."""
+    parts = path.split(".")
+    kind = StageKind.TRANSFER
+    if parts[-1] in STAGE_KIND_NAMES:
+        kind = StageKind.from_name(parts.pop())
+    if not parts:
+        return None
+    tid = scan_thimac(model, ".".join(parts))
+    return None if tid is None else model.thimacs[tid].stages.get(kind)
+
+
+def scan_edge(edges, src: int, dst: int):
+    """The first edge of ``edges`` from ``src`` to ``dst``, or None."""
+    return next((e for e in edges if e.from_stage == src and e.to_stage == dst), None)
+
+
 def random_legal_chain_model(rng: random.Random, machines: int = 3) -> Model:
     """A simplified-style model whose flows all admit legal expansion.
 
@@ -225,3 +257,154 @@ def read_dot(text: str) -> dict:
         "clusters": clusters,
         "dashed_edges": dashed_edges,
     }
+
+
+_PUNCT = {
+    "{": TokenKind.LBRACE,
+    "}": TokenKind.RBRACE,
+    ";": TokenKind.SEMI,
+    ".": TokenKind.DOT,
+    ",": TokenKind.COMMA,
+    "@": TokenKind.AT,
+}
+
+
+def reference_tokenize(
+    text: str, file: str
+) -> tuple[list[Token], list[Diagnostic]]:
+    """The per-character tokenizer the regex lexer replaced: the oracle for
+    ``tmkit.dsl.lexer.tokenize``."""
+    tokens: list[Token] = []
+    diags: list[Diagnostic] = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+
+    def advance(count: int = 1) -> None:
+        nonlocal i, line, col
+        for _ in range(count):
+            if i < n and text[i] == "\n":
+                line += 1
+                col = 1
+            else:
+                col += 1
+            i += 1
+
+    while i < n:
+        ch = text[i]
+        if ch in " \t\r\n":
+            advance()
+            continue
+        if ch == "/" and i + 1 < n and text[i + 1] == "/":
+            while i < n and text[i] != "\n":
+                advance()
+            continue
+        if ch == "/" and i + 1 < n and text[i + 1] == "*":
+            start = SourceSpan(file, line, col, line, col + 1)
+            advance(2)
+            closed = False
+            while i < n:
+                if text[i] == "*" and i + 1 < n and text[i + 1] == "/":
+                    advance(2)
+                    closed = True
+                    break
+                advance()
+            if not closed:
+                diags.append(
+                    Diagnostic(
+                        Severity.ERROR, "LEX", "unterminated block comment", start
+                    )
+                )
+            continue
+
+        start_line, start_col = line, col
+        if ch == "-" and i + 1 < n and text[i + 1] == ">":
+            advance(2)
+            tokens.append(
+                Token(TokenKind.ARROW, "->", start_line, start_col, line, col - 1)
+            )
+            continue
+        if ch == "~" and i + 1 < n and text[i + 1] == ">":
+            advance(2)
+            tokens.append(
+                Token(TokenKind.DASH_ARROW, "~>", start_line, start_col, line, col - 1)
+            )
+            continue
+        if ch in _PUNCT:
+            advance()
+            tokens.append(
+                Token(_PUNCT[ch], ch, start_line, start_col, line, col - 1)
+            )
+            continue
+        if ch == '"':
+            advance()
+            buf = []
+            terminated = False
+            while i < n:
+                c = text[i]
+                if c == '"':
+                    advance()
+                    terminated = True
+                    break
+                if c == "\n":
+                    break
+                if c == "\\" and i + 1 < n:
+                    advance()
+                    esc = text[i]
+                    buf.append({"n": "\n", "t": "\t"}.get(esc, esc))
+                    advance()
+                    continue
+                buf.append(c)
+                advance()
+            if not terminated:
+                diags.append(
+                    Diagnostic(
+                        Severity.ERROR,
+                        "LEX",
+                        "unterminated string literal",
+                        SourceSpan(file, start_line, start_col, line, col),
+                    )
+                )
+            tokens.append(
+                Token(
+                    TokenKind.STRING,
+                    "".join(buf),
+                    start_line,
+                    start_col,
+                    line,
+                    max(start_col, col - 1),
+                )
+            )
+            continue
+        if "0" <= ch <= "9":  # str.isdigit also accepts digits such as "²"
+            j = i
+            while j < n and "0" <= text[j] <= "9":
+                j += 1
+            word = text[i:j]
+            advance(j - i)
+            tokens.append(
+                Token(TokenKind.INT, word, start_line, start_col, line, col - 1)
+            )
+            continue
+        if ch.isalpha() and ch.isascii():
+            j = i
+            while j < n and (text[j].isalnum() and text[j].isascii() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            advance(j - i)
+            kind = TokenKind.KEYWORD if word in KEYWORDS else TokenKind.IDENT
+            tokens.append(
+                Token(kind, word, start_line, start_col, line, col - 1)
+            )
+            continue
+        diags.append(
+            Diagnostic(
+                Severity.ERROR,
+                "LEX",
+                f"unexpected character {ch!r}",
+                SourceSpan(file, start_line, start_col, start_line, start_col),
+            )
+        )
+        advance()
+
+    tokens.append(Token(TokenKind.EOF, "", line, col, line, col))
+    return tokens, diags

@@ -219,3 +219,23 @@ def test_color_env_var(monkeypatch, capsys, broken_file):
     run(["validate", str(broken_file)])
     captured = capsys.readouterr()
     assert "\x1b[" not in captured.err
+
+
+def test_simulate_validates_once(monkeypatch, capsys):
+    import tmkit.cli
+    import tmkit.sim
+
+    calls = []
+
+    def counted(real):
+        def wrapper(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(tmkit.cli, "validate", counted(tmkit.cli.validate))
+    monkeypatch.setattr(tmkit.sim, "validate", counted(tmkit.sim.validate))
+    assert run(["simulate", str(corpus_path("davidson.tm"))]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1

@@ -8,9 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tmkit import dsl
 from tmkit.core import (
+    STAGE_KIND_NAMES,
     Model,
     StageKind,
+    _signature,
     is_normalized,
     model_equal,
     normalize,
@@ -24,7 +27,13 @@ from tmkit.errors import (
     UnknownThimac,
 )
 
-from _support import random_model
+from _support import (
+    random_legal_chain_model,
+    random_model,
+    scan_edge,
+    scan_stage,
+    scan_thimac,
+)
 
 
 # -- add_thimac --------------------------------------------------------
@@ -355,3 +364,120 @@ def test_model_equal_false_only_when_normalize_inserted(load_corpus):
     assert model_equal(full, normalize(full))
     simp = load_corpus("atm_simplified.tm").model
     assert not model_equal(simp, normalize(simp))
+
+
+# -- indexes against brute-force scans -----------------------------------
+
+
+def _variants(model: Model) -> dict[str, Model]:
+    """The model as built, normalized, copied, and re-read from DSL text
+    and from JSON: every way a model with indexes comes to exist."""
+    raw = dsl.ParseResult(model, [], None, [])
+    parsed = dsl.parse(dsl.format_parts(model, [], None), "random.tm")
+    read = dsl.from_json(dsl.to_json(raw))
+    out = {
+        "built": model,
+        "normalize": normalize(model, strict=False),
+        "copy": model.copy(),
+        "from_json": read.model,
+    }
+    if parsed.model is not None:
+        out["parse"] = parsed.model
+    assert out["from_json"] is not None
+    return out
+
+
+def _probe_paths(model: Model) -> list[str]:
+    names = [model.qualified_name(t) for t in model.thimacs]
+    paths = ["", "nope", "create", "t0.nope", "t0..create"]
+    for name in names:
+        paths.append(name)
+        paths.append(f"{name}.nope")
+        paths.extend(f"{name}.{kind}" for kind in sorted(STAGE_KIND_NAMES))
+    return paths
+
+
+def _check_indexes(model: Model, rng: random.Random, label: str) -> None:
+    for path in _probe_paths(model):
+        assert model.find_thimac(path) == scan_thimac(model, path), (label, path)
+        assert model.find_stage(path) == scan_stage(model, path), (label, path)
+    stages = list(model.stages)
+    for src in stages:
+        for dst in stages:
+            assert model.find_flow(src, dst) is scan_edge(model.flows, src, dst), label
+    # trigger dedup: an existing (from, to) pair returns its edge, a new
+    # one appends exactly one edge
+    for _ in range(6):
+        src, dst = rng.choice(stages), rng.choice(stages)
+        existing = scan_edge(model.triggers, src, dst)
+        count = len(model.triggers)
+        tid = model.add_trigger(src, dst)
+        if existing is not None:
+            assert tid == existing.id and len(model.triggers) == count, label
+        else:
+            assert len(model.triggers) == count + 1, label
+            assert model.triggers[-1].id == tid, label
+        assert model.find_flow(src, dst) is scan_edge(model.flows, src, dst), label
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_indexes_agree_with_brute_force_scans(seed):
+    rng = random.Random(seed)
+    if seed % 2:
+        model = random_legal_chain_model(rng, machines=4)
+    else:
+        model = random_model(rng, max_thimacs=5, max_stages=10, max_flows=12)
+    for label, variant in _variants(model).items():
+        _check_indexes(variant, rng, label)
+
+
+def test_index_lookups_on_corpus(load_corpus):
+    rng = random.Random(7)
+    for name in ("atm_full.tm", "davidson.tm", "ships.tm"):
+        model = load_corpus(name).model
+        for label, variant in _variants(model.copy()).items():
+            _check_indexes(variant, rng, f"{name} {label}")
+
+
+def _snapshot(model: Model):
+    return (
+        _signature(model),
+        model._next_id,
+        list(model.roots),
+        [(t.id, t.name, t.parent, dict(t.stages), list(t.children)) for t in model.thimacs.values()],
+        [(s.id, s.kind, s.thimac) for s in model.stages.values()],
+        [(f.id, f.from_stage, f.to_stage, list(f.implicit_segments)) for f in model.flows],
+        [(t.id, t.from_stage, t.to_stage) for t in model.triggers],
+    )
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_normalize_leaves_input_unchanged(seed):
+    rng = random.Random(1000 + seed)
+    if seed % 2:
+        model = random_legal_chain_model(rng, machines=4)
+    else:
+        model = random_model(rng, max_thimacs=5, max_stages=10, max_flows=12)
+    before = _snapshot(model)
+    flows = list(model.flows)
+    out = normalize(model, strict=False)
+    assert _snapshot(model) == before
+    assert all(a is b for a, b in zip(model.flows, flows))
+    # the result shares no mutable part with its input
+    for tid, thimac in out.thimacs.items():
+        assert thimac is not model.thimacs[tid]
+        assert thimac.stages is not model.thimacs[tid].stages
+    out.add_thimac("fresh")
+    assert model.find_thimac("fresh") is None
+
+
+def test_copy_is_independent():
+    model = random_legal_chain_model(random.Random(3), machines=4)
+    before = _snapshot(model)
+    dup = model.copy()
+    assert _snapshot(dup) == before
+    tid = dup.add_thimac("extra")
+    dup.add_stage(tid, StageKind.TRANSFER)
+    dup.add_trigger(dup.flows[0].from_stage, dup.flows[0].to_stage)
+    dup.flows[0].implicit_segments.append(tid)
+    assert _snapshot(model) == before

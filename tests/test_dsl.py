@@ -13,7 +13,9 @@ from tmkit import dsl
 from tmkit.core import StageKind, model_equal, normalize
 from tmkit.diagnostics import Severity
 
-from _support import random_model
+from tmkit.dsl.lexer import tokenize
+
+from _support import random_model, reference_tokenize
 from conftest import CORPUS_NAMES
 
 
@@ -170,6 +172,37 @@ def test_parse_recovers_and_reports_multiple_errors():
 def test_parse_non_ascii_digits_are_lex_errors(source):
     result = dsl.parse(source, "digits.tm")
     assert "LEX" in {d.code for d in errors(result)}
+
+
+# -- lexer against the per-character oracle ---------------------------
+
+_LEX_FRAGMENTS = [
+    "\r\n", "\n", "\t", " ", "\r", "\x0c",
+    "thimac", "stage", "event", "create", "transfer", "arrive",
+    "a", "Zed9", "x_y", "_lead", "__", "9", "007", "\u00b2", "\u0663",
+    "\u00e9t\u00e9", "caf\u00e9", "\u03a9", "\u0436",
+    '"', '"ok"', '"open', '\\', '\\n', '\\"', '"a\\\nb"', '"\\\n',
+    "//", "// note\n", "/*", "*/", "/* block */", "/**/", "/*/",
+    "->", "~>", "-", "~", ">", "{", "}", ";", ".", ",", "@", "*", "/",
+]
+
+_lex_text = st.lists(
+    st.one_of(st.sampled_from(_LEX_FRAGMENTS), st.text(max_size=4)), max_size=40
+).map("".join)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_lex_text)
+def test_tokenize_matches_reference_tokenizer(text):
+    assert tokenize(text, "f.tm") == reference_tokenize(text, "f.tm")
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_tokenize_matches_reference_on_corpus(name):
+    from tmkit.corpus import corpus_path
+
+    text = corpus_path(name).read_text(encoding="utf-8")
+    assert tokenize(text, name) == reference_tokenize(text, name)
 
 
 def test_every_diagnostic_carries_a_span_inside_the_text():
@@ -397,6 +430,35 @@ def test_from_json_entries_that_are_not_objects(doc):
     result = dsl.from_json(json.dumps(doc))
     assert result.model is None
     assert any(d.code == "JSON_MALFORMED" for d in errors(result))
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"events": [{"id": "E", "region": 5}]}, "event 'E' region"),
+        ({"events": [{"id": "E", "contains": "F"}]}, "event 'E' contains"),
+        (
+            {
+                "thimacs": [
+                    {"name": "a", "stages": [{"kind": "transfer"}]},
+                    {"name": "b", "stages": [{"kind": "transfer"}]},
+                ],
+                "flows": [
+                    {"from": "a.transfer", "to": "b.transfer", "implicitSegments": 5}
+                ],
+            },
+            "flow implicitSegments",
+        ),
+        ({"chronology": {"nodes": 5}}, "chronology nodes"),
+        ({"chronology": {"edges": {"E": "F"}}}, "chronology edges"),
+    ],
+)
+def test_from_json_list_fields_that_are_not_lists(doc, field):
+    result = dsl.from_json(json.dumps(doc))
+    assert result.model is None
+    assert [(d.code, d.message) for d in errors(result)] == [
+        ("JSON_MALFORMED", f"{field} must be a list")
+    ]
 
 
 def test_from_json_duplicate_definitions_become_diagnostics():
