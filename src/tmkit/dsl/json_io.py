@@ -133,6 +133,9 @@ def from_json(text: str) -> ParseResult:
             continue
         parent = entry.get("parent")
         parent_id = None
+        if parent is not None and not isinstance(parent, str):
+            err("JSON_MALFORMED", f"thimac '{name}' parent must be a string or null")
+            continue
         if parent is not None:
             parent_id = thimac_ids.get(parent)
             if parent_id is None:
@@ -174,6 +177,9 @@ def from_json(text: str) -> ParseResult:
         dst = stage_ref(entry.get("to"), "flow")
         if src is None or dst is None:
             continue
+        if src == dst:
+            err("JSON_MALFORMED", f"flow from '{entry['from']}' to itself")
+            continue
         model.add_flow(src, dst)
         segments = []
         for seg in entries(entry.get("implicitSegments", []), "flow implicitSegments"):
@@ -209,15 +215,16 @@ def from_json(text: str) -> ParseResult:
         if not isinstance(repeat, int) or repeat < 1:
             err("JSON_MALFORMED", f"event '{eid}' repeat must be a positive integer")
             repeat = 1
-        events.append(
-            EventDef(
-                eid,
-                entry.get("label"),
-                region,
-                repeat,
-                list(entries(entry.get("contains", []), f"event '{eid}' contains")),
-            )
-        )
+        contains = []
+        for sub in entries(entry.get("contains", []), f"event '{eid}' contains"):
+            if isinstance(sub, str):
+                contains.append(sub)
+            else:
+                err(
+                    "JSON_MALFORMED",
+                    f"event '{eid}' contains entry {sub!r} must be a string",
+                )
+        events.append(EventDef(eid, entry.get("label"), region, repeat, contains))
     declared = {e.id for e in events}
     for event in events:
         for sub in event.subevents:

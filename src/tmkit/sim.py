@@ -39,17 +39,37 @@ defines none):
 * Tokens are never destroyed. Whatever rests at instance end stays in
   a global pool and may be picked up by later events, which is how one
   thing (a card, say) can thread through an entire scenario.
+
+Before a chronology node's instances run, the event's region is
+compiled once into a plan: the in-region triggers (in model order and
+by source stage), each stage's route (its out-flows in model order, or
+for a transfer port the cross-machine and the within-machine ones), the
+``outbound`` flag a token takes on each in-region flow, and the origin
+candidates (sorted). The plan depends only on the model and the region,
+never on where tokens rest, so every instance of the node reads the
+same plan, and an instance follows exactly the steps above. Resting
+tokens are kept by stage and token id, so moving one is a constant-time
+update.
 """
 
 from __future__ import annotations
 
 import enum
+import heapq
 import logging
+from collections import defaultdict
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
 from .behavior import Chronology, EventDef, instances, region_edges
-from .core import ElementId, FlowEdge, Model, StageKind, is_normalized
+from .core import (
+    ElementId,
+    FlowEdge,
+    Model,
+    StageKind,
+    TriggerEdge,
+    is_normalized,
+)
 from .errors import PreconditionViolated, StepBudgetExceeded
 from .validate import validate
 
@@ -73,7 +93,7 @@ class Token:
     prev_stage: ElementId | None = field(default=None, repr=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class Firing:
     step: int
     event: str
@@ -100,26 +120,82 @@ class SimConfig:
 
 
 def linear_extension(chronology: Chronology) -> list[str]:
-    """Kahn's ordering with first-mention tie-breaking."""
-    nodes = list(chronology.nodes)
-    indeg = {n: 0 for n in nodes}
-    succs: dict[str, list[str]] = {n: [] for n in nodes}
+    """Kahn's ordering with first-mention tie-breaking.
+
+    The ready nodes wait in a heap keyed by their first-mention index,
+    so the order takes O((V + E) log V) time.
+    """
+    nodes = list(dict.fromkeys(chronology.nodes))
+    position = {node: i for i, node in enumerate(nodes)}
+    indeg = [0] * len(nodes)
+    succs: list[list[int]] = [[] for _ in nodes]
     for a, b in chronology.edges:
-        indeg[b] += 1
-        succs[a].append(b)
+        indeg[position[b]] += 1
+        succs[position[a]].append(position[b])
+    ready = [i for i, d in enumerate(indeg) if d == 0]  # ascending: a heap
     order: list[str] = []
-    done: set[str] = set()
-    while len(order) < len(nodes):
-        pick = next(
-            (n for n in nodes if n not in done and indeg[n] == 0), None
-        )
-        if pick is None:
-            raise PreconditionViolated("chronology has a cycle")
-        done.add(pick)
-        order.append(pick)
-        for nxt in succs[pick]:
-            indeg[nxt] -= 1
+    while ready:
+        i = heapq.heappop(ready)
+        order.append(nodes[i])
+        for j in succs[i]:
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                heapq.heappush(ready, j)
+    if len(order) < len(chronology.nodes):
+        raise PreconditionViolated("chronology has a cycle")
     return order
+
+
+@dataclass
+class _Plan:
+    """What one event's instances read of the model, built once per node."""
+
+    triggers: list[TriggerEdge]
+    trigs_by_src: dict[ElementId, list[TriggerEdge]]
+    # per stage with out-flows: (all out-flows, None), or for a transfer
+    # port (cross-machine out-flows, within-machine out-flows); the keys
+    # are the stages that can move a token
+    routes: dict[ElementId, tuple[list[FlowEdge], list[FlowEdge] | None]]
+    # per flow edge id: the ``outbound`` flag of a token that crosses it
+    outbound: dict[ElementId, bool]
+    origins: list[ElementId]
+
+
+def _plan(model: Model, event: EventDef) -> _Plan:
+    """Compile the event's region (see the module docstring)."""
+    region = {s for s in event.region if s in model.stages}
+    flows, triggers = region_edges(model, region)
+    stages = model.stages
+    by_src: dict[ElementId, list[FlowEdge]] = {}
+    outbound = {}
+    for f in flows:
+        by_src.setdefault(f.from_stage, []).append(f)
+        src, dst = stages[f.from_stage], stages[f.to_stage]
+        outbound[f.id] = (
+            src.kind is StageKind.RELEASE
+            and dst.kind is StageKind.TRANSFER
+            and src.thimac == dst.thimac
+        )
+    routes = {}
+    for sid, out in by_src.items():
+        if stages[sid].kind is StageKind.TRANSFER:
+            thimac = stages[sid].thimac
+            routes[sid] = (
+                [e for e in out if stages[e.to_stage].thimac != thimac],
+                [e for e in out if stages[e.to_stage].thimac == thimac],
+            )
+        else:
+            routes[sid] = (out, None)
+    trigs_by_src: dict[ElementId, list[TriggerEdge]] = {}
+    for t in triggers:
+        trigs_by_src.setdefault(t.from_stage, []).append(t)
+    entered = {f.to_stage for f in flows} | {t.to_stage for t in triggers}
+    origins = [
+        sid
+        for sid in sorted(region)
+        if stages[sid].kind is StageKind.CREATE and sid not in entered
+    ]
+    return _Plan(triggers, trigs_by_src, routes, outbound, origins)
 
 
 class _Run:
@@ -128,16 +204,15 @@ class _Run:
         self.config = config
         self.trace = Trace()
         self.tokens: list[Token] = []
-        self.at: dict[ElementId, list[Token]] = {}
+        # resting tokens by stage, then by token id
+        self.at: defaultdict[ElementId, dict[int, Token]] = defaultdict(dict)
         self.step = 0
         # per-instance state
+        self.plan: _Plan | None = None
         self.event_id = ""
         self.instance = 0
-        self.instance_steps = 0
+        self.step_limit = 0  # the instance fails once ``step`` passes this
         self.active: list[Token] = []
-        self.active_ids: set[int] = set()
-        self.flows_by_src: dict[ElementId, list[FlowEdge]] = {}
-        self.trigs_by_src: dict[ElementId, list] = {}
 
     # -- record keeping ------------------------------------------------
 
@@ -146,8 +221,7 @@ class _Run:
             Firing(self.step, self.event_id, self.instance, element, kind, token)
         )
         self.step += 1
-        self.instance_steps += 1
-        if self.instance_steps > self.config.max_steps_per_event:
+        if self.step > self.step_limit:
             raise StepBudgetExceeded(
                 f"event '{self.event_id}' instance {self.instance} exceeded "
                 f"{self.config.max_steps_per_event} steps without quiescing"
@@ -156,10 +230,9 @@ class _Run:
     # -- token bookkeeping ----------------------------------------------
 
     def _place(self, token: Token, stage: ElementId) -> None:
-        if token.location in self.at and token in self.at[token.location]:
-            self.at[token.location].remove(token)
+        del self.at[token.location][token.id]
         token.location = stage
-        self.at.setdefault(stage, []).append(token)
+        self.at[stage][token.id] = token
 
     def _machine_occupied(self, thimac_id: ElementId) -> bool:
         thimac = self.model.thimacs[thimac_id]
@@ -172,25 +245,28 @@ class _Run:
             stage,
         )
         self.tokens.append(token)
-        self.at.setdefault(stage, []).append(token)
+        self.at[stage][token.id] = token
         self.active.append(token)
-        self.active_ids.add(token.id)
         self._emit(FiringKind.TOKEN_SPAWN, stage, token.id)
         return token
 
     # -- firing ----------------------------------------------------------
 
     def _fire_stage_triggers(self, stage: ElementId) -> None:
+        trigs_by_src = self.plan.trigs_by_src
+        if stage not in trigs_by_src:
+            return
         # iterative so trigger chains are bounded by the step budget,
         # not the interpreter's recursion limit
         work = [stage]
-        while work:
-            current = work.pop(0)
-            for trig in self.trigs_by_src.get(current, []):
+        i = 0
+        while i < len(work):
+            for trig in trigs_by_src.get(work[i], ()):
                 self._emit(FiringKind.TRIGGER_FIRE, trig.id, None)
                 spawned = self._trigger_effect(trig.to_stage)
                 if spawned is not None:
                     work.append(spawned)
+            i += 1
 
     def _trigger_effect(self, target: ElementId) -> ElementId | None:
         """Apply one trigger; returns the spawn stage if a token appeared."""
@@ -207,86 +283,58 @@ class _Run:
     # -- movement --------------------------------------------------------
 
     def _eligible(self, token: Token) -> list[FlowEdge]:
-        out = self.flows_by_src.get(token.location, [])
-        if not out:
+        route = self.plan.routes.get(token.location)
+        if route is None:
             return []
-        stage = self.model.stages[token.location]
-        if stage.kind is not StageKind.TRANSFER:
+        out, within = route
+        if within is None or token.outbound:
             return out
-        cross = [
-            e for e in out if not self.model.same_machine(e.from_stage, e.to_stage)
-        ]
-        if token.outbound:
-            return cross
-        within = [
-            e for e in out if self.model.same_machine(e.from_stage, e.to_stage)
-        ]
         if within:
             return within
-        return [e for e in cross if e.to_stage != token.prev_stage]
+        return [e for e in out if e.to_stage != token.prev_stage]
 
     def _move(self, token: Token, edge: FlowEdge) -> None:
-        src = self.model.stages[edge.from_stage]
-        dst = self.model.stages[edge.to_stage]
         self._emit(FiringKind.FLOW_MOVE, edge.id, token.id)
         token.prev_stage = edge.from_stage
-        token.outbound = (
-            src.kind is StageKind.RELEASE
-            and dst.kind is StageKind.TRANSFER
-            and src.thimac == dst.thimac
-        )
+        token.outbound = self.plan.outbound[edge.id]
         self._place(token, edge.to_stage)
         self._fire_stage_triggers(edge.to_stage)
 
     # -- one event instance ------------------------------------------------
 
-    def run_instance(self, event: EventDef, instance: int, tick: int) -> None:
+    def run_instance(
+        self, event: EventDef, plan: _Plan, instance: int, tick: int
+    ) -> None:
+        self.plan = plan
         self.event_id = event.id
         self.instance = instance
-        self.instance_steps = 0
+        self.step_limit = self.step + self.config.max_steps_per_event
         self.active = []
-        self.active_ids = set()
 
-        region = {s for s in event.region if s in self.model.stages}
-        flows, triggers = region_edges(self.model, region)
-        self.flows_by_src = {}
-        for f in flows:
-            self.flows_by_src.setdefault(f.from_stage, []).append(f)
-        self.trigs_by_src = {}
-        for t in triggers:
-            self.trigs_by_src.setdefault(t.from_stage, []).append(t)
-
-        held_before = {s for s in region if self.at.get(s)}
-        inbound = {f.to_stage for f in flows}
-        trigger_targets = {t.to_stage for t in triggers}
+        held_before = {
+            t.from_stage for t in plan.triggers if self.at.get(t.from_stage)
+        }
 
         # 1. origin spawns
-        for stage_id in sorted(region):
-            stage = self.model.stages[stage_id]
-            if stage.kind is not StageKind.CREATE:
-                continue
-            if stage_id in inbound or stage_id in trigger_targets:
-                continue
+        for stage_id in plan.origins:
             if self.at.get(stage_id):
                 continue
             self._spawn(stage_id)
             self._fire_stage_triggers(stage_id)
 
         # 2. adopt resting tokens that can still move inside this region
+        fresh = {token.id for token in self.active}
         adoptable = [
             token
-            for stage_id in region
-            if stage_id in self.flows_by_src  # stages with no out-flow can't move
-            for token in self.at.get(stage_id, [])
-            if token.id not in self.active_ids and self._eligible(token)
+            for stage_id in plan.routes
+            for token in self.at.get(stage_id, {}).values()
+            if token.id not in fresh and self._eligible(token)
         ]
-        for token in sorted(adoptable, key=lambda t: t.id):
-            self.active.append(token)
-            self.active_ids.add(token.id)
+        self.active.extend(sorted(adoptable, key=lambda t: t.id))
 
         # 3. start pass over triggers with a previously held source
         start_fired: set[ElementId] = set()
-        for trig in triggers:
+        for trig in plan.triggers:
             if trig.from_stage not in held_before:
                 continue
             if trig.from_stage not in start_fired:
@@ -322,9 +370,8 @@ class _Run:
                         clone.prev_stage = token.prev_stage
                         clone.outbound = token.outbound
                         self.tokens.append(clone)
-                        self.at.setdefault(token.location, []).append(clone)
+                        self.at[clone.location][clone.id] = clone
                         self.active.append(clone)
-                        self.active_ids.add(clone.id)
                         self._emit(FiringKind.TOKEN_SPAWN, token.location, clone.id)
                         clones.append((clone, extra))
                     self._move(token, edges[0])
@@ -378,8 +425,9 @@ def _simulate_validated(
     tick = 0
     for node in linear_extension(chronology):
         event = by_id[node]
+        plan = _plan(model, event)
         for instance in range(1, instances(event) + 1):
-            run.run_instance(event, instance, tick)
+            run.run_instance(event, plan, instance, tick)
             tick += 1
     run.trace.final_tokens = list(run.tokens)
     return run.trace

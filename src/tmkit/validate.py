@@ -205,34 +205,35 @@ def _check_memories(model: Model) -> list[Diagnostic]:
 
 
 def chronology_cycle(chronology: Chronology) -> list[str] | None:
-    """Return one directed cycle as a node list, or None if acyclic."""
+    """Return one directed cycle as a node list, or None if acyclic.
+
+    Depth-first, with an explicit stack of successor iterators so that
+    long chains do not reach the interpreter's recursion limit.
+    """
     adj: dict[str, list[str]] = {n: [] for n in chronology.nodes}
     for a, b in chronology.edges:
         adj.setdefault(a, []).append(b)
         adj.setdefault(b, [])
     white, gray, black = 0, 1, 2
     color = {n: white for n in adj}
-    path: list[str] = []
-
-    def visit(node: str) -> list[str] | None:
-        color[node] = gray
-        path.append(node)
-        for nxt in adj[node]:
-            if color[nxt] == gray:
-                return path[path.index(nxt):] + [nxt]
-            if color[nxt] == white:
-                found = visit(nxt)
-                if found:
-                    return found
-        color[node] = black
-        path.pop()
-        return None
-
-    for node in adj:
-        if color[node] == white:
-            found = visit(node)
-            if found:
-                return found
+    for root in adj:
+        if color[root] != white:
+            continue
+        color[root] = gray
+        path = [root]
+        stack = [iter(adj[root])]
+        while stack:
+            for nxt in stack[-1]:
+                if color[nxt] == gray:
+                    return path[path.index(nxt):] + [nxt]
+                if color[nxt] == white:
+                    color[nxt] = gray
+                    path.append(nxt)
+                    stack.append(iter(adj[nxt]))
+                    break
+            else:
+                color[path.pop()] = black
+                stack.pop()
     return None
 
 

@@ -3,14 +3,24 @@
 from __future__ import annotations
 
 import json
+import logging
 import random
 import re
 
-from tmkit.behavior import Chronology
-from tmkit.core import STAGE_KIND_NAMES, Model, StageKind
+from tmkit.behavior import Chronology, EventDef, instances, region_edges
+from tmkit.core import (
+    STAGE_KIND_NAMES,
+    ElementId,
+    FlowEdge,
+    Model,
+    StageKind,
+    is_normalized,
+)
 from tmkit.diagnostics import Diagnostic, Severity, SourceSpan
 from tmkit.dsl.lexer import KEYWORDS, Token, TokenKind
-from tmkit.sim import Trace
+from tmkit.errors import PreconditionViolated, StepBudgetExceeded
+from tmkit.sim import Firing, FiringKind, SimConfig, Trace
+from tmkit.sim import Token as SimToken
 
 KINDS = list(StageKind)
 
@@ -59,6 +69,39 @@ def oracle_has_cycle(nodes: list[str], edges: list[tuple[str, str]]) -> bool:
         return False
 
     return any(state.get(n, 0) == 0 and visit(n) for n in adj)
+
+
+def reference_chronology_cycle(chronology: Chronology) -> list[str] | None:
+    """The recursive DFS that ``tmkit.validate.chronology_cycle`` replaced:
+    the oracle for its cycle witness."""
+    adj: dict[str, list[str]] = {n: [] for n in chronology.nodes}
+    for a, b in chronology.edges:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, [])
+    white, gray, black = 0, 1, 2
+    color = {n: white for n in adj}
+    path: list[str] = []
+
+    def visit(node: str) -> list[str] | None:
+        color[node] = gray
+        path.append(node)
+        for nxt in adj[node]:
+            if color[nxt] == gray:
+                return path[path.index(nxt):] + [nxt]
+            if color[nxt] == white:
+                found = visit(nxt)
+                if found:
+                    return found
+        color[node] = black
+        path.pop()
+        return None
+
+    for node in adj:
+        if color[node] == white:
+            found = visit(node)
+            if found:
+                return found
+    return None
 
 
 def enumerate_linear_extensions(chronology: Chronology) -> list[list[str]]:
@@ -217,6 +260,277 @@ def reference_trace_to_json(model: Model, trace: Trace) -> str:
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+log = logging.getLogger("tmkit.sim")
+
+
+def reference_linear_extension(chronology: Chronology) -> list[str]:
+    """The quadratic Kahn's ordering ``tmkit.sim.linear_extension`` replaced:
+    its oracle."""
+    nodes = list(chronology.nodes)
+    indeg = {n: 0 for n in nodes}
+    succs: dict[str, list[str]] = {n: [] for n in nodes}
+    for a, b in chronology.edges:
+        indeg[b] += 1
+        succs[a].append(b)
+    order: list[str] = []
+    done: set[str] = set()
+    while len(order) < len(nodes):
+        pick = next(
+            (n for n in nodes if n not in done and indeg[n] == 0), None
+        )
+        if pick is None:
+            raise PreconditionViolated("chronology has a cycle")
+        done.add(pick)
+        order.append(pick)
+        for nxt in succs[pick]:
+            indeg[nxt] -= 1
+    return order
+
+
+class _ReferenceRun:
+    def __init__(self, model: Model, config: SimConfig) -> None:
+        self.model = model
+        self.config = config
+        self.trace = Trace()
+        self.tokens: list[SimToken] = []
+        self.at: dict[ElementId, list[SimToken]] = {}
+        self.step = 0
+        # per-instance state
+        self.event_id = ""
+        self.instance = 0
+        self.instance_steps = 0
+        self.active: list[SimToken] = []
+        self.active_ids: set[int] = set()
+        self.flows_by_src: dict[ElementId, list[FlowEdge]] = {}
+        self.trigs_by_src: dict[ElementId, list] = {}
+
+    # -- record keeping ------------------------------------------------
+
+    def _emit(self, kind: FiringKind, element: ElementId, token: int | None) -> None:
+        self.trace.firings.append(
+            Firing(self.step, self.event_id, self.instance, element, kind, token)
+        )
+        self.step += 1
+        self.instance_steps += 1
+        if self.instance_steps > self.config.max_steps_per_event:
+            raise StepBudgetExceeded(
+                f"event '{self.event_id}' instance {self.instance} exceeded "
+                f"{self.config.max_steps_per_event} steps without quiescing"
+            )
+
+    # -- token bookkeeping ----------------------------------------------
+
+    def _place(self, token: SimToken, stage: ElementId) -> None:
+        if token.location in self.at and token in self.at[token.location]:
+            self.at[token.location].remove(token)
+        token.location = stage
+        self.at.setdefault(stage, []).append(token)
+
+    def _machine_occupied(self, thimac_id: ElementId) -> bool:
+        thimac = self.model.thimacs[thimac_id]
+        return any(self.at.get(sid) for sid in thimac.stages.values())
+
+    def _spawn(self, stage: ElementId) -> SimToken:
+        token = SimToken(
+            len(self.tokens) + 1,
+            self.model.qualified_name(self.model.stages[stage].thimac),
+            stage,
+        )
+        self.tokens.append(token)
+        self.at.setdefault(stage, []).append(token)
+        self.active.append(token)
+        self.active_ids.add(token.id)
+        self._emit(FiringKind.TOKEN_SPAWN, stage, token.id)
+        return token
+
+    # -- firing ----------------------------------------------------------
+
+    def _fire_stage_triggers(self, stage: ElementId) -> None:
+        # iterative so trigger chains are bounded by the step budget,
+        # not the interpreter's recursion limit
+        work = [stage]
+        while work:
+            current = work.pop(0)
+            for trig in self.trigs_by_src.get(current, []):
+                self._emit(FiringKind.TRIGGER_FIRE, trig.id, None)
+                spawned = self._trigger_effect(trig.to_stage)
+                if spawned is not None:
+                    work.append(spawned)
+
+    def _trigger_effect(self, target: ElementId) -> ElementId | None:
+        """Apply one trigger; returns the spawn stage if a token appeared."""
+        target_stage = self.model.stages[target]
+        if target_stage.kind is StageKind.CREATE:
+            self._spawn(target)
+            return target
+        if self._machine_occupied(target_stage.thimac):
+            # the waiting thing is considered enabled; adoption covers it
+            return None
+        self._spawn(target)
+        return target
+
+    # -- movement --------------------------------------------------------
+
+    def _eligible(self, token: SimToken) -> list[FlowEdge]:
+        out = self.flows_by_src.get(token.location, [])
+        if not out:
+            return []
+        stage = self.model.stages[token.location]
+        if stage.kind is not StageKind.TRANSFER:
+            return out
+        cross = [
+            e for e in out if not self.model.same_machine(e.from_stage, e.to_stage)
+        ]
+        if token.outbound:
+            return cross
+        within = [
+            e for e in out if self.model.same_machine(e.from_stage, e.to_stage)
+        ]
+        if within:
+            return within
+        return [e for e in cross if e.to_stage != token.prev_stage]
+
+    def _move(self, token: SimToken, edge: FlowEdge) -> None:
+        src = self.model.stages[edge.from_stage]
+        dst = self.model.stages[edge.to_stage]
+        self._emit(FiringKind.FLOW_MOVE, edge.id, token.id)
+        token.prev_stage = edge.from_stage
+        token.outbound = (
+            src.kind is StageKind.RELEASE
+            and dst.kind is StageKind.TRANSFER
+            and src.thimac == dst.thimac
+        )
+        self._place(token, edge.to_stage)
+        self._fire_stage_triggers(edge.to_stage)
+
+    # -- one event instance ------------------------------------------------
+
+    def run_instance(self, event: EventDef, instance: int, tick: int) -> None:
+        self.event_id = event.id
+        self.instance = instance
+        self.instance_steps = 0
+        self.active = []
+        self.active_ids = set()
+
+        region = {s for s in event.region if s in self.model.stages}
+        flows, triggers = region_edges(self.model, region)
+        self.flows_by_src = {}
+        for f in flows:
+            self.flows_by_src.setdefault(f.from_stage, []).append(f)
+        self.trigs_by_src = {}
+        for t in triggers:
+            self.trigs_by_src.setdefault(t.from_stage, []).append(t)
+
+        held_before = {s for s in region if self.at.get(s)}
+        inbound = {f.to_stage for f in flows}
+        trigger_targets = {t.to_stage for t in triggers}
+
+        # 1. origin spawns
+        for stage_id in sorted(region):
+            stage = self.model.stages[stage_id]
+            if stage.kind is not StageKind.CREATE:
+                continue
+            if stage_id in inbound or stage_id in trigger_targets:
+                continue
+            if self.at.get(stage_id):
+                continue
+            self._spawn(stage_id)
+            self._fire_stage_triggers(stage_id)
+
+        # 2. adopt resting tokens that can still move inside this region
+        adoptable = [
+            token
+            for stage_id in region
+            if stage_id in self.flows_by_src  # stages with no out-flow can't move
+            for token in self.at.get(stage_id, [])
+            if token.id not in self.active_ids and self._eligible(token)
+        ]
+        for token in sorted(adoptable, key=lambda t: t.id):
+            self.active.append(token)
+            self.active_ids.add(token.id)
+
+        # 3. start pass over triggers with a previously held source
+        start_fired: set[ElementId] = set()
+        for trig in triggers:
+            if trig.from_stage not in held_before:
+                continue
+            if trig.from_stage not in start_fired:
+                start_fired.add(trig.from_stage)
+                self._emit(FiringKind.STAGE_FIRE, trig.from_stage, None)
+            self._emit(FiringKind.TRIGGER_FIRE, trig.id, None)
+            spawned = self._trigger_effect(trig.to_stage)
+            if spawned is not None:
+                self._fire_stage_triggers(spawned)
+
+        # 4. movement rounds until quiescence
+        while True:
+            moved = False
+            for token in list(self.active):
+                edges = self._eligible(token)
+                if not edges:
+                    continue
+                moved = True
+                if len(edges) > 1:
+                    log.warning(
+                        "broadcast: token %d at %s replicates along %d flows "
+                        "(event %s)",
+                        token.id,
+                        self.model.qualified_name(token.location),
+                        len(edges),
+                        event.id,
+                    )
+                    clones = []
+                    for extra in edges[1:]:
+                        clone = SimToken(
+                            len(self.tokens) + 1, token.thing, token.location
+                        )
+                        clone.prev_stage = token.prev_stage
+                        clone.outbound = token.outbound
+                        self.tokens.append(clone)
+                        self.at.setdefault(token.location, []).append(clone)
+                        self.active.append(clone)
+                        self.active_ids.add(clone.id)
+                        self._emit(FiringKind.TOKEN_SPAWN, token.location, clone.id)
+                        clones.append((clone, extra))
+                    self._move(token, edges[0])
+                    for clone, extra in clones:
+                        self._move(clone, extra)
+                else:
+                    self._move(token, edges[0])
+            if not moved:
+                break
+
+        self.trace.event_order.append((event.id, instance, tick))
+
+
+def reference_simulate(
+    model: Model,
+    events: list[EventDef],
+    chronology: Chronology | None,
+    config: SimConfig | None = None,
+) -> Trace:
+    """The interpreter ``tmkit.sim`` replaced with per-event plans, which
+    rebuilds each region's edge lists on every instance: the oracle for
+    ``tmkit.sim._simulate_validated``. It logs broadcasts to the
+    ``tmkit.sim`` logger, as the simulator does."""
+    config = config or SimConfig()
+    if not is_normalized(model):
+        raise PreconditionViolated("model is not normalized")
+    if chronology is None:
+        chronology = Chronology(nodes=[e.id for e in events])
+
+    by_id = {e.id: e for e in events}
+    run = _ReferenceRun(model, config)
+    tick = 0
+    for node in reference_linear_extension(chronology):
+        event = by_id[node]
+        for instance in range(1, instances(event) + 1):
+            run.run_instance(event, instance, tick)
+            tick += 1
+    run.trace.final_tokens = list(run.tokens)
+    return run.trace
 
 
 def random_digraph(

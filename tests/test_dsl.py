@@ -461,6 +461,34 @@ def test_from_json_list_fields_that_are_not_lists(doc, field):
     ]
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            {
+                "thimacs": [{"name": "a", "stages": [{"kind": "create"}]}],
+                "flows": [{"from": "a.create", "to": "a.create"}],
+            },
+            "flow from 'a.create' to itself",
+        ),
+        (
+            {"thimacs": [{"name": "a", "parent": [1]}]},
+            "thimac 'a' parent must be a string or null",
+        ),
+        (
+            {"events": [{"id": "E", "contains": [{}]}]},
+            "event 'E' contains entry {} must be a string",
+        ),
+    ],
+)
+def test_from_json_values_of_the_wrong_shape(doc, message):
+    result = dsl.from_json(json.dumps(doc))
+    assert result.model is None
+    assert [(d.code, d.message) for d in errors(result)] == [
+        ("JSON_MALFORMED", message)
+    ]
+
+
 def test_from_json_duplicate_definitions_become_diagnostics():
     doc = {
         "thimacs": [

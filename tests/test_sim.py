@@ -11,19 +11,91 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tmkit import dsl
-from tmkit.behavior import EventDef, topological_orders_contains
-from tmkit.core import Model, normalize
+from tmkit.behavior import Chronology, EventDef, topological_orders_contains
+from tmkit.core import Model, edge_legal, normalize
 from tmkit.errors import PreconditionViolated, StepBudgetExceeded
 from tmkit.sim import (
     FiringKind,
     SimConfig,
+    _simulate_validated,
     coverage,
+    linear_extension,
     simulate,
     trace_to_json,
 )
 
-from _support import random_legal_chain_model, reference_trace_to_json
+from _support import (
+    random_digraph,
+    random_legal_chain_model,
+    reference_linear_extension,
+    reference_simulate,
+    reference_trace_to_json,
+)
 from conftest import CORPUS_NAMES
+
+# Hand-written scenarios, each exercising one rule of the semantics; the
+# reference-interpreter tests below run every one of them.
+
+# a thing left resting by E1 triggers work in E2
+START_PASS = (
+    "thimac msg { stage create; stage process; }\n"
+    "flow msg.create -> msg.process;\n"
+    "thimac reply { stage create; }\n"
+    "trigger msg.process ~> reply.create;\n"
+    "event E1 { region { msg; } }\n"
+    "event E2 { region { msg.process; reply.create; } }\n"
+    "chronology { E1 -> E2; }"
+)
+# a trigger enables the box token waiting in its machine
+WAITING_TOKEN = (
+    "thimac gate { stage process; stage create; }\n"
+    "flow gate.create -> gate.process;\n"
+    "thimac box { stage create; stage release; stage transfer; }\n"
+    "flow box.create -> box.release -> box.transfer;\n"
+    "trigger gate.process ~> box.release;\n"
+    "event E1 \"box readied\" { region { box.create; } }\n"
+    "event E2 \"gate lets it go\" { region { gate; box; } }\n"
+    "chronology { E1 -> E2; }"
+)
+# a pure port relays onward, never straight back
+PORT_RELAY = (
+    "thimac src { stage create; stage release; stage transfer; }\n"
+    "thimac relay { stage transfer; }\n"
+    "thimac dst { stage transfer; stage receive; }\n"
+    "flow src.create -> src.release -> src.transfer;\n"
+    "flow src.transfer -> relay.transfer -> dst.transfer -> dst.receive;\n"
+    "flow relay.transfer -> src.transfer;\n"
+    "event E { region { src; relay; dst; } }\n"
+    "chronology { E; }"
+)
+BROADCAST = (
+    "thimac a { stage create; stage process; stage release; }\n"
+    "flow a.create -> a.process;\n"
+    "flow a.create -> a.release;\n"
+    "event E { region { a; } }\n"
+    "chronology { E; }"
+)
+# two machines bouncing the same thing back and forth forever
+FLOW_LOOP = (
+    "thimac a { stage create; stage release; stage transfer; stage receive; }\n"
+    "thimac b { stage transfer; stage receive; stage release; }\n"
+    "flow a.create -> a.release -> a.transfer;\n"
+    "flow a.transfer -> b.transfer -> b.receive -> b.release -> b.transfer;\n"
+    "flow b.transfer -> a.transfer -> a.receive -> a.release;\n"
+    "event E { region { a; b; } }\n"
+    "chronology { E; }"
+)
+# mutually creating things never quiesce
+TRIGGER_LOOP = (
+    "thimac seed { stage create; }\n"
+    "thimac a { stage create; }\n"
+    "thimac b { stage create; }\n"
+    "trigger seed.create ~> a.create;\n"
+    "trigger a.create ~> b.create;\n"
+    "trigger b.create ~> a.create;\n"
+    "event E { region { seed; a; b; } }\n"
+    "chronology { E; }"
+)
 
 
 def run_source(source: str, config: SimConfig | None = None):
@@ -103,15 +175,7 @@ def test_trace_json_of_a_run_without_events():
 
 
 def test_trace_json_with_stage_and_trigger_fires():
-    model, _, trace = run_source(
-        "thimac msg { stage create; stage process; }\n"
-        "flow msg.create -> msg.process;\n"
-        "thimac reply { stage create; }\n"
-        "trigger msg.process ~> reply.create;\n"
-        "event E1 { region { msg; } }\n"
-        "event E2 { region { msg.process; reply.create; } }\n"
-        "chronology { E1 -> E2; }"
-    )
+    model, _, trace = run_source(START_PASS)
     fired = {f.kind for f in trace.firings if f.token is None}
     assert fired == {FiringKind.STAGE_FIRE, FiringKind.TRIGGER_FIRE}
     assert_trace_json_matches_reference(model, trace)
@@ -262,32 +326,14 @@ def test_trigger_to_transfer_injects_boundary_token():
 
 
 def test_trigger_enables_waiting_token_without_duplicating():
-    model, _, trace = run_source(
-        "thimac gate { stage process; stage create; }\n"
-        "flow gate.create -> gate.process;\n"
-        "thimac box { stage create; stage release; stage transfer; }\n"
-        "flow box.create -> box.release -> box.transfer;\n"
-        "trigger gate.process ~> box.release;\n"
-        "event E1 \"box readied\" { region { box.create; } }\n"
-        "event E2 \"gate lets it go\" { region { gate; box; } }\n"
-        "chronology { E1 -> E2; }"
-    )
+    model, _, trace = run_source(WAITING_TOKEN)
     box_tokens = [t for t in trace.final_tokens if t.thing == "box"]
     assert len(box_tokens) == 1
     assert model.qualified_name(box_tokens[0].location) == "box.transfer"
 
 
 def test_cross_event_handoff_via_start_pass():
-    # a thing left resting by one event triggers work in the next
-    model, _, trace = run_source(
-        "thimac msg { stage create; stage process; }\n"
-        "flow msg.create -> msg.process;\n"
-        "thimac reply { stage create; }\n"
-        "trigger msg.process ~> reply.create;\n"
-        "event E1 { region { msg; } }\n"
-        "event E2 { region { msg.process; reply.create; } }\n"
-        "chronology { E1 -> E2; }"
-    )
+    model, _, trace = run_source(START_PASS)
     stage_fires = [
         (f.event, model.qualified_name(f.element))
         for f in trace.firings
@@ -307,15 +353,8 @@ def test_cross_event_handoff_via_start_pass():
 
 
 def test_broadcast_replicates_token_and_warns(caplog):
-    source = (
-        "thimac a { stage create; stage process; stage release; }\n"
-        "flow a.create -> a.process;\n"
-        "flow a.create -> a.release;\n"
-        "event E { region { a; } }\n"
-        "chronology { E; }"
-    )
     with caplog.at_level(logging.WARNING, logger="tmkit.sim"):
-        model, _, trace = run_source(source)
+        model, _, trace = run_source(BROADCAST)
     assert any("broadcast" in r.message for r in caplog.records)
     locations = sorted(
         model.qualified_name(t.location) for t in trace.final_tokens
@@ -343,15 +382,7 @@ def test_transfer_port_keeps_direction():
 
 
 def test_pure_port_relays_without_uturn():
-    model, _, trace = run_source(
-        "thimac src { stage create; stage release; stage transfer; }\n"
-        "thimac relay { stage transfer; }\n"
-        "thimac dst { stage transfer; stage receive; }\n"
-        "flow src.create -> src.release -> src.transfer;\n"
-        "flow src.transfer -> relay.transfer -> dst.transfer -> dst.receive;\n"
-        "event E { region { src; relay; dst; } }\n"
-        "chronology { E; }"
-    )
+    model, _, trace = run_source(PORT_RELAY)
     assert model.qualified_name(trace.final_tokens[0].location) == "dst.receive"
 
 
@@ -359,17 +390,7 @@ def test_pure_port_relays_without_uturn():
 
 
 def test_step_budget_exceeded_on_flow_loop():
-    # two machines bouncing the same thing back and forth forever
-    source = (
-        "thimac a { stage create; stage release; stage transfer; stage receive; }\n"
-        "thimac b { stage transfer; stage receive; stage release; }\n"
-        "flow a.create -> a.release -> a.transfer;\n"
-        "flow a.transfer -> b.transfer -> b.receive -> b.release -> b.transfer;\n"
-        "flow b.transfer -> a.transfer -> a.receive -> a.release;\n"
-        "event E { region { a; b; } }\n"
-        "chronology { E; }"
-    )
-    result = dsl.parse(source, "loop.tm")
+    result = dsl.parse(FLOW_LOOP, "loop.tm")
     assert result.model is not None, [d.render() for d in result.diagnostics]
     model = normalize(result.model, strict=False)
     with pytest.raises(StepBudgetExceeded):
@@ -377,19 +398,9 @@ def test_step_budget_exceeded_on_flow_loop():
 
 
 def test_step_budget_exceeded_on_trigger_cycle():
-    # mutually creating things never quiesce; must fail cleanly even
-    # with a budget far beyond the interpreter's recursion depth
-    source = (
-        "thimac seed { stage create; }\n"
-        "thimac a { stage create; }\n"
-        "thimac b { stage create; }\n"
-        "trigger seed.create ~> a.create;\n"
-        "trigger a.create ~> b.create;\n"
-        "trigger b.create ~> a.create;\n"
-        "event E { region { seed; a; b; } }\n"
-        "chronology { E; }"
-    )
-    result = dsl.parse(source, "trigloop.tm")
+    # must fail cleanly even with a budget far beyond the interpreter's
+    # recursion depth
+    result = dsl.parse(TRIGGER_LOOP, "trigloop.tm")
     with pytest.raises(StepBudgetExceeded):
         simulate(result.model, result.events, result.chronology,
                  SimConfig(max_steps_per_event=9000))
@@ -473,3 +484,150 @@ def test_unreachable_region_stage_reported_never_fired():
     report = coverage(model, trace, result.events)
     assert report["neverFired"] == ["orphan.process"]
     assert report["events"]["E"] < 1.0
+
+
+# -- the reference interpreter ---------------------------------------------------
+
+
+class _Records(logging.Handler):
+    def __init__(self) -> None:
+        super().__init__(logging.WARNING)
+        self.seen: list[tuple[str, str]] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.seen.append((record.levelname, record.getMessage()))
+
+
+def assert_matches_reference(model, events, chronology, config=None):
+    """The simulator and the reference interpreter give the same trace
+    bytes (or the same step-budget message) and the same log records."""
+    logger = logging.getLogger("tmkit.sim")
+    outcomes = []
+    for run in (_simulate_validated, reference_simulate):
+        records = _Records()
+        level = logger.level
+        logger.addHandler(records)
+        logger.setLevel(logging.WARNING)
+        try:
+            text = trace_to_json(model, run(model, events, chronology, config))
+        except StepBudgetExceeded as exc:
+            text = f"StepBudgetExceeded: {exc}"
+        finally:
+            logger.removeHandler(records)
+            logger.setLevel(level)
+        outcomes.append((text, records.seen))
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0]
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_simulate_matches_reference_on_corpus(load_corpus, name):
+    result = load_corpus(name)
+    assert_matches_reference(
+        normalize(result.model), result.events, result.chronology
+    )
+
+
+@pytest.mark.parametrize(
+    "source, outcome",
+    [
+        (START_PASS, "StageFire"),
+        (WAITING_TOKEN, "FlowMove"),
+        (PORT_RELAY, "FlowMove"),
+        (BROADCAST, "broadcast"),
+        (FLOW_LOOP, "StepBudgetExceeded"),
+        (TRIGGER_LOOP, "StepBudgetExceeded"),
+    ],
+    ids=[
+        "start-pass",
+        "waiting-token",
+        "port-relay",
+        "broadcast",
+        "flow-loop",
+        "trigger-loop",
+    ],
+)
+def test_simulate_matches_reference_on_scenarios(source, outcome):
+    result = dsl.parse(source, "scenario.tm")
+    model = normalize(result.model, strict=False)
+    text, records = assert_matches_reference(
+        model, result.events, result.chronology, SimConfig(max_steps_per_event=200)
+    )
+    assert outcome in text or any(outcome in message for _, message in records)
+
+
+def _random_scenario(rng: random.Random):
+    """A normalized chain model with extra legal flows (branches, loops)
+    and triggers, random events over it and a random chronology DAG."""
+    model = normalize(random_legal_chain_model(rng, machines=4))
+    stages = sorted(model.stages)
+    for _ in range(rng.randint(0, 4)):
+        a, b = rng.choice(stages), rng.choice(stages)
+        src, dst = model.stages[a], model.stages[b]
+        if a != b and edge_legal(src.kind, dst.kind, src.thimac == dst.thimac):
+            model.add_flow(a, b)
+    for _ in range(rng.randint(0, 3)):
+        model.add_trigger(rng.choice(stages), rng.choice(stages))
+    events = [
+        EventDef(
+            f"E{k}",
+            region=set(rng.sample(stages, rng.randint(1, len(stages)))),
+            multiplicity=rng.randint(1, 3),
+        )
+        for k in range(rng.randint(1, 4))
+    ]
+    order = rng.sample([e.id for e in events], len(events))
+    chronology = Chronology(nodes=list(order))
+    for i, a in enumerate(order):
+        for b in order[i + 1 :]:
+            if rng.random() < 0.4:
+                chronology.add_edge(a, b)
+    return model, events, chronology
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 1_000_000))
+def test_simulate_matches_reference_on_generated_models(seed):
+    model, events, chronology = _random_scenario(random.Random(seed))
+    assert_matches_reference(
+        model, events, chronology, SimConfig(max_steps_per_event=300)
+    )
+
+
+def test_generated_models_cover_every_semantic_rule():
+    wanted = ("StageFire", "TriggerFire", "StepBudgetExceeded", "broadcast")
+    seen = set()
+    for seed in range(300):
+        text, records = assert_matches_reference(
+            *_random_scenario(random.Random(seed)), SimConfig(max_steps_per_event=300)
+        )
+        seen |= {k for k in wanted if k in text or any(k in m for _, m in records)}
+    assert seen == set(wanted)
+
+
+# -- linear extension ------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 1_000_000))
+def test_linear_extension_matches_reference(seed):
+    rng = random.Random(seed)
+    nodes, edges = random_digraph(rng, max_nodes=12, edge_prob=0.2)
+    rng.shuffle(nodes)
+    chronology = Chronology(nodes=nodes, edges=edges)
+    try:
+        expected = reference_linear_extension(chronology)
+    except PreconditionViolated:
+        with pytest.raises(PreconditionViolated, match="chronology has a cycle"):
+            linear_extension(chronology)
+    else:
+        assert linear_extension(chronology) == expected
+
+
+def test_linear_extension_of_a_long_chain_matches_reference():
+    nodes = [f"E{i}" for i in range(10_000)]
+    chronology = Chronology(nodes=nodes, edges=list(zip(nodes, nodes[1:])))
+    assert linear_extension(chronology) == reference_linear_extension(chronology)
+    # listed against the edges, the quadratic scan took seconds
+    backwards = Chronology(nodes=nodes[::-1], edges=chronology.edges)
+    assert linear_extension(backwards) == nodes

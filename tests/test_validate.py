@@ -9,7 +9,7 @@ from tmkit import dsl
 from tmkit.behavior import Chronology, EventDef
 from tmkit.core import Model, StageKind, normalize
 from tmkit.diagnostics import Severity
-from tmkit.validate import legality, legality_matrix, validate
+from tmkit.validate import chronology_cycle, legality, legality_matrix, validate
 
 from _support import (
     ORACLE_LEGAL,
@@ -17,6 +17,7 @@ from _support import (
     oracle_has_cycle,
     random_legal_chain_model,
     random_model,
+    reference_chronology_cycle,
 )
 
 
@@ -289,6 +290,28 @@ def test_chronology_cycles_match_dfs_oracle_on_random_digraphs():
         chrono = Chronology(nodes=list(nodes), edges=list(edges))
         reported = "CHRONO_CYCLE" in codes(validate(model, events, chrono))
         assert reported == oracle_has_cycle(nodes, edges)
+        assert chronology_cycle(chrono) == reference_chronology_cycle(chrono)
+
+
+def test_chronology_cycle_witness_text():
+    model, events = _events_for(["A", "B", "C", "D"])
+    chrono = Chronology()
+    for pair in [("D", "A"), ("A", "B"), ("B", "D"), ("B", "C"), ("C", "A")]:
+        chrono.add_edge(*pair)
+    cycle = [d for d in validate(model, events, chrono) if d.code == "CHRONO_CYCLE"]
+    assert [d.message for d in cycle] == [
+        "chronology has a directed cycle: D -> A -> B -> D"
+    ]
+
+
+def test_chronology_cycle_on_long_chains():
+    nodes = [f"E{i}" for i in range(10_000)]
+    chain = Chronology(nodes=list(nodes), edges=list(zip(nodes, nodes[1:])))
+    assert chronology_cycle(chain) is None
+    model, events = _events_for(nodes)
+    assert "CHRONO_CYCLE" not in codes(validate(model, events, chain))
+    looped = Chronology(nodes=list(nodes), edges=chain.edges + [(nodes[-1], nodes[0])])
+    assert chronology_cycle(looped) == nodes + [nodes[0]]
 
 
 def test_normalization_output_never_flow_illegal():
