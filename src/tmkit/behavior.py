@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import graph
 from .core import ElementId, Model
 from .diagnostics import Diagnostic, Severity, SourceSpan
 from .errors import ContainmentCycle, NotAPermutation, UnknownEvent
@@ -27,20 +28,30 @@ class EventDef:
 
 @dataclass
 class Chronology:
-    """Directed acyclic graph over event ids; nodes keep first-mention order."""
+    """Directed acyclic graph over event ids; nodes keep first-mention order.
+
+    ``add_node`` and ``add_edge`` skip what is already there in constant
+    time, using sets built from the initial lists.
+    """
 
     nodes: list[str] = field(default_factory=list)
     edges: list[tuple[str, str]] = field(default_factory=list)
     span: SourceSpan | None = None
 
+    def __post_init__(self) -> None:
+        self._node_set = set(self.nodes)
+        self._edge_set = set(self.edges)
+
     def add_node(self, node: str) -> None:
-        if node not in self.nodes:
+        if node not in self._node_set:
+            self._node_set.add(node)
             self.nodes.append(node)
 
     def add_edge(self, src: str, dst: str) -> None:
         self.add_node(src)
         self.add_node(dst)
-        if (src, dst) not in self.edges:
+        if (src, dst) not in self._edge_set:
+            self._edge_set.add((src, dst))
             self.edges.append((src, dst))
 
 
@@ -50,26 +61,23 @@ def instances(event: EventDef) -> int:
 
 
 def flatten(events: list[EventDef], root: str) -> set[ElementId]:
-    """Union of the root event's region with all contained sub-regions."""
-    by_id = {e.id: e for e in events}
-    if root not in by_id:
-        raise UnknownEvent(f"no event '{root}' declared")
-    out: set[ElementId] = set()
-    on_path: list[str] = []
+    """Union of the root event's region with all contained sub-regions.
 
-    def visit(eid: str) -> None:
-        if eid in on_path:
-            cycle = " -> ".join(on_path + [eid])
-            raise ContainmentCycle(f"event containment cycle: {cycle}")
+    Each event is visited once. The first problem met depth first is
+    raised: an undeclared event, or a containment cycle (named by its
+    witness, as the parser's ``EVENT_CYCLE`` names it).
+    """
+    by_id = {e.id: e for e in events}
+    out: set[ElementId] = set()
+
+    def subevents(eid: str) -> list[str]:
         if eid not in by_id:
             raise UnknownEvent(f"no event '{eid}' declared")
-        on_path.append(eid)
         out.update(by_id[eid].region)
-        for sub in by_id[eid].subevents:
-            visit(sub)
-        on_path.pop()
+        return by_id[eid].subevents
 
-    visit(root)
+    for cycle in graph.cycles([root], subevents):
+        raise ContainmentCycle(f"event containment cycle: {' -> '.join(cycle)}")
     return out
 
 
@@ -86,22 +94,9 @@ def region_edges(model: Model, region: set[ElementId]) -> tuple[list, list]:
 
 def region_connected(model: Model, region: set[ElementId]) -> bool:
     members = {s for s in region if s in model.stages}
-    if len(members) <= 1:
-        return True
     flows, triggers = region_edges(model, members)
-    adj: dict[ElementId, set[ElementId]] = {s: set() for s in members}
-    for e in flows + triggers:
-        adj[e.from_stage].add(e.to_stage)
-        adj[e.to_stage].add(e.from_stage)
-    seen = set()
-    stack = [next(iter(sorted(members)))]
-    while stack:
-        cur = stack.pop()
-        if cur in seen:
-            continue
-        seen.add(cur)
-        stack.extend(adj[cur] - seen)
-    return seen == members
+    pairs = [(e.from_stage, e.to_stage) for e in flows + triggers]
+    return len(graph.components(members, pairs)) <= 1
 
 
 def check_region(model: Model, event: EventDef) -> list[Diagnostic]:

@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
+from . import graph
 from .diagnostics import SourceSpan
 from .errors import (
     AmbiguousExpansion,
@@ -351,17 +352,11 @@ class Model:
 
     def iter_thimacs(self) -> list[Thimac]:
         """All thimacs in declaration (depth-first) order."""
-        out: list[Thimac] = []
+        walk = graph.tree(self.roots, self.children)
+        return [self.thimacs[tid] for tid, _, entering in walk if entering]
 
-        def walk(tid: ElementId) -> None:
-            t = self.thimacs[tid]
-            out.append(t)
-            for c in t.children:
-                walk(c)
-
-        for r in self.roots:
-            walk(r)
-        return out
+    def children(self, thimac: ElementId) -> list[ElementId]:
+        return self.thimacs[thimac].children
 
     def stages_in_order(self) -> list[Stage]:
         return sorted(self.stages.values(), key=lambda s: s.id)

@@ -102,6 +102,9 @@ def from_json(text: str) -> ParseResult:
     except json.JSONDecodeError as exc:
         err("JSON_MALFORMED", f"invalid JSON: {exc}")
         return ParseResult(None, [], None, diags)
+    except RecursionError:
+        err("JSON_MALFORMED", "invalid JSON: nested too deeply")
+        return ParseResult(None, [], None, diags)
     if not isinstance(doc, dict):
         err("JSON_MALFORMED", "top-level value must be an object")
         return ParseResult(None, [], None, diags)
@@ -123,6 +126,14 @@ def from_json(text: str) -> ParseResult:
                 err("JSON_MALFORMED", f"{section} entry {item!r} must be an object")
         return found
 
+    def annotation(entry: dict, owner: str) -> int | None:
+        """The DSL writes ``@n`` with digits only: a non-negative integer."""
+        value = entry.get("annotation")
+        if value is None or (type(value) is int and value >= 0):
+            return value
+        err("JSON_MALFORMED", f"{owner} annotation must be a non-negative integer or null")
+        return None
+
     model = Model()
     thimac_ids: dict[str, int] = {}
 
@@ -143,7 +154,7 @@ def from_json(text: str) -> ParseResult:
                 continue
         local = name.rsplit(".", 1)[-1]
         try:
-            tid = model.add_thimac(local, parent_id, entry.get("annotation"))
+            tid = model.add_thimac(local, parent_id, annotation(entry, f"thimac '{name}'"))
         except DuplicateName as exc:
             err("DUPLICATE_DEF", str(exc))
             continue
@@ -158,8 +169,9 @@ def from_json(text: str) -> ParseResult:
                     f"thimac '{name}' declares unknown stage kind {kind_name!r}",
                 )
                 continue
+            owner = f"thimac '{name}' {kind.value} stage"
             try:
-                model.add_stage(tid, kind, stage.get("annotation"))
+                model.add_stage(tid, kind, annotation(stage, owner))
             except DuplicateStageKind as exc:
                 err("DUPLICATE_DEF", str(exc))
 
@@ -211,8 +223,12 @@ def from_json(text: str) -> ParseResult:
             sid = stage_ref(ref, f"event '{eid}' region")
             if sid is not None:
                 region.add(sid)
+        label = entry.get("label")
+        if label is not None and not isinstance(label, str):
+            err("JSON_MALFORMED", f"event '{eid}' label must be a string or null")
+            label = None
         repeat = entry.get("repeat", 1)
-        if not isinstance(repeat, int) or repeat < 1:
+        if type(repeat) is not int or repeat < 1:
             err("JSON_MALFORMED", f"event '{eid}' repeat must be a positive integer")
             repeat = 1
         contains = []
@@ -224,7 +240,7 @@ def from_json(text: str) -> ParseResult:
                     "JSON_MALFORMED",
                     f"event '{eid}' contains entry {sub!r} must be a string",
                 )
-        events.append(EventDef(eid, entry.get("label"), region, repeat, contains))
+        events.append(EventDef(eid, label, region, repeat, contains))
     declared = {e.id for e in events}
     for event in events:
         for sub in event.subevents:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .. import graph
 from ..behavior import Chronology, EventDef
 from ..core import Model, StageKind, STAGE_KIND_NAMES
 from ..diagnostics import Diagnostic, Severity, SourceSpan, has_errors, sorted_diagnostics
@@ -175,33 +176,44 @@ class _Parser:
             return int(tok.text) if tok else None
         return None
 
-    def thimac_decl(self) -> _ThimacDecl | None:
+    def thimac_head(self) -> tuple[_ThimacDecl | None, bool]:
+        """``thimac NAME @n {``: the declaration, and whether its body opened."""
         self.take()  # thimac
         name_tok = self.expect(TokenKind.IDENT, "a thimac name")
         if name_tok is None:
             self.sync_statement()
-            return None
+            return None, False
         annotation = self.annot()
         decl = _ThimacDecl(name_tok.text, annotation, name_tok.span(self.file))
         if self.expect(TokenKind.LBRACE, "'{'") is None:
             self.sync_statement()
-            return decl
-        while not self.at(TokenKind.RBRACE) and self.cur.kind is not TokenKind.EOF:
-            if self.at_keyword("stage"):
+            return decl, False
+        return decl, True
+
+    def thimac_decl(self) -> _ThimacDecl | None:
+        """A thimac and its nested bodies, with one stack of open bodies."""
+        decl, opened = self.thimac_head()
+        open_bodies = [decl] if opened else []
+        while open_bodies:
+            if self.at(TokenKind.RBRACE) or self.cur.kind is TokenKind.EOF:
+                self.expect(TokenKind.RBRACE, "'}'")
+                open_bodies.pop()
+            elif self.at_keyword("stage"):
                 stage = self.stage_decl()
                 if stage:
-                    decl.stages.append(stage)
+                    open_bodies[-1].stages.append(stage)
             elif self.at_keyword("thimac"):
-                child = self.thimac_decl()
+                child, opened = self.thimac_head()
                 if child:
-                    decl.children.append(child)
+                    open_bodies[-1].children.append(child)
+                if opened:
+                    open_bodies.append(child)
             else:
                 self.error(
                     f"expected 'stage' or 'thimac' inside thimac body, "
                     f"found '{self.cur.text}'"
                 )
                 self.sync_statement()
-        self.expect(TokenKind.RBRACE, "'}'")
         return decl
 
     def stage_decl(self) -> _StageDecl | None:
@@ -394,25 +406,25 @@ class _Lowering:
         self.diagnostics.append(Diagnostic(severity, code, message, span))
 
     def declare_thimacs(self) -> None:
-        def declare(decl: _ThimacDecl, parent: int | None) -> None:
+        """Declarations in preorder, so ids are allocated as written; a
+        thimac that cannot be declared drops its whole body."""
+        pending = [(decl, None) for decl in reversed(self.p.thimacs)]
+        while pending:
+            decl, parent = pending.pop()
             try:
                 tid = self.model.add_thimac(
                     decl.name, parent, decl.annotation, decl.span
                 )
             except DuplicateName as exc:
                 self.diag("DUPLICATE_DEF", str(exc), decl.span)
-                return
+                continue
             for stage in decl.stages:
                 kind = StageKind.from_name(stage.kind_name)
                 try:
                     self.model.add_stage(tid, kind, stage.annotation, stage.span)
                 except DuplicateStageKind as exc:
                     self.diag("DUPLICATE_DEF", str(exc), stage.span)
-            for child in decl.children:
-                declare(child, tid)
-
-        for decl in self.p.thimacs:
-            declare(decl, None)
+            pending.extend((child, tid) for child in reversed(decl.children))
 
     def unresolved_thimac(self, path: _Path, kind: StageKind | None) -> None:
         segments = path.segments[:-1] if kind is not None else path.segments
@@ -504,11 +516,9 @@ class _Lowering:
             sid = self.stage_of(path, tid, kind, materialize_port=False)
             return {sid} if sid is not None else set()
         out: set[int] = set()
-        stack = [tid]
-        while stack:
-            cur = self.model.thimacs[stack.pop()]
-            out.update(cur.stages.values())
-            stack.extend(cur.children)
+        for cur, _, entering in graph.tree([tid], self.model.children):
+            if entering:
+                out.update(self.model.thimacs[cur].stages.values())
         if not out:
             self.diag(
                 "UNRESOLVED_PATH",
@@ -554,28 +564,16 @@ class _Lowering:
 
     def _check_containment_cycles(self, events: list[EventDef]) -> None:
         by_id = {e.id: e for e in events}
-        state: dict[str, int] = {}
 
-        def visit(eid: str, path: list[str]) -> None:
-            if state.get(eid) == 2:
-                return
-            if eid in path:
-                cycle = " -> ".join(path[path.index(eid):] + [eid])
-                self.diag(
-                    "EVENT_CYCLE",
-                    f"event containment cycle: {cycle}",
-                    by_id[eid].span or SourceSpan("<model>", 1, 1, 1, 1),
-                )
-                return
-            ev = by_id.get(eid)
-            if ev is None:
-                return
-            for sub in ev.subevents:
-                visit(sub, path + [eid])
-            state[eid] = 2
+        def subevents(eid: str) -> list[str]:
+            return by_id[eid].subevents if eid in by_id else []
 
-        for event in events:
-            visit(event.id, [])
+        for cycle in graph.cycles(by_id, subevents):
+            self.diag(
+                "EVENT_CYCLE",
+                f"event containment cycle: {' -> '.join(cycle)}",
+                by_id[cycle[0]].span or SourceSpan("<model>", 1, 1, 1, 1),
+            )
 
     def lower_chronology(self) -> Chronology | None:
         if not self.p.saw_chronology:

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+from .. import graph
 from ..behavior import Chronology, EventDef
-from ..core import Model, Thimac
+from ..core import Model
 
 
 def _quote(label: str) -> str:
@@ -14,15 +15,19 @@ def _annot(value: int | None) -> str:
     return f" @{value}" if value is not None else ""
 
 
-def _emit_thimac(model: Model, thimac: Thimac, indent: int, out: list[str]) -> None:
-    pad = "  " * indent
-    out.append(f"{pad}thimac {thimac.name}{_annot(thimac.annotation)} {{")
-    for sid in thimac.stages.values():
-        stage = model.stages[sid]
-        out.append(f"{pad}  stage {stage.kind.value}{_annot(stage.annotation)};")
-    for child in thimac.children:
-        _emit_thimac(model, model.thimacs[child], indent + 1, out)
-    out.append(f"{pad}}}")
+def _thimacs(model: Model) -> list[str]:
+    out: list[str] = []
+    for tid, depth, entering in graph.tree(model.roots, model.children):
+        pad = "  " * depth
+        if not entering:
+            out.append(f"{pad}}}")
+            continue
+        thimac = model.thimacs[tid]
+        out.append(f"{pad}thimac {thimac.name}{_annot(thimac.annotation)} {{")
+        for sid in thimac.stages.values():
+            stage = model.stages[sid]
+            out.append(f"{pad}  stage {stage.kind.value}{_annot(stage.annotation)};")
+    return out
 
 
 def format_parts(
@@ -32,9 +37,7 @@ def format_parts(
 ) -> str:
     """Deterministic one-statement-per-line rendering of a model."""
     events = events or []
-    out: list[str] = []
-    for root in model.roots:
-        _emit_thimac(model, model.thimacs[root], 0, out)
+    out = _thimacs(model)
     for flow in model.flows:
         out.append(
             f"flow {model.qualified_name(flow.from_stage)} -> "

@@ -10,10 +10,12 @@ Output is deterministic: declaration order in, identical bytes out.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 
+from . import graph
 from .behavior import Chronology, EventDef
-from .core import ElementId, Model, Thimac
+from .core import ElementId, Model
 from .errors import UnknownHighlightEvent
 
 _FILL = "lightgoldenrod1"
@@ -54,59 +56,54 @@ def _hidden_stages(model: Model) -> set[ElementId]:
 def _contracted_flows(
     model: Model, hidden: set[ElementId]
 ) -> list[tuple[ElementId, ElementId]]:
-    """Flow endpoints with normalization-inserted stages walked through."""
+    """Flow endpoints with normalization-inserted stages walked through.
+
+    From each flow out of a visible stage, the walk passes through hidden
+    stages only; the visible stages it reaches (other than the flow's
+    source) are the contracted targets, in depth-first preorder.
+    """
     outgoing: dict[ElementId, list[ElementId]] = {}
     for flow in model.flows:
         outgoing.setdefault(flow.from_stage, []).append(flow.to_stage)
 
-    def sinks(stage: ElementId, seen: frozenset[ElementId]) -> list[ElementId]:
-        if stage not in hidden:
-            return [stage]
-        out: list[ElementId] = []
-        for nxt in outgoing.get(stage, []):
-            if nxt in seen:
-                continue
-            out.extend(sinks(nxt, seen | {nxt}))
-        return out
+    def through_hidden(stage: ElementId) -> list[ElementId]:
+        return outgoing.get(stage, []) if stage in hidden else []
 
-    pairs: list[tuple[ElementId, ElementId]] = []
+    pairs: dict[tuple[ElementId, ElementId], None] = {}
     for flow in model.flows:
         if flow.from_stage in hidden:
             continue
-        for dst in sinks(flow.to_stage, frozenset({flow.from_stage, flow.to_stage})):
-            if (flow.from_stage, dst) not in pairs:
-                pairs.append((flow.from_stage, dst))
-    return pairs
+        for dst in graph.preorder([flow.to_stage], through_hidden):
+            if dst not in hidden and dst != flow.from_stage:
+                pairs[flow.from_stage, dst] = None
+    return list(pairs)
 
 
-def _emit_cluster(
-    model: Model,
-    thimac: Thimac,
-    indent: int,
-    out: list[str],
-    counter: list[int],
-    hidden: set[ElementId],
-    filled: set[ElementId],
-) -> None:
-    pad = "  " * indent
-    out.append(f"{pad}subgraph cluster_{counter[0]} {{")
-    counter[0] += 1
-    label = thimac.name
-    if thimac.annotation is not None:
-        label += f" @{thimac.annotation}"
-    out.append(f"{pad}  label={_quote(label)};")
-    for sid in thimac.stages.values():
-        if sid in hidden:
+def _clusters(
+    model: Model, hidden: set[ElementId], filled: set[ElementId]
+) -> list[str]:
+    """One nested DOT cluster per thimac, numbered in preorder."""
+    out: list[str] = []
+    numbers = itertools.count()
+    for tid, depth, entering in graph.tree(model.roots, model.children):
+        pad = "  " * (depth + 1)
+        if not entering:
+            out.append(f"{pad}}}")
             continue
-        attrs = f"label={_quote(_stage_label(model, sid))}"
-        if sid in filled:
-            attrs += f", style=filled, fillcolor={_FILL}"
-        out.append(f"{pad}  {_quote(model.qualified_name(sid))} [{attrs}];")
-    for child in thimac.children:
-        _emit_cluster(
-            model, model.thimacs[child], indent + 1, out, counter, hidden, filled
-        )
-    out.append(f"{pad}}}")
+        thimac = model.thimacs[tid]
+        out.append(f"{pad}subgraph cluster_{next(numbers)} {{")
+        label = thimac.name
+        if thimac.annotation is not None:
+            label += f" @{thimac.annotation}"
+        out.append(f"{pad}  label={_quote(label)};")
+        for sid in thimac.stages.values():
+            if sid in hidden:
+                continue
+            attrs = f"label={_quote(_stage_label(model, sid))}"
+            if sid in filled:
+                attrs += f", style=filled, fillcolor={_FILL}"
+            out.append(f"{pad}  {_quote(model.qualified_name(sid))} [{attrs}];")
+    return out
 
 
 def render_dot(
@@ -141,11 +138,7 @@ def render_dot(
     hidden = _hidden_stages(model) if opts.simplified else set()
 
     out = ["digraph tm {", "  rankdir=LR;", "  node [shape=box];"]
-    counter = [0]
-    for root in model.roots:
-        _emit_cluster(
-            model, model.thimacs[root], 1, out, counter, hidden, filled
-        )
+    out += _clusters(model, hidden, filled)
     if opts.simplified and hidden:
         for src, dst in _contracted_flows(model, hidden):
             out.append(

@@ -55,12 +55,12 @@ update.
 from __future__ import annotations
 
 import enum
-import heapq
 import logging
 from collections import defaultdict
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
+from . import graph
 from .behavior import Chronology, EventDef, instances, region_edges
 from .core import (
     ElementId,
@@ -120,27 +120,8 @@ class SimConfig:
 
 
 def linear_extension(chronology: Chronology) -> list[str]:
-    """Kahn's ordering with first-mention tie-breaking.
-
-    The ready nodes wait in a heap keyed by their first-mention index,
-    so the order takes O((V + E) log V) time.
-    """
-    nodes = list(dict.fromkeys(chronology.nodes))
-    position = {node: i for i, node in enumerate(nodes)}
-    indeg = [0] * len(nodes)
-    succs: list[list[int]] = [[] for _ in nodes]
-    for a, b in chronology.edges:
-        indeg[position[b]] += 1
-        succs[position[a]].append(position[b])
-    ready = [i for i, d in enumerate(indeg) if d == 0]  # ascending: a heap
-    order: list[str] = []
-    while ready:
-        i = heapq.heappop(ready)
-        order.append(nodes[i])
-        for j in succs[i]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                heapq.heappush(ready, j)
+    """Kahn's ordering with first-mention tie-breaking."""
+    order = graph.topological(chronology.nodes, chronology.edges)
     if len(order) < len(chronology.nodes):
         raise PreconditionViolated("chronology has a cycle")
     return order

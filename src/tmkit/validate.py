@@ -22,6 +22,7 @@ MEMORY_UNSUPPORTED   reserved "memory" construct used (error)
 
 from __future__ import annotations
 
+from . import graph
 from .behavior import Chronology, EventDef, check_region
 from .core import (
     LEGAL_CROSS_MACHINE,
@@ -81,29 +82,6 @@ def _check_flows(model: Model) -> list[Diagnostic]:
     return diags
 
 
-def _flow_components(model: Model) -> list[set[ElementId]]:
-    adj: dict[ElementId, set[ElementId]] = {}
-    for f in model.flows:
-        adj.setdefault(f.from_stage, set()).add(f.to_stage)
-        adj.setdefault(f.to_stage, set()).add(f.from_stage)
-    seen: set[ElementId] = set()
-    components = []
-    for stage in sorted(adj):
-        if stage in seen:
-            continue
-        comp = set()
-        stack = [stage]
-        while stack:
-            cur = stack.pop()
-            if cur in comp:
-                continue
-            comp.add(cur)
-            stack.extend(adj[cur] - comp)
-        seen |= comp
-        components.append(comp)
-    return components
-
-
 def _check_origins(model: Model) -> list[Diagnostic]:
     """Each connected flow component needs an origin.
 
@@ -114,8 +92,9 @@ def _check_origins(model: Model) -> list[Diagnostic]:
     """
     trigger_targets = {t.to_stage for t in model.triggers}
     feeding = {f.from_stage for f in model.flows}
+    pairs = [(f.from_stage, f.to_stage) for f in model.flows]
     diags = []
-    for comp in _flow_components(model):
+    for comp in graph.components(sorted({s for pair in pairs for s in pair}), pairs):
         has_origin = False
         for sid in comp:
             stage = model.stages[sid]
@@ -205,36 +184,13 @@ def _check_memories(model: Model) -> list[Diagnostic]:
 
 
 def chronology_cycle(chronology: Chronology) -> list[str] | None:
-    """Return one directed cycle as a node list, or None if acyclic.
-
-    Depth-first, with an explicit stack of successor iterators so that
-    long chains do not reach the interpreter's recursion limit.
-    """
+    """Return one directed cycle as a node list, or None if acyclic: the
+    first witness of a depth-first search from the nodes in order."""
     adj: dict[str, list[str]] = {n: [] for n in chronology.nodes}
     for a, b in chronology.edges:
         adj.setdefault(a, []).append(b)
         adj.setdefault(b, [])
-    white, gray, black = 0, 1, 2
-    color = {n: white for n in adj}
-    for root in adj:
-        if color[root] != white:
-            continue
-        color[root] = gray
-        path = [root]
-        stack = [iter(adj[root])]
-        while stack:
-            for nxt in stack[-1]:
-                if color[nxt] == gray:
-                    return path[path.index(nxt):] + [nxt]
-                if color[nxt] == white:
-                    color[nxt] = gray
-                    path.append(nxt)
-                    stack.append(iter(adj[nxt]))
-                    break
-            else:
-                color[path.pop()] = black
-                stack.pop()
-    return None
+    return next(graph.cycles(adj, adj.__getitem__), None)
 
 
 def _check_chronology(

@@ -17,8 +17,17 @@ from tmkit.core import (
     is_normalized,
 )
 from tmkit.diagnostics import Diagnostic, Severity, SourceSpan
-from tmkit.dsl.lexer import KEYWORDS, Token, TokenKind
-from tmkit.errors import PreconditionViolated, StepBudgetExceeded
+from tmkit.diagnostics import has_errors, sorted_diagnostics
+from tmkit.dsl.lexer import KEYWORDS, Token, TokenKind, tokenize
+from tmkit.dsl.parser import ParseResult, _Lowering, _Parser, _ThimacDecl
+from tmkit.errors import (
+    ContainmentCycle,
+    DuplicateName,
+    DuplicateStageKind,
+    PreconditionViolated,
+    StepBudgetExceeded,
+    UnknownEvent,
+)
 from tmkit.sim import Firing, FiringKind, SimConfig, Trace
 from tmkit.sim import Token as SimToken
 
@@ -722,3 +731,192 @@ def reference_tokenize(
 
     tokens.append(Token(TokenKind.EOF, "", line, col, line, col))
     return tokens, diags
+
+
+# -- the recursive walks that ``tmkit.graph`` replaced -------------------
+#
+# Each is the old implementation, kept unchanged as the oracle for the
+# iterative code: equal results on inputs shallow enough to recurse.
+
+
+def reference_containment_cycles(events: list[EventDef]) -> list[Diagnostic]:
+    """The parser's old ``EVENT_CYCLE`` check: a recursive DFS that copies
+    its path at every step."""
+    diags: list[Diagnostic] = []
+    by_id = {e.id: e for e in events}
+    state: dict[str, int] = {}
+
+    def visit(eid: str, path: list[str]) -> None:
+        if state.get(eid) == 2:
+            return
+        if eid in path:
+            cycle = " -> ".join(path[path.index(eid):] + [eid])
+            diags.append(
+                Diagnostic(
+                    Severity.ERROR,
+                    "EVENT_CYCLE",
+                    f"event containment cycle: {cycle}",
+                    by_id[eid].span or SourceSpan("<model>", 1, 1, 1, 1),
+                )
+            )
+            return
+        ev = by_id.get(eid)
+        if ev is None:
+            return
+        for sub in ev.subevents:
+            visit(sub, path + [eid])
+        state[eid] = 2
+
+    for event in events:
+        visit(event.id, [])
+    return diags
+
+
+def reference_flatten(events: list[EventDef], root: str) -> set[ElementId]:
+    """The old ``behavior.flatten``: recursion over every path, so shared
+    sub-events are revisited (exponential on diamonds). Its
+    ``ContainmentCycle`` message names the whole path from the root."""
+    by_id = {e.id: e for e in events}
+    if root not in by_id:
+        raise UnknownEvent(f"no event '{root}' declared")
+    out: set[ElementId] = set()
+    on_path: list[str] = []
+
+    def visit(eid: str) -> None:
+        if eid in on_path:
+            cycle = " -> ".join(on_path + [eid])
+            raise ContainmentCycle(f"event containment cycle: {cycle}")
+        if eid not in by_id:
+            raise UnknownEvent(f"no event '{eid}' declared")
+        on_path.append(eid)
+        out.update(by_id[eid].region)
+        for sub in by_id[eid].subevents:
+            visit(sub)
+        on_path.pop()
+
+    visit(root)
+    return out
+
+
+def reference_contracted_flows(
+    model: Model, hidden: set[ElementId]
+) -> list[tuple[ElementId, ElementId]]:
+    """The old ``render._contracted_flows``: recursion over every simple
+    path through hidden stages, and a linear ``not in pairs`` scan."""
+    outgoing: dict[ElementId, list[ElementId]] = {}
+    for flow in model.flows:
+        outgoing.setdefault(flow.from_stage, []).append(flow.to_stage)
+
+    def sinks(stage: ElementId, seen: frozenset[ElementId]) -> list[ElementId]:
+        if stage not in hidden:
+            return [stage]
+        out: list[ElementId] = []
+        for nxt in outgoing.get(stage, []):
+            if nxt in seen:
+                continue
+            out.extend(sinks(nxt, seen | {nxt}))
+        return out
+
+    pairs: list[tuple[ElementId, ElementId]] = []
+    for flow in model.flows:
+        if flow.from_stage in hidden:
+            continue
+        for dst in sinks(flow.to_stage, frozenset({flow.from_stage, flow.to_stage})):
+            if (flow.from_stage, dst) not in pairs:
+                pairs.append((flow.from_stage, dst))
+    return pairs
+
+
+def reference_iter_thimacs(model: Model) -> list:
+    """The old recursive ``Model.iter_thimacs``."""
+    out = []
+
+    def walk(tid: ElementId) -> None:
+        t = model.thimacs[tid]
+        out.append(t)
+        for c in t.children:
+            walk(c)
+
+    for r in model.roots:
+        walk(r)
+    return out
+
+
+class ReferenceParser(_Parser):
+    """The parser with its old recursive ``thimac_decl``."""
+
+    def thimac_decl(self) -> _ThimacDecl | None:
+        self.take()  # thimac
+        name_tok = self.expect(TokenKind.IDENT, "a thimac name")
+        if name_tok is None:
+            self.sync_statement()
+            return None
+        annotation = self.annot()
+        decl = _ThimacDecl(name_tok.text, annotation, name_tok.span(self.file))
+        if self.expect(TokenKind.LBRACE, "'{'") is None:
+            self.sync_statement()
+            return decl
+        while not self.at(TokenKind.RBRACE) and self.cur.kind is not TokenKind.EOF:
+            if self.at_keyword("stage"):
+                stage = self.stage_decl()
+                if stage:
+                    decl.stages.append(stage)
+            elif self.at_keyword("thimac"):
+                child = self.thimac_decl()
+                if child:
+                    decl.children.append(child)
+            else:
+                self.error(
+                    f"expected 'stage' or 'thimac' inside thimac body, "
+                    f"found '{self.cur.text}'"
+                )
+                self.sync_statement()
+        self.expect(TokenKind.RBRACE, "'}'")
+        return decl
+
+
+class ReferenceLowering(_Lowering):
+    """Lowering with the old recursive ``declare_thimacs`` and
+    ``EVENT_CYCLE`` check."""
+
+    def declare_thimacs(self) -> None:
+        def declare(decl: _ThimacDecl, parent: int | None) -> None:
+            try:
+                tid = self.model.add_thimac(
+                    decl.name, parent, decl.annotation, decl.span
+                )
+            except DuplicateName as exc:
+                self.diag("DUPLICATE_DEF", str(exc), decl.span)
+                return
+            for stage in decl.stages:
+                kind = StageKind.from_name(stage.kind_name)
+                try:
+                    self.model.add_stage(tid, kind, stage.annotation, stage.span)
+                except DuplicateStageKind as exc:
+                    self.diag("DUPLICATE_DEF", str(exc), stage.span)
+            for child in decl.children:
+                declare(child, tid)
+
+        for decl in self.p.thimacs:
+            declare(decl, None)
+
+    def _check_containment_cycles(self, events: list[EventDef]) -> None:
+        self.diagnostics += reference_containment_cycles(events)
+
+
+def reference_parse(text: str, file: str = "<input>") -> ParseResult:
+    """``tmkit.dsl.parse`` built from the recursive parser and lowering."""
+    tokens, diagnostics = tokenize(text, file)
+    parser = ReferenceParser(tokens, file)
+    parser.parse()
+    lowering = ReferenceLowering(parser)
+    lowering.declare_thimacs()
+    lowering.lower_flows()
+    lowering.lower_dashes()
+    events = lowering.lower_events()
+    chronology = lowering.lower_chronology()
+    diagnostics = sorted_diagnostics(
+        diagnostics + parser.diagnostics + lowering.diagnostics
+    )
+    model = None if has_errors(diagnostics) else lowering.model
+    return ParseResult(model, events, chronology, diagnostics)

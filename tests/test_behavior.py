@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -124,6 +125,29 @@ def _chain(*nodes):
     for a, b in zip(nodes, nodes[1:]):
         chrono.add_edge(a, b)
     return chrono
+
+
+def test_chronology_keeps_first_mention_order_and_drops_repeated_edges():
+    chrono = Chronology(nodes=["B"], edges=[("B", "C")])
+    chrono.add_edge("A", "B")
+    chrono.add_edge("B", "C")
+    chrono.add_edge("A", "B")
+    chrono.add_node("C")
+    chrono.add_node("D")
+    assert chrono.nodes == ["B", "A", "C", "D"]
+    assert chrono.edges == [("B", "C"), ("A", "B")]
+
+
+def test_long_chronology_chain_builds_in_linear_time():
+    # membership tests on lists made a 10^4-edge chain take seconds
+    nodes = [f"C{k}" for k in range(10_001)]
+    start = time.perf_counter()
+    chrono = _chain(*nodes)
+    for a, b in zip(nodes, nodes[1:]):
+        chrono.add_edge(a, b)
+    assert time.perf_counter() - start < 1.0
+    assert chrono.nodes == nodes
+    assert len(chrono.edges) == 10_000
 
 
 def test_linear_extension_chain():

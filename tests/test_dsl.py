@@ -489,6 +489,62 @@ def test_from_json_values_of_the_wrong_shape(doc, message):
     ]
 
 
+def test_from_json_rejects_a_label_that_is_not_a_string():
+    doc = {
+        "thimacs": [{"name": "a", "stages": [{"kind": "create"}]}],
+        "events": [{"id": "E", "label": [1], "region": ["a.create"]}],
+    }
+    result = dsl.from_json(json.dumps(doc))
+    assert result.model is None
+    assert [(d.code, d.message) for d in errors(result)] == [
+        ("JSON_MALFORMED", "event 'E' label must be a string or null")
+    ]
+    assert result.events[0].label is None
+
+
+@pytest.mark.parametrize("value", [[1], "x", True, -3, 1.5])
+def test_from_json_rejects_a_thimac_annotation_the_dsl_cannot_write(value):
+    doc = {"thimacs": [{"name": "a", "annotation": value, "stages": [{"kind": "create"}]}]}
+    result = dsl.from_json(json.dumps(doc))
+    assert result.model is None
+    assert [(d.code, d.message) for d in errors(result)] == [
+        ("JSON_MALFORMED", "thimac 'a' annotation must be a non-negative integer or null")
+    ]
+
+
+@pytest.mark.parametrize("value", [[1], "x", True, -3, 1.5])
+def test_from_json_rejects_a_stage_annotation_the_dsl_cannot_write(value):
+    doc = {"thimacs": [{"name": "a", "stages": [{"kind": "arrive", "annotation": value}]}]}
+    result = dsl.from_json(json.dumps(doc))
+    assert result.model is None
+    assert [(d.code, d.message) for d in errors(result)] == [
+        (
+            "JSON_MALFORMED",
+            "thimac 'a' receive stage annotation must be a non-negative integer or null",
+        )
+    ]
+
+
+def test_from_json_accepts_annotations_the_dsl_writes():
+    text = "thimac a @0 { stage create @12; stage process; }\n"
+    result = dsl.from_json(dsl.to_json(dsl.parse(text)))
+    assert result.diagnostics == []
+    assert dsl.format_parts(result.model) == (
+        "thimac a @0 {\n  stage create @12;\n  stage process;\n}\n"
+    )
+
+
+def test_from_json_rejects_a_boolean_repeat():
+    doc = {
+        "thimacs": [{"name": "a", "stages": [{"kind": "create"}]}],
+        "events": [{"id": "E", "region": ["a.create"], "repeat": True}],
+    }
+    result = dsl.from_json(json.dumps(doc))
+    assert [(d.code, d.message) for d in errors(result)] == [
+        ("JSON_MALFORMED", "event 'E' repeat must be a positive integer")
+    ]
+
+
 def test_from_json_duplicate_definitions_become_diagnostics():
     doc = {
         "thimacs": [

@@ -34,6 +34,8 @@ COMMANDS = {
     "render static": ["render", "{}", "--mode", "static"],
     "render events": ["render", "{}", "--mode", "events"],
     "render chronology": ["render", "{}", "--mode", "chronology"],
+    "render static --simplified": ["render", "{}", "--mode", "static", "--simplified"],
+    "render events --simplified": ["render", "{}", "--mode", "events", "--simplified"],
 }
 
 
