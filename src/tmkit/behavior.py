@@ -81,6 +81,17 @@ def flatten(events: list[EventDef], root: str) -> set[ElementId]:
     return out
 
 
+def containment_cycles(events: list[EventDef]) -> list[list[str]]:
+    """One ``[a, ..., a]`` witness per containment cycle among the events,
+    depth first in declaration order; undeclared sub-events are skipped."""
+    by_id = {e.id: e for e in events}
+
+    def subevents(eid: str) -> list[str]:
+        return by_id[eid].subevents if eid in by_id else []
+
+    return list(graph.cycles(by_id, subevents))
+
+
 def region_edges(model: Model, region: set[ElementId]) -> tuple[list, list]:
     """Flow and trigger edges induced by a region (both endpoints inside)."""
     flows = [

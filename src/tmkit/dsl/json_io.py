@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import json
 
-from ..behavior import Chronology, EventDef
+from ..behavior import Chronology, EventDef, containment_cycles
 from ..core import Model, StageKind
 from ..diagnostics import Diagnostic, Severity, has_errors
 from ..errors import DuplicateName, DuplicateStageKind
+from .lexer import is_identifier
 from .parser import ParseResult
 
 
@@ -134,6 +135,13 @@ def from_json(text: str) -> ParseResult:
         err("JSON_MALFORMED", f"{owner} annotation must be a non-negative integer or null")
         return None
 
+    def identifier(text: str, what: str) -> bool:
+        """Whether the DSL can write ``text`` as a name; reports it if not."""
+        if is_identifier(text):
+            return True
+        err("JSON_MALFORMED", f"{what} {text!r} is not an identifier or is a keyword")
+        return False
+
     model = Model()
     thimac_ids: dict[str, int] = {}
 
@@ -153,6 +161,8 @@ def from_json(text: str) -> ParseResult:
                 err("DANGLING_REF", f"thimac '{name}' references unknown parent '{parent}'")
                 continue
         local = name.rsplit(".", 1)[-1]
+        if not identifier(local, "thimac name"):
+            continue
         try:
             tid = model.add_thimac(local, parent_id, annotation(entry, f"thimac '{name}'"))
         except DuplicateName as exc:
@@ -213,11 +223,18 @@ def from_json(text: str) -> ParseResult:
             model.add_memory(src, dst)
 
     events: list[EventDef] = []
+    declared: set[str] = set()
     for entry in objects(doc.get("events", []), "events"):
         eid = entry.get("id")
         if not isinstance(eid, str) or not eid:
             err("JSON_MALFORMED", "event entry without an id")
             continue
+        if not identifier(eid, "event id"):
+            continue
+        if eid in declared:
+            err("DUPLICATE_DEF", f"event '{eid}' already declared")
+            continue
+        declared.add(eid)
         region: set[int] = set()
         for ref in entries(entry.get("region", []), f"event '{eid}' region"):
             sid = stage_ref(ref, f"event '{eid}' region")
@@ -241,11 +258,12 @@ def from_json(text: str) -> ParseResult:
                     f"event '{eid}' contains entry {sub!r} must be a string",
                 )
         events.append(EventDef(eid, label, region, repeat, contains))
-    declared = {e.id for e in events}
     for event in events:
         for sub in event.subevents:
             if sub not in declared:
                 err("DANGLING_REF", f"event '{event.id}' contains undeclared event '{sub}'")
+    for cycle in containment_cycles(events):
+        err("EVENT_CYCLE", f"event containment cycle: {' -> '.join(cycle)}")
 
     chronology = None
     chrono_doc = doc.get("chronology")
@@ -254,7 +272,9 @@ def from_json(text: str) -> ParseResult:
     elif chrono_doc is not None:
         chronology = Chronology()
         for node in entries(chrono_doc.get("nodes", []), "chronology nodes"):
-            if isinstance(node, str):
+            if not isinstance(node, str):
+                err("JSON_MALFORMED", f"chronology node {node!r} must be a string")
+            elif identifier(node, "chronology node"):
                 chronology.add_node(node)
         for pair in entries(chrono_doc.get("edges", []), "chronology edges"):
             if (
@@ -262,7 +282,8 @@ def from_json(text: str) -> ParseResult:
                 and len(pair) == 2
                 and all(isinstance(x, str) for x in pair)
             ):
-                chronology.add_edge(pair[0], pair[1])
+                if all([identifier(x, "chronology node") for x in pair]):
+                    chronology.add_edge(pair[0], pair[1])
             else:
                 err("JSON_MALFORMED", f"chronology edge {pair!r} must be a [from, to] pair")
 

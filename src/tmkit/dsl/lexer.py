@@ -74,17 +74,29 @@ _PUNCT = {
     "~>": TokenKind.DASH_ARROW,
 }
 
+# A word is an identifier unless it is a keyword. Words and integers are
+# ASCII only: ``str.isalpha`` and ``str.isdigit`` would also accept
+# characters such as "é" and "²".
+_WORD = "[A-Za-z][A-Za-z0-9_]*"
+_WHOLE_WORD = re.compile(_WORD)
+
+
+def is_identifier(text: str) -> bool:
+    """Whether ``text`` lexes as one identifier token."""
+    return _WHOLE_WORD.fullmatch(text) is not None and text not in KEYWORDS
+
+
 # Each match skips blanks and complete comments, then takes one lexeme
 # (or, at the end of the text, none). ``BAD`` takes any single
 # character the other alternatives refuse, so matches tile the whole
-# text and ``finditer`` never skips input. Identifiers and integers are
-# ASCII only: ``str.isalpha`` and ``str.isdigit`` would also accept
-# characters such as "é" and "²".
+# text and ``finditer`` never skips input.
 _SCANNER = re.compile(
     r"""
     (?: [ \t\r\n]+ | //[^\n]* | /\*.*?\*/ )*
     (?:
-        (?P<WORD>[A-Za-z][A-Za-z0-9_]*)
+        (?P<WORD>"""
+    + _WORD
+    + r""")
       | (?P<PUNCT>->|~>|[{};.,@])
       | (?P<INT>[0-9]+)
       | (?P<STRING>"(?:[^"\\\n]+|\\.?)*(?P<CLOSE>")?)

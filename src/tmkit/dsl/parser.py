@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .. import graph
-from ..behavior import Chronology, EventDef
+from ..behavior import Chronology, EventDef, containment_cycles
 from ..core import Model, StageKind, STAGE_KIND_NAMES
 from ..diagnostics import Diagnostic, Severity, SourceSpan, has_errors, sorted_diagnostics
 from ..errors import DuplicateName, DuplicateStageKind
@@ -564,11 +564,7 @@ class _Lowering:
 
     def _check_containment_cycles(self, events: list[EventDef]) -> None:
         by_id = {e.id: e for e in events}
-
-        def subevents(eid: str) -> list[str]:
-            return by_id[eid].subevents if eid in by_id else []
-
-        for cycle in graph.cycles(by_id, subevents):
+        for cycle in containment_cycles(events):
             self.diag(
                 "EVENT_CYCLE",
                 f"event containment cycle: {' -> '.join(cycle)}",

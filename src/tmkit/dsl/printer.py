@@ -8,7 +8,9 @@ from ..core import Model
 
 
 def _quote(label: str) -> str:
-    return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    """``label`` as a DSL string literal, which the lexer reads back as is."""
+    escaped = label.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+    return f'"{escaped}"'
 
 
 def _annot(value: int | None) -> str:

@@ -34,8 +34,16 @@ class RenderOptions:
     simplified: bool = False
 
 
+def _escape(text: str) -> str:
+    """``text`` as the inside of a DOT string that graphviz shows as is.
+
+    The one DOT escaper: ``_quote`` and the multi-line labels, whose
+    ``\\n`` and ``\\l`` line breaks are added after escaping, use it."""
+    return text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+
+
 def _quote(text: str) -> str:
-    return '"' + text.replace('"', '\\"') + '"'
+    return f'"{_escape(text)}"'
 
 
 def _stage_label(model: Model, stage_id: ElementId) -> str:
@@ -161,8 +169,8 @@ def render_dot(
             f"{_quote(model.qualified_name(trig.to_stage))} [style=dashed];"
         )
     if legend:
-        rows = "\\l".join(legend) + "\\l"
-        out.append(f"  legend [shape=note, label={_quote(rows)}];")
+        rows = "".join(_escape(row) + "\\l" for row in legend)
+        out.append(f'  legend [shape=note, label="{rows}"];')
     out.append("}")
     return "\n".join(out) + "\n"
 
@@ -175,8 +183,10 @@ def _render_chronology(
     if chronology is not None:
         for node in chronology.nodes:
             label = labels.get(node)
-            text = node if label is None else f"{node}\\n{label}"
-            out.append(f"  {_quote(node)} [label={_quote(text)}];")
+            text = _escape(node)
+            if label is not None:
+                text += "\\n" + _escape(label)
+            out.append(f'  {_quote(node)} [label="{text}"];')
         for src, dst in chronology.edges:
             out.append(f"  {_quote(src)} -> {_quote(dst)};")
     out.append("}")

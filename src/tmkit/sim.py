@@ -50,6 +50,29 @@ never on where tokens rest, so every instance of the node reads the
 same plan, and an instance follows exactly the steps above. Resting
 tokens are kept by stage and token id, so moving one is a constant-time
 update.
+
+A node's later instances are often copies of an earlier one: each
+passage of a ship through a lock makes the same firings. An instance
+reads the token state only through the occupancy of its plan's watched
+stages (the origins, the sources of in-region triggers, and every stage
+of the machine of an in-region trigger target that is not a create
+stage) and through the tokens it adopts. So an instance is a template
+when it adopted no token, did not broadcast, and left the occupancy of
+the watched stages as it found it. Then every later instance of the
+node makes the template's firings, with steps shifted by the number of
+firings and token ids by the number of tokens the template made, and
+the remaining instances are emitted from it instead of being run:
+
+* At quiescence no token resting at a route stage is eligible, and a
+  token's eligibility depends only on its own state and the plan, so
+  later instances adopt nothing either.
+* Their only input is then the occupancy of the watched stages, which
+  by induction stays unchanged, so each repeats the template. Resting
+  tokens that were not adopted never move, so occupancy in the middle
+  of an instance is the same too.
+* Each later instance takes as many steps as the template, so none can
+  exceed the step budget; and since the template did not broadcast,
+  none would have logged a warning.
 """
 
 from __future__ import annotations
@@ -81,6 +104,12 @@ class FiringKind(enum.Enum):
     FLOW_MOVE = "FlowMove"
     TRIGGER_FIRE = "TriggerFire"
     TOKEN_SPAWN = "TokenSpawn"
+
+    def __init__(self, value: str) -> None:
+        # the value as a JSON string literal, read once per firing by
+        # trace_to_json; a plain attribute, where a dict keyed by member
+        # would call the pure-Python Enum.__hash__
+        self.quoted = encode_basestring_ascii(value)
 
 
 @dataclass
@@ -140,6 +169,8 @@ class _Plan:
     # per flow edge id: the ``outbound`` flag of a token that crosses it
     outbound: dict[ElementId, bool]
     origins: list[ElementId]
+    # the stages whose occupancy an instance reads (see the module docstring)
+    watched: list[ElementId]
 
 
 def _plan(model: Model, event: EventDef) -> _Plan:
@@ -176,7 +207,14 @@ def _plan(model: Model, event: EventDef) -> _Plan:
         for sid in sorted(region)
         if stages[sid].kind is StageKind.CREATE and sid not in entered
     ]
-    return _Plan(triggers, trigs_by_src, routes, outbound, origins)
+    watched = set(origins) | trigs_by_src.keys()
+    for t in triggers:
+        target = stages[t.to_stage]
+        if target.kind is not StageKind.CREATE:
+            watched.update(model.thimacs[target.thimac].stages.values())
+    return _Plan(
+        triggers, trigs_by_src, routes, outbound, origins, sorted(watched)
+    )
 
 
 class _Run:
@@ -283,9 +321,73 @@ class _Run:
 
     # -- one event instance ------------------------------------------------
 
+    def run_node(self, event: EventDef, plan: _Plan, tick: int) -> int:
+        """Run every instance of one chronology node; returns the next tick.
+
+        Instances are interpreted until one is a template (see the module
+        docstring); the rest are replayed from it.
+        """
+        count = instances(event)
+        at = self.at
+        for instance in range(1, count + 1):
+            if instance == count:
+                self.run_instance(event, plan, instance, tick)
+                return tick + 1
+            before = [s for s in plan.watched if at.get(s)]
+            first_firing, first_token = len(self.trace.firings), len(self.tokens)
+            quiet = self.run_instance(event, plan, instance, tick)
+            tick += 1
+            if quiet and [s for s in plan.watched if at.get(s)] == before:
+                self._replay(event.id, first_firing, first_token, instance, count, tick)
+                return tick + count - instance
+        return tick
+
+    def _replay(
+        self,
+        event_id: str,
+        first_firing: int,
+        first_token: int,
+        template: int,
+        count: int,
+        tick: int,
+    ) -> None:
+        """Append instances ``template + 1 .. count`` as shifted copies of
+        instance ``template``, whose firings and new tokens start at the
+        given list positions."""
+        firings = self.trace.firings
+        made = self.tokens[first_token:]
+        # the template adopted nothing, so its firings name only tokens it
+        # made: keep their positions in ``made``, so that each copy's
+        # firings share the copy's id object instead of each adding one
+        rows = [
+            (f.step, f.element, f.kind, None if f.token is None else f.token - first_token - 1)
+            for f in firings[first_firing:]
+        ]
+        at = self.at
+        for k, instance in enumerate(range(template + 1, count + 1), 1):
+            ds = len(rows) * k
+            ids = [token.id + len(made) * k for token in made]
+            for token, new_id in zip(made, ids):
+                copy = Token(
+                    new_id, token.thing, token.location, token.outbound, token.prev_stage
+                )
+                self.tokens.append(copy)
+                at[copy.location][new_id] = copy
+            firings.extend(
+                [
+                    Firing(s + ds, event_id, instance, e, kind, None if i is None else ids[i])
+                    for s, e, kind, i in rows
+                ]
+            )
+            self.trace.event_order.append((event_id, instance, tick))
+            tick += 1
+        self.step += len(rows) * (count - template)
+
     def run_instance(
         self, event: EventDef, plan: _Plan, instance: int, tick: int
-    ) -> None:
+    ) -> bool:
+        """Run one instance; True when it adopted no token and did not
+        broadcast."""
         self.plan = plan
         self.event_id = event.id
         self.instance = instance
@@ -312,6 +414,7 @@ class _Run:
             if token.id not in fresh and self._eligible(token)
         ]
         self.active.extend(sorted(adoptable, key=lambda t: t.id))
+        quiet = not adoptable
 
         # 3. start pass over triggers with a previously held source
         start_fired: set[ElementId] = set()
@@ -335,6 +438,7 @@ class _Run:
                     continue
                 moved = True
                 if len(edges) > 1:
+                    quiet = False
                     log.warning(
                         "broadcast: token %d at %s replicates along %d flows "
                         "(event %s)",
@@ -364,6 +468,7 @@ class _Run:
                 break
 
         self.trace.event_order.append((event.id, instance, tick))
+        return quiet
 
 
 def simulate(
@@ -406,10 +511,7 @@ def _simulate_validated(
     tick = 0
     for node in linear_extension(chronology):
         event = by_id[node]
-        plan = _plan(model, event)
-        for instance in range(1, instances(event) + 1):
-            run.run_instance(event, plan, instance, tick)
-            tick += 1
+        tick = run.run_node(event, _plan(model, event), tick)
     run.trace.final_tokens = list(run.tokens)
     return run.trace
 
@@ -455,7 +557,6 @@ def trace_to_json(model: Model, trace: Trace) -> str:
         eid: encode_basestring_ascii(name)
         for eid, name in model.qualified_names(named).items()
     }
-    kinds = {kind: encode_basestring_ascii(kind.value) for kind in FiringKind}
     strings: dict[str, str] = {}
 
     def q(text: str) -> str:
@@ -472,7 +573,7 @@ def trace_to_json(model: Model, trace: Trace) -> str:
     firings = [
         f',\n    {{\n      "step": {f.step},\n      "event": {q(f.event)},\n'
         f'      "instance": {f.instance},\n      "element": {quoted[f.element]},\n'
-        f'      "kind": {kinds[f.kind]},\n'
+        f'      "kind": {f.kind.quoted},\n'
         f'      "token": {"null" if f.token is None else f.token}\n    }}'
         for f in trace.firings
     ]

@@ -582,6 +582,24 @@ def read_dot(text: str) -> dict:
     }
 
 
+_DOT_STRING = re.compile(r'"(?:[^"\\\n]|\\.)*"')
+
+
+def dot_strings(text: str) -> list[str]:
+    """The quoted strings of DOT text, as written; fails on a malformed one.
+
+    In a DOT string a backslash escapes the next character. Each line
+    must hold only complete strings: with them cut out, no quote and no
+    backslash may remain.
+    """
+    found = []
+    for number, line in enumerate(text.splitlines(), 1):
+        found += _DOT_STRING.findall(line)
+        rest = _DOT_STRING.sub("", line)
+        assert '"' not in rest and "\\" not in rest, f"line {number}: {line}"
+    return found
+
+
 _PUNCT = {
     "{": TokenKind.LBRACE,
     "}": TokenKind.RBRACE,

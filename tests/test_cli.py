@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tmkit
 from tmkit.cli import run
 from tmkit.corpus import corpus_path
 
@@ -239,3 +244,20 @@ def test_simulate_validates_once(monkeypatch, capsys):
     assert run(["simulate", str(corpus_path("davidson.tm"))]) == 0
     capsys.readouterr()
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("module", ["tmkit", "tmkit.cli"])
+def test_python_dash_m_runs_tm(module, capsys):
+    src = str(Path(tmkit.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    args = ["simulate", str(corpus_path("ships.tm"))]
+    done = subprocess.run(
+        [sys.executable, "-m", module, *args], capture_output=True, text=True, env=env
+    )
+    assert run(args) == done.returncode == 0
+    assert done.stdout == capsys.readouterr().out != ""
+    done = subprocess.run(
+        [sys.executable, "-m", module, "no-such-command"],
+        capture_output=True, text=True, env=env,
+    )
+    assert done.returncode == 2

@@ -489,6 +489,64 @@ def test_from_json_values_of_the_wrong_shape(doc, message):
     ]
 
 
+@pytest.mark.parametrize(
+    "doc, diagnostic",
+    [
+        (
+            {"thimacs": [{"name": "a b", "stages": [{"kind": "create"}]}]},
+            ("JSON_MALFORMED", "thimac name 'a b' is not an identifier or is a keyword"),
+        ),
+        (
+            {"thimacs": [{"name": "stage", "stages": []}]},
+            ("JSON_MALFORMED", "thimac name 'stage' is not an identifier or is a keyword"),
+        ),
+        (
+            {"events": [{"id": "E 1"}]},
+            ("JSON_MALFORMED", "event id 'E 1' is not an identifier or is a keyword"),
+        ),
+        (
+            {"events": [{"id": "region"}]},
+            ("JSON_MALFORMED", "event id 'region' is not an identifier or is a keyword"),
+        ),
+        (
+            {"chronology": {"nodes": ["E-1"], "edges": []}},
+            ("JSON_MALFORMED", "chronology node 'E-1' is not an identifier or is a keyword"),
+        ),
+        (
+            {"chronology": {"nodes": [1], "edges": []}},
+            ("JSON_MALFORMED", "chronology node 1 must be a string"),
+        ),
+        (
+            {"chronology": {"nodes": [], "edges": [["E", "\u00c9"]]}},
+            ("JSON_MALFORMED", "chronology node '\u00c9' is not an identifier or is a keyword"),
+        ),
+        (
+            {"events": [{"id": "E"}, {"id": "E"}]},
+            ("DUPLICATE_DEF", "event 'E' already declared"),
+        ),
+        (
+            {"events": [{"id": "E", "contains": ["F"]}, {"id": "F", "contains": ["E"]}]},
+            ("EVENT_CYCLE", "event containment cycle: E -> F -> E"),
+        ),
+    ],
+)
+def test_from_json_rejects_what_the_dsl_cannot_write(doc, diagnostic):
+    result = dsl.from_json(json.dumps(doc))
+    assert result.model is None
+    assert [(d.code, d.message) for d in errors(result)] == [diagnostic]
+
+
+def test_json_labels_with_newlines_and_backslashes_print_and_parse_back():
+    doc = {
+        "thimacs": [{"name": "a", "stages": [{"kind": "create"}]}],
+        "events": [{"id": "E", "label": 'two\nlines, a \\ and a "', "region": ["a.create"]}],
+    }
+    result = dsl.from_json(json.dumps(doc))
+    text = dsl.format_parts(result.model, result.events)
+    assert 'event E "two\\nlines, a \\\\ and a \\"" {' in text
+    assert dsl.parse(text).events[0].label == doc["events"][0]["label"]
+
+
 def test_from_json_rejects_a_label_that_is_not_a_string():
     doc = {
         "thimacs": [{"name": "a", "stages": [{"kind": "create"}]}],

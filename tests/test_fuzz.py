@@ -2,7 +2,9 @@
 
 When an input is accepted, every later layer (normalize without
 strictness, validate, the printer and the renderer in all modes) must
-accept the model too.
+accept the model too, and every DOT string it renders must be well
+formed. A JSON document that is accepted must print as DSL text that
+parses back to the same model, events and chronology.
 """
 
 from __future__ import annotations
@@ -13,10 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tmkit import dsl
-from tmkit.core import normalize
+from tmkit.core import model_equal, normalize
 from tmkit.diagnostics import Diagnostic
 from tmkit.render import RenderMode, RenderOptions, render_dot
 from tmkit.validate import validate
+
+from _support import dot_strings
 
 _KINDS = ["create", "process", "release", "transfer", "receive"]
 _DSL_WORDS = _KINDS + [
@@ -91,7 +95,7 @@ def _check_downstream(result) -> None:
         for mode in RenderMode:
             for simplified in (False, True):
                 opts = RenderOptions(mode, simplified=simplified)
-                render_dot(model, result.events, result.chronology, opts)
+                dot_strings(render_dot(model, result.events, result.chronology, opts))
 
 
 @settings(max_examples=500, deadline=None)
@@ -107,7 +111,8 @@ _KEYS = [
 ]
 _STRINGS = [
     "", "a", "b", "a.c", "a.create", "a.transfer", "b.process", "a.c.receive",
-    "zz.create", "create", "arrive", "E", "F", 'q"uote',
+    "zz.create", "create", "arrive", "E", "F", 'q"uote', "a b", "stage", "x\ny",
+    "back\\",
 ]
 
 _scalars = st.one_of(
@@ -195,6 +200,94 @@ def _document(draw) -> dict:
 @given(st.one_of(_json, _document()))
 def test_from_json_never_raises(doc):
     _check_downstream(dsl.from_json(json.dumps(doc)))
+
+
+# names the DSL cannot write, and labels that need escaping
+_NOT_IDENTIFIERS = ["a b", "stage", "E-1", "_x", "\u00e9t\u00e9", "m0 "]
+_LABELS = [None, "plain", 'q"uote', "back\\", "two\nlines", "tab\there", "\u00e9t\u00e9"]
+
+
+@st.composite
+def _writable_document(draw) -> dict:
+    """A model document that is well formed, except that now and then a
+    thimac name, an event id or a chronology node is not an identifier
+    (or is a keyword)."""
+
+    def name(good: str) -> str:
+        bad = draw(st.integers(0, 9)) == 0
+        return draw(st.sampled_from(_NOT_IDENTIFIERS)) if bad else good
+
+    thimacs, refs = [], []
+    for i in range(draw(st.integers(1, 3))):
+        local = name(f"m{i}")
+        parent = thimacs[0]["name"] if thimacs and draw(st.booleans()) else None
+        full = local if parent is None else f"{parent}.{local}"
+        kinds = draw(st.lists(st.sampled_from(_KINDS), unique=True, min_size=1, max_size=5))
+        thimacs.append({"name": full, "parent": parent, "stages": [{"kind": k} for k in kinds]})
+        refs += [f"{full}.{k}" for k in kinds]
+    ref = st.sampled_from(refs)
+
+    def edges(most: int) -> list:
+        pairs = draw(st.lists(st.tuples(ref, ref), max_size=most))
+        return [{"from": a, "to": b} for a, b in pairs if a != b]
+
+    ids = [name(f"E{k}") for k in range(draw(st.integers(0, 3)))]
+    events = [
+        {
+            "id": eid,
+            "label": draw(st.sampled_from(_LABELS)),
+            "region": draw(st.lists(ref, max_size=3)),
+            "repeat": draw(st.integers(1, 3)),
+            # only later events, so containment has no cycle
+            "contains": ids[k + 1 : k + 1 + draw(st.integers(0, 1))],
+        }
+        for k, eid in enumerate(ids)
+    ]
+    chronology = None
+    if ids and draw(st.booleans()):
+        node = st.sampled_from(ids + [name("E9")])
+        chronology = {
+            "nodes": draw(st.lists(node, max_size=3)),
+            "edges": draw(st.lists(st.lists(node, min_size=2, max_size=2), max_size=3)),
+        }
+    return {
+        "thimacs": thimacs,
+        "flows": edges(4),
+        "triggers": edges(2),
+        "events": events,
+        "chronology": chronology,
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(_writable_document())
+def test_accepted_documents_print_and_parse_back(doc):
+    result = dsl.from_json(json.dumps(doc))
+    if result.model is None:
+        return
+    text = dsl.format_parts(result.model, result.events, result.chronology)
+    back = dsl.parse(text, "printed.tm")
+    assert [d.render() for d in back.diagnostics if d.is_error] == [], text
+    assert model_equal(back.model, result.model)
+
+    def events(parsed):
+        return [
+            (
+                e.id,
+                e.label,
+                sorted(parsed.model.qualified_name(s) for s in e.region),
+                e.multiplicity,
+                e.subevents,
+            )
+            for e in parsed.events
+        ]
+
+    assert events(back) == events(result)
+    if result.chronology is None:
+        assert back.chronology is None
+    else:
+        assert back.chronology.nodes == result.chronology.nodes
+        assert back.chronology.edges == result.chronology.edges
 
 
 @settings(max_examples=100, deadline=None)

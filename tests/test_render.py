@@ -9,7 +9,7 @@ from tmkit.core import normalize
 from tmkit.errors import UnknownHighlightEvent
 from tmkit.render import RenderMode, RenderOptions, render_dot
 
-from _support import read_dot
+from _support import dot_strings, read_dot
 from conftest import CORPUS_NAMES
 
 
@@ -121,3 +121,51 @@ def test_simplified_render_noop_without_provenance(load_corpus):
     plain = render_dot(result.model, [], None, RenderOptions())
     simplified = render_dot(result.model, [], None, RenderOptions(simplified=True))
     assert plain == simplified
+
+
+# an event label ending in a backslash, and one with quotes, a newline
+# and a backslash before "l" (a DOT line break if left unescaped)
+AWKWARD_LABELS = r"""
+thimac a { stage create; stage process; }
+flow a.create -> a.process;
+event E "back\\" { region { a; } }
+event F "say \"hi\"\nthen \\l" { region { a.process; } }
+chronology { E -> F; }
+"""
+
+
+def _render_all(result):
+    for mode in RenderMode:
+        for simplified in (False, True):
+            opts = RenderOptions(mode, simplified=simplified)
+            yield render_dot(result.model, result.events, result.chronology, opts)
+
+
+def test_every_render_mode_writes_well_formed_dot_strings(load_corpus):
+    for result in [dsl.parse(AWKWARD_LABELS, "awkward.tm")] + [
+        load_corpus(name) for name in CORPUS_NAMES
+    ]:
+        for dot in _render_all(result):
+            dot_strings(dot)
+
+
+def test_labels_are_escaped_once_and_keep_their_line_breaks():
+    result = dsl.parse(AWKWARD_LABELS, "awkward.tm")
+    assert [e.label for e in result.events] == ["back\\", 'say "hi"\nthen \\l']
+    chronology = render_dot(
+        result.model, result.events, result.chronology,
+        RenderOptions(mode=RenderMode.CHRONOLOGY),
+    )
+    assert r'"E" [label="E\nback\\"];' in chronology
+    assert r'"F" [label="F\nsay \"hi\"\nthen \\l"];' in chronology
+    overlay = render_dot(
+        result.model, result.events, result.chronology,
+        RenderOptions(mode=RenderMode.EVENT_OVERLAY),
+    )
+    assert r'label="E: back\\\lF: say \"hi\"\nthen \\l\l"];' in overlay
+
+
+def test_dot_string_checker_rejects_an_escaped_closing_quote():
+    with pytest.raises(AssertionError):
+        dot_strings('  "E" [label="E\\nback\\"];\n')
+    assert dot_strings('  "E" [label="E\\nback\\\\"];\n') == ['"E"', '"E\\nback\\\\"']

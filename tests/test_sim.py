@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import logging
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -12,11 +13,13 @@ from hypothesis import strategies as st
 
 from tmkit import dsl
 from tmkit.behavior import Chronology, EventDef, topological_orders_contains
-from tmkit.core import Model, edge_legal, normalize
+from tmkit.core import Model, StageKind, edge_legal, normalize
+from tmkit.corpus import corpus_path
 from tmkit.errors import PreconditionViolated, StepBudgetExceeded
 from tmkit.sim import (
     FiringKind,
     SimConfig,
+    _Run,
     _simulate_validated,
     coverage,
     linear_extension,
@@ -182,29 +185,33 @@ def test_trace_json_with_stage_and_trigger_fires():
 
 
 def test_trace_json_escapes_names_and_event_ids():
+    # neither the DSL nor JSON import accepts these names, but a model
+    # built through the Python API can hold them
     quote, clef = 'say "hi" \\ bye', "zo\u0142w \U0001d11e"
-    doc = {
-        "thimacs": [
-            {"name": quote, "stages": [{"kind": "create"}, {"kind": "process"}]},
-            {"name": clef, "stages": [{"kind": "create"}, {"kind": "transfer"}]},
-        ],
-        "flows": [
-            {"from": f"{quote}.create", "to": f"{quote}.process"},
-            {"from": f"{clef}.create", "to": f"{clef}.transfer"},
-        ],
-        "triggers": [{"from": f"{quote}.process", "to": f"{clef}.create"}],
-        "events": [
-            {"id": 'E"\\\u00e9', "region": [f"{quote}.create", f"{quote}.process"]},
-            {
-                "id": "E\U0001d11e",
-                "region": [f"{quote}.process", f"{clef}.create", f"{clef}.transfer"],
-            },
-        ],
-    }
-    result = dsl.from_json(json.dumps(doc))
-    assert result.model is not None, [d.render() for d in result.diagnostics]
-    model = normalize(result.model)
-    trace = simulate(model, result.events, result.chronology)
+    raw = Model()
+    for name, stage_kinds in (
+        (quote, (StageKind.CREATE, StageKind.PROCESS)),
+        (clef, (StageKind.CREATE, StageKind.TRANSFER)),
+    ):
+        tid = raw.add_thimac(name)
+        for kind in stage_kinds:
+            raw.add_stage(tid, kind)
+    raw.add_flow(f"{quote}.create", f"{quote}.process")
+    raw.add_flow(f"{clef}.create", f"{clef}.transfer")
+    raw.add_trigger(f"{quote}.process", f"{clef}.create")
+    model = normalize(raw)
+
+    def region(*paths):
+        return {model.find_stage(p) for p in paths}
+
+    events = [
+        EventDef('E"\\\u00e9', region=region(f"{quote}.create", f"{quote}.process")),
+        EventDef(
+            "E\U0001d11e",
+            region=region(f"{quote}.process", f"{clef}.create", f"{clef}.transfer"),
+        ),
+    ]
+    trace = simulate(model, events, None)
     assert FiringKind.TRIGGER_FIRE in kinds(trace)
     text = trace_to_json(model, trace)
     assert text.isascii() and "\\ud834\\udd1e" in text
@@ -556,7 +563,7 @@ def test_simulate_matches_reference_on_scenarios(source, outcome):
     assert outcome in text or any(outcome in message for _, message in records)
 
 
-def _random_scenario(rng: random.Random):
+def _random_scenario(rng: random.Random, max_multiplicity: int = 3):
     """A normalized chain model with extra legal flows (branches, loops)
     and triggers, random events over it and a random chronology DAG."""
     model = normalize(random_legal_chain_model(rng, machines=4))
@@ -572,7 +579,7 @@ def _random_scenario(rng: random.Random):
         EventDef(
             f"E{k}",
             region=set(rng.sample(stages, rng.randint(1, len(stages)))),
-            multiplicity=rng.randint(1, 3),
+            multiplicity=rng.randint(1, max_multiplicity),
         )
         for k in range(rng.randint(1, 4))
     ]
@@ -603,6 +610,103 @@ def test_generated_models_cover_every_semantic_rule():
         )
         seen |= {k for k in wanted if k in text or any(k in m for _, m in records)}
     assert seen == set(wanted)
+
+
+# -- recurrence replay -----------------------------------------------------------
+
+# E's first instance fills machine b through the trigger, so only the
+# second leaves the watched occupancy unchanged and becomes the template
+FILLS_THEN_REPEATS = (
+    "thimac a { stage create; stage release; stage transfer; }\n"
+    "flow a.create -> a.release -> a.transfer;\n"
+    "thimac b { stage create; stage release; stage transfer; }\n"
+    "flow b.create -> b.release -> b.transfer;\n"
+    "trigger a.create ~> b.release;\n"
+    "event E { region { a; b.release; b.transfer; } repeat 6; }\n"
+    "chronology { E; }"
+)
+
+
+@pytest.fixture
+def replays(monkeypatch):
+    """Records ``(event, template instance, instance count)`` for every
+    node whose later instances are replayed instead of interpreted."""
+    seen = []
+    replay = _Run._replay
+
+    def recording(self, event_id, first_firing, first_token, template, count, tick):
+        seen.append((event_id, template, count))
+        replay(self, event_id, first_firing, first_token, template, count, tick)
+
+    monkeypatch.setattr(_Run, "_replay", recording)
+    return seen
+
+
+def parse_normalized(source: str):
+    result = dsl.parse(source, "scenario.tm")
+    assert result.model is not None, [d.render() for d in result.diagnostics]
+    return normalize(result.model, strict=False), result.events, result.chronology
+
+
+@pytest.mark.parametrize("repeat", [4000, 16000])
+def test_ships_replay_matches_reference(load_corpus, replays, repeat):
+    text = corpus_path("ships.tm").read_text(encoding="utf-8")
+    text, count = re.subn(r"repeat \d+;", f"repeat {repeat};", text)
+    assert count == 1
+    model, events, chronology = parse_normalized(text)
+    trace_json, records = assert_matches_reference(model, events, chronology)
+    assert records == []
+    assert len(json.loads(trace_json)["firings"]) == 10 * repeat
+    assert replays == [("E_passing", 1, repeat)]
+
+
+def test_replay_waits_for_the_trigger_target_machine_to_fill(replays):
+    text, _ = assert_matches_reference(*parse_normalized(FILLS_THEN_REPEATS))
+    assert replays == [("E", 2, 6)]
+    b_spawns = [
+        f for f in json.loads(text)["firings"]
+        if f["kind"] == "TokenSpawn" and f["element"] == "b.release"
+    ]
+    assert len(b_spawns) == 1
+
+
+def test_broadcasting_repeat_is_interpreted_and_logged_every_time(replays):
+    source = BROADCAST.replace("region { a; } }", "region { a; } repeat 4; }")
+    _, records = assert_matches_reference(*parse_normalized(source))
+    assert len(records) == 4
+    assert replays == []
+
+
+def test_repeat_failing_its_first_instance_raises_as_interpreted(replays):
+    source = FLOW_LOOP.replace("region { a; b; } }", "region { a; b; } repeat 5; }")
+    text, _ = assert_matches_reference(
+        *parse_normalized(source), SimConfig(max_steps_per_event=50)
+    )
+    assert text.startswith("StepBudgetExceeded: event 'E' instance 1 ")
+    assert replays == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 1_000_000))
+def test_simulate_matches_reference_on_generated_repeats(seed):
+    model, events, chronology = _random_scenario(random.Random(seed), 8)
+    assert_matches_reference(
+        model, events, chronology, SimConfig(max_steps_per_event=300)
+    )
+
+
+def test_generated_repeats_take_the_replay_path(replays):
+    replayed, templates = 0, set()
+    for seed in range(200):
+        replays.clear()
+        assert_matches_reference(
+            *_random_scenario(random.Random(seed), 8),
+            SimConfig(max_steps_per_event=300),
+        )
+        replayed += bool(replays)
+        templates |= {template for _, template, _ in replays}
+    assert replayed >= 100
+    assert max(templates) > 1
 
 
 # -- linear extension ------------------------------------------------------------
