@@ -44,6 +44,9 @@ def _print_diagnostics(diags: list[Diagnostic], stream=None) -> None:
 
 def _read_source(path: str) -> tuple[str, str]:
     if path == "-":
+        # stdin is read as strict UTF-8, like files, whatever the locale
+        if hasattr(sys.stdin, "reconfigure"):
+            sys.stdin.reconfigure(encoding="utf-8", errors="strict")
         return sys.stdin.read(), "<stdin>"
     with open(path, encoding="utf-8") as handle:
         return handle.read(), path
@@ -72,19 +75,27 @@ def _cmd_parse(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
-    result = _load(args.file)
-    if result.model is None:
-        _print_diagnostics(result.diagnostics)
-        return EXIT_INVALID
-    model = core.normalize(result.model, strict=False)
-    diags = list(result.diagnostics) + validate(
-        model, result.events, result.chronology
-    )
+def _load_checked(
+    path: str,
+) -> tuple[dsl.ParseResult, core.Model | None, list[Diagnostic]]:
+    """Parse, normalize leniently and validate, printing the diagnostics.
+
+    The model is the normalized one, or None if any diagnostic is an error.
+    """
+    result = _load(path)
+    diags = list(result.diagnostics)
+    if result.model is not None:
+        model = core.normalize(result.model, strict=False)
+        diags += validate(model, result.events, result.chronology)
     _print_diagnostics(diags)
-    if any(d.is_error for d in diags):
-        return EXIT_INVALID
-    if args.deny_warnings and diags:
+    if result.model is None or any(d.is_error for d in diags):
+        return result, None, diags
+    return result, model, diags
+
+
+def _cmd_validate(args: argparse.Namespace) -> int:
+    _, model, diags = _load_checked(args.file)
+    if model is None or (args.deny_warnings and diags):
         return EXIT_INVALID
     return EXIT_OK
 
@@ -106,16 +117,8 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    result = _load(args.file)
-    if result.model is None:
-        _print_diagnostics(result.diagnostics)
-        return EXIT_INVALID
-    model = core.normalize(result.model, strict=False)
-    diags = list(result.diagnostics) + validate(
-        model, result.events, result.chronology
-    )
-    _print_diagnostics(diags)
-    if any(d.is_error for d in diags):
+    result, model, _ = _load_checked(args.file)
+    if model is None:
         return EXIT_INVALID
     config = sim.SimConfig(max_steps_per_event=args.max_steps)
     try:
@@ -157,6 +160,17 @@ def _cmd_render(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        # argparse's own wording for a plain ``type=int``
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tm",
@@ -188,7 +202,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", help="write the trace JSON to this path")
     p.add_argument(
         "--max-steps",
-        type=int,
+        type=_positive_int,
         default=10000,
         metavar="N",
         help="per-instance quiescence budget (default 10000)",
@@ -224,6 +238,10 @@ def run(argv: list[str]) -> int:
         return args.func(args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except UnicodeDecodeError as exc:
+        source = "<stdin>" if args.file == "-" else args.file
+        print(f"error: {source}: not UTF-8 ({exc})", file=sys.stderr)
         return EXIT_USAGE
 
 

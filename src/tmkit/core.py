@@ -7,17 +7,28 @@ dashes. Models are append-only during construction and treated as
 immutable afterwards; ``normalize`` returns a new model.
 
 Thimacs and edges enter a ``Model`` only through its ``add_*`` methods,
-which keep three indexes: thimacs by ``(parent, name)``, flows and
-triggers by ``(from, to)``. Lookups (``find_thimac``, ``find_stage``,
-``find_flow``) and the duplicate checks are one dict probe each, so
-building and resolving a model is linear in its size. ``copy`` and
-``normalize`` rebuild the indexes for the model they return.
+which keep four indexes: thimacs by ``(parent, name)``, flows and
+triggers by ``(from, to)``, and every edge by its id (``edges``).
+Lookups (``find_thimac``, ``find_stage``, ``find_flow``) and the
+duplicate checks are one dict probe each, so building and resolving a
+model is linear in its size. ``copy`` and ``normalize`` rebuild the
+indexes for the model they return; ``normalize`` swaps in its flows
+through ``replace_flows``.
+
+``qualified_name`` is the one table of element names. A thimac's name
+is memoized the first time it is asked for; a stage's (``m.kind``) and
+an edge's (``x->y``, ``x~>y``, ``x~~y``) are built from the memo on each
+call. The memo is lazy and holds only the names asked for, not the
+prefix of each ancestor a walk passes: a name is as long as its depth,
+so storing every thimac's name of a 10^4-deep chain would hold about
+2.9e8 characters, while naming its bottom stage needs one such string.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from . import graph
 from .diagnostics import SourceSpan
@@ -44,10 +55,18 @@ class StageKind(enum.Enum):
 
     @classmethod
     def from_name(cls, name: str) -> "StageKind":
-        # arrive/accept are surface aliases for the receive stage
-        if name in ("arrive", "accept"):
-            return cls.RECEIVE
-        return cls(name)
+        if isinstance(name, str) and name in STAGE_KIND_NAMES:
+            return STAGE_KIND_NAMES[name]
+        raise ValueError(f"{name!r} is not a stage kind")
+
+
+# Every word that names a stage kind, in the order the DSL lists them;
+# arrive/accept are surface aliases for the receive stage.
+STAGE_KIND_NAMES: dict[str, StageKind] = {
+    **{kind.value: kind for kind in StageKind},
+    "arrive": StageKind.RECEIVE,
+    "accept": StageKind.RECEIVE,
+}
 
 
 # Legal (from_kind, to_kind) pairs for flow edges within one machine.
@@ -96,6 +115,7 @@ class Stage:
 
 @dataclass
 class FlowEdge:
+    arrow: ClassVar[str] = "->"
     id: ElementId
     from_stage: ElementId
     to_stage: ElementId
@@ -106,6 +126,7 @@ class FlowEdge:
 
 @dataclass
 class TriggerEdge:
+    arrow: ClassVar[str] = "~>"
     id: ElementId
     from_stage: ElementId
     to_stage: ElementId
@@ -116,6 +137,7 @@ class TriggerEdge:
 class MemoryEdge:
     """Reserved dashed relation; parsed but rejected by the validator."""
 
+    arrow: ClassVar[str] = "~~"
     id: ElementId
     from_stage: ElementId
     to_stage: ElementId
@@ -132,10 +154,12 @@ class Model:
         self.flows: list[FlowEdge] = []
         self.triggers: list[TriggerEdge] = []
         self.memories: list[MemoryEdge] = []
+        self.edges: dict[ElementId, FlowEdge | TriggerEdge | MemoryEdge] = {}
         self._next_id = 1
         self._thimac_index: dict[tuple[ElementId | None, str], ElementId] = {}
         self._flow_index: dict[tuple[ElementId, ElementId], FlowEdge] = {}
         self._trigger_index: dict[tuple[ElementId, ElementId], TriggerEdge] = {}
+        self._names: dict[ElementId, str] = {}
 
     # -- construction -------------------------------------------------
 
@@ -212,7 +236,22 @@ class Model:
         edge = FlowEdge(eid, src, dst, span=span)
         self.flows.append(edge)
         self._flow_index[src, dst] = edge
+        self.edges[eid] = edge
         return eid
+
+    def replace_flows(self, flows: Iterable[FlowEdge]) -> None:
+        """Make ``flows`` the flow list, keeping the first edge of each
+        ``(from, to)`` pair."""
+        for old in self.flows:
+            del self.edges[old.id]
+        self.flows = []
+        self._flow_index = {}
+        for flow in flows:
+            key = (flow.from_stage, flow.to_stage)
+            if key not in self._flow_index:
+                self._flow_index[key] = flow
+                self.flows.append(flow)
+                self.edges[flow.id] = flow
 
     def add_trigger(
         self,
@@ -229,6 +268,7 @@ class Model:
         edge = TriggerEdge(eid, src, dst, span=span)
         self.triggers.append(edge)
         self._trigger_index[src, dst] = edge
+        self.edges[eid] = edge
         return eid
 
     def add_memory(
@@ -240,7 +280,9 @@ class Model:
         src = self._resolve_endpoint(from_stage)
         dst = self._resolve_endpoint(to_stage)
         eid = self._alloc()
-        self.memories.append(MemoryEdge(eid, src, dst, span=span))
+        edge = MemoryEdge(eid, src, dst, span=span)
+        self.memories.append(edge)
+        self.edges[eid] = edge
         return eid
 
     def ensure_transfer(self, thimac: ElementId) -> ElementId:
@@ -278,7 +320,7 @@ class Model:
         no thimac. This is the one path resolver: the parser, JSON
         import and ``find_stage`` each add only their own diagnostics.
         """
-        kind = _KIND_BY_NAME.get(segments[-1]) if segments else None
+        kind = STAGE_KIND_NAMES.get(segments[-1]) if segments else None
         if kind is not None:
             segments = segments[:-1]
         return self._thimac_at(segments), kind
@@ -296,49 +338,32 @@ class Model:
         return self.thimacs[tid].stages.get(StageKind.TRANSFER if kind is None else kind)
 
     def qualified_name(self, element: ElementId) -> str:
+        """The dotted name of a thimac or stage, or ``x->y``, ``x~>y``,
+        ``x~~y`` for a flow, trigger or memory; ``KeyError`` for an
+        unknown id."""
+        name = self._names.get(element)
+        if name is not None:
+            return name
         if element in self.thimacs:
+            # memoize this name only, not a prefix per ancestor
             parts = []
             cur: ElementId | None = element
             while cur is not None:
                 t = self.thimacs[cur]
                 parts.append(t.name)
                 cur = t.parent
-            return ".".join(reversed(parts))
+            name = self._names[element] = ".".join(reversed(parts))
+            return name
         if element in self.stages:
             st = self.stages[element]
             return f"{self.qualified_name(st.thimac)}.{st.kind.value}"
-        names = self.qualified_names([element])
-        if element not in names:
-            raise KeyError(f"unknown element id {element}")
-        return names[element]
-
-    def qualified_names(
-        self, elements: Iterable[ElementId]
-    ) -> dict[ElementId, str]:
-        """The ``qualified_name`` of each of ``elements``; unknown ids are
-        left out.
-
-        Edges are named in one pass over the edge lists, however many
-        are asked for, so a caller naming many elements asks once.
-        """
-        wanted = set(elements)
-        names = {
-            e: self.qualified_name(e)
-            for e in wanted
-            if e in self.thimacs or e in self.stages
-        }
-        for arrow, edges in (
-            ("->", self.flows),
-            ("~>", self.triggers),
-            ("~~", self.memories),
-        ):
-            for edge in edges:
-                if edge.id in wanted:
-                    names[edge.id] = (
-                        f"{self.qualified_name(edge.from_stage)}{arrow}"
-                        f"{self.qualified_name(edge.to_stage)}"
-                    )
-        return names
+        if element in self.edges:
+            e = self.edges[element]
+            return (
+                f"{self.qualified_name(e.from_stage)}{e.arrow}"
+                f"{self.qualified_name(e.to_stage)}"
+            )
+        raise KeyError(f"unknown element id {element}")
 
     def same_machine(self, stage_a: ElementId, stage_b: ElementId) -> bool:
         return self.stages[stage_a].thimac == self.stages[stage_b].thimac
@@ -401,23 +426,13 @@ class Model:
         out.memories = [
             MemoryEdge(m.id, m.from_stage, m.to_stage, m.span) for m in self.memories
         ]
+        out.edges = {e.id: e for e in (*out.flows, *out.triggers, *out.memories)}
         out._next_id = self._next_id
         out._thimac_index = dict(self._thimac_index)
         out._flow_index = {(f.from_stage, f.to_stage): f for f in out.flows}
         out._trigger_index = {(t.from_stage, t.to_stage): t for t in out.triggers}
+        out._names = dict(self._names)
         return out
-
-
-STAGE_KIND_NAMES = {
-    "create",
-    "process",
-    "release",
-    "transfer",
-    "receive",
-    "arrive",
-    "accept",
-}
-_KIND_BY_NAME = {name: StageKind.from_name(name) for name in STAGE_KIND_NAMES}
 
 
 # -- normalization ----------------------------------------------------
@@ -523,13 +538,7 @@ def normalize(model: Model, strict: bool = True) -> Model:
                 )
             )
     # expansions may recreate edges declared elsewhere; keep the first
-    out.flows = []
-    out._flow_index = {}
-    for flow in new_flows:
-        key = (flow.from_stage, flow.to_stage)
-        if key not in out._flow_index:
-            out._flow_index[key] = flow
-            out.flows.append(flow)
+    out.replace_flows(new_flows)
     return out
 
 
@@ -541,31 +550,19 @@ def is_normalized(model: Model) -> bool:
 # -- structural equality ----------------------------------------------
 
 
-def _signature(model: Model):
-    thimacs = {model.qualified_name(t.id) for t in model.thimacs.values()}
-    stages = {
-        (model.qualified_name(s.thimac), s.kind.value) for s in model.stages.values()
-    }
-    flows = {
-        (model.qualified_name(f.from_stage), model.qualified_name(f.to_stage))
-        for f in model.flows
-    }
-    triggers = {
-        (model.qualified_name(t.from_stage), model.qualified_name(t.to_stage))
-        for t in model.triggers
-    }
-    memories = {
-        (model.qualified_name(m.from_stage), model.qualified_name(m.to_stage))
-        for m in model.memories
-    }
-    return thimacs, stages, flows, triggers, memories
+def _signature(model: Model) -> tuple[set[str], ...]:
+    return tuple(
+        {model.qualified_name(e) for e in table}
+        for table in (model.thimacs, model.stages, model.edges)
+    )
 
 
 def model_equal(a: Model, b: Model) -> bool:
     """Structural equality up to element ids, edge order, and provenance.
 
-    Thimacs are matched by qualified name, stages by (owner, kind), and
-    edges by their matched endpoints; normalization provenance and
-    annotations do not participate.
+    Thimacs, stages and edges are matched by qualified name: a thimac by
+    its path, a stage by (owner, kind), and an edge by its arrow and
+    matched endpoints; normalization provenance and annotations do not
+    participate.
     """
     return _signature(a) == _signature(b)

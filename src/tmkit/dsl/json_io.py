@@ -143,7 +143,6 @@ def from_json(text: str) -> ParseResult:
         return False
 
     model = Model()
-    thimac_ids: dict[str, int] = {}
 
     for entry in objects(doc.get("thimacs", []), "thimacs"):
         name = entry.get("name")
@@ -151,16 +150,23 @@ def from_json(text: str) -> ParseResult:
             err("JSON_MALFORMED", "thimac entry without a name")
             continue
         parent = entry.get("parent")
-        parent_id = None
         if parent is not None and not isinstance(parent, str):
             err("JSON_MALFORMED", f"thimac '{name}' parent must be a string or null")
             continue
-        if parent is not None:
-            parent_id = thimac_ids.get(parent)
-            if parent_id is None:
-                err("DANGLING_REF", f"thimac '{name}' references unknown parent '{parent}'")
-                continue
+        # a name is its parent's name, a dot and its local name
         local = name.rsplit(".", 1)[-1]
+        expected = local if parent is None else f"{parent}.{local}"
+        if name != expected:
+            err(
+                "JSON_MALFORMED",
+                f"thimac '{name}' should be named '{expected}' under parent "
+                f"{json.dumps(parent)}",
+            )
+            continue
+        parent_id = None if parent is None else model.find_thimac(parent)
+        if parent is not None and parent_id is None:
+            err("DANGLING_REF", f"thimac '{name}' references unknown parent '{parent}'")
+            continue
         if not identifier(local, "thimac name"):
             continue
         try:
@@ -168,7 +174,6 @@ def from_json(text: str) -> ParseResult:
         except DuplicateName as exc:
             err("DUPLICATE_DEF", str(exc))
             continue
-        thimac_ids[name] = tid
         for stage in objects(entry.get("stages", []), f"thimac '{name}' stages"):
             kind_name = stage.get("kind")
             try:

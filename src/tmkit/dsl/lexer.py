@@ -7,6 +7,7 @@ import re
 from bisect import bisect_right
 from typing import NamedTuple
 
+from ..core import STAGE_KIND_NAMES
 from ..diagnostics import Diagnostic, Severity, SourceSpan
 
 KEYWORDS = {
@@ -20,13 +21,7 @@ KEYWORDS = {
     "repeat",
     "contains",
     "chronology",
-    "create",
-    "process",
-    "release",
-    "transfer",
-    "receive",
-    "arrive",
-    "accept",
+    *STAGE_KIND_NAMES,
 }
 
 

@@ -225,8 +225,8 @@ class _Parser:
             self.expect(TokenKind.SEMI, "';'")
             return _StageDecl(tok.text, annotation, tok.span(self.file))
         self.error(
-            "expected a stage kind (create, process, release, transfer, "
-            f"receive, arrive, accept), found '{tok.text}'"
+            f"expected a stage kind ({', '.join(STAGE_KIND_NAMES)}), "
+            f"found '{tok.text}'"
         )
         self.sync_statement()
         return None
@@ -419,7 +419,7 @@ class _Lowering:
                 self.diag("DUPLICATE_DEF", str(exc), decl.span)
                 continue
             for stage in decl.stages:
-                kind = StageKind.from_name(stage.kind_name)
+                kind = STAGE_KIND_NAMES[stage.kind_name]
                 try:
                     self.model.add_stage(tid, kind, stage.annotation, stage.span)
                 except DuplicateStageKind as exc:

@@ -518,14 +518,13 @@ def _simulate_validated(
 
 def coverage(model: Model, trace: Trace, events: list[EventDef]) -> dict:
     """Runtime coverage: which region stages actually fired."""
-    flow_by_id = {f.id: f for f in model.flows}
     fired_by_event: dict[str, set[ElementId]] = {}
     fired_all: set[ElementId] = set()
     for firing in trace.firings:
         if firing.kind in (FiringKind.TOKEN_SPAWN, FiringKind.STAGE_FIRE):
             stage = firing.element
         elif firing.kind is FiringKind.FLOW_MOVE:
-            stage = flow_by_id[firing.element].to_stage
+            stage = model.edges[firing.element].to_stage
         else:
             continue
         fired_by_event.setdefault(firing.event, set()).add(stage)
@@ -553,10 +552,7 @@ def trace_to_json(model: Model, trace: Trace) -> str:
     """
     named = {f.element for f in trace.firings}
     named.update(t.location for t in trace.final_tokens)
-    quoted = {
-        eid: encode_basestring_ascii(name)
-        for eid, name in model.qualified_names(named).items()
-    }
+    quoted = {eid: encode_basestring_ascii(model.qualified_name(eid)) for eid in named}
     strings: dict[str, str] = {}
 
     def q(text: str) -> str:

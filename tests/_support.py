@@ -201,6 +201,34 @@ def scan_stage(model: Model, path: str) -> int | None:
     return None if tid is None else model.thimacs[tid].stages.get(kind)
 
 
+def reference_qualified_name(model: Model, element: ElementId) -> str:
+    """``Model.qualified_name`` by walking the parent chain of a thimac
+    on every call and scanning the edge lists for an edge id."""
+    if element in model.thimacs:
+        parts = []
+        cur: ElementId | None = element
+        while cur is not None:
+            t = model.thimacs[cur]
+            parts.append(t.name)
+            cur = t.parent
+        return ".".join(reversed(parts))
+    if element in model.stages:
+        st = model.stages[element]
+        return f"{reference_qualified_name(model, st.thimac)}.{st.kind.value}"
+    for arrow, edges in (
+        ("->", model.flows),
+        ("~>", model.triggers),
+        ("~~", model.memories),
+    ):
+        for edge in edges:
+            if edge.id == element:
+                return (
+                    f"{reference_qualified_name(model, edge.from_stage)}{arrow}"
+                    f"{reference_qualified_name(model, edge.to_stage)}"
+                )
+    raise KeyError(f"unknown element id {element}")
+
+
 def scan_edge(edges, src: int, dst: int):
     """The first edge of ``edges`` from ``src`` to ``dst``, or None."""
     return next((e for e in edges if e.from_stage == src and e.to_stage == dst), None)

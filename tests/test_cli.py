@@ -71,6 +71,9 @@ def test_usage_error_exit_two(capsys):
     assert run(["no-such-command"]) == 2
     assert run(["validate", "x.tm", "--no-such-flag"]) == 2
     capsys.readouterr()
+    for steps in ("0", "-3"):
+        assert run(["simulate", "x.tm", "--max-steps", steps]) == 2
+        assert "argument --max-steps: must be at least 1" in capsys.readouterr().err
 
 
 def test_missing_file_exit_two(capsys):
@@ -89,6 +92,25 @@ def test_normalize_output_simplified_to_full(tmp_path, capsys):
     full = tmkit.parse(corpus_path("atm_full.tm").read_text(), "full.tm")
     assert model_equal(normalized.model, full.model)
     capsys.readouterr()
+
+
+def test_model_that_is_not_utf8_exits_two(tmp_path, capsys, monkeypatch):
+    import io
+
+    path = tmp_path / "latin1.tm"
+    path.write_bytes("thimac caf\u00e9 { stage create; }\n".encode("latin-1"))
+    assert run(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: not UTF-8 (")
+    assert captured.err.count("\n") == 1
+    # stdin is decoded as UTF-8 too, even where its encoding says otherwise
+    stdin = io.TextIOWrapper(io.BytesIO(path.read_bytes()), encoding="latin-1")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    assert run(["parse", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: <stdin>: not UTF-8 (")
+    assert captured.err.count("\n") == 1
 
 
 def test_simulate_writes_trace(tmp_path, capsys):

@@ -27,9 +27,11 @@ from tmkit.errors import (
     UnknownThimac,
 )
 
+from conftest import CORPUS_NAMES
 from _support import (
     random_legal_chain_model,
     random_model,
+    reference_qualified_name,
     scan_edge,
     scan_stage,
     scan_thimac,
@@ -481,3 +483,61 @@ def test_copy_is_independent():
     dup.add_trigger(dup.flows[0].from_stage, dup.flows[0].to_stage)
     dup.flows[0].implicit_segments.append(tid)
     assert _snapshot(model) == before
+
+
+# -- the name table against the parent-walk namer -------------------------
+
+
+def _element_ids(model: Model) -> list[int]:
+    edges = (*model.flows, *model.triggers, *model.memories)
+    return [*model.thimacs, *model.stages, *(e.id for e in edges)]
+
+
+def _check_names(model: Model, rng: random.Random, label: str) -> None:
+    ids = _element_ids(model)
+    rng.shuffle(ids)  # the memo must not depend on which name is asked first
+    for eid in ids:
+        want = reference_qualified_name(model, eid)
+        assert model.qualified_name(eid) == want, (label, eid)
+    for unknown in (0, -1, model._next_id):
+        with pytest.raises(KeyError):
+            model.qualified_name(unknown)
+
+
+def _check_name_table(model: Model, rng: random.Random, label: str) -> None:
+    _check_names(model, rng, label)
+    norm = normalize(model, strict=False)
+    _check_names(norm, rng, f"{label} normalize")
+    for eid in set(_element_ids(model)) - set(_element_ids(norm)):
+        with pytest.raises(KeyError):
+            norm.qualified_name(eid)
+    before = {eid: model.qualified_name(eid) for eid in _element_ids(model)}
+    dup = model.copy()
+    _check_names(dup, rng, f"{label} copy")
+    tid = dup.add_thimac("grown", rng.choice([None, *dup.thimacs]))
+    a = dup.add_stage(tid, StageKind.PROCESS)
+    b = dup.add_stage(tid, StageKind.RELEASE)
+    grown = [tid, a, b, dup.add_flow(a, b), dup.add_trigger(b, a), dup.add_memory(a, b)]
+    _check_names(dup, rng, f"{label} grown copy")
+    assert {eid: model.qualified_name(eid) for eid in before} == before, label
+    for eid in grown:
+        with pytest.raises(KeyError):
+            model.qualified_name(eid)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 100_000))
+def test_qualified_name_matches_the_parent_walk_on_random_models(seed):
+    rng = random.Random(seed)
+    model = random_model(rng, max_thimacs=8, max_stages=14, max_flows=14)
+    stages = list(model.stages)
+    for _ in range(rng.randint(0, 3)):
+        model.add_memory(rng.choice(stages), rng.choice(stages))
+    _check_name_table(model, rng, "random")
+
+
+def test_qualified_name_matches_the_parent_walk_on_corpus(load_corpus):
+    rng = random.Random(11)
+    for name in CORPUS_NAMES:
+        _check_name_table(load_corpus(name).model.copy(), rng, name)
+

@@ -8,6 +8,8 @@ is still twice the recursion limit.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from tmkit import dsl
@@ -56,6 +58,24 @@ def test_deep_nesting_parses_normalizes_validates_and_simulates(deep):
     assert len(moves) == 5
     dot = render_dot(norm, deep.events, deep.chronology, RenderOptions(RenderMode.CHRONOLOGY))
     assert '"E" [label="E"];' in dot
+
+
+def test_naming_the_bottom_stage_stores_one_name():
+    # Each of the 10^4 thimacs has a name as long as its depth: storing
+    # them all (or a prefix for each ancestor) would hold about 2.9e8
+    # characters, where naming the bottom stage needs one 5.9e4 string.
+    model = dsl.parse(nested_source(DEEP), "deep.tm").model
+    path = ".".join(f"t{d}" for d in range(DEEP)) + ".process"
+    stage = model.find_stage(path)
+    tracemalloc.start()
+    try:
+        name = model.qualified_name(stage)
+        again = model.qualified_name(stage)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert name == again == path
+    assert peak < 5 * 1024 * 1024
 
 
 def test_deep_nesting_prints_renders_and_round_trips():

@@ -106,6 +106,14 @@ def test_parse_arrive_accept_aliases():
         assert StageKind.RECEIVE in result.model.thimacs[tid].stages
 
 
+def test_parse_unknown_stage_kind_lists_the_stage_words():
+    result = dsl.parse("thimac a { stage bogus; }", "kind.tm")
+    assert [d.message for d in errors(result)] == [
+        "expected a stage kind (create, process, release, transfer, "
+        "receive, arrive, accept), found 'bogus'"
+    ]
+
+
 def test_parse_alias_conflicts_with_receive():
     result = dsl.parse("thimac a { stage receive; stage arrive; }", "alias2.tm")
     assert any(d.code == "DUPLICATE_DEF" for d in errors(result))
@@ -478,6 +486,15 @@ def test_from_json_list_fields_that_are_not_lists(doc, field):
         (
             {"events": [{"id": "E", "contains": [{}]}]},
             "event 'E' contains entry {} must be a string",
+        ),
+        # a thimac's name is its parent's name, a dot and its local name
+        (
+            {"thimacs": [{"name": "a"}, {"name": "x"}, {"name": "x.y", "parent": "a"}]},
+            "thimac 'x.y' should be named 'a.y' under parent \"a\"",
+        ),
+        (
+            {"thimacs": [{"name": "x.y"}]},
+            "thimac 'x.y' should be named 'y' under parent null",
         ),
     ],
 )
