@@ -13,7 +13,12 @@ Lookups (``find_thimac``, ``find_stage``, ``find_flow``) and the
 duplicate checks are one dict probe each, so building and resolving a
 model is linear in its size. ``copy`` and ``normalize`` rebuild the
 indexes for the model they return; ``normalize`` swaps in its flows
-through ``replace_flows``.
+through ``replace_flows``. ``add_thimac`` refuses a name that no path
+could reach: an empty one, a dotted one, or a stage-kind word.
+
+``LEGAL`` is the one table of the stage-wiring rule; ``edge_legal``,
+``Model.flow_legal`` and the validator's FLOW_ILLEGAL read it, and
+``normalize`` expands each flow outside it by one rule, ``_expansion``.
 
 ``qualified_name`` is the one table of element names. A thimac's name
 is memoized the first time it is asked for; a stage's (``m.kind``) and
@@ -69,28 +74,25 @@ STAGE_KIND_NAMES: dict[str, StageKind] = {
 }
 
 
-# Legal (from_kind, to_kind) pairs for flow edges within one machine.
-LEGAL_SAME_MACHINE: frozenset[tuple[StageKind, StageKind]] = frozenset(
+# The stage-wiring rule: every legal flow as (from kind, to kind, same
+# machine). Across machine boundaries only port-to-port movement is legal.
+LEGAL: frozenset[tuple[StageKind, StageKind, bool]] = frozenset(
     {
-        (StageKind.CREATE, StageKind.PROCESS),
-        (StageKind.CREATE, StageKind.RELEASE),
-        (StageKind.RECEIVE, StageKind.PROCESS),
-        (StageKind.RECEIVE, StageKind.RELEASE),
-        (StageKind.PROCESS, StageKind.RELEASE),
-        (StageKind.RELEASE, StageKind.TRANSFER),
-        (StageKind.TRANSFER, StageKind.RECEIVE),
+        (StageKind.CREATE, StageKind.PROCESS, True),
+        (StageKind.CREATE, StageKind.RELEASE, True),
+        (StageKind.RECEIVE, StageKind.PROCESS, True),
+        (StageKind.RECEIVE, StageKind.RELEASE, True),
+        (StageKind.PROCESS, StageKind.RELEASE, True),
+        (StageKind.RELEASE, StageKind.TRANSFER, True),
+        (StageKind.TRANSFER, StageKind.RECEIVE, True),
+        (StageKind.TRANSFER, StageKind.TRANSFER, False),
     }
-)
-
-# Across machine boundaries only port-to-port movement is legal.
-LEGAL_CROSS_MACHINE: frozenset[tuple[StageKind, StageKind]] = frozenset(
-    {(StageKind.TRANSFER, StageKind.TRANSFER)}
 )
 
 
 def edge_legal(from_kind: StageKind, to_kind: StageKind, same_machine: bool) -> bool:
-    table = LEGAL_SAME_MACHINE if same_machine else LEGAL_CROSS_MACHINE
-    return (from_kind, to_kind) in table
+    """Membership test against the stage-wiring rule ``LEGAL``."""
+    return (from_kind, to_kind, same_machine) in LEGAL
 
 
 @dataclass
@@ -175,6 +177,9 @@ class Model:
         annotation: int | None = None,
         span: SourceSpan | None = None,
     ) -> ElementId:
+        if not name or "." in name or name in STAGE_KIND_NAMES:
+            # no path could name it
+            raise ValueError(f"thimac name {name!r} is empty, dotted or a stage kind")
         if parent is not None and parent not in self.thimacs:
             raise UnknownParent(f"no thimac with id {parent}")
         if (parent, name) in self._thimac_index:
@@ -442,32 +447,28 @@ _R = StageKind.RELEASE
 _RV = StageKind.RECEIVE
 
 
-def _same_machine_inserts(x: StageKind, y: StageKind) -> list[StageKind] | None:
-    if x in (StageKind.CREATE, StageKind.RECEIVE, StageKind.PROCESS) and y is _T:
-        return [_R]
-    if x is _T and y in (StageKind.PROCESS, StageKind.RELEASE):
-        return [_RV]
-    return None
+def _expansion(src: Stage, dst: Stage) -> list[tuple[StageKind, ElementId]] | None:
+    """The ``(kind, owner)`` stages to insert, in chain order, between the
+    endpoints of a flow from ``src`` to ``dst``; None if no legal chain
+    joins them.
 
-
-def _cross_machine_chain(
-    x: StageKind, y: StageKind
-) -> tuple[list[StageKind], list[StageKind]] | None:
+    Within a machine, a skip into or out of the transfer port gains the
+    release or receive it elided. Across machines the flow becomes
+    ``src -> release -> transfer -> transfer -> receive -> dst`` minus
+    the members ``src`` and ``dst`` already are; it never ends at a create.
+    """
+    x, y = src.kind, dst.kind
+    if src.thimac == dst.thimac:
+        if x in (StageKind.CREATE, _RV, StageKind.PROCESS) and y is _T:
+            return [(_R, src.thimac)]
+        if x is _T and y in (StageKind.PROCESS, _R):
+            return [(_RV, src.thimac)]
+        return None
     if y is StageKind.CREATE:
         return None
-    if x is _T:
-        src: list[StageKind] = []
-    elif x is _R:
-        src = [_T]
-    else:
-        src = [_R, _T]
-    if y is _T:
-        dst: list[StageKind] = []
-    elif y is _RV:
-        dst = [_T]
-    else:
-        dst = [_T, _RV]
-    return src, dst
+    src_ins = {_T: [], _R: [_T]}.get(x, [_R, _T])
+    dst_ins = {_T: [], _RV: [_T]}.get(y, [_T, _RV])
+    return [(k, src.thimac) for k in src_ins] + [(k, dst.thimac) for k in dst_ins]
 
 
 def normalize(model: Model, strict: bool = True) -> Model:
@@ -489,33 +490,15 @@ def normalize(model: Model, strict: bool = True) -> Model:
         if out.flow_legal(edge):
             new_flows.append(edge)
             continue
-        src_stage = out.stages[edge.from_stage]
-        dst_stage = out.stages[edge.to_stage]
-        same = src_stage.thimac == dst_stage.thimac
-        if same:
-            inserts = _same_machine_inserts(src_stage.kind, dst_stage.kind)
-            if inserts is None:
-                if strict:
-                    raise AmbiguousExpansion(
-                        f"flow {out.qualified_name(edge.from_stage)} -> "
-                        f"{out.qualified_name(edge.to_stage)} has no legal expansion"
-                    )
-                new_flows.append(edge)
-                continue
-            plan = [(k, src_stage.thimac) for k in inserts]
-        else:
-            chain = _cross_machine_chain(src_stage.kind, dst_stage.kind)
-            if chain is None:
-                if strict:
-                    raise AmbiguousExpansion(
-                        f"flow {out.qualified_name(edge.from_stage)} -> "
-                        f"{out.qualified_name(edge.to_stage)} has no legal expansion"
-                    )
-                new_flows.append(edge)
-                continue
-            src_ins, dst_ins = chain
-            plan = [(k, src_stage.thimac) for k in src_ins]
-            plan += [(k, dst_stage.thimac) for k in dst_ins]
+        plan = _expansion(out.stages[edge.from_stage], out.stages[edge.to_stage])
+        if plan is None:
+            if strict:
+                raise AmbiguousExpansion(
+                    f"flow {out.qualified_name(edge.from_stage)} -> "
+                    f"{out.qualified_name(edge.to_stage)} has no legal expansion"
+                )
+            new_flows.append(edge)
+            continue
 
         created: list[ElementId] = []
         chain_ids = [edge.from_stage]
@@ -543,7 +526,7 @@ def normalize(model: Model, strict: bool = True) -> Model:
 
 
 def is_normalized(model: Model) -> bool:
-    """True iff every flow edge is already in the legality matrix."""
+    """True iff every flow edge is already in ``LEGAL``."""
     return all(model.flow_legal(edge) for edge in model.flows)
 
 

@@ -1,9 +1,10 @@
 """Recursive-descent parser and lowering to core models.
 
 Parsing recovers at statement boundaries (semicolons and braces), so a
-single run reports every diagnosable problem it can. Lowering happens
-in two passes: thimac declarations first, then flows, triggers, events,
-and chronology statements, which may therefore reference thimacs
+single run reports every diagnosable problem it can. Chronology
+statements name only events, so the parser builds the chronology
+itself. Lowering happens in two passes: thimac declarations first,
+then flows, triggers and events, which may therefore reference thimacs
 declared later in the file.
 """
 
@@ -83,13 +84,6 @@ class _EventDecl:
     span: SourceSpan
 
 
-@dataclass
-class _ChronoItem:
-    src: str
-    dst: str | None
-    span: SourceSpan
-
-
 class _Parser:
     def __init__(self, tokens: list[Token], file: str) -> None:
         self.tokens = tokens
@@ -100,8 +94,8 @@ class _Parser:
         self.flows: list[_FlowStmt] = []
         self.dashes: list[_DashStmt] = []
         self.events: list[_EventDecl] = []
-        self.chrono: list[_ChronoItem] = []
-        self.saw_chronology = False
+        # chronology statements name only events, so need no lowering
+        self.chronology: Chronology | None = None
 
     # token helpers
 
@@ -368,7 +362,9 @@ class _Parser:
 
     def chrono_decl(self) -> None:
         self.take()  # chronology
-        self.saw_chronology = True
+        if self.chronology is None:
+            self.chronology = Chronology()
+        chrono = self.chronology
         if self.expect(TokenKind.LBRACE, "'{'") is None:
             self.sync_statement()
             return
@@ -384,9 +380,12 @@ class _Parser:
                 if dst_tok is not None:
                     dst = dst_tok.text
             self.expect(TokenKind.SEMI, "';'")
-            self.chrono.append(
-                _ChronoItem(src.text, dst, src.span(self.file))
-            )
+            if chrono.span is None:
+                chrono.span = src.span(self.file)
+            if dst is None:
+                chrono.add_node(src.text)
+            else:
+                chrono.add_edge(src.text, dst)
         self.expect(TokenKind.RBRACE, "'}'")
 
 
@@ -571,19 +570,6 @@ class _Lowering:
                 by_id[cycle[0]].span or SourceSpan("<model>", 1, 1, 1, 1),
             )
 
-    def lower_chronology(self) -> Chronology | None:
-        if not self.p.saw_chronology:
-            return None
-        chrono = Chronology()
-        for item in self.p.chrono:
-            if chrono.span is None:
-                chrono.span = item.span
-            if item.dst is None:
-                chrono.add_node(item.src)
-            else:
-                chrono.add_edge(item.src, item.dst)
-        return chrono
-
 
 def parse(text: str, file: str = "<input>") -> ParseResult:
     """Parse TM source text into a model plus behavior definitions."""
@@ -595,9 +581,8 @@ def parse(text: str, file: str = "<input>") -> ParseResult:
     lowering.lower_flows()
     lowering.lower_dashes()
     events = lowering.lower_events()
-    chronology = lowering.lower_chronology()
     diagnostics = sorted_diagnostics(
         diagnostics + parser.diagnostics + lowering.diagnostics
     )
     model = None if has_errors(diagnostics) else lowering.model
-    return ParseResult(model, events, chronology, diagnostics)
+    return ParseResult(model, events, parser.chronology, diagnostics)

@@ -91,7 +91,6 @@ from .core import (
     Model,
     StageKind,
     TriggerEdge,
-    is_normalized,
 )
 from .errors import PreconditionViolated, StepBudgetExceeded
 from .validate import validate
@@ -257,14 +256,25 @@ class _Run:
         thimac = self.model.thimacs[thimac_id]
         return any(self.at.get(sid) for sid in thimac.stages.values())
 
-    def _spawn(self, stage: ElementId) -> Token:
-        token = Token(
-            len(self.tokens) + 1,
-            self.model.qualified_name(self.model.stages[stage].thimac),
-            stage,
-        )
+    def _new_token(
+        self,
+        stage: ElementId,
+        thing: str,
+        outbound: bool = False,
+        prev_stage: ElementId | None = None,
+    ) -> Token:
+        """Make the next token and rest it at ``stage``."""
+        token = Token(len(self.tokens) + 1, thing, stage, outbound, prev_stage)
         self.tokens.append(token)
         self.at[stage][token.id] = token
+        return token
+
+    def _spawn(self, stage: ElementId, thing: str | None = None) -> Token:
+        """Make an active token at ``stage`` and record its TokenSpawn; the
+        thing is by default a new one of the stage's machine."""
+        if thing is None:
+            thing = self.model.qualified_name(self.model.stages[stage].thimac)
+        token = self._new_token(stage, thing)
         self.active.append(token)
         self._emit(FiringKind.TOKEN_SPAWN, stage, token.id)
         return token
@@ -289,11 +299,8 @@ class _Run:
 
     def _trigger_effect(self, target: ElementId) -> ElementId | None:
         """Apply one trigger; returns the spawn stage if a token appeared."""
-        target_stage = self.model.stages[target]
-        if target_stage.kind is StageKind.CREATE:
-            self._spawn(target)
-            return target
-        if self._machine_occupied(target_stage.thimac):
+        stage = self.model.stages[target]
+        if stage.kind is not StageKind.CREATE and self._machine_occupied(stage.thimac):
             # the waiting thing is considered enabled; adoption covers it
             return None
         self._spawn(target)
@@ -363,16 +370,12 @@ class _Run:
             (f.step, f.element, f.kind, None if f.token is None else f.token - first_token - 1)
             for f in firings[first_firing:]
         ]
-        at = self.at
         for k, instance in enumerate(range(template + 1, count + 1), 1):
             ds = len(rows) * k
-            ids = [token.id + len(made) * k for token in made]
-            for token, new_id in zip(made, ids):
-                copy = Token(
-                    new_id, token.thing, token.location, token.outbound, token.prev_stage
-                )
-                self.tokens.append(copy)
-                at[copy.location][new_id] = copy
+            ids = [
+                self._new_token(t.location, t.thing, t.outbound, t.prev_stage).id
+                for t in made
+            ]
             firings.extend(
                 [
                     Firing(s + ds, event_id, instance, e, kind, None if i is None else ids[i])
@@ -447,18 +450,11 @@ class _Run:
                         len(edges),
                         event.id,
                     )
-                    clones = []
-                    for extra in edges[1:]:
-                        clone = Token(
-                            len(self.tokens) + 1, token.thing, token.location
-                        )
-                        clone.prev_stage = token.prev_stage
-                        clone.outbound = token.outbound
-                        self.tokens.append(clone)
-                        self.at[clone.location][clone.id] = clone
-                        self.active.append(clone)
-                        self._emit(FiringKind.TOKEN_SPAWN, token.location, clone.id)
-                        clones.append((clone, extra))
+                    # a clone's routing state is set by its move below
+                    clones = [
+                        (self._spawn(token.location, token.thing), extra)
+                        for extra in edges[1:]
+                    ]
                     self._move(token, edges[0])
                     for clone, extra in clones:
                         self._move(clone, extra)
@@ -480,8 +476,10 @@ def simulate(
     """Execute the chronology deterministically; returns a replayable trace.
 
     The model must be normalized and, together with the behavior
-    definitions, free of validation errors. With no chronology, all
-    declared events run once in declaration order.
+    definitions, free of validation errors; a flow that normalization
+    would still expand is an error there (FLOW_ILLEGAL), so validation
+    is the one check of both. With no chronology, all declared events
+    run once in declaration order.
     """
     errors = [d for d in validate(model, events, chronology) if d.is_error]
     if errors:
@@ -499,10 +497,8 @@ def _simulate_validated(
     config: SimConfig | None = None,
 ) -> Trace:
     """``simulate`` for a caller that has already validated the model and
-    behavior definitions and found no errors."""
+    behavior definitions and found no errors; it checks neither again."""
     config = config or SimConfig()
-    if not is_normalized(model):
-        raise PreconditionViolated("model is not normalized")
     if chronology is None:
         chronology = Chronology(nodes=[e.id for e in events])
 

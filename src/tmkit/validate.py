@@ -1,13 +1,17 @@
 """Semantic validation rules for models, events, and chronologies.
 
 Every finding is a diagnostic with a stable rule code; errors block
-simulation, warnings never do. Flow legality is meant to be judged on
-a normalized model: run :func:`tmkit.core.normalize` first unless the
-point is to inspect the raw source form.
+simulation, warnings never do. FLOW_ILLEGAL tests each flow against the
+stage-wiring rule ``core.LEGAL`` (``legality`` is ``core.edge_legal``
+and ``legality_matrix`` a copy of the table). It is meant to be judged
+on a normalized model: run :func:`tmkit.core.normalize` first unless
+the point is to inspect the raw source form. It is also the only
+legality check the simulator has: ``simulate`` refuses a model with
+any error here, and so a model that is not normalized.
 
 Rule codes
 ----------
-FLOW_ILLEGAL         flow edge outside the legality matrix (error)
+FLOW_ILLEGAL         flow edge outside ``core.LEGAL`` (error)
 ORIGIN_MISSING       flow component with no origin (error)
 TRIGGER_SELF         trigger from a stage to itself (warning)
 STAGE_UNREACHABLE    stage with no incident edges (warning)
@@ -24,14 +28,8 @@ from __future__ import annotations
 
 from . import graph
 from .behavior import Chronology, EventDef, check_region
-from .core import (
-    LEGAL_CROSS_MACHINE,
-    LEGAL_SAME_MACHINE,
-    ElementId,
-    Model,
-    StageKind,
-    edge_legal,
-)
+from .core import LEGAL, Model, StageKind
+from .core import edge_legal as legality
 from .diagnostics import Diagnostic, Severity, sorted_diagnostics
 
 RULE_CODES = (
@@ -49,16 +47,9 @@ RULE_CODES = (
 )
 
 
-def legality(from_kind: StageKind, to_kind: StageKind, same_machine: bool) -> bool:
-    """Membership test against the fixed stage-wiring matrix."""
-    return edge_legal(from_kind, to_kind, same_machine)
-
-
 def legality_matrix() -> set[tuple[StageKind, StageKind, bool]]:
     """The full closed relation, for documentation and oracle tests."""
-    rows = {(a, b, True) for a, b in LEGAL_SAME_MACHINE}
-    rows |= {(a, b, False) for a, b in LEGAL_CROSS_MACHINE}
-    return rows
+    return set(LEGAL)
 
 
 def _check_flows(model: Model) -> list[Diagnostic]:
@@ -144,16 +135,7 @@ def _check_triggers(model: Model) -> list[Diagnostic]:
 
 
 def _check_reachability(model: Model) -> list[Diagnostic]:
-    touched: set[ElementId] = set()
-    for f in model.flows:
-        touched.add(f.from_stage)
-        touched.add(f.to_stage)
-    for t in model.triggers:
-        touched.add(t.from_stage)
-        touched.add(t.to_stage)
-    for m in model.memories:
-        touched.add(m.from_stage)
-        touched.add(m.to_stage)
+    touched = {s for e in model.edges.values() for s in (e.from_stage, e.to_stage)}
     diags = []
     for stage in model.stages_in_order():
         if stage.id not in touched:
@@ -233,13 +215,9 @@ def _check_chronology_justified(
         if ea.region & eb.region:
             continue
         linked = any(
-            (f.from_stage in ea.region and f.to_stage in eb.region)
-            or (f.from_stage in eb.region and f.to_stage in ea.region)
-            for f in model.flows
-        ) or any(
-            (t.from_stage in ea.region and t.to_stage in eb.region)
-            or (t.from_stage in eb.region and t.to_stage in ea.region)
-            for t in model.triggers
+            (e.from_stage in ea.region and e.to_stage in eb.region)
+            or (e.from_stage in eb.region and e.to_stage in ea.region)
+            for e in (*model.flows, *model.triggers)
         )
         if not linked:
             diags.append(

@@ -47,6 +47,56 @@ ORACLE_LEGAL = {
 }
 
 
+_T = StageKind.TRANSFER
+_R = StageKind.RELEASE
+_RV = StageKind.RECEIVE
+
+
+def _same_machine_inserts(x: StageKind, y: StageKind) -> list[StageKind] | None:
+    if x in (StageKind.CREATE, StageKind.RECEIVE, StageKind.PROCESS) and y is _T:
+        return [_R]
+    if x is _T and y in (StageKind.PROCESS, StageKind.RELEASE):
+        return [_RV]
+    return None
+
+
+def _cross_machine_chain(
+    x: StageKind, y: StageKind
+) -> tuple[list[StageKind], list[StageKind]] | None:
+    if y is StageKind.CREATE:
+        return None
+    if x is _T:
+        src: list[StageKind] = []
+    elif x is _R:
+        src = [_T]
+    else:
+        src = [_R, _T]
+    if y is _T:
+        dst: list[StageKind] = []
+    elif y is _RV:
+        dst = [_T]
+    else:
+        dst = [_T, _RV]
+    return src, dst
+
+
+def reference_expansion(
+    model: Model, src: ElementId, dst: ElementId
+) -> list[tuple[StageKind, ElementId]] | None:
+    """``core._expansion`` as the two rules ``normalize`` applied before:
+    the ``(kind, owner)`` stages to insert between stages ``src`` and
+    ``dst``, or None."""
+    a, b = model.stages[src], model.stages[dst]
+    if model.same_machine(src, dst):
+        inserts = _same_machine_inserts(a.kind, b.kind)
+        return None if inserts is None else [(k, a.thimac) for k in inserts]
+    chain = _cross_machine_chain(a.kind, b.kind)
+    if chain is None:
+        return None
+    src_ins, dst_ins = chain
+    return [(k, a.thimac) for k in src_ins] + [(k, b.thimac) for k in dst_ins]
+
+
 def oracle_flow_illegal(model: Model) -> set[int]:
     """Brute-force per-edge legality check; returns offending edge ids."""
     bad = set()
@@ -960,9 +1010,8 @@ def reference_parse(text: str, file: str = "<input>") -> ParseResult:
     lowering.lower_flows()
     lowering.lower_dashes()
     events = lowering.lower_events()
-    chronology = lowering.lower_chronology()
     diagnostics = sorted_diagnostics(
         diagnostics + parser.diagnostics + lowering.diagnostics
     )
     model = None if has_errors(diagnostics) else lowering.model
-    return ParseResult(model, events, chronology, diagnostics)
+    return ParseResult(model, events, parser.chronology, diagnostics)

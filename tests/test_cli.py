@@ -283,3 +283,38 @@ def test_python_dash_m_runs_tm(module, capsys):
         capture_output=True, text=True, env=env,
     )
     assert done.returncode == 2
+
+
+
+# Imports every tmkit module (``tmkit.__main__`` runs ``tm --help``, which
+# exits) and prints the names of all loaded modules.
+_IMPORT_ALL = """
+import contextlib, importlib, io, json, pkgutil, sys
+sys.path.insert(0, sys.argv[1])
+sys.argv = ["tm", "--help"]
+import tmkit
+for info in pkgutil.walk_packages(tmkit.__path__, "tmkit."):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+        importlib.import_module(info.name)
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_every_module_imports_only_the_standard_library():
+    package = Path(tmkit.__file__).parent
+    ours = {
+        ".".join(("tmkit", *path.relative_to(package).with_suffix("").parts))
+        .removesuffix(".__init__")
+        for path in package.rglob("*.py")
+    }
+    # -S: no site hooks, which can import third-party modules themselves
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", _IMPORT_ALL, str(package.parent)],
+        capture_output=True, text=True, check=True,
+    )
+    loaded = set(json.loads(done.stdout))
+    # a module whose import raised, as ``tmkit.__main__``'s exit does,
+    # leaves sys.modules again
+    assert ours - {"tmkit.__main__"} <= loaded
+    others = {name.partition(".")[0] for name in loaded - ours} - {"__main__"}
+    assert others <= sys.stdlib_module_names, others - sys.stdlib_module_names

@@ -13,6 +13,7 @@ from tmkit.core import (
     STAGE_KIND_NAMES,
     Model,
     StageKind,
+    _expansion,
     _signature,
     is_normalized,
     model_equal,
@@ -29,8 +30,10 @@ from tmkit.errors import (
 
 from conftest import CORPUS_NAMES
 from _support import (
+    KINDS,
     random_legal_chain_model,
     random_model,
+    reference_expansion,
     reference_qualified_name,
     scan_edge,
     scan_stage,
@@ -69,6 +72,16 @@ def test_add_thimac_unknown_parent():
     model = Model()
     with pytest.raises(UnknownParent):
         model.add_thimac("x", parent=99)
+
+
+@pytest.mark.parametrize("name", ["", "a.b", *STAGE_KIND_NAMES])
+def test_add_thimac_rejects_names_no_path_can_reach(name):
+    model = Model()
+    x = model.add_thimac("x")
+    for parent in (None, x):
+        with pytest.raises(ValueError):
+            model.add_thimac(name, parent)
+    assert model.roots == [x] and model.thimacs[x].children == []
 
 
 # -- add_stage ---------------------------------------------------------
@@ -234,10 +247,22 @@ def test_normalize_strict_raises_on_inexpansible_edge():
     model = Model()
     a = _machine(model, "a", StageKind.RELEASE, StageKind.RECEIVE)
     model.add_flow(a[StageKind.RELEASE], a[StageKind.RECEIVE])
-    with pytest.raises(AmbiguousExpansion):
+    with pytest.raises(AmbiguousExpansion) as err:
         normalize(model)
+    assert str(err.value) == "flow a.release -> a.receive has no legal expansion"
     lenient = normalize(model, strict=False)
     assert not is_normalized(lenient)
+
+
+@pytest.mark.parametrize("same", [True, False], ids=["within", "across"])
+@pytest.mark.parametrize("y", KINDS, ids=lambda k: k.value)
+@pytest.mark.parametrize("x", KINDS, ids=lambda k: k.value)
+def test_expansion_matches_the_two_old_rules(x, y, same):
+    model = Model()
+    m, n = _machine(model, "m", *KINDS), _machine(model, "n", *KINDS)
+    src, dst = m[x], (m if same else n)[y]
+    expected = reference_expansion(model, src, dst)
+    assert _expansion(model.stages[src], model.stages[dst]) == expected
 
 
 def test_normalize_never_targets_create():
@@ -245,8 +270,9 @@ def test_normalize_never_targets_create():
     a = _machine(model, "a", StageKind.PROCESS)
     b = _machine(model, "b", StageKind.CREATE)
     model.add_flow(a[StageKind.PROCESS], b[StageKind.CREATE])
-    with pytest.raises(AmbiguousExpansion):
+    with pytest.raises(AmbiguousExpansion) as err:
         normalize(model)
+    assert str(err.value) == "flow a.process -> b.create has no legal expansion"
 
 
 def test_normalize_never_duplicates_user_declared_edges():

@@ -282,6 +282,9 @@ def test_parse_chronology_merges_blocks_and_keeps_mention_order():
     assert errors(result) == []
     assert result.chronology.nodes == ["E2", "E3", "E1"]
     assert result.chronology.edges == [("E2", "E3"), ("E1", "E2")]
+    # diagnostics about the chronology point at its first statement
+    span = result.chronology.span
+    assert (span.file, span.start_line, span.start_col) == ("chrono.tm", 5, 14)
 
 
 def test_parse_repeat_zero_rejected():

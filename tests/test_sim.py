@@ -432,7 +432,7 @@ def test_precondition_rejects_unnormalized_model():
         "event E { region { a; b; } }\nchronology { E; }",
         "raw.tm",
     )
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(PreconditionViolated, match="FLOW_ILLEGAL"):
         simulate(result.model, result.events, result.chronology)
 
 

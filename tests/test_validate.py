@@ -232,6 +232,9 @@ def test_chronology_lint_is_opt_in():
     assert "CHRONO_UNJUSTIFIED" not in codes(validate(model, events, chrono))
     linted = validate(model, events, chrono, lint_chronology=True)
     assert "CHRONO_UNJUSTIFIED" in codes(linted, Severity.WARNING)
+    model.add_trigger(s2, s1)
+    linted = validate(model, events, chrono, lint_chronology=True)
+    assert "CHRONO_UNJUSTIFIED" not in codes(linted)
 
 
 def test_chronology_lint_accepts_justified_edges(load_corpus):
