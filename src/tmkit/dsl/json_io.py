@@ -207,13 +207,16 @@ def from_json(text: str) -> ParseResult:
         if src == dst:
             err("JSON_MALFORMED", f"flow from '{entry['from']}' to itself")
             continue
-        model.add_flow(src, dst)
+        repeated = model.find_flow(src, dst) is not None
+        eid = model.add_flow(src, dst)
         segments = []
         for seg in entries(entry.get("implicitSegments", []), "flow implicitSegments"):
             sid = stage_ref(seg, "flow implicitSegments")
             if sid is not None:
                 segments.append(sid)
-        model.find_flow(src, dst).implicit_segments = segments
+        # a repeated flow collapses to the first edge, segments included
+        if not repeated:
+            model.edges[eid].implicit_segments = segments
 
     for entry in objects(doc.get("triggers", []), "triggers"):
         src = stage_ref(entry.get("from"), "trigger")

@@ -426,38 +426,23 @@ class _Lowering:
             pending.extend((child, tid) for child in reversed(decl.children))
 
     def unresolved_thimac(self, path: _Path, kind: StageKind | None) -> None:
+        # a path starts with a name, so its thimac segments are never empty
         segments = path.segments[:-1] if kind is not None else path.segments
-        if not segments:
-            self.diag("UNRESOLVED_PATH", f"path '{path.text()}' names no thimac", path.span)
-        else:
-            self.diag(
-                "UNRESOLVED_PATH",
-                f"no thimac at path '{'.'.join(segments)}'",
-                path.span,
-            )
+        self.diag(
+            "UNRESOLVED_PATH", f"no thimac at path '{'.'.join(segments)}'", path.span
+        )
 
-    def resolve_stage(self, path: _Path, materialize_port: bool) -> int | None:
+    def resolve_stage(self, path: _Path) -> int | None:
         """A path names a stage; one ending at a thimac means its port."""
         tid, kind = self.model.resolve(path.segments)
         if tid is None:
             self.unresolved_thimac(path, kind)
             return None
-        return self.stage_of(path, tid, kind, materialize_port)
-
-    def stage_of(
-        self, path: _Path, tid: int, kind: StageKind | None, materialize_port: bool
-    ) -> int | None:
         if kind is None:
-            if materialize_port:
-                return self.model.ensure_transfer(tid)
-            sid = self.model.thimacs[tid].stages.get(StageKind.TRANSFER)
-            if sid is None:
-                self.diag(
-                    "UNRESOLVED_PATH",
-                    f"thimac '{path.text()}' has no transfer port",
-                    path.span,
-                )
-            return sid
+            return self.model.ensure_transfer(tid)
+        return self.stage_of(path, tid, kind)
+
+    def stage_of(self, path: _Path, tid: int, kind: StageKind) -> int | None:
         sid = self.model.thimacs[tid].stages.get(kind)
         if sid is None:
             self.diag(
@@ -470,8 +455,8 @@ class _Lowering:
     def lower_flows(self) -> None:
         for stmt in self.p.flows:
             for src_path, dst_path in zip(stmt.paths, stmt.paths[1:]):
-                src = self.resolve_stage(src_path, materialize_port=True)
-                dst = self.resolve_stage(dst_path, materialize_port=True)
+                src = self.resolve_stage(src_path)
+                dst = self.resolve_stage(dst_path)
                 if src is None or dst is None:
                     continue
                 if src == dst:
@@ -496,8 +481,8 @@ class _Lowering:
 
     def lower_dashes(self) -> None:
         for stmt in self.p.dashes:
-            src = self.resolve_stage(stmt.src, materialize_port=True)
-            dst = self.resolve_stage(stmt.dst, materialize_port=True)
+            src = self.resolve_stage(stmt.src)
+            dst = self.resolve_stage(stmt.dst)
             if src is None or dst is None:
                 continue
             if stmt.keyword == "trigger":
@@ -512,7 +497,7 @@ class _Lowering:
             self.unresolved_thimac(path, kind)
             return set()
         if kind is not None:
-            sid = self.stage_of(path, tid, kind, materialize_port=False)
+            sid = self.stage_of(path, tid, kind)
             return {sid} if sid is not None else set()
         out: set[int] = set()
         for cur, _, entering in graph.tree([tid], self.model.children):
@@ -567,7 +552,7 @@ class _Lowering:
             self.diag(
                 "EVENT_CYCLE",
                 f"event containment cycle: {' -> '.join(cycle)}",
-                by_id[cycle[0]].span or SourceSpan("<model>", 1, 1, 1, 1),
+                by_id[cycle[0]].span,
             )
 
 

@@ -43,13 +43,19 @@ defines none):
 Before a chronology node's instances run, the event's region is
 compiled once into a plan: the in-region triggers (in model order and
 by source stage), each stage's route (its out-flows in model order, or
-for a transfer port the cross-machine and the within-machine ones), the
-``outbound`` flag a token takes on each in-region flow, and the origin
-candidates (sorted). The plan depends only on the model and the region,
-never on where tokens rest, so every instance of the node reads the
-same plan, and an instance follows exactly the steps above. Resting
-tokens are kept by stage and token id, so moving one is a constant-time
-update.
+for a transfer port the cross-machine and the within-machine ones), and
+the origin candidates (sorted). The plan depends only on the model and
+the region, never on where tokens rest, so every instance of the node
+reads the same plan, and an instance follows exactly the steps above.
+Resting tokens are kept by stage and token id, so moving one is a
+constant-time update.
+
+A token's only routing state is ``prev_stage``, the stage it last moved
+from. The port rule reads it: a token at a transfer port leaves across
+the boundary when ``prev_stage`` is a release stage. That is exactly
+"arrived from its own machine's release", because the legality table
+allows a release -> transfer flow only within one machine and
+``simulate`` runs only on models without a FLOW_ILLEGAL error.
 
 A node's later instances are often copies of an earlier one: each
 passage of a ship through a lock makes the same firings. An instance
@@ -117,7 +123,6 @@ class Token:
     thing: str
     location: ElementId
     # routing state for the bidirectional transfer port
-    outbound: bool = field(default=False, repr=False)
     prev_stage: ElementId | None = field(default=None, repr=False)
 
 
@@ -165,8 +170,6 @@ class _Plan:
     # port (cross-machine out-flows, within-machine out-flows); the keys
     # are the stages that can move a token
     routes: dict[ElementId, tuple[list[FlowEdge], list[FlowEdge] | None]]
-    # per flow edge id: the ``outbound`` flag of a token that crosses it
-    outbound: dict[ElementId, bool]
     origins: list[ElementId]
     # the stages whose occupancy an instance reads (see the module docstring)
     watched: list[ElementId]
@@ -174,19 +177,11 @@ class _Plan:
 
 def _plan(model: Model, event: EventDef) -> _Plan:
     """Compile the event's region (see the module docstring)."""
-    region = {s for s in event.region if s in model.stages}
-    flows, triggers = region_edges(model, region)
+    flows, triggers = region_edges(model, event.region)
     stages = model.stages
     by_src: dict[ElementId, list[FlowEdge]] = {}
-    outbound = {}
     for f in flows:
         by_src.setdefault(f.from_stage, []).append(f)
-        src, dst = stages[f.from_stage], stages[f.to_stage]
-        outbound[f.id] = (
-            src.kind is StageKind.RELEASE
-            and dst.kind is StageKind.TRANSFER
-            and src.thimac == dst.thimac
-        )
     routes = {}
     for sid, out in by_src.items():
         if stages[sid].kind is StageKind.TRANSFER:
@@ -203,7 +198,7 @@ def _plan(model: Model, event: EventDef) -> _Plan:
     entered = {f.to_stage for f in flows} | {t.to_stage for t in triggers}
     origins = [
         sid
-        for sid in sorted(region)
+        for sid in sorted(event.region)
         if stages[sid].kind is StageKind.CREATE and sid not in entered
     ]
     watched = set(origins) | trigs_by_src.keys()
@@ -211,9 +206,7 @@ def _plan(model: Model, event: EventDef) -> _Plan:
         target = stages[t.to_stage]
         if target.kind is not StageKind.CREATE:
             watched.update(model.thimacs[target.thimac].stages.values())
-    return _Plan(
-        triggers, trigs_by_src, routes, outbound, origins, sorted(watched)
-    )
+    return _Plan(triggers, trigs_by_src, routes, origins, sorted(watched))
 
 
 class _Run:
@@ -221,7 +214,8 @@ class _Run:
         self.model = model
         self.config = config
         self.trace = Trace()
-        self.tokens: list[Token] = []
+        # every token made, in id order
+        self.tokens = self.trace.final_tokens
         # resting tokens by stage, then by token id
         self.at: defaultdict[ElementId, dict[int, Token]] = defaultdict(dict)
         self.step = 0
@@ -257,14 +251,10 @@ class _Run:
         return any(self.at.get(sid) for sid in thimac.stages.values())
 
     def _new_token(
-        self,
-        stage: ElementId,
-        thing: str,
-        outbound: bool = False,
-        prev_stage: ElementId | None = None,
+        self, stage: ElementId, thing: str, prev_stage: ElementId | None = None
     ) -> Token:
         """Make the next token and rest it at ``stage``."""
-        token = Token(len(self.tokens) + 1, thing, stage, outbound, prev_stage)
+        token = Token(len(self.tokens) + 1, thing, stage, prev_stage)
         self.tokens.append(token)
         self.at[stage][token.id] = token
         return token
@@ -313,16 +303,18 @@ class _Run:
         if route is None:
             return []
         out, within = route
-        if within is None or token.outbound:
+        if within is None:
+            return out
+        prev = token.prev_stage
+        if prev is not None and self.model.stages[prev].kind is StageKind.RELEASE:
             return out
         if within:
             return within
-        return [e for e in out if e.to_stage != token.prev_stage]
+        return [e for e in out if e.to_stage != prev]
 
     def _move(self, token: Token, edge: FlowEdge) -> None:
         self._emit(FiringKind.FLOW_MOVE, edge.id, token.id)
         token.prev_stage = edge.from_stage
-        token.outbound = self.plan.outbound[edge.id]
         self._place(token, edge.to_stage)
         self._fire_stage_triggers(edge.to_stage)
 
@@ -372,10 +364,7 @@ class _Run:
         ]
         for k, instance in enumerate(range(template + 1, count + 1), 1):
             ds = len(rows) * k
-            ids = [
-                self._new_token(t.location, t.thing, t.outbound, t.prev_stage).id
-                for t in made
-            ]
+            ids = [self._new_token(t.location, t.thing, t.prev_stage).id for t in made]
             firings.extend(
                 [
                     Firing(s + ds, event_id, instance, e, kind, None if i is None else ids[i])
@@ -508,7 +497,6 @@ def _simulate_validated(
     for node in linear_extension(chronology):
         event = by_id[node]
         tick = run.run_node(event, _plan(model, event), tick)
-    run.trace.final_tokens = list(run.tokens)
     return run.trace
 
 

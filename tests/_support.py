@@ -6,6 +6,7 @@ import json
 import logging
 import random
 import re
+from dataclasses import dataclass
 
 from tmkit.behavior import Chronology, EventDef, instances, region_edges
 from tmkit.core import (
@@ -29,7 +30,6 @@ from tmkit.errors import (
     UnknownEvent,
 )
 from tmkit.sim import Firing, FiringKind, SimConfig, Trace
-from tmkit.sim import Token as SimToken
 
 KINDS = list(StageKind)
 
@@ -376,19 +376,31 @@ def reference_linear_extension(chronology: Chronology) -> list[str]:
     return order
 
 
+@dataclass
+class _ReferenceToken:
+    """The oracle's token: it keeps the ``outbound`` flag that the
+    simulator derives from ``prev_stage``, computed from each edge."""
+
+    id: int
+    thing: str
+    location: ElementId
+    outbound: bool = False
+    prev_stage: ElementId | None = None
+
+
 class _ReferenceRun:
     def __init__(self, model: Model, config: SimConfig) -> None:
         self.model = model
         self.config = config
         self.trace = Trace()
-        self.tokens: list[SimToken] = []
-        self.at: dict[ElementId, list[SimToken]] = {}
+        self.tokens: list[_ReferenceToken] = []
+        self.at: dict[ElementId, list[_ReferenceToken]] = {}
         self.step = 0
         # per-instance state
         self.event_id = ""
         self.instance = 0
         self.instance_steps = 0
-        self.active: list[SimToken] = []
+        self.active: list[_ReferenceToken] = []
         self.active_ids: set[int] = set()
         self.flows_by_src: dict[ElementId, list[FlowEdge]] = {}
         self.trigs_by_src: dict[ElementId, list] = {}
@@ -409,7 +421,7 @@ class _ReferenceRun:
 
     # -- token bookkeeping ----------------------------------------------
 
-    def _place(self, token: SimToken, stage: ElementId) -> None:
+    def _place(self, token: _ReferenceToken, stage: ElementId) -> None:
         if token.location in self.at and token in self.at[token.location]:
             self.at[token.location].remove(token)
         token.location = stage
@@ -419,8 +431,8 @@ class _ReferenceRun:
         thimac = self.model.thimacs[thimac_id]
         return any(self.at.get(sid) for sid in thimac.stages.values())
 
-    def _spawn(self, stage: ElementId) -> SimToken:
-        token = SimToken(
+    def _spawn(self, stage: ElementId) -> _ReferenceToken:
+        token = _ReferenceToken(
             len(self.tokens) + 1,
             self.model.qualified_name(self.model.stages[stage].thimac),
             stage,
@@ -460,7 +472,7 @@ class _ReferenceRun:
 
     # -- movement --------------------------------------------------------
 
-    def _eligible(self, token: SimToken) -> list[FlowEdge]:
+    def _eligible(self, token: _ReferenceToken) -> list[FlowEdge]:
         out = self.flows_by_src.get(token.location, [])
         if not out:
             return []
@@ -479,7 +491,7 @@ class _ReferenceRun:
             return within
         return [e for e in cross if e.to_stage != token.prev_stage]
 
-    def _move(self, token: SimToken, edge: FlowEdge) -> None:
+    def _move(self, token: _ReferenceToken, edge: FlowEdge) -> None:
         src = self.model.stages[edge.from_stage]
         dst = self.model.stages[edge.to_stage]
         self._emit(FiringKind.FLOW_MOVE, edge.id, token.id)
@@ -570,7 +582,7 @@ class _ReferenceRun:
                     )
                     clones = []
                     for extra in edges[1:]:
-                        clone = SimToken(
+                        clone = _ReferenceToken(
                             len(self.tokens) + 1, token.thing, token.location
                         )
                         clone.prev_stage = token.prev_stage

@@ -76,6 +76,48 @@ def test_usage_error_exit_two(capsys):
         assert "argument --max-steps: must be at least 1" in capsys.readouterr().err
 
 
+def test_max_steps_that_is_not_a_number_exit_two(capsys):
+    assert run(["simulate", "x.tm", "--max-steps", "abc"]) == 2
+    assert "argument --max-steps: invalid int value: 'abc'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["normalize", "render"])
+def test_parse_errors_exit_one_before_output(command, tmp_path, capsys):
+    path = tmp_path / "bad.tm"
+    path.write_text("thimac a { stage create; }\nflow a. -> a;\n")
+    assert run([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error[SYNTAX] expected a path segment" in captured.err
+
+
+def test_normalize_inexpansible_flow_exit_one(tmp_path, capsys):
+    path = tmp_path / "stuck.tm"
+    path.write_text("thimac a { stage release; stage receive; }\nflow a.release -> a.receive;\n")
+    assert run(["normalize", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"{path}: error[AMBIGUOUS_EXPANSION] flow a.release -> a.receive "
+        "has no legal expansion\n"
+    )
+
+
+def test_simulate_validation_error_exit_one(broken_file, capsys):
+    assert run(["simulate", str(broken_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error[FLOW_ILLEGAL]" in captured.err
+
+
+def test_render_unknown_highlight_exit_two(capsys):
+    atm = str(corpus_path("atm_full.tm"))
+    assert run(["render", atm, "--mode", "events", "--highlight", "NOPE"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "render error: no event 'NOPE' to highlight\n"
+
+
 def test_missing_file_exit_two(capsys):
     assert run(["validate", "/nonexistent/y.tm"]) == 2
     capsys.readouterr()

@@ -141,6 +141,9 @@ def test_add_flow_unknown_endpoint():
         model.add_flow(a[StageKind.CREATE], 12345)
     with pytest.raises(UnknownEndpoint):
         model.add_flow("a.create", "a.transfer")
+    with pytest.raises(UnknownEndpoint, match="flow endpoints must differ"):
+        model.add_flow(a[StageKind.CREATE], a[StageKind.CREATE])
+    assert model.flows == []
 
 
 def test_add_flow_accepts_paths():

@@ -308,6 +308,19 @@ def test_parse_duplicate_flow_warns_and_collapses():
     assert len(result.model.flows) == 1
 
 
+@pytest.mark.parametrize(
+    "flow, message",
+    [
+        ("flow a.create.b -> a;", "2:14: error[SYNTAX] a stage kind may only end a path"),
+        ("flow a. -> a;", "2:9: error[SYNTAX] expected a path segment, found '->'"),
+    ],
+)
+def test_parse_malformed_paths_are_syntax_errors(flow, message):
+    result = dsl.parse(f"thimac a {{ stage create; }}\n{flow}", "path.tm")
+    assert result.model is None
+    assert [d.render() for d in result.diagnostics] == [f"path.tm:{message}"]
+
+
 def test_parse_deterministic():
     source = (
         "thimac a { stage create; stage process; }\n"
@@ -545,6 +558,10 @@ def test_from_json_values_of_the_wrong_shape(doc, message):
             ("DUPLICATE_DEF", "event 'E' already declared"),
         ),
         (
+            {"thimacs": [{"name": "a", "stages": [{"kind": "create"}, {"kind": "create"}]}]},
+            ("DUPLICATE_DEF", "a already has a create stage"),
+        ),
+        (
             {"events": [{"id": "E", "contains": ["F"]}, {"id": "F", "contains": ["E"]}]},
             ("EVENT_CYCLE", "event containment cycle: E -> F -> E"),
         ),
@@ -645,6 +662,40 @@ def test_from_json_duplicate_definitions_become_diagnostics():
     result = dsl.from_json(json.dumps(doc))
     assert result.model is None
     assert any(d.code == "DUPLICATE_DEF" for d in errors(result))
+
+
+def test_from_json_repeated_flow_keeps_the_first_entry():
+    flow = {"from": "a.release", "to": "a.transfer"}
+    doc = {
+        "thimacs": [
+            {"name": "a", "stages": [{"kind": "release"}, {"kind": "transfer"}]}
+        ],
+        "flows": [
+            {**flow, "implicitSegments": ["a.release"]},
+            {**flow, "implicitSegments": []},
+        ],
+    }
+    result = dsl.from_json(json.dumps(doc))
+    assert errors(result) == []
+    model = result.model
+    [edge] = model.flows
+    assert [model.qualified_name(s) for s in edge.implicit_segments] == ["a.release"]
+
+
+def test_json_round_trip_keeps_memories():
+    first = dsl.parse(
+        "thimac a { stage create; stage process; }\n"
+        "thimac b { stage create; }\n"
+        "flow a.create -> a.process;\n"
+        "memory b.create ~> a.process;\n",
+        "memory.tm",
+    )
+    text = dsl.to_json(first)
+    assert json.loads(text)["memories"] == [{"from": "b.create", "to": "a.process"}]
+    second = dsl.from_json(text)
+    assert errors(second) == []
+    assert model_equal(first.model, second.model)
+    assert len(second.model.memories) == 1
 
 
 def test_json_round_trip_preserves_normalization_provenance(load_corpus):

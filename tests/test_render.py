@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from tmkit import dsl
@@ -121,6 +123,25 @@ def test_simplified_render_noop_without_provenance(load_corpus):
     plain = render_dot(result.model, [], None, RenderOptions())
     simplified = render_dot(result.model, [], None, RenderOptions(simplified=True))
     assert plain == simplified
+
+
+def test_simplified_render_drops_a_trigger_at_a_hidden_stage():
+    doc = {
+        "thimacs": [
+            {"name": "a", "stages": [{"kind": "create"}, {"kind": "release"}]},
+            {"name": "b", "stages": [{"kind": "create"}]},
+        ],
+        "flows": [
+            {"from": "a.create", "to": "a.release", "implicitSegments": ["a.release"]}
+        ],
+        "triggers": [{"from": "b.create", "to": "a.release"}],
+    }
+    model = dsl.from_json(json.dumps(doc)).model
+    trigger = '"b.create" -> "a.release" [style=dashed];'
+    assert trigger in render_dot(model)
+    simplified = render_dot(model, [], None, RenderOptions(simplified=True))
+    assert '"a.release"' not in simplified
+    assert "style=dashed" not in simplified
 
 
 # an event label ending in a backslash, and one with quotes, a newline

@@ -237,6 +237,16 @@ def test_chronology_lint_is_opt_in():
     assert "CHRONO_UNJUSTIFIED" not in codes(linted)
 
 
+def test_chronology_lint_skips_an_edge_to_an_undeclared_event():
+    model = Model()
+    sid = model.add_stage(model.add_thimac("a"), StageKind.CREATE)
+    chrono = Chronology()
+    chrono.add_edge("A", "GHOST")
+    diags = validate(model, [EventDef("A", region={sid})], chrono, lint_chronology=True)
+    assert "CHRONO_UNKNOWN_EVENT" in codes(diags)
+    assert "CHRONO_UNJUSTIFIED" not in codes(diags)
+
+
 def test_chronology_lint_accepts_justified_edges(load_corpus):
     result = load_corpus("atm_full.tm")
     diags = validate(
