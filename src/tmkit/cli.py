@@ -12,7 +12,7 @@ import sys
 
 from . import core, dsl, render, sim
 from .diagnostics import Diagnostic, Severity
-from .errors import StepBudgetExceeded, TmError
+from .errors import AmbiguousExpansion, StepBudgetExceeded, TmError
 from .validate import validate
 
 EXIT_OK = 0
@@ -107,8 +107,10 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
         return EXIT_INVALID
     try:
         model = core.normalize(result.model, strict=True)
-    except TmError as exc:
-        print(f"{args.file}: error[AMBIGUOUS_EXPANSION] {exc}", file=sys.stderr)
+    except AmbiguousExpansion as exc:
+        _print_diagnostics(
+            [Diagnostic(Severity.ERROR, "AMBIGUOUS_EXPANSION", str(exc), exc.span)]
+        )
         return EXIT_INVALID
     _write_output(
         dsl.format_parts(model, result.events, result.chronology), args.output

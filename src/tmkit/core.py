@@ -495,7 +495,8 @@ def normalize(model: Model, strict: bool = True) -> Model:
             if strict:
                 raise AmbiguousExpansion(
                     f"flow {out.qualified_name(edge.from_stage)} -> "
-                    f"{out.qualified_name(edge.to_stage)} has no legal expansion"
+                    f"{out.qualified_name(edge.to_stage)} has no legal expansion",
+                    edge.span,
                 )
             new_flows.append(edge)
             continue

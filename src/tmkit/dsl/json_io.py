@@ -100,7 +100,7 @@ def from_json(text: str) -> ParseResult:
 
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or a number too long to convert
         err("JSON_MALFORMED", f"invalid JSON: {exc}")
         return ParseResult(None, [], None, diags)
     except RecursionError:

@@ -1,4 +1,12 @@
-"""Recursive-descent parser and lowering to core models.
+"""Parser and lowering to core models.
+
+The parser reads the lexer's token columns (``lexer.Tokens``) with a
+plain index: one loop per statement that compares kinds and texts in
+place, with no token object, no per-token method call and no
+recursion (nested thimac bodies are a stack). Line and column are
+worked out only when a span is built: once per declared element, and
+once per diagnostic. A path keeps the indexes of its first and last
+tokens and builds its span only if lowering reports it.
 
 Parsing recovers at statement boundaries (semicolons and braces), so a
 single run reports every diagnosable problem it can. Chronology
@@ -17,7 +25,7 @@ from ..behavior import Chronology, EventDef, containment_cycles
 from ..core import Model, StageKind, STAGE_KIND_NAMES
 from ..diagnostics import Diagnostic, Severity, SourceSpan, has_errors, sorted_diagnostics
 from ..errors import DuplicateName, DuplicateStageKind
-from .lexer import Token, TokenKind, tokenize
+from .lexer import TokenKind, Tokens, string_value, tokenize
 
 
 @dataclass
@@ -37,11 +45,17 @@ class ParseResult:
 
 @dataclass
 class _Path:
-    segments: list[str]
-    span: SourceSpan
+    """A path's segments and the tokens it was written with; its span is
+    built only when a diagnostic asks for it."""
 
-    def text(self) -> str:
-        return ".".join(self.segments)
+    segments: list[str]
+    tokens: Tokens
+    first: int
+    last: int
+
+    @property
+    def span(self) -> SourceSpan:
+        return self.tokens.span(self.first, self.last)
 
 
 @dataclass
@@ -84,11 +98,35 @@ class _EventDecl:
     span: SourceSpan
 
 
+# token kinds as module globals: the parser compares one per token, and
+# a global lookup is cheaper than an attribute of the enum class
+_IDENT = TokenKind.IDENT
+_INT = TokenKind.INT
+_STRING = TokenKind.STRING
+_LBRACE = TokenKind.LBRACE
+_RBRACE = TokenKind.RBRACE
+_SEMI = TokenKind.SEMI
+_DOT = TokenKind.DOT
+_COMMA = TokenKind.COMMA
+_AT = TokenKind.AT
+_ARROW = TokenKind.ARROW
+_DASH_ARROW = TokenKind.DASH_ARROW
+_EOF = TokenKind.EOF
+
+
 class _Parser:
-    def __init__(self, tokens: list[Token], file: str) -> None:
+    """Statements from the token columns.
+
+    Each method takes the index of the token it starts at and returns
+    the index just past what it consumed. The index never moves past
+    EOF. A keyword is recognised by its text alone: every word that is a
+    keyword lexes as one, and no other token's text is a word.
+    """
+
+    def __init__(self, tokens: Tokens) -> None:
         self.tokens = tokens
-        self.file = file
-        self.pos = 0
+        self.kinds = tokens.kinds
+        self.texts = tokens.texts
         self.diagnostics: list[Diagnostic] = []
         self.thimacs: list[_ThimacDecl] = []
         self.flows: list[_FlowStmt] = []
@@ -97,296 +135,310 @@ class _Parser:
         # chronology statements name only events, so need no lowering
         self.chronology: Chronology | None = None
 
-    # token helpers
+    # diagnostics and recovery
 
-    @property
-    def cur(self) -> Token:
-        return self.tokens[self.pos]
-
-    def at(self, kind: TokenKind, text: str | None = None) -> bool:
-        return self.cur.kind is kind and (text is None or self.cur.text == text)
-
-    def at_keyword(self, *words: str) -> bool:
-        return self.cur.kind is TokenKind.KEYWORD and self.cur.text in words
-
-    def take(self) -> Token:
-        tok = self.cur
-        if tok.kind is not TokenKind.EOF:
-            self.pos += 1
-        return tok
-
-    def error(self, message: str, span: SourceSpan | None = None) -> None:
+    def error(self, i: int, message: str) -> None:
+        """A syntax error spanning token ``i``."""
         self.diagnostics.append(
-            Diagnostic(
-                Severity.ERROR, "SYNTAX", message, span or self.cur.span(self.file)
-            )
+            Diagnostic(Severity.ERROR, "SYNTAX", message, self.tokens.span(i))
         )
 
-    def expect(self, kind: TokenKind, what: str) -> Token | None:
-        if self.cur.kind is kind:
-            return self.take()
-        self.error(f"expected {what}, found {self.cur.kind.value} '{self.cur.text}'")
-        return None
+    def found(self, i: int) -> str:
+        """Token ``i``'s text as an error message quotes it."""
+        return self.tokens[i].text
 
-    def sync_statement(self) -> None:
-        """Skip to just past the next ';' (or stop before '}'/EOF)."""
+    def expected(self, i: int, what: str) -> None:
+        kind = self.kinds[i].value
+        self.error(i, f"expected {what}, found {kind} '{self.found(i)}'")
+
+    def expect(self, i: int, kind: TokenKind, what: str) -> int:
+        if self.kinds[i] is kind:
+            return i + 1
+        self.expected(i, what)
+        return i
+
+    def sync(self, i: int) -> int:
+        """Just past the next ';' (or at the '}' or EOF before it)."""
+        kinds = self.kinds
         while True:
-            if self.cur.kind is TokenKind.SEMI:
-                self.take()
-                return
-            if self.cur.kind in (TokenKind.RBRACE, TokenKind.EOF):
-                return
-            self.take()
+            kind = kinds[i]
+            if kind is _SEMI:
+                return i + 1
+            if kind is _RBRACE or kind is _EOF:
+                return i
+            i += 1
+
+    def integer(self, i: int) -> int | None:
+        text = self.texts[i]
+        try:
+            return int(text)
+        except ValueError:  # over the interpreter's int-to-string digit limit
+            self.error(i, f"integer literal too long ({len(text)} digits)")
+            return None
 
     # grammar
 
     def parse(self) -> None:
-        while self.cur.kind is not TokenKind.EOF:
-            if self.at_keyword("thimac"):
-                decl = self.thimac_decl()
-                if decl:
-                    self.thimacs.append(decl)
-            elif self.at_keyword("flow"):
-                self.flow_stmt()
-            elif self.at_keyword("trigger", "memory"):
-                self.dash_stmt()
-            elif self.at_keyword("event"):
-                self.event_decl()
-            elif self.at_keyword("chronology"):
-                self.chrono_decl()
+        kinds, texts = self.kinds, self.texts
+        i = 0
+        while kinds[i] is not _EOF:
+            word = texts[i]
+            if word == "thimac":
+                i = self.thimac_decl(i)
+            elif word == "flow":
+                i = self.flow_stmt(i)
+            elif word == "trigger" or word == "memory":
+                i = self.dash_stmt(i)
+            elif word == "event":
+                i = self.event_decl(i)
+            elif word == "chronology":
+                i = self.chrono_decl(i)
             else:
                 self.error(
+                    i,
                     "expected a declaration (thimac, flow, trigger, event, "
-                    f"chronology), found '{self.cur.text}'"
+                    f"chronology), found '{self.found(i)}'",
                 )
-                self.sync_statement()
-                if self.cur.kind is TokenKind.RBRACE:
-                    self.take()
+                i = self.sync(i)
+                if kinds[i] is _RBRACE:
+                    i += 1
 
-    def annot(self) -> int | None:
-        if self.cur.kind is TokenKind.AT:
-            self.take()
-            tok = self.expect(TokenKind.INT, "an integer annotation")
-            return int(tok.text) if tok else None
-        return None
+    def annot(self, i: int) -> tuple[int | None, int]:
+        """An optional ``@n``: its value and the index after it."""
+        if self.kinds[i] is not _AT:
+            return None, i
+        i += 1
+        if self.kinds[i] is _INT:
+            return self.integer(i), i + 1
+        self.expected(i, "an integer annotation")
+        return None, i
 
-    def thimac_head(self) -> tuple[_ThimacDecl | None, bool]:
-        """``thimac NAME @n {``: the declaration, and whether its body opened."""
-        self.take()  # thimac
-        name_tok = self.expect(TokenKind.IDENT, "a thimac name")
-        if name_tok is None:
-            self.sync_statement()
-            return None, False
-        annotation = self.annot()
-        decl = _ThimacDecl(name_tok.text, annotation, name_tok.span(self.file))
-        if self.expect(TokenKind.LBRACE, "'{'") is None:
-            self.sync_statement()
-            return decl, False
-        return decl, True
+    def thimac_head(self, i: int) -> tuple[_ThimacDecl | None, bool, int]:
+        """``thimac NAME @n {``: the declaration, whether its body opened,
+        and the index after it."""
+        i += 1  # thimac
+        if self.kinds[i] is not _IDENT:
+            self.expected(i, "a thimac name")
+            return None, False, self.sync(i)
+        name = i
+        annotation, i = self.annot(i + 1)
+        decl = _ThimacDecl(self.texts[name], annotation, self.tokens.span(name))
+        if self.kinds[i] is not _LBRACE:
+            self.expected(i, "'{'")
+            return decl, False, self.sync(i)
+        return decl, True, i + 1
 
-    def thimac_decl(self) -> _ThimacDecl | None:
+    def thimac_decl(self, i: int) -> int:
         """A thimac and its nested bodies, with one stack of open bodies."""
-        decl, opened = self.thimac_head()
+        kinds, texts = self.kinds, self.texts
+        decl, opened, i = self.thimac_head(i)
         open_bodies = [decl] if opened else []
         while open_bodies:
-            if self.at(TokenKind.RBRACE) or self.cur.kind is TokenKind.EOF:
-                self.expect(TokenKind.RBRACE, "'}'")
+            kind = kinds[i]
+            word = texts[i]
+            if kind is _RBRACE:
                 open_bodies.pop()
-            elif self.at_keyword("stage"):
-                stage = self.stage_decl()
-                if stage:
-                    open_bodies[-1].stages.append(stage)
-            elif self.at_keyword("thimac"):
-                child, opened = self.thimac_head()
+                i += 1
+            elif kind is _EOF:
+                self.expected(i, "'}'")
+                open_bodies.pop()
+            elif word == "stage":
+                i += 1
+                kind_name = texts[i]
+                if kind_name not in STAGE_KIND_NAMES:
+                    self.error(
+                        i,
+                        f"expected a stage kind ({', '.join(STAGE_KIND_NAMES)}), "
+                        f"found '{self.found(i)}'",
+                    )
+                    i = self.sync(i)
+                    continue
+                at = i
+                annotation, i = self.annot(i + 1)
+                i = self.expect(i, _SEMI, "';'")
+                open_bodies[-1].stages.append(
+                    _StageDecl(kind_name, annotation, self.tokens.span(at))
+                )
+            elif word == "thimac":
+                child, opened, i = self.thimac_head(i)
                 if child:
                     open_bodies[-1].children.append(child)
                 if opened:
                     open_bodies.append(child)
             else:
                 self.error(
-                    f"expected 'stage' or 'thimac' inside thimac body, "
-                    f"found '{self.cur.text}'"
+                    i,
+                    "expected 'stage' or 'thimac' inside thimac body, "
+                    f"found '{self.found(i)}'",
                 )
-                self.sync_statement()
-        return decl
+                i = self.sync(i)
+        if decl:
+            self.thimacs.append(decl)
+        return i
 
-    def stage_decl(self) -> _StageDecl | None:
-        self.take()  # stage
-        tok = self.cur
-        if tok.kind is TokenKind.KEYWORD and tok.text in STAGE_KIND_NAMES:
-            self.take()
-            annotation = self.annot()
-            self.expect(TokenKind.SEMI, "';'")
-            return _StageDecl(tok.text, annotation, tok.span(self.file))
-        self.error(
-            f"expected a stage kind ({', '.join(STAGE_KIND_NAMES)}), "
-            f"found '{tok.text}'"
-        )
-        self.sync_statement()
-        return None
-
-    def path(self) -> _Path | None:
-        first = self.cur
-        segments: list[str] = []
-        if first.kind is TokenKind.IDENT:
-            segments.append(self.take().text)
-        elif first.kind is TokenKind.KEYWORD and first.text in STAGE_KIND_NAMES:
-            self.error("a path must start with a thimac name, not a stage kind")
-            self.take()
-            return None
-        else:
-            self.error(f"expected a path, found '{first.text}'")
-            return None
-        last = first
-        while self.cur.kind is TokenKind.DOT:
-            self.take()
-            seg = self.cur
-            if seg.kind is TokenKind.IDENT or (
-                seg.kind is TokenKind.KEYWORD and seg.text in STAGE_KIND_NAMES
-            ):
-                last = self.take()
-                segments.append(last.text)
-                if last.text in STAGE_KIND_NAMES and self.cur.kind is TokenKind.DOT:
-                    self.error("a stage kind may only end a path")
-                    return None
+    def path(self, i: int) -> tuple[_Path | None, int]:
+        """A dotted path, or None after reporting why there is none."""
+        kinds, texts = self.kinds, self.texts
+        first = i
+        if kinds[i] is not _IDENT:
+            if texts[i] in STAGE_KIND_NAMES:
+                self.error(i, "a path must start with a thimac name, not a stage kind")
+                return None, i + 1
+            self.error(i, f"expected a path, found '{self.found(i)}'")
+            return None, i
+        segments = [texts[i]]
+        i += 1
+        while kinds[i] is _DOT:
+            i += 1
+            segment = texts[i]
+            if kinds[i] is _IDENT:
+                segments.append(segment)
+                i += 1
+            elif segment in STAGE_KIND_NAMES:
+                segments.append(segment)
+                i += 1
+                if kinds[i] is _DOT:
+                    self.error(i, "a stage kind may only end a path")
+                    return None, i
             else:
-                self.error(f"expected a path segment, found '{seg.text}'")
-                return None
-        span = SourceSpan(
-            self.file, first.line, first.col, last.end_line, last.end_col
-        )
-        return _Path(segments, span)
+                self.error(i, f"expected a path segment, found '{self.found(i)}'")
+                return None, i
+        return _Path(segments, self.tokens, first, i - 1), i
 
-    def flow_stmt(self) -> None:
-        start = self.take()  # flow
-        paths: list[_Path] = []
-        p = self.path()
-        if p is None:
-            self.sync_statement()
-            return
-        paths.append(p)
-        hops = 0
-        while self.cur.kind is TokenKind.ARROW:
-            self.take()
-            p = self.path()
-            if p is None:
-                self.sync_statement()
-                return
-            paths.append(p)
-            hops += 1
-        if hops == 0:
-            self.error("a flow statement needs at least one '->'")
-            self.sync_statement()
-            return
-        self.expect(TokenKind.SEMI, "';'")
-        self.flows.append(_FlowStmt(paths, start.span(self.file)))
+    def flow_stmt(self, i: int) -> int:
+        start = i  # flow
+        path, i = self.path(i + 1)
+        if path is None:
+            return self.sync(i)
+        paths = [path]
+        while self.kinds[i] is _ARROW:
+            path, i = self.path(i + 1)
+            if path is None:
+                return self.sync(i)
+            paths.append(path)
+        if len(paths) == 1:
+            self.error(i, "a flow statement needs at least one '->'")
+            return self.sync(i)
+        i = self.expect(i, _SEMI, "';'")
+        self.flows.append(_FlowStmt(paths, self.tokens.span(start)))
+        return i
 
-    def dash_stmt(self) -> None:
-        keyword = self.take()  # trigger | memory
-        src = self.path()
+    def dash_stmt(self, i: int) -> int:
+        keyword = i  # trigger | memory
+        src, i = self.path(i + 1)
         if src is None:
-            self.sync_statement()
-            return
-        if self.cur.kind is not TokenKind.DASH_ARROW:
-            self.error(f"expected '~>' in {keyword.text} statement")
-            self.sync_statement()
-            return
-        self.take()
-        dst = self.path()
+            return self.sync(i)
+        if self.kinds[i] is not _DASH_ARROW:
+            self.error(i, f"expected '~>' in {self.texts[keyword]} statement")
+            return self.sync(i)
+        dst, i = self.path(i + 1)
         if dst is None:
-            self.sync_statement()
-            return
-        self.expect(TokenKind.SEMI, "';'")
+            return self.sync(i)
+        i = self.expect(i, _SEMI, "';'")
         self.dashes.append(
-            _DashStmt(keyword.text, src, dst, keyword.span(self.file))
+            _DashStmt(self.texts[keyword], src, dst, self.tokens.span(keyword))
         )
+        return i
 
-    def event_decl(self) -> None:
-        self.take()  # event
-        name_tok = self.expect(TokenKind.IDENT, "an event name")
-        if name_tok is None:
-            self.sync_statement()
-            return
+    def event_decl(self, i: int) -> int:
+        kinds, texts = self.kinds, self.texts
+        i += 1  # event
+        if kinds[i] is not _IDENT:
+            self.expected(i, "an event name")
+            return self.sync(i)
+        name = i
+        i += 1
         label = None
-        if self.cur.kind is TokenKind.STRING:
-            label = self.take().text
-        if self.expect(TokenKind.LBRACE, "'{'") is None:
-            self.sync_statement()
-            return
+        if kinds[i] is _STRING:
+            label = string_value(texts[i])
+            i += 1
+        if kinds[i] is not _LBRACE:
+            self.expected(i, "'{'")
+            return self.sync(i)
+        i += 1
         region: list[_Path] = []
         repeat: int | None = None
         contains: list[str] = []
-        if self.at_keyword("region"):
-            self.take()
-            if self.expect(TokenKind.LBRACE, "'{'") is not None:
-                while not self.at(TokenKind.RBRACE) and self.cur.kind is not TokenKind.EOF:
-                    p = self.path()
-                    if p is None:
-                        self.sync_statement()
+        if texts[i] == "region":
+            i += 1
+            if kinds[i] is not _LBRACE:
+                self.expected(i, "'{'")
+            else:
+                i += 1
+                while kinds[i] is not _RBRACE and kinds[i] is not _EOF:
+                    path, i = self.path(i)
+                    if path is None:
+                        i = self.sync(i)
                         continue
-                    region.append(p)
-                    self.expect(TokenKind.SEMI, "';'")
-                self.expect(TokenKind.RBRACE, "'}'")
+                    region.append(path)
+                    i = self.expect(i, _SEMI, "';'")
+                i = self.expect(i, _RBRACE, "'}'")
         else:
-            self.error("an event body must start with a region block")
-        if self.at_keyword("repeat"):
-            rep_tok = self.take()
-            count = self.expect(TokenKind.INT, "a repeat count")
-            if count is not None:
-                repeat = int(count.text)
-                if repeat < 1:
-                    self.error(
-                        "repeat count must be at least 1",
-                        rep_tok.span(self.file),
-                    )
+            self.error(i, "an event body must start with a region block")
+        if texts[i] == "repeat":
+            at = i
+            i += 1
+            if kinds[i] is _INT:
+                repeat = self.integer(i)
+                i += 1
+                if repeat is not None and repeat < 1:
+                    self.error(at, "repeat count must be at least 1")
                     repeat = None
-            self.expect(TokenKind.SEMI, "';'")
-        if self.at_keyword("contains"):
-            self.take()
-            tok = self.expect(TokenKind.IDENT, "an event name")
-            if tok is not None:
-                contains.append(tok.text)
-            while self.cur.kind is TokenKind.COMMA:
-                self.take()
-                tok = self.expect(TokenKind.IDENT, "an event name")
-                if tok is not None:
-                    contains.append(tok.text)
-            self.expect(TokenKind.SEMI, "';'")
-        self.expect(TokenKind.RBRACE, "'}'")
+            else:
+                self.expected(i, "a repeat count")
+            i = self.expect(i, _SEMI, "';'")
+        if texts[i] == "contains":
+            while True:
+                i += 1  # contains, or a comma
+                if kinds[i] is _IDENT:
+                    contains.append(texts[i])
+                    i += 1
+                else:
+                    self.expected(i, "an event name")
+                if kinds[i] is not _COMMA:
+                    break
+            i = self.expect(i, _SEMI, "';'")
+        i = self.expect(i, _RBRACE, "'}'")
         self.events.append(
             _EventDecl(
-                name_tok.text, label, region, repeat, contains,
-                name_tok.span(self.file),
+                texts[name], label, region, repeat, contains, self.tokens.span(name)
             )
         )
+        return i
 
-    def chrono_decl(self) -> None:
-        self.take()  # chronology
+    def chrono_decl(self, i: int) -> int:
+        kinds, texts = self.kinds, self.texts
+        i += 1  # chronology
         if self.chronology is None:
             self.chronology = Chronology()
         chrono = self.chronology
-        if self.expect(TokenKind.LBRACE, "'{'") is None:
-            self.sync_statement()
-            return
-        while not self.at(TokenKind.RBRACE) and self.cur.kind is not TokenKind.EOF:
-            src = self.expect(TokenKind.IDENT, "an event name")
-            if src is None:
-                self.sync_statement()
+        if kinds[i] is not _LBRACE:
+            self.expected(i, "'{'")
+            return self.sync(i)
+        i += 1
+        while kinds[i] is not _RBRACE and kinds[i] is not _EOF:
+            if kinds[i] is not _IDENT:
+                self.expected(i, "an event name")
+                i = self.sync(i)
                 continue
+            src = i
+            i += 1
             dst = None
-            if self.cur.kind is TokenKind.ARROW:
-                self.take()
-                dst_tok = self.expect(TokenKind.IDENT, "an event name")
-                if dst_tok is not None:
-                    dst = dst_tok.text
-            self.expect(TokenKind.SEMI, "';'")
+            if kinds[i] is _ARROW:
+                i += 1
+                if kinds[i] is _IDENT:
+                    dst = texts[i]
+                    i += 1
+                else:
+                    self.expected(i, "an event name")
+            i = self.expect(i, _SEMI, "';'")
             if chrono.span is None:
-                chrono.span = src.span(self.file)
+                chrono.span = self.tokens.span(src)
             if dst is None:
-                chrono.add_node(src.text)
+                chrono.add_node(texts[src])
             else:
-                chrono.add_edge(src.text, dst)
-        self.expect(TokenKind.RBRACE, "'}'")
+                chrono.add_edge(texts[src], dst)
+        return self.expect(i, _RBRACE, "'}'")
 
 
 # -- lowering ----------------------------------------------------------
@@ -506,7 +558,7 @@ class _Lowering:
         if not out:
             self.diag(
                 "UNRESOLVED_PATH",
-                f"thimac '{path.text()}' has no stages to include",
+                f"thimac '{'.'.join(path.segments)}' has no stages to include",
                 path.span,
             )
         return out
@@ -559,7 +611,7 @@ class _Lowering:
 def parse(text: str, file: str = "<input>") -> ParseResult:
     """Parse TM source text into a model plus behavior definitions."""
     tokens, diagnostics = tokenize(text, file)
-    parser = _Parser(tokens, file)
+    parser = _Parser(tokens)
     parser.parse()
     lowering = _Lowering(parser)
     lowering.declare_thimacs()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from .diagnostics import SourceSpan
+
 
 class TmError(Exception):
     """Base class for all toolkit errors."""
@@ -28,7 +30,12 @@ class UnknownEndpoint(TmError):
 
 
 class AmbiguousExpansion(TmError):
-    """An elided flow edge admits no legal stage-chain expansion."""
+    """An elided flow edge admits no legal stage-chain expansion; ``span``
+    is where the edge was written, if it was."""
+
+    def __init__(self, message: str, span: SourceSpan | None = None) -> None:
+        super().__init__(message)
+        self.span = span
 
 
 class UnknownEvent(TmError):

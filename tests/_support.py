@@ -6,6 +6,7 @@ import json
 import logging
 import random
 import re
+import sys
 from dataclasses import dataclass
 
 from tmkit.behavior import Chronology, EventDef, instances, region_edges
@@ -19,8 +20,16 @@ from tmkit.core import (
 )
 from tmkit.diagnostics import Diagnostic, Severity, SourceSpan
 from tmkit.diagnostics import has_errors, sorted_diagnostics
-from tmkit.dsl.lexer import KEYWORDS, Token, TokenKind, tokenize
-from tmkit.dsl.parser import ParseResult, _Lowering, _Parser, _ThimacDecl
+from tmkit.dsl.lexer import KEYWORDS, Token, TokenKind
+from tmkit.dsl.parser import (
+    ParseResult,
+    _DashStmt,
+    _EventDecl,
+    _FlowStmt,
+    _Lowering,
+    _StageDecl,
+    _ThimacDecl,
+)
 from tmkit.errors import (
     ContainmentCycle,
     DuplicateName,
@@ -950,8 +959,115 @@ def reference_iter_thimacs(model: Model) -> list:
     return out
 
 
-class ReferenceParser(_Parser):
-    """The parser with its old recursive ``thimac_decl``."""
+@dataclass
+class _ReferencePath:
+    segments: list[str]
+    span: SourceSpan
+
+
+def _token_span(tok: Token, file: str) -> SourceSpan:
+    return SourceSpan(file, tok.line, tok.col, tok.end_line, tok.end_col)
+
+
+class ReferenceParser:
+    """The recursive-descent parser over ``Token`` records that the
+    columnar parser replaced, with its older recursive ``thimac_decl``:
+    the oracle for ``tmkit.dsl.parser._Parser``."""
+
+    def __init__(self, tokens: list[Token], file: str) -> None:
+        self.tokens = tokens
+        self.file = file
+        self.pos = 0
+        self.diagnostics: list[Diagnostic] = []
+        self.thimacs: list[_ThimacDecl] = []
+        self.flows: list[_FlowStmt] = []
+        self.dashes: list[_DashStmt] = []
+        self.events: list[_EventDecl] = []
+        self.chronology: Chronology | None = None
+
+    # token helpers
+
+    @property
+    def cur(self) -> Token:
+        return self.tokens[self.pos]
+
+    def at(self, kind: TokenKind, text: str | None = None) -> bool:
+        return self.cur.kind is kind and (text is None or self.cur.text == text)
+
+    def at_keyword(self, *words: str) -> bool:
+        return self.cur.kind is TokenKind.KEYWORD and self.cur.text in words
+
+    def take(self) -> Token:
+        tok = self.cur
+        if tok.kind is not TokenKind.EOF:
+            self.pos += 1
+        return tok
+
+    def error(self, message: str, span: SourceSpan | None = None) -> None:
+        self.diagnostics.append(
+            Diagnostic(
+                Severity.ERROR, "SYNTAX", message,
+                span or _token_span(self.cur, self.file),
+            )
+        )
+
+    def expect(self, kind: TokenKind, what: str) -> Token | None:
+        if self.cur.kind is kind:
+            return self.take()
+        self.error(f"expected {what}, found {self.cur.kind.value} '{self.cur.text}'")
+        return None
+
+    def integer(self, tok: Token) -> int | None:
+        limit = sys.get_int_max_str_digits()  # 0: no limit
+        if limit and len(tok.text) > limit:
+            self.error(
+                f"integer literal too long ({len(tok.text)} digits)",
+                _token_span(tok, self.file),
+            )
+            return None
+        return int(tok.text)
+
+    def sync_statement(self) -> None:
+        """Skip to just past the next ';' (or stop before '}'/EOF)."""
+        while True:
+            if self.cur.kind is TokenKind.SEMI:
+                self.take()
+                return
+            if self.cur.kind in (TokenKind.RBRACE, TokenKind.EOF):
+                return
+            self.take()
+
+    # grammar
+
+    def parse(self) -> None:
+        while self.cur.kind is not TokenKind.EOF:
+            if self.at_keyword("thimac"):
+                decl = self.thimac_decl()
+                if decl:
+                    self.thimacs.append(decl)
+            elif self.at_keyword("flow"):
+                self.flow_stmt()
+            elif self.at_keyword("trigger", "memory"):
+                self.dash_stmt()
+            elif self.at_keyword("event"):
+                self.event_decl()
+            elif self.at_keyword("chronology"):
+                self.chrono_decl()
+            else:
+                self.error(
+                    "expected a declaration (thimac, flow, trigger, event, "
+                    f"chronology), found '{self.cur.text}'"
+                )
+                self.sync_statement()
+                if self.cur.kind is TokenKind.RBRACE:
+                    self.take()
+
+    def annot(self) -> int | None:
+        if self.cur.kind is TokenKind.AT:
+            self.take()
+            tok = self.expect(TokenKind.INT, "an integer annotation")
+            return self.integer(tok) if tok else None
+        return None
 
     def thimac_decl(self) -> _ThimacDecl | None:
         self.take()  # thimac
@@ -960,7 +1076,7 @@ class ReferenceParser(_Parser):
             self.sync_statement()
             return None
         annotation = self.annot()
-        decl = _ThimacDecl(name_tok.text, annotation, name_tok.span(self.file))
+        decl = _ThimacDecl(name_tok.text, annotation, _token_span(name_tok, self.file))
         if self.expect(TokenKind.LBRACE, "'{'") is None:
             self.sync_statement()
             return decl
@@ -981,6 +1097,184 @@ class ReferenceParser(_Parser):
                 self.sync_statement()
         self.expect(TokenKind.RBRACE, "'}'")
         return decl
+
+    def stage_decl(self) -> _StageDecl | None:
+        self.take()  # stage
+        tok = self.cur
+        if tok.kind is TokenKind.KEYWORD and tok.text in STAGE_KIND_NAMES:
+            self.take()
+            annotation = self.annot()
+            self.expect(TokenKind.SEMI, "';'")
+            return _StageDecl(tok.text, annotation, _token_span(tok, self.file))
+        self.error(
+            f"expected a stage kind ({', '.join(STAGE_KIND_NAMES)}), "
+            f"found '{tok.text}'"
+        )
+        self.sync_statement()
+        return None
+
+    def path(self) -> _ReferencePath | None:
+        first = self.cur
+        segments: list[str] = []
+        if first.kind is TokenKind.IDENT:
+            segments.append(self.take().text)
+        elif first.kind is TokenKind.KEYWORD and first.text in STAGE_KIND_NAMES:
+            self.error("a path must start with a thimac name, not a stage kind")
+            self.take()
+            return None
+        else:
+            self.error(f"expected a path, found '{first.text}'")
+            return None
+        last = first
+        while self.cur.kind is TokenKind.DOT:
+            self.take()
+            seg = self.cur
+            if seg.kind is TokenKind.IDENT or (
+                seg.kind is TokenKind.KEYWORD and seg.text in STAGE_KIND_NAMES
+            ):
+                last = self.take()
+                segments.append(last.text)
+                if last.text in STAGE_KIND_NAMES and self.cur.kind is TokenKind.DOT:
+                    self.error("a stage kind may only end a path")
+                    return None
+            else:
+                self.error(f"expected a path segment, found '{seg.text}'")
+                return None
+        span = SourceSpan(
+            self.file, first.line, first.col, last.end_line, last.end_col
+        )
+        return _ReferencePath(segments, span)
+
+    def flow_stmt(self) -> None:
+        start = self.take()  # flow
+        paths: list[_ReferencePath] = []
+        p = self.path()
+        if p is None:
+            self.sync_statement()
+            return
+        paths.append(p)
+        hops = 0
+        while self.cur.kind is TokenKind.ARROW:
+            self.take()
+            p = self.path()
+            if p is None:
+                self.sync_statement()
+                return
+            paths.append(p)
+            hops += 1
+        if hops == 0:
+            self.error("a flow statement needs at least one '->'")
+            self.sync_statement()
+            return
+        self.expect(TokenKind.SEMI, "';'")
+        self.flows.append(_FlowStmt(paths, _token_span(start, self.file)))
+
+    def dash_stmt(self) -> None:
+        keyword = self.take()  # trigger | memory
+        src = self.path()
+        if src is None:
+            self.sync_statement()
+            return
+        if self.cur.kind is not TokenKind.DASH_ARROW:
+            self.error(f"expected '~>' in {keyword.text} statement")
+            self.sync_statement()
+            return
+        self.take()
+        dst = self.path()
+        if dst is None:
+            self.sync_statement()
+            return
+        self.expect(TokenKind.SEMI, "';'")
+        self.dashes.append(
+            _DashStmt(keyword.text, src, dst, _token_span(keyword, self.file))
+        )
+
+    def event_decl(self) -> None:
+        self.take()  # event
+        name_tok = self.expect(TokenKind.IDENT, "an event name")
+        if name_tok is None:
+            self.sync_statement()
+            return
+        label = None
+        if self.cur.kind is TokenKind.STRING:
+            label = self.take().text
+        if self.expect(TokenKind.LBRACE, "'{'") is None:
+            self.sync_statement()
+            return
+        region: list[_ReferencePath] = []
+        repeat: int | None = None
+        contains: list[str] = []
+        if self.at_keyword("region"):
+            self.take()
+            if self.expect(TokenKind.LBRACE, "'{'") is not None:
+                while not self.at(TokenKind.RBRACE) and self.cur.kind is not TokenKind.EOF:
+                    p = self.path()
+                    if p is None:
+                        self.sync_statement()
+                        continue
+                    region.append(p)
+                    self.expect(TokenKind.SEMI, "';'")
+                self.expect(TokenKind.RBRACE, "'}'")
+        else:
+            self.error("an event body must start with a region block")
+        if self.at_keyword("repeat"):
+            rep_tok = self.take()
+            count = self.expect(TokenKind.INT, "a repeat count")
+            if count is not None:
+                repeat = self.integer(count)
+                if repeat is not None and repeat < 1:
+                    self.error(
+                        "repeat count must be at least 1",
+                        _token_span(rep_tok, self.file),
+                    )
+                    repeat = None
+            self.expect(TokenKind.SEMI, "';'")
+        if self.at_keyword("contains"):
+            self.take()
+            tok = self.expect(TokenKind.IDENT, "an event name")
+            if tok is not None:
+                contains.append(tok.text)
+            while self.cur.kind is TokenKind.COMMA:
+                self.take()
+                tok = self.expect(TokenKind.IDENT, "an event name")
+                if tok is not None:
+                    contains.append(tok.text)
+            self.expect(TokenKind.SEMI, "';'")
+        self.expect(TokenKind.RBRACE, "'}'")
+        self.events.append(
+            _EventDecl(
+                name_tok.text, label, region, repeat, contains,
+                _token_span(name_tok, self.file),
+            )
+        )
+
+    def chrono_decl(self) -> None:
+        self.take()  # chronology
+        if self.chronology is None:
+            self.chronology = Chronology()
+        chrono = self.chronology
+        if self.expect(TokenKind.LBRACE, "'{'") is None:
+            self.sync_statement()
+            return
+        while not self.at(TokenKind.RBRACE) and self.cur.kind is not TokenKind.EOF:
+            src = self.expect(TokenKind.IDENT, "an event name")
+            if src is None:
+                self.sync_statement()
+                continue
+            dst = None
+            if self.cur.kind is TokenKind.ARROW:
+                self.take()
+                dst_tok = self.expect(TokenKind.IDENT, "an event name")
+                if dst_tok is not None:
+                    dst = dst_tok.text
+            self.expect(TokenKind.SEMI, "';'")
+            if chrono.span is None:
+                chrono.span = _token_span(src, self.file)
+            if dst is None:
+                chrono.add_node(src.text)
+            else:
+                chrono.add_edge(src.text, dst)
+        self.expect(TokenKind.RBRACE, "'}'")
 
 
 class ReferenceLowering(_Lowering):
@@ -1013,8 +1307,10 @@ class ReferenceLowering(_Lowering):
 
 
 def reference_parse(text: str, file: str = "<input>") -> ParseResult:
-    """``tmkit.dsl.parse`` built from the recursive parser and lowering."""
-    tokens, diagnostics = tokenize(text, file)
+    """``tmkit.dsl.parse`` built from the per-character tokenizer, the
+    recursive-descent parser and the recursive lowering, so that no span
+    comes from the code under test."""
+    tokens, diagnostics = reference_tokenize(text, file)
     parser = ReferenceParser(tokens, file)
     parser.parse()
     lowering = ReferenceLowering(parser)

@@ -98,7 +98,21 @@ def test_normalize_inexpansible_flow_exit_one(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        f"{path}: error[AMBIGUOUS_EXPANSION] flow a.release -> a.receive "
+        f"{path}:2:1: error[AMBIGUOUS_EXPANSION] flow a.release -> a.receive "
+        "has no legal expansion\n"
+    )
+
+
+def test_normalize_inexpansible_flow_from_stdin_names_stdin(capsys, monkeypatch):
+    import io
+
+    source = "thimac a { stage release; stage receive; }\nflow a.release -> a.receive;\n"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(source))
+    assert run(["normalize", "-"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "<stdin>:2:1: error[AMBIGUOUS_EXPANSION] flow a.release -> a.receive "
         "has no legal expansion\n"
     )
 

@@ -13,10 +13,12 @@ from tmkit import dsl
 from tmkit.core import StageKind, model_equal, normalize
 from tmkit.diagnostics import Severity
 
-from tmkit.dsl.lexer import tokenize
+from tmkit.corpus import corpus_path
+from tmkit.dsl.lexer import TokenKind, tokenize
 
-from _support import random_model, reference_tokenize
+from _support import random_model, reference_parse, reference_tokenize
 from conftest import CORPUS_NAMES
+from test_fuzz import _dsl_text
 
 
 def errors(result):
@@ -199,18 +201,110 @@ _lex_text = st.lists(
 ).map("".join)
 
 
+def _tokens_and_diagnostics(text: str, file: str):
+    """``tokenize``'s columns as ``Token`` records, field for field."""
+    tokens, diagnostics = tokenize(text, file)
+    return list(tokens), diagnostics
+
+
 @settings(max_examples=600, deadline=None)
 @given(_lex_text)
 def test_tokenize_matches_reference_tokenizer(text):
-    assert tokenize(text, "f.tm") == reference_tokenize(text, "f.tm")
+    assert _tokens_and_diagnostics(text, "f.tm") == reference_tokenize(text, "f.tm")
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_tokenize_matches_reference_on_corpus(name):
-    from tmkit.corpus import corpus_path
-
     text = corpus_path(name).read_text(encoding="utf-8")
-    assert tokenize(text, name) == reference_tokenize(text, name)
+    assert _tokens_and_diagnostics(text, name) == reference_tokenize(text, name)
+
+
+def test_parse_lexes_once_through_the_parser_module_tokenize(monkeypatch):
+    """``parse`` lexes through the attribute ``tmkit.dsl.parser.tokenize``,
+    once, and ``len`` of the tokens it returns counts them, EOF included;
+    the benchmark's traced run and its token count rely on both."""
+    import tmkit.dsl.parser as parser_module
+
+    calls = []
+
+    def counted(text, file):
+        calls.append(file)
+        return tokenize(text, file)
+
+    monkeypatch.setattr(parser_module, "tokenize", counted)
+    text = corpus_path("mud.tm").read_text(encoding="utf-8")
+    assert dsl.parse(text, "mud.tm").model is not None
+    assert calls == ["mud.tm"]
+    tokens = tokenize(text, "mud.tm")[0]
+    assert len(tokens) == len(reference_tokenize(text, "mud.tm")[0])
+    assert tokens[len(tokens) - 1].kind is TokenKind.EOF
+
+
+# -- parser against the recursive-descent oracle -------------------------
+
+
+def _assert_same_parse(text: str, file: str) -> None:
+    got, want = dsl.parse(text, file), reference_parse(text, file)
+    assert got.diagnostics == want.diagnostics
+    assert got.events == want.events
+    assert got.chronology == want.chronology  # its span included
+    assert (got.model is None) == (want.model is None)
+    if got.model is not None:
+        assert dsl.to_json(got) == dsl.to_json(want)
+        # element spans, which the JSON leaves out
+        assert list(got.model.thimacs.values()) == list(want.model.thimacs.values())
+        assert list(got.model.stages.values()) == list(want.model.stages.values())
+        assert got.model.flows == want.model.flows
+        assert got.model.triggers == want.model.triggers
+        assert got.model.memories == want.model.memories
+
+
+@settings(max_examples=500, deadline=None)
+@given(_dsl_text)
+def test_parse_matches_reference_parser(text):
+    _assert_same_parse(text, "p.tm")
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_parse_matches_reference_parser_on_corpus(name):
+    _assert_same_parse(corpus_path(name).read_text(encoding="utf-8"), name)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # statements the generators seldom write whole
+        'thimac a @1 { stage create @2; stage release; thimac b { stage receive; } }\n'
+        'memory a.create ~> a.b.receive;\n'
+        'event E "tab\\there\\n" { region { a; a.b.receive; } repeat 3; contains F, G, H; }\n'
+        'event F { region { a.create; } } event G { region { a; } } event H { region { a; } }\n'
+        "chronology { E -> F; G; } chronology { F -> H; }",
+        # recovery: stray braces, missing names, unterminated bodies
+        "} } thimac { stage create; } flow a -> ; event { } chronology { -> E; ",
+        'event E "x" region { a; } } trigger a -> b; memory a ~> ; thimac a { stage x;',
+        "thimac a { stage create; } event E { region { a.create.b; a.; } repeat 0; contains ; }",
+    ],
+)
+def test_parse_matches_reference_parser_on_hand_written_text(text):
+    _assert_same_parse(text, "h.tm")
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "thimac a @{digits} {{ stage create; }}",
+        "thimac a {{ stage create @{digits}; }}",
+        "thimac a {{ stage create; }}\nevent E {{ region {{ a; }} repeat {digits}; }}",
+    ],
+    ids=["thimac-annotation", "stage-annotation", "repeat"],
+)
+def test_parse_integer_literal_too_long_to_convert_is_a_syntax_error(source):
+    digits = "9" * 5000  # over the interpreter's 4300-digit conversion limit
+    result = dsl.parse(source.format(digits=digits), "big.tm")
+    assert result.model is None
+    assert [(d.code, d.message) for d in result.diagnostics] == [
+        ("SYNTAX", "integer literal too long (5000 digits)")
+    ]
 
 
 def test_every_diagnostic_carries_a_span_inside_the_text():
@@ -438,6 +532,13 @@ def test_from_json_malformed_text():
     result = dsl.from_json("{not json")
     assert result.model is None
     assert any(d.code == "JSON_MALFORMED" for d in errors(result))
+
+
+def test_from_json_number_too_long_to_convert():
+    digits = "9" * 5000  # over the interpreter's 4300-digit conversion limit
+    result = dsl.from_json('{"thimacs": [{"name": "a", "annotation": ' + digits + "}]}")
+    assert result.model is None
+    assert [d.code for d in result.diagnostics] == ["JSON_MALFORMED"]
 
 
 @pytest.mark.parametrize(
