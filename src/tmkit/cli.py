@@ -2,6 +2,14 @@
 
 Exit codes: 0 success, 1 parse/validation errors, 2 usage errors,
 3 simulation errors. Warnings alone exit 0 unless --deny-warnings.
+
+Start-up rule: a subcommand imports only the modules it runs. ``core``,
+``dsl`` and ``validate`` serve every subcommand and are imported here
+(``validate`` is also eager in ``tmkit/__init__``); ``sim`` and
+``render`` are imported inside their subcommands, and ``dsl`` loads
+the printer and ``json_io`` on first use. Functions are called through
+their modules (``dsl.parse``, ``render.render_dot``), so a wrapper set
+on the module attribute sees every call.
 """
 
 from __future__ import annotations
@@ -10,7 +18,7 @@ import argparse
 import os
 import sys
 
-from . import core, dsl, render, sim
+from . import core, dsl
 from .diagnostics import Diagnostic, Severity
 from .errors import AmbiguousExpansion, StepBudgetExceeded, TmError
 from .validate import validate
@@ -43,12 +51,13 @@ def _print_diagnostics(diags: list[Diagnostic], stream=None) -> None:
 
 
 def _read_source(path: str) -> tuple[str, str]:
+    # strict UTF-8 for files and stdin, whatever the locale; a leading
+    # byte-order mark is skipped
     if path == "-":
-        # stdin is read as strict UTF-8, like files, whatever the locale
         if hasattr(sys.stdin, "reconfigure"):
-            sys.stdin.reconfigure(encoding="utf-8", errors="strict")
+            sys.stdin.reconfigure(encoding="utf-8-sig", errors="strict")
         return sys.stdin.read(), "<stdin>"
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         return handle.read(), path
 
 
@@ -119,6 +128,8 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from . import sim
+
     result, model, _ = _load_checked(args.file)
     if model is None:
         return EXIT_INVALID
@@ -143,6 +154,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
+    from . import render
+
     result = _load(args.file)
     if result.model is None:
         _print_diagnostics(result.diagnostics)

@@ -1,7 +1,17 @@
-"""Textual concrete syntax: parsing, printing, and JSON interchange."""
+"""Textual concrete syntax: parsing, printing, and JSON interchange.
 
-from .json_io import from_json, to_json
-from .parser import ParseResult, parse
-from .printer import format, format_parts
+Each public name is imported from its module on first use, so parsing
+alone loads neither the printer nor ``json``.
+"""
 
-__all__ = ["parse", "ParseResult", "format", "format_parts", "to_json", "from_json"]
+from .. import _lazy
+
+_EXPORTS = {
+    ".parser": ("parse", "ParseResult"),
+    ".printer": ("format", "format_parts"),
+    ".json_io": ("to_json", "from_json"),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+__getattr__, __dir__ = _lazy(globals(), _EXPORTS)

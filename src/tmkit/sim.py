@@ -84,7 +84,6 @@ the remaining instances are emitted from it instead of being run:
 from __future__ import annotations
 
 import enum
-import logging
 from collections import defaultdict
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
@@ -100,8 +99,6 @@ from .core import (
 )
 from .errors import PreconditionViolated, StepBudgetExceeded
 from .validate import validate
-
-log = logging.getLogger(__name__)
 
 
 class FiringKind(enum.Enum):
@@ -431,7 +428,10 @@ class _Run:
                 moved = True
                 if len(edges) > 1:
                     quiet = False
-                    log.warning(
+                    # logging is imported only by a run that broadcasts
+                    import logging
+
+                    logging.getLogger(__name__).warning(
                         "broadcast: token %d at %s replicates along %d flows "
                         "(event %s)",
                         token.id,

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -342,8 +344,39 @@ def test_python_dash_m_runs_tm(module, capsys):
 
 
 
+# A model whose create stage broadcasts, so ``tm simulate`` logs a warning.
+BROADCAST = (
+    "thimac a { stage create; stage process; stage release; }\n"
+    "flow a.create -> a.process;\n"
+    "flow a.create -> a.release;\n"
+    "event E { region { a; } }\n"
+    "chronology { E; }\n"
+)
+
+# Every subcommand once: argv after ``tm``, with {model} for atm_full.tm
+# and {broadcast} for a model written from BROADCAST.
+SUBCOMMANDS = [
+    ["parse", "{model}", "--json"],
+    ["validate", "{model}"],
+    ["normalize", "{model}"],
+    ["simulate", "{broadcast}", "--trace", "-"],
+    ["render", "{model}", "--mode", "static"],
+    ["render", "{model}", "--mode", "events"],
+    ["render", "{model}", "--mode", "chronology"],
+]
+
+
+@pytest.fixture()
+def subcommand_argvs(tmp_path):
+    broadcast = tmp_path / "broadcast.tm"
+    broadcast.write_text(BROADCAST)
+    paths = {"model": str(corpus_path("atm_full.tm")), "broadcast": str(broadcast)}
+    return [[a.format(**paths) for a in argv] for argv in SUBCOMMANDS]
+
+
 # Imports every tmkit module (``tmkit.__main__`` runs ``tm --help``, which
-# exits) and prints the names of all loaded modules.
+# exits), runs each `tm` subcommand given as a JSON list of argvs, and
+# prints the names of all loaded modules.
 _IMPORT_ALL = """
 import contextlib, importlib, io, json, pkgutil, sys
 sys.path.insert(0, sys.argv[1])
@@ -352,11 +385,15 @@ import tmkit
 for info in pkgutil.walk_packages(tmkit.__path__, "tmkit."):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
         importlib.import_module(info.name)
+from tmkit.cli import run
+for argv in json.loads(sys.stdin.read()):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert run(argv) == 0, argv
 print(json.dumps(sorted(sys.modules)))
 """
 
 
-def test_every_module_imports_only_the_standard_library():
+def test_every_module_imports_only_the_standard_library(subcommand_argvs):
     package = Path(tmkit.__file__).parent
     ours = {
         ".".join(("tmkit", *path.relative_to(package).with_suffix("").parts))
@@ -366,11 +403,225 @@ def test_every_module_imports_only_the_standard_library():
     # -S: no site hooks, which can import third-party modules themselves
     done = subprocess.run(
         [sys.executable, "-S", "-c", _IMPORT_ALL, str(package.parent)],
-        capture_output=True, text=True, check=True,
+        input=json.dumps(subcommand_argvs), capture_output=True, text=True, check=True,
     )
     loaded = set(json.loads(done.stdout))
     # a module whose import raised, as ``tmkit.__main__``'s exit does,
     # leaves sys.modules again
     assert ours - {"tmkit.__main__"} <= loaded
+    # imports inside functions ran too: only a broadcast imports logging
+    assert "logging" in loaded
     others = {name.partition(".")[0] for name in loaded - ours} - {"__main__"}
     assert others <= sys.stdlib_module_names, others - sys.stdlib_module_names
+
+
+# Runs ``tm`` in a fresh interpreter (argv: tmkit's source folder, then
+# the arguments of ``tm``) and prints the exit code and the loaded
+# modules after its output, without importing json, which ``tm`` may
+# load only for ``parse --json``.
+_RUN_TM = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from tmkit.cli import run
+code = run(sys.argv[2:])
+print("\\nmodules:", code, *sorted(sys.modules))
+"""
+
+
+def _run_tm(argv: list[str]) -> tuple[int, set[str], str, str]:
+    """Exit code, loaded modules, stdout and stderr of a fresh ``tm`` run."""
+    src = str(Path(tmkit.__file__).parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", _RUN_TM, src, *argv],
+        capture_output=True, text=True, check=True,
+    )
+    out, _, tail = done.stdout.rpartition("\nmodules: ")
+    code, *modules = tail.split()
+    return int(code), set(modules), out, done.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, loads",
+    [
+        (["parse", "--json"], {"tmkit.dsl.json_io", "json"}),
+        (["validate"], set()),
+        (["normalize"], {"tmkit.dsl.printer"}),
+        (["render", "--mode", "static"], {"tmkit.render"}),
+    ],
+)
+def test_a_subcommand_imports_only_what_it_runs(argv, loads):
+    # modules that only some subcommands need
+    optional = {
+        "tmkit.sim", "tmkit.render", "tmkit.dsl.printer", "tmkit.dsl.json_io",
+        "json", "logging",
+    }
+    model = str(corpus_path("atm_full.tm"))
+    code, modules, _, err = _run_tm([argv[0], model, *argv[1:]])
+    assert (code, err) == (0, "")
+    assert modules & optional == loads
+
+
+def test_simulate_loads_logging_only_to_warn(tmp_path):
+    code, modules, _, err = _run_tm(["simulate", str(corpus_path("atm_full.tm"))])
+    assert (code, err) == (0, "")
+    assert "tmkit.sim" in modules and "logging" not in modules
+    path = tmp_path / "broadcast.tm"
+    path.write_text(BROADCAST)
+    code, modules, out, err = _run_tm(["simulate", str(path)])
+    assert code == 0
+    assert "logging" in modules
+    assert out == "1 event instance(s), 4 firing(s), 2 token(s)\n"
+    assert err == "broadcast: token 1 at a.create replicates along 2 flows (event E)\n"
+
+
+# Each public name of tmkit and the module it is defined in or re-exported from.
+PUBLIC_HOMES = {
+    "tmkit.behavior": [
+        "Chronology", "EventDef", "check_region", "flatten", "instances",
+        "region_coverage", "topological_orders_contains",
+    ],
+    "tmkit.core": ["Model", "StageKind", "is_normalized", "model_equal", "normalize"],
+    "tmkit.diagnostics": ["Diagnostic", "Severity", "SourceSpan"],
+    "tmkit.dsl": ["ParseResult", "from_json", "parse", "to_json"],
+    "tmkit.render": ["RenderMode", "RenderOptions", "render_dot"],
+    "tmkit.sim": ["SimConfig", "Trace", "coverage", "simulate", "trace_to_json"],
+    "tmkit.validate": ["legality", "validate"],
+}
+
+# In a fresh interpreter: which modules ``import tmkit`` loads, then
+# for each public name reached by ``from tmkit import *``, by attribute
+# before and after a run of every subcommand (argvs as JSON on stdin),
+# whether it is the object its home module holds.
+_PUBLIC_NAMES = """
+import contextlib, importlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+homes = {n: m for m, names in json.loads(sys.argv[2]).items() for n in names}
+import tmkit
+report = {"loaded": sorted(sys.modules), "all": tmkit.__all__, "dir": dir(tmkit)}
+def same(get):
+    return sorted(n for n in homes
+                  if get(n) is getattr(importlib.import_module(homes[n]), n))
+star = {}
+exec("from tmkit import *", star)
+report["star"] = same(star.get)
+report["attr"] = same(lambda n: getattr(tmkit, n))
+import tmkit.cli
+for argv in json.loads(sys.stdin.read()):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert tmkit.cli.run(argv) == 0, argv
+report["after_cli"] = same(lambda n: getattr(tmkit, n))
+report["validate"] = tmkit.validate is sys.modules["tmkit.validate"].validate
+print(json.dumps(report))
+"""
+
+
+def test_public_names_are_lazy_and_keep_their_objects(subcommand_argvs):
+    src = str(Path(tmkit.__file__).parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", _PUBLIC_NAMES, src, json.dumps(PUBLIC_HOMES)],
+        input=json.dumps(subcommand_argvs), capture_output=True, text=True, check=True,
+    )
+    report = json.loads(done.stdout)
+    public = sorted(n for names in PUBLIC_HOMES.values() for n in names)
+    assert report["all"] == public == tmkit.__all__
+    assert set(public) <= set(report["dir"])
+    # import tmkit loads tmkit.validate and its imports, and no more
+    assert not {"tmkit.sim", "tmkit.render", "logging"} & set(report["loaded"])
+    assert report["star"] == report["attr"] == report["after_cli"] == public
+    # not shadowed by the submodule of the same name
+    assert report["validate"] is True
+    assert callable(tmkit.validate) and not isinstance(tmkit.validate, type(sys))
+
+
+def test_unknown_attribute_is_an_attribute_error():
+    import tmkit.dsl
+
+    for module in (tmkit, tmkit.dsl):
+        assert not hasattr(module, "no_such_name")
+        assert set(module.__all__) <= set(dir(module))
+
+
+def _traced() -> list[tuple[str, str, str]]:
+    """``TRACED`` of ``tmbench/spans.py``: the attributes its tracer patches."""
+    return runpy.run_path(str(Path(__file__).parent.parent / "tmbench" / "spans.py"))[
+        "TRACED"
+    ]
+
+
+def test_benchmark_traced_attributes_resolve_after_a_fresh_import():
+    root = Path(__file__).parent.parent
+    script = (
+        "import importlib, sys\n"
+        "sys.path[:0] = sys.argv[1:3]\n"
+        "from tmbench.spans import TRACED\n"
+        "for module, attr, _ in TRACED:\n"
+        "    assert callable(getattr(importlib.import_module(module), attr)), attr\n"
+        "print(len(TRACED))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script, str(root / "src"), str(root)],
+        capture_output=True, text=True, check=True,
+    )
+    assert int(done.stdout) == len(_traced())
+
+
+@pytest.mark.parametrize(
+    "module, attr, argv",
+    [
+        ("tmkit.dsl", "parse", ["parse", "{model}"]),
+        ("tmkit.dsl", "to_json", ["parse", "{model}", "--json"]),
+        ("tmkit.dsl", "format_parts", ["normalize", "{model}"]),
+        ("tmkit.cli", "validate", ["validate", "{model}"]),
+        ("tmkit.sim", "trace_to_json", ["simulate", "{model}", "--trace", "-"]),
+        ("tmkit.render", "render_dot", ["render", "{model}", "--mode", "events"]),
+    ],
+)
+def test_cli_calls_the_traced_attributes(module, attr, argv, monkeypatch, capsys):
+    assert (module, attr) in {(m, a) for m, a, _ in _traced()}
+    target = importlib.import_module(module)
+    real = getattr(target, attr)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(target, attr, counted)
+    model = str(corpus_path("atm_full.tm"))
+    assert run([a.format(model=model) for a in argv]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["parse", "--json"], ["validate"], ["normalize"], ["simulate", "--trace", "-"],
+     ["render", "--mode", "events"]],
+)
+@pytest.mark.parametrize("source", ["atm_full", "broken"])
+def test_leading_byte_order_mark_is_skipped(
+    argv, source, broken_file, tmp_path, capsys, monkeypatch
+):
+    import io
+
+    text = (
+        corpus_path("atm_full.tm").read_bytes()
+        if source == "atm_full"
+        else broken_file.read_bytes()
+    )
+    outcomes = []
+    for data in (text, b"\xef\xbb\xbf" + text):
+        # the same file name in two folders, so diagnostics read alike
+        folder = tmp_path / str(len(outcomes))
+        folder.mkdir()
+        (folder / "model.tm").write_bytes(data)
+        monkeypatch.chdir(folder)
+        code = run([argv[0], "model.tm", *argv[1:]])
+        outcomes.append((code, *capsys.readouterr()))
+        # stdin may carry another encoding; tm reads it as UTF-8 anyway
+        stdin = io.TextIOWrapper(io.BytesIO(data), encoding="latin-1")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code = run([argv[0], "-", *argv[1:]])
+        outcomes.append((code, *capsys.readouterr()))
+    plain, plain_stdin, bom, bom_stdin = outcomes
+    assert bom == plain and bom_stdin == plain_stdin
