@@ -65,9 +65,9 @@ of the machine of an in-region trigger target that is not a create
 stage) and through the tokens it adopts. So an instance is a template
 when it adopted no token, did not broadcast, and left the occupancy of
 the watched stages as it found it. Then every later instance of the
-node makes the template's firings, with steps shifted by the number of
-firings and token ids by the number of tokens the template made, and
-the remaining instances are emitted from it instead of being run:
+node makes the template's firings, with token ids shifted by the number
+of tokens the template made, and the remaining instances are emitted
+from it instead of being run:
 
 * At quiescence no token resting at a route stage is eligible, and a
   token's eligibility depends only on its own state and the plan, so
@@ -79,12 +79,24 @@ the remaining instances are emitted from it instead of being run:
 * Each later instance takes as many steps as the template, so none can
   exceed the step budget; and since the template did not broadcast,
   none would have logged a warning.
+
+The trace stores firings as parallel columns, one entry per firing:
+the event id, the instance number, the element, the kind and the token
+id (or None). They hold only shared strings, ints, None and kind
+members, so a trace makes no object per firing for the cyclic collector
+to walk. A firing's step is its index in the columns; the columns grow
+by one firing at a time, so that index is the step counter. A replayed
+copy extends each column once: the event id and the instance number
+repeated, the template's elements and kinds, and its token ids mapped
+to the tokens the copy made. ``Trace.firings`` reads the columns as a
+sequence of ``Firing``, built when read.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import defaultdict
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
@@ -135,9 +147,52 @@ class Firing:
 
 @dataclass
 class Trace:
-    firings: list[Firing] = field(default_factory=list)
+    """The record of a run; firings are kept as parallel columns, and a
+    firing's step is its index in them (see the module docstring)."""
+
+    events: list[str] = field(default_factory=list)
+    instances: list[int] = field(default_factory=list)
+    elements: list[ElementId] = field(default_factory=list)
+    kinds: list[FiringKind] = field(default_factory=list)
+    tokens: list[int | None] = field(default_factory=list)
     event_order: list[tuple[str, int, int]] = field(default_factory=list)
     final_tokens: list[Token] = field(default_factory=list)
+
+    @property
+    def firings(self) -> Firings:
+        """The firings as a read-only sequence of ``Firing``; a new view
+        on each read, since one kept here would make a reference cycle."""
+        return Firings(self)
+
+
+class Firings(Sequence):
+    """A read-only view of a trace's firing columns: ``len``, indexing,
+    slices (as lists) and iteration, each ``Firing`` built when read."""
+
+    __slots__ = ("_trace",)
+
+    def __init__(self, trace: Trace) -> None:
+        self._trace = trace
+
+    def __len__(self) -> int:
+        return len(self._trace.kinds)
+
+    def __getitem__(self, index):
+        steps = range(len(self))[index]
+        if isinstance(steps, range):
+            return [self[step] for step in steps]
+        t = self._trace
+        return Firing(
+            steps, t.events[steps], t.instances[steps], t.elements[steps],
+            t.kinds[steps], t.tokens[steps],
+        )
+
+    def __iter__(self) -> Iterator[Firing]:
+        t = self._trace
+        return map(
+            Firing, range(len(t.kinds)), t.events, t.instances, t.elements,
+            t.kinds, t.tokens,
+        )
 
 
 @dataclass
@@ -215,22 +270,23 @@ class _Run:
         self.tokens = self.trace.final_tokens
         # resting tokens by stage, then by token id
         self.at: defaultdict[ElementId, dict[int, Token]] = defaultdict(dict)
-        self.step = 0
         # per-instance state
         self.plan: _Plan | None = None
         self.event_id = ""
         self.instance = 0
-        self.step_limit = 0  # the instance fails once ``step`` passes this
+        self.step_limit = 0  # the instance fails once the trace is longer
         self.active: list[Token] = []
 
     # -- record keeping ------------------------------------------------
 
     def _emit(self, kind: FiringKind, element: ElementId, token: int | None) -> None:
-        self.trace.firings.append(
-            Firing(self.step, self.event_id, self.instance, element, kind, token)
-        )
-        self.step += 1
-        if self.step > self.step_limit:
+        trace = self.trace
+        trace.events.append(self.event_id)
+        trace.instances.append(self.instance)
+        trace.elements.append(element)
+        trace.kinds.append(kind)
+        trace.tokens.append(token)
+        if len(trace.kinds) > self.step_limit:
             raise StepBudgetExceeded(
                 f"event '{self.event_id}' instance {self.instance} exceeded "
                 f"{self.config.max_steps_per_event} steps without quiescing"
@@ -330,7 +386,7 @@ class _Run:
                 self.run_instance(event, plan, instance, tick)
                 return tick + 1
             before = [s for s in plan.watched if at.get(s)]
-            first_firing, first_token = len(self.trace.firings), len(self.tokens)
+            first_firing, first_token = len(self.trace.kinds), len(self.tokens)
             quiet = self.run_instance(event, plan, instance, tick)
             tick += 1
             if quiet and [s for s in plan.watched if at.get(s)] == before:
@@ -347,30 +403,30 @@ class _Run:
         count: int,
         tick: int,
     ) -> None:
-        """Append instances ``template + 1 .. count`` as shifted copies of
-        instance ``template``, whose firings and new tokens start at the
-        given list positions."""
-        firings = self.trace.firings
+        """Append instances ``template + 1 .. count`` as copies of instance
+        ``template``, whose firings and new tokens start at the given list
+        positions; each copy extends every firing column once."""
+        trace = self.trace
         made = self.tokens[first_token:]
+        elements = trace.elements[first_firing:]
+        kinds = trace.kinds[first_firing:]
+        events = [event_id] * len(kinds)
         # the template adopted nothing, so its firings name only tokens it
         # made: keep their positions in ``made``, so that each copy's
         # firings share the copy's id object instead of each adding one
-        rows = [
-            (f.step, f.element, f.kind, None if f.token is None else f.token - first_token - 1)
-            for f in firings[first_firing:]
+        made_at = [
+            None if t is None else t - first_token - 1
+            for t in trace.tokens[first_firing:]
         ]
-        for k, instance in enumerate(range(template + 1, count + 1), 1):
-            ds = len(rows) * k
+        for instance in range(template + 1, count + 1):
             ids = [self._new_token(t.location, t.thing, t.prev_stage).id for t in made]
-            firings.extend(
-                [
-                    Firing(s + ds, event_id, instance, e, kind, None if i is None else ids[i])
-                    for s, e, kind, i in rows
-                ]
-            )
-            self.trace.event_order.append((event_id, instance, tick))
+            trace.events += events
+            trace.instances += [instance] * len(kinds)
+            trace.elements += elements
+            trace.kinds += kinds
+            trace.tokens += [None if i is None else ids[i] for i in made_at]
+            trace.event_order.append((event_id, instance, tick))
             tick += 1
-        self.step += len(rows) * (count - template)
 
     def run_instance(
         self, event: EventDef, plan: _Plan, instance: int, tick: int
@@ -380,7 +436,7 @@ class _Run:
         self.plan = plan
         self.event_id = event.id
         self.instance = instance
-        self.step_limit = self.step + self.config.max_steps_per_event
+        self.step_limit = len(self.trace.kinds) + self.config.max_steps_per_event
         self.active = []
 
         held_before = {
@@ -501,25 +557,36 @@ def _simulate_validated(
 
 
 def coverage(model: Model, trace: Trace, events: list[EventDef]) -> dict:
-    """Runtime coverage: which region stages actually fired."""
+    """Runtime coverage: which region stages actually fired.
+
+    An event's score is the share of its region's stages fired by the
+    event itself or by any event it contains, directly or not.
+    """
     fired_by_event: dict[str, set[ElementId]] = {}
     fired_all: set[ElementId] = set()
-    for firing in trace.firings:
-        if firing.kind in (FiringKind.TOKEN_SPAWN, FiringKind.STAGE_FIRE):
-            stage = firing.element
-        elif firing.kind is FiringKind.FLOW_MOVE:
-            stage = model.edges[firing.element].to_stage
-        else:
+    for event_id, element, kind in zip(trace.events, trace.elements, trace.kinds):
+        if kind is FiringKind.FLOW_MOVE:
+            stage = model.edges[element].to_stage
+        elif kind is FiringKind.TRIGGER_FIRE:
             continue
-        fired_by_event.setdefault(firing.event, set()).add(stage)
+        else:
+            stage = element
+        fired_by_event.setdefault(event_id, set()).add(stage)
         fired_all.add(stage)
+    by_id = {e.id: e for e in events}
+
+    def subevents(event_id: str) -> list[str]:
+        return by_id[event_id].subevents if event_id in by_id else []
+
     per_event = {}
     region_union: set[ElementId] = set()
     for event in events:
         stages = {s for s in event.region if s in model.stages}
         region_union |= stages
-        fired = fired_by_event.get(event.id, set()) & stages
-        per_event[event.id] = len(fired) / len(stages) if stages else 1.0
+        fired = set().union(
+            *(fired_by_event.get(e, ()) for e in graph.preorder([event.id], subevents))
+        )
+        per_event[event.id] = len(fired & stages) / len(stages) if stages else 1.0
     never = sorted(
         model.qualified_name(s) for s in region_union - fired_all
     )
@@ -534,31 +601,34 @@ def trace_to_json(model: Model, trace: Trace) -> str:
     directly: each string is escaped once and each entry is filled into
     a fixed template, since the indenting encoder runs in pure Python.
     """
-    named = {f.element for f in trace.firings}
+    named = set(trace.elements)
     named.update(t.location for t in trace.final_tokens)
     quoted = {eid: encode_basestring_ascii(model.qualified_name(eid)) for eid in named}
-    strings: dict[str, str] = {}
-
-    def q(text: str) -> str:
-        if text not in strings:
-            strings[text] = encode_basestring_ascii(text)
-        return strings[text]
+    texts = {
+        *trace.events,
+        *(e for e, _, _ in trace.event_order),
+        *(t.thing for t in trace.final_tokens),
+    }
+    q = {text: encode_basestring_ascii(text) for text in texts}
 
     # every entry starts with its separator; _json_list drops the first one
     event_order = [
-        f',\n    {{\n      "event": {q(e)},\n      "instance": {i},\n'
+        f',\n    {{\n      "event": {q[e]},\n      "instance": {i},\n'
         f'      "tick": {t}\n    }}'
         for e, i, t in trace.event_order
     ]
     firings = [
-        f',\n    {{\n      "step": {f.step},\n      "event": {q(f.event)},\n'
-        f'      "instance": {f.instance},\n      "element": {quoted[f.element]},\n'
-        f'      "kind": {f.kind.quoted},\n'
-        f'      "token": {"null" if f.token is None else f.token}\n    }}'
-        for f in trace.firings
+        f',\n    {{\n      "step": {step},\n      "event": {q[e]},\n'
+        f'      "instance": {i},\n      "element": {quoted[el]},\n'
+        f'      "kind": {kind.quoted},\n'
+        f'      "token": {"null" if token is None else token}\n    }}'
+        for step, e, i, el, kind, token in zip(
+            range(len(trace.kinds)), trace.events, trace.instances, trace.elements,
+            trace.kinds, trace.tokens,
+        )
     ]
     final_tokens = [
-        f',\n    {{\n      "id": {t.id},\n      "thing": {q(t.thing)},\n'
+        f',\n    {{\n      "id": {t.id},\n      "thing": {q[t.thing]},\n'
         f'      "location": {quoted[t.location]}\n    }}'
         for t in trace.final_tokens
     ]

@@ -7,7 +7,7 @@ import logging
 import random
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from tmkit.behavior import Chronology, EventDef, instances, region_edges
 from tmkit.core import (
@@ -38,7 +38,7 @@ from tmkit.errors import (
     StepBudgetExceeded,
     UnknownEvent,
 )
-from tmkit.sim import Firing, FiringKind, SimConfig, Trace
+from tmkit.sim import Firing, FiringKind, SimConfig
 
 KINDS = list(StageKind)
 
@@ -327,9 +327,11 @@ def random_legal_chain_model(rng: random.Random, machines: int = 3) -> Model:
     return model
 
 
-def reference_trace_to_json(model: Model, trace: Trace) -> str:
+def reference_trace_to_json(model: Model, trace) -> str:
     """The trace document through ``json.dumps``: the byte-format oracle
-    for ``tmkit.sim.trace_to_json``."""
+    for ``tmkit.sim.trace_to_json``. It reads a ``tmkit.sim.Trace`` or a
+    ``ReferenceTrace`` alike, through ``firings``, ``event_order`` and
+    ``final_tokens``."""
     doc = {
         "eventOrder": [
             {"event": e, "instance": i, "tick": t}
@@ -397,11 +399,21 @@ class _ReferenceToken:
     prev_stage: ElementId | None = None
 
 
+@dataclass
+class ReferenceTrace:
+    """The oracle's own record of a run: one stored ``Firing`` per firing,
+    sharing no storage code with ``tmkit.sim.Trace``."""
+
+    firings: list[Firing] = field(default_factory=list)
+    event_order: list[tuple[str, int, int]] = field(default_factory=list)
+    final_tokens: list[_ReferenceToken] = field(default_factory=list)
+
+
 class _ReferenceRun:
     def __init__(self, model: Model, config: SimConfig) -> None:
         self.model = model
         self.config = config
-        self.trace = Trace()
+        self.trace = ReferenceTrace()
         self.tokens: list[_ReferenceToken] = []
         self.at: dict[ElementId, list[_ReferenceToken]] = {}
         self.step = 0
@@ -618,7 +630,7 @@ def reference_simulate(
     events: list[EventDef],
     chronology: Chronology | None,
     config: SimConfig | None = None,
-) -> Trace:
+) -> ReferenceTrace:
     """The interpreter ``tmkit.sim`` replaced with per-event plans, which
     rebuilds each region's edge lists on every instance: the oracle for
     ``tmkit.sim._simulate_validated``. It logs broadcasts to the

@@ -17,6 +17,7 @@ from tmkit.core import Model, StageKind, edge_legal, normalize
 from tmkit.corpus import corpus_path
 from tmkit.errors import PreconditionViolated, StepBudgetExceeded
 from tmkit.sim import (
+    Firing,
     FiringKind,
     SimConfig,
     _Run,
@@ -493,6 +494,72 @@ def test_unreachable_region_stage_reported_never_fired():
     assert report["events"]["E"] < 1.0
 
 
+def test_coverage_counts_the_firings_of_contained_events(load_corpus):
+    ships = load_corpus("ships.tm")
+    trace = simulate(ships.model, ships.events, ships.chronology)
+    report = coverage(ships.model, trace, ships.events)
+    # E_lastyear is not in the chronology; E_passing, which it contains,
+    # fires the whole shared region
+    assert report == {"events": {"E_passing": 1.0, "E_lastyear": 1.0}, "neverFired": []}
+
+
+def test_coverage_follows_containment_transitively_and_nothing_else():
+    model, result, trace = run_source(
+        "thimac a { stage create; stage process; }\n"
+        "flow a.create -> a.process;\n"
+        "thimac b { stage create; }\n"
+        "event E { region { a; } }\n"
+        "event F { region { a; } contains E; }\n"
+        "event G { region { a.process; } contains F; }\n"
+        "event H { region { a; b; } }\n"
+        "chronology { E; }"
+    )
+    report = coverage(model, trace, result.events)
+    # H shares a with E but contains nothing: its stages fired for E only
+    assert report["events"] == {"E": 1.0, "F": 1.0, "G": 1.0, "H": 0.0}
+    assert report["neverFired"] == ["b.create"]
+
+
+def test_coverage_of_atm_full_is_unchanged_by_containment(load_corpus):
+    result = load_corpus("atm_full.tm")
+    trace = simulate(result.model, result.events, result.chronology)
+    partial = {
+        "E6": 10 / 12, "E7": 11 / 12, "E9": 7 / 8, "E11": 7 / 8, "E15": 10 / 12
+    }
+    expected = {f"E{i}": partial.get(f"E{i}", 1.0) for i in range(1, 16)}
+    assert coverage(result.model, trace, result.events)["events"] == expected
+
+
+def test_firings_view_is_a_read_only_sequence_of_firing():
+    model, _, trace = run_source(START_PASS)
+    firings = trace.firings
+    every = list(firings)
+    count = len(every)
+    assert len(firings) == len(trace.kinds) == count > 3
+    assert [f.step for f in every] == list(range(count))
+    assert firings[0] == Firing(
+        0, "E1", 1, model.find_stage("msg.create"), FiringKind.TOKEN_SPAWN, 1
+    )
+    assert firings[0] != Firing(
+        1, "E1", 1, model.find_stage("msg.create"), FiringKind.TOKEN_SPAWN, 1
+    )
+    assert firings[-1] == firings[count - 1] == every[-1]
+    assert firings[-count] == every[0]
+    assert firings[1:3] == every[1:3]
+    assert firings[::-2] == every[::-2]
+    assert firings[count:] == []
+    for index in (count, -count - 1):
+        with pytest.raises(IndexError):
+            firings[index]
+    with pytest.raises(TypeError):
+        firings[0] = every[0]
+    # a new view on each read, over the same columns
+    assert trace.firings is not firings
+    assert list(trace.firings) == every
+    again = run_source(START_PASS)[2]
+    assert list(again.firings) == every and again == trace
+
+
 # -- the reference interpreter ---------------------------------------------------
 
 
@@ -505,26 +572,40 @@ class _Records(logging.Handler):
         self.seen.append((record.levelname, record.getMessage()))
 
 
+def recorded(trace):
+    """What a run recorded, in terms that the simulator's ``Trace`` and
+    the oracle's ``ReferenceTrace`` share: every firing with its step,
+    the event order and each final token's id, thing and location."""
+    tokens = [(t.id, t.thing, t.location) for t in trace.final_tokens]
+    return list(trace.firings), trace.event_order, tokens
+
+
 def assert_matches_reference(model, events, chronology, config=None):
-    """The simulator and the reference interpreter give the same trace
-    bytes (or the same step-budget message) and the same log records."""
+    """The simulator and the reference interpreter record the same run
+    (or raise the same step-budget message) and log the same records:
+    ``list(trace.firings)`` equals the oracle's stored ``Firing`` list,
+    steps included. Returns the simulator's trace JSON (or that message)
+    and its log records."""
     logger = logging.getLogger("tmkit.sim")
-    outcomes = []
+    traces, outcomes = [], []
     for run in (_simulate_validated, reference_simulate):
         records = _Records()
         level = logger.level
         logger.addHandler(records)
         logger.setLevel(logging.WARNING)
         try:
-            text = trace_to_json(model, run(model, events, chronology, config))
+            trace = run(model, events, chronology, config)
+            outcome = recorded(trace)
         except StepBudgetExceeded as exc:
-            text = f"StepBudgetExceeded: {exc}"
+            trace, outcome = None, f"StepBudgetExceeded: {exc}"
         finally:
             logger.removeHandler(records)
             logger.setLevel(level)
-        outcomes.append((text, records.seen))
+        traces.append(trace)
+        outcomes.append((outcome, records.seen))
     assert outcomes[0] == outcomes[1]
-    return outcomes[0]
+    outcome, seen = outcomes[0]
+    return (outcome if traces[0] is None else trace_to_json(model, traces[0])), seen
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
@@ -648,12 +729,17 @@ def parse_normalized(source: str):
     return normalize(result.model, strict=False), result.events, result.chronology
 
 
-@pytest.mark.parametrize("repeat", [4000, 16000])
-def test_ships_replay_matches_reference(load_corpus, replays, repeat):
+def ships(repeat: int):
+    """ships.tm with ``E_passing`` repeated ``repeat`` times, normalized."""
     text = corpus_path("ships.tm").read_text(encoding="utf-8")
     text, count = re.subn(r"repeat \d+;", f"repeat {repeat};", text)
     assert count == 1
-    model, events, chronology = parse_normalized(text)
+    return parse_normalized(text)
+
+
+@pytest.mark.parametrize("repeat", [4000, 16000])
+def test_ships_replay_matches_reference(replays, repeat):
+    model, events, chronology = ships(repeat)
     trace_json, records = assert_matches_reference(model, events, chronology)
     assert records == []
     assert len(json.loads(trace_json)["firings"]) == 10 * repeat
@@ -693,6 +779,12 @@ def test_simulate_matches_reference_on_generated_repeats(seed):
     assert_matches_reference(
         model, events, chronology, SimConfig(max_steps_per_event=300)
     )
+
+
+@settings(max_examples=50, deadline=None)
+@given(repeat=st.integers(1, 50))
+def test_simulate_matches_reference_on_replayed_ships(repeat):
+    assert_matches_reference(*ships(repeat))
 
 
 def test_generated_repeats_take_the_replay_path(replays):
