@@ -10,6 +10,14 @@ Start-up rule: a subcommand imports only the modules it runs. ``core``,
 the printer and ``json_io`` on first use. Functions are called through
 their modules (``dsl.parse``, ``render.render_dot``), so a wrapper set
 on the module attribute sees every call.
+
+``main`` turns the cyclic collector off before it runs a command. The
+pipeline makes no reference cycles (``tests/test_gc.py`` checks every
+step), so the collector could free nothing, and its full passes walk
+the whole model and trace for nothing. Memory is still freed by
+reference counting. ``run`` and every library function leave the
+collector as they found it, so a program that calls them in-process
+keeps its own setting.
 """
 
 from __future__ import annotations
@@ -261,6 +269,9 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
+    import gc
+
+    gc.disable()  # nothing cyclic to collect: see the module docstring
     sys.exit(run(sys.argv[1:]))
 
 

@@ -2,14 +2,20 @@
 
 The document layout is described by ``schemas/tm-model.schema.json``.
 ``from_json(to_json(x))`` reproduces a structurally equal model.
+
+Each name is handled once per document: ``to_json`` quotes each thimac
+and stage name once and fills fixed templates, and ``from_json``
+resolves each distinct stage reference once (a dangling one is still
+reported at every occurrence).
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from ..behavior import Chronology, EventDef, containment_cycles
-from ..core import Model, StageKind
+from ..core import ElementId, Model, StageKind
 from ..diagnostics import Diagnostic, Severity, has_errors
 from ..errors import DuplicateName, DuplicateStageKind
 from .lexer import is_identifier
@@ -17,79 +23,89 @@ from .parser import ParseResult
 
 
 def to_json(result: ParseResult) -> str:
+    """The model document: exactly ``json.dumps(doc, indent=2) + "\n"``,
+    written from fixed templates, since the indenting encoder runs in
+    pure Python."""
     if result.model is None:
         raise ValueError("cannot serialize a parse result without a model")
     model = result.model
+    quoted: dict[ElementId, str] = {}  # thimac or stage id -> quoted name
     thimacs = []
     for thimac in model.iter_thimacs():
-        stages = [
-            {
-                "kind": model.stages[sid].kind.value,
-                "annotation": model.stages[sid].annotation,
-            }
-            for sid in thimac.stages.values()
-        ]
+        quoted[thimac.id] = _quote(model.qualified_name(thimac.id))
+        stages = []
+        for sid in thimac.stages.values():
+            stage = model.stages[sid]
+            quoted[sid] = _quote(model.qualified_name(sid))
+            stages.append(
+                f'{{\n          "kind": "{stage.kind.value}",\n'
+                f'          "annotation": {_number(stage.annotation)}\n        }}'
+            )
+        parent = "null" if thimac.parent is None else quoted[thimac.parent]
         thimacs.append(
-            {
-                "name": model.qualified_name(thimac.id),
-                "parent": (
-                    model.qualified_name(thimac.parent)
-                    if thimac.parent is not None
-                    else None
-                ),
-                "annotation": thimac.annotation,
-                "stages": stages,
-            }
+            f'{{\n      "name": {quoted[thimac.id]},\n      "parent": {parent},\n'
+            f'      "annotation": {_number(thimac.annotation)},\n'
+            f'      "stages": {_list("      ", stages)}\n    }}'
         )
     flows = [
-        {
-            "from": model.qualified_name(f.from_stage),
-            "to": model.qualified_name(f.to_stage),
-            "implicitSegments": [
-                model.qualified_name(s) for s in f.implicit_segments
-            ],
-        }
+        f'{{\n      "from": {quoted[f.from_stage]},\n      "to": {quoted[f.to_stage]},\n'
+        f'      "implicitSegments": '
+        f'{_list("      ", [quoted[s] for s in f.implicit_segments])}\n    }}'
         for f in model.flows
     ]
-    triggers = [
-        {
-            "from": model.qualified_name(t.from_stage),
-            "to": model.qualified_name(t.to_stage),
-        }
-        for t in model.triggers
-    ]
-    events = [
-        {
-            "id": e.id,
-            "label": e.label,
-            "region": sorted(model.qualified_name(s) for s in e.region),
-            "repeat": e.multiplicity,
-            "contains": list(e.subevents),
-        }
-        for e in result.events
-    ]
-    chronology = None
+    events = []
+    for e in result.events:
+        label = "null" if e.label is None else _quote(e.label)
+        region = sorted(e.region, key=model.qualified_name)
+        events.append(
+            f'{{\n      "id": {_quote(e.id)},\n      "label": {label},\n'
+            f'      "region": {_list("      ", [quoted[s] for s in region])},\n'
+            f'      "repeat": {e.multiplicity},\n'
+            f'      "contains": {_list("      ", [_quote(s) for s in e.subevents])}\n'
+            f"    }}"
+        )
+    chronology = "null"
     if result.chronology is not None:
-        chronology = {
-            "nodes": list(result.chronology.nodes),
-            "edges": [[a, b] for a, b in result.chronology.edges],
-        }
-    doc = {
-        "thimacs": thimacs,
-        "flows": flows,
-        "triggers": triggers,
-        "events": events,
-        "chronology": chronology,
-    }
-    if model.memories:
-        doc["memories"] = [
-            {
-                "from": model.qualified_name(m.from_stage),
-                "to": model.qualified_name(m.to_stage),
-            }
-            for m in model.memories
+        nodes = [_quote(n) for n in result.chronology.nodes]
+        edges = [
+            _list("      ", [_quote(a), _quote(b)]) for a, b in result.chronology.edges
         ]
-    return json.dumps(doc, indent=2) + "\n"
+        chronology = (
+            f'{{\n    "nodes": {_list("    ", nodes)},\n'
+            f'    "edges": {_list("    ", edges)}\n  }}'
+        )
+    parts = [
+        f'{{\n  "thimacs": {_list("  ", thimacs)},\n',
+        f'  "flows": {_list("  ", flows)},\n',
+        f'  "triggers": {_list("  ", _pairs(model.triggers, quoted))},\n',
+        f'  "events": {_list("  ", events)},\n',
+        f'  "chronology": {chronology}',
+    ]
+    if model.memories:
+        parts.append(f',\n  "memories": {_list("  ", _pairs(model.memories, quoted))}')
+    parts.append("\n}\n")
+    return "".join(parts)
+
+
+def _number(value: int | None) -> str:
+    return "null" if value is None else str(value)
+
+
+def _pairs(edges, quoted: dict[ElementId, str]) -> list[str]:
+    """The ``{"from", "to"}`` entries of trigger or memory edges."""
+    return [
+        f'{{\n      "from": {quoted[e.from_stage]},\n      "to": {quoted[e.to_stage]}\n    }}'
+        for e in edges
+    ]
+
+
+def _list(indent: str, items: list[str]) -> str:
+    """A JSON list of written items, laid out as ``json.dumps(indent=2)``
+    lays out a list whose key line is indented by ``indent``."""
+    if not items:
+        return "[]"
+    inner = f"\n{indent}  "
+    return f"[{inner}{f',{inner}'.join(items)}\n{indent}]"
 
 
 def from_json(text: str) -> ParseResult:
@@ -190,11 +206,17 @@ def from_json(text: str) -> ParseResult:
             except DuplicateStageKind as exc:
                 err("DUPLICATE_DEF", str(exc))
 
-    def stage_ref(qualified, context: str) -> int | None:
+    # the thimacs are all in: each distinct reference is resolved once
+    resolved: dict[str, ElementId | None] = {}
+
+    def stage_ref(qualified, context: str) -> ElementId | None:
         if not isinstance(qualified, str):
             err("JSON_MALFORMED", f"{context}: stage reference must be a string")
             return None
-        sid = model.find_stage(qualified)
+        if qualified in resolved:
+            sid = resolved[qualified]
+        else:
+            sid = resolved[qualified] = model.find_stage(qualified)
         if sid is None:
             err("DANGLING_REF", f"{context}: no stage at '{qualified}'")
         return sid

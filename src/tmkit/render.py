@@ -5,6 +5,8 @@ and triggers to dashed edges. Event regions generally cut across
 cluster boundaries and DOT clusters cannot overlap, so overlays are
 drawn by filling the region's nodes and adding a legend instead.
 Output is deterministic: declaration order in, identical bytes out.
+Each stage name is quoted once per render, into a table that the node,
+flow and trigger lines all read.
 """
 
 from __future__ import annotations
@@ -88,9 +90,13 @@ def _contracted_flows(
 
 
 def _clusters(
-    model: Model, hidden: set[ElementId], filled: set[ElementId]
+    model: Model,
+    hidden: set[ElementId],
+    filled: set[ElementId],
+    quoted: dict[ElementId, str],
 ) -> list[str]:
-    """One nested DOT cluster per thimac, numbered in preorder."""
+    """One nested DOT cluster per thimac, numbered in preorder; ``quoted``
+    maps each stage id to its quoted name."""
     out: list[str] = []
     numbers = itertools.count()
     for tid, depth, entering in graph.tree(model.roots, model.children):
@@ -110,7 +116,7 @@ def _clusters(
             attrs = f"label={_quote(_stage_label(model, sid))}"
             if sid in filled:
                 attrs += f", style=filled, fillcolor={_FILL}"
-            out.append(f"{pad}  {_quote(model.qualified_name(sid))} [{attrs}];")
+            out.append(f"{pad}  {quoted[sid]} [{attrs}];")
     return out
 
 
@@ -144,29 +150,23 @@ def render_dot(
             legend.append(text)
 
     hidden = _hidden_stages(model) if opts.simplified else set()
+    quoted = {sid: _quote(model.qualified_name(sid)) for sid in model.stages}
 
     out = ["digraph tm {", "  rankdir=LR;", "  node [shape=box];"]
-    out += _clusters(model, hidden, filled)
+    out += _clusters(model, hidden, filled, quoted)
     if opts.simplified and hidden:
         for src, dst in _contracted_flows(model, hidden):
-            out.append(
-                f"  {_quote(model.qualified_name(src))} -> "
-                f"{_quote(model.qualified_name(dst))};"
-            )
+            out.append(f"  {quoted[src]} -> {quoted[dst]};")
     else:
         for flow in model.flows:
-            out.append(
-                f"  {_quote(model.qualified_name(flow.from_stage))} -> "
-                f"{_quote(model.qualified_name(flow.to_stage))};"
-            )
+            out.append(f"  {quoted[flow.from_stage]} -> {quoted[flow.to_stage]};")
     for trig in model.triggers:
         if opts.simplified and (
             trig.from_stage in hidden or trig.to_stage in hidden
         ):
             continue
         out.append(
-            f"  {_quote(model.qualified_name(trig.from_stage))} -> "
-            f"{_quote(model.qualified_name(trig.to_stage))} [style=dashed];"
+            f"  {quoted[trig.from_stage]} -> {quoted[trig.to_stage]} [style=dashed];"
         )
     if legend:
         rows = "".join(_escape(row) + "\\l" for row in legend)

@@ -360,6 +360,82 @@ def reference_trace_to_json(model: Model, trace) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def reference_to_json(result) -> str:
+    """The model document through ``json.dumps``: the byte-format oracle
+    for ``tmkit.dsl.to_json``, which writes the same text from templates."""
+    model = result.model
+    thimacs = []
+    for thimac in model.iter_thimacs():
+        stages = [
+            {
+                "kind": model.stages[sid].kind.value,
+                "annotation": model.stages[sid].annotation,
+            }
+            for sid in thimac.stages.values()
+        ]
+        thimacs.append(
+            {
+                "name": model.qualified_name(thimac.id),
+                "parent": (
+                    model.qualified_name(thimac.parent)
+                    if thimac.parent is not None
+                    else None
+                ),
+                "annotation": thimac.annotation,
+                "stages": stages,
+            }
+        )
+    flows = [
+        {
+            "from": model.qualified_name(f.from_stage),
+            "to": model.qualified_name(f.to_stage),
+            "implicitSegments": [
+                model.qualified_name(s) for s in f.implicit_segments
+            ],
+        }
+        for f in model.flows
+    ]
+    triggers = [
+        {
+            "from": model.qualified_name(t.from_stage),
+            "to": model.qualified_name(t.to_stage),
+        }
+        for t in model.triggers
+    ]
+    events = [
+        {
+            "id": e.id,
+            "label": e.label,
+            "region": sorted(model.qualified_name(s) for s in e.region),
+            "repeat": e.multiplicity,
+            "contains": list(e.subevents),
+        }
+        for e in result.events
+    ]
+    chronology = None
+    if result.chronology is not None:
+        chronology = {
+            "nodes": list(result.chronology.nodes),
+            "edges": [[a, b] for a, b in result.chronology.edges],
+        }
+    doc = {
+        "thimacs": thimacs,
+        "flows": flows,
+        "triggers": triggers,
+        "events": events,
+        "chronology": chronology,
+    }
+    if model.memories:
+        doc["memories"] = [
+            {
+                "from": model.qualified_name(m.from_stage),
+                "to": model.qualified_name(m.to_stage),
+            }
+            for m in model.memories
+        ]
+    return json.dumps(doc, indent=2) + "\n"
+
+
 log = logging.getLogger("tmkit.sim")
 
 

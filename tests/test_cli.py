@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import importlib
+import io
 import json
 import os
 import runpy
@@ -472,6 +475,52 @@ def test_simulate_loads_logging_only_to_warn(tmp_path):
     assert "logging" in modules
     assert out == "1 event instance(s), 4 firing(s), 2 token(s)\n"
     assert err == "broadcast: token 1 at a.create replicates along 2 flows (event E)\n"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_leaves_the_collector_as_it_found_it(enabled, subcommand_argvs):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for argv in subcommand_argvs:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+                io.StringIO()
+            ):
+                assert run(argv) == 0, argv
+            assert gc.isenabled() is enabled, argv
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+# Runs ``tm`` through ``cli.main`` in a fresh interpreter (argv: tmkit's
+# source folder, then the arguments of ``tm``) and reports on stderr
+# whether the collector was on while ``run`` ran.
+_MAIN = """
+import gc, sys
+sys.path.insert(0, sys.argv[1])
+from tmkit import cli
+real_run = cli.run
+def spied(argv):
+    code = real_run(argv)
+    print("collector on:", gc.isenabled(), file=sys.stderr)
+    return code
+cli.run = spied
+sys.argv = ["tm", *sys.argv[2:]]
+cli.main()
+"""
+
+
+def test_main_runs_without_the_collector_and_writes_the_same_bytes(
+    subcommand_argvs, capsys
+):
+    src = str(Path(tmkit.__file__).parent.parent)
+    for argv in subcommand_argvs:
+        done = subprocess.run(
+            [sys.executable, "-c", _MAIN, src, *argv], capture_output=True, text=True
+        )
+        assert run(argv) == done.returncode == 0, argv
+        assert done.stdout == capsys.readouterr().out, argv
+        assert done.stderr.endswith("collector on: False\n"), argv
 
 
 # Each public name of tmkit and the module it is defined in or re-exported from.

@@ -10,13 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tmkit import dsl
-from tmkit.core import StageKind, model_equal, normalize
+from tmkit.behavior import Chronology, EventDef
+from tmkit.core import Model, StageKind, model_equal, normalize
 from tmkit.diagnostics import Severity
 
 from tmkit.corpus import corpus_path
 from tmkit.dsl.lexer import TokenKind, tokenize
 
-from _support import random_model, reference_parse, reference_tokenize
+from _support import (
+    random_legal_chain_model,
+    random_model,
+    reference_parse,
+    reference_to_json,
+    reference_tokenize,
+)
 from conftest import CORPUS_NAMES
 from test_fuzz import _dsl_text
 
@@ -469,6 +476,178 @@ def test_to_json_empty_model_exact_document():
         "events": [],
         "chronology": None,
     }
+
+
+def test_to_json_matches_the_json_dumps_oracle_on_the_corpus(load_corpus):
+    for name in CORPUS_NAMES:
+        raw = load_corpus(name)
+        norm = dsl.ParseResult(
+            normalize(raw.model, strict=False), raw.events, raw.chronology, []
+        )
+        for result in (raw, norm):
+            assert dsl.to_json(result) == reference_to_json(result), name
+
+
+_LABELS = st.one_of(
+    st.none(), st.text(max_size=8), st.sampled_from(['"', "\\", "\n\té\U0001f600"])
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 1_000_000),
+    labels=st.lists(_LABELS, max_size=4),
+    chronology=st.sampled_from(["none", "empty", "chain"]),
+)
+def test_to_json_matches_the_oracle_on_generated_models(seed, labels, chronology):
+    rng = random.Random(seed)
+    if seed % 2:
+        # a legal chain normalizes, so its flows carry implicit segments
+        model = normalize(random_legal_chain_model(rng, machines=4))
+    else:
+        model = random_model(rng)
+    for element in [*model.thimacs.values(), *model.stages.values()]:
+        element.annotation = rng.choice([None, None, 0, 7, 12345])
+    stages = sorted(model.stages)
+    events = [
+        EventDef(
+            f"E{k}",
+            label,
+            set(rng.sample(stages, rng.randint(0, len(stages)))),
+            rng.randint(1, 5),
+            [f"E{j}" for j in range(k)],
+        )
+        for k, label in enumerate(labels)
+    ]
+    nodes = [e.id for e in events]
+    chrono = {
+        "none": None,
+        "empty": Chronology(),
+        "chain": Chronology(nodes=nodes, edges=list(zip(nodes, nodes[1:]))),
+    }[chronology]
+    result = dsl.ParseResult(model, events, chrono, [])
+    assert dsl.to_json(result) == reference_to_json(result)
+
+
+def test_to_json_escapes_names_as_json_dumps_does():
+    # the library API takes names that the DSL could not write
+    model = Model()
+    tid = model.add_thimac('q"\\\n\té\U0001f600')
+    model.add_flow(
+        model.add_stage(tid, StageKind.CREATE), model.add_stage(tid, StageKind.PROCESS)
+    )
+    result = dsl.ParseResult(model, [], None, [])
+    text = dsl.to_json(result)
+    assert text == reference_to_json(result)
+    assert '"q\\"\\\\\\n\\t\\u00e9\\ud83d\\ude00.create"' in text
+
+
+# Model documents in the exact layout of ``json.dumps(doc, indent=2)``:
+# every key present and in to_json's order, regions sorted by name.
+CORNER_DOCUMENTS = {
+    "everything": {
+        "thimacs": [
+            {
+                "name": "a",
+                "parent": None,
+                "annotation": 3,
+                "stages": [
+                    {"kind": "create", "annotation": 1},
+                    {"kind": "release", "annotation": None},
+                    {"kind": "transfer", "annotation": None},
+                ],
+            },
+            {
+                "name": "a.b",
+                "parent": "a",
+                "annotation": None,
+                "stages": [
+                    {"kind": "receive", "annotation": 0},
+                    {"kind": "process", "annotation": None},
+                ],
+            },
+            {"name": "c", "parent": None, "annotation": 12, "stages": []},
+        ],
+        "flows": [
+            {
+                "from": "a.create",
+                "to": "a.b.process",
+                "implicitSegments": ["a.release", "a.transfer", "a.b.receive"],
+            },
+            {"from": "a.b.process", "to": "a.create", "implicitSegments": []},
+        ],
+        "triggers": [{"from": "a.b.process", "to": "a.release"}],
+        "events": [
+            {
+                "id": "E",
+                "label": 'say "hi" \\ then\nnewline\ttab é \U0001f600',
+                "region": ["a.b.process", "a.create"],
+                "repeat": 2,
+                "contains": [],
+            },
+            {"id": "F", "label": None, "region": [], "repeat": 1, "contains": ["E"]},
+        ],
+        "chronology": {"nodes": ["E", "F", "G"], "edges": [["E", "F"], ["F", "G"]]},
+        "memories": [{"from": "a.create", "to": "a.b.receive"}],
+    },
+    "empty sections, no chronology": {
+        "thimacs": [{"name": "a", "parent": None, "annotation": None, "stages": []}],
+        "flows": [],
+        "triggers": [],
+        "events": [],
+        "chronology": None,
+    },
+    "empty chronology": {
+        "thimacs": [],
+        "flows": [],
+        "triggers": [],
+        "events": [],
+        "chronology": {"nodes": [], "edges": []},
+    },
+}
+
+
+@pytest.mark.parametrize("name", CORNER_DOCUMENTS)
+def test_to_json_writes_corner_documents_as_json_dumps_does(name):
+    # ASCII: é is written \u00e9, and U+1F600 as the pair \ud83d\ude00
+    text = json.dumps(CORNER_DOCUMENTS[name], indent=2) + "\n"
+    result = dsl.from_json(text)
+    assert result.diagnostics == []
+    assert dsl.to_json(result) == reference_to_json(result) == text
+
+
+def test_from_json_reads_an_empty_chronology_object():
+    result = dsl.from_json('{"chronology": {}}')
+    assert result.diagnostics == []
+    text = dsl.to_json(result)
+    assert text == reference_to_json(result)
+    assert '"chronology": {\n    "nodes": [],\n    "edges": []\n  }' in text
+
+
+def test_from_json_reports_each_dangling_reference_where_it_occurs():
+    doc = {
+        "thimacs": [
+            {
+                "name": "a",
+                "stages": [{"kind": "create"}, {"kind": "process"}, {"kind": "transfer"}],
+            }
+        ],
+        "flows": [
+            {"from": "ghost", "to": "ghost"},
+            {"from": "a.create", "to": "a.process", "implicitSegments": ["ghost", "a", "ghost"]},
+        ],
+        "events": [{"id": "E", "region": ["ghost", "a.create", "ghost"]}],
+    }
+    result = dsl.from_json(json.dumps(doc))
+    assert result.model is None
+    assert [d.render() for d in result.diagnostics] == [
+        "<model>: error[DANGLING_REF] flow: no stage at 'ghost'",
+        "<model>: error[DANGLING_REF] flow: no stage at 'ghost'",
+        "<model>: error[DANGLING_REF] flow implicitSegments: no stage at 'ghost'",
+        "<model>: error[DANGLING_REF] flow implicitSegments: no stage at 'ghost'",
+        "<model>: error[DANGLING_REF] event 'E' region: no stage at 'ghost'",
+        "<model>: error[DANGLING_REF] event 'E' region: no stage at 'ghost'",
+    ]
 
 
 def test_json_round_trip_on_corpus(load_corpus):

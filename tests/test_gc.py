@@ -3,20 +3,23 @@ per firing.
 
 Every step runs with the cyclic collector off and ``gc.DEBUG_SAVEALL``
 set, so each ``gc.collect()`` keeps in ``gc.garbage`` whatever only the
-collector could have freed. No such object may come from tmkit: a
-tmkit object in a cycle (a back-pointer, a stored exception) fails here.
-The standard library's indenting JSON encoder, which ``to_json`` uses,
-leaves closures of its own in cycles; they are not tmkit's.
+collector could have freed. After every step it must be empty: neither
+tmkit nor the standard library code tmkit calls may leave an object in
+a cycle (a back-pointer, a stored exception, an encoder's closures).
+This is what lets ``tm`` run with the collector off.
 """
 
 from __future__ import annotations
 
+import contextlib
 import gc
+import json
 import random
 import re
-import types
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tmkit import dsl
 from tmkit.behavior import Chronology, EventDef
@@ -30,6 +33,7 @@ from tmkit.validate import validate
 
 from _support import random_legal_chain_model, random_model
 from conftest import CORPUS_NAMES
+from test_fuzz import _document, _dsl_text, _json
 
 MALFORMED = [
     "thimac a { stage create; ",
@@ -44,17 +48,10 @@ MALFORMED = [
 MALFORMED_JSON = ['{"thimacs": 5}', '{"events": [{"id": "E", "region": 5}]}', "[", ""]
 
 
-def _from_tmkit(obj) -> bool:
-    if isinstance(obj, types.FunctionType):
-        module = obj.__module__
-    else:
-        module = type(obj).__module__
-    return (module or "").split(".")[0] == "tmkit"
-
-
-@pytest.fixture
-def no_cycles():
-    """``check(step)`` collects and fails if tmkit made cyclic garbage."""
+@contextlib.contextmanager
+def saving_garbage():
+    """Yields ``check(step)``, which collects and fails if anything was
+    left in a reference cycle since the last check."""
     gc.collect()
     enabled, flags = gc.isenabled(), gc.get_debug()
     gc.disable()
@@ -63,9 +60,9 @@ def no_cycles():
 
     def check(step: str) -> None:
         gc.collect()
-        found = sorted({type(o).__qualname__ for o in gc.garbage if _from_tmkit(o)})
+        found = sorted({f"{type(o).__module__}.{type(o).__qualname__}" for o in gc.garbage})
         del gc.garbage[:]
-        assert not found, f"{step} left tmkit objects in reference cycles: {found}"
+        assert not found, f"{step} left objects in reference cycles: {found}"
 
     try:
         yield check
@@ -74,6 +71,12 @@ def no_cycles():
         del gc.garbage[:]
         if enabled:
             gc.enable()
+
+
+@pytest.fixture
+def no_cycles():
+    with saving_garbage() as check:
+        yield check
 
 
 def run_pipeline(text: str, name: str, check) -> None:
@@ -146,6 +149,25 @@ def test_generated_and_malformed_pipelines_make_no_cycles(no_cycles):
     for index, text in enumerate(MALFORMED_JSON):
         dsl.from_json(text)
         no_cycles(f"from_json of malformed document {index}")
+
+
+# A fixed sample of the fuzz suite's inputs (derandomized hypothesis).
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_dsl_text)
+def test_fuzz_sources_make_no_cycles(text):
+    with saving_garbage() as check:
+        run_pipeline(text, "fuzz.tm", check)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.one_of(_json, _document()))
+def test_fuzz_documents_make_no_cycles(doc):
+    with saving_garbage() as check:
+        result = dsl.from_json(json.dumps(doc))
+        check("from_json")
+        if result.model is not None:
+            dsl.to_json(result)
+            check("to_json")
 
 
 def test_a_trace_holds_no_tracked_object_per_firing():
