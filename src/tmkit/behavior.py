@@ -8,37 +8,45 @@ position in the executed order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import graph
 from .core import ElementId, Model
-from .diagnostics import Diagnostic, Severity, SourceSpan
+from .diagnostics import Diagnostic, Record, Severity, SourceSpan
 from .errors import ContainmentCycle, NotAPermutation, UnknownEvent
 
 
-@dataclass
-class EventDef:
-    id: str
-    label: str | None = None
-    region: set[ElementId] = field(default_factory=set)
-    multiplicity: int = 1
-    subevents: list[str] = field(default_factory=list)
-    span: SourceSpan | None = None
+class EventDef(Record):
+    __slots__ = _fields = ("id", "label", "region", "multiplicity", "subevents", "span")
+
+    def __init__(
+        self, id: str, label: str | None = None, region: set[ElementId] | None = None,
+        multiplicity: int = 1, subevents: list[str] | None = None,
+        span: SourceSpan | None = None,
+    ) -> None:
+        self.id, self.label = id, label
+        self.region = set() if region is None else region
+        self.multiplicity = multiplicity
+        self.subevents = [] if subevents is None else subevents
+        self.span = span
 
 
-@dataclass
-class Chronology:
+class Chronology(Record):
     """Directed acyclic graph over event ids; nodes keep first-mention order.
 
     ``add_node`` and ``add_edge`` skip what is already there in constant
-    time, using sets built from the initial lists.
+    time, using sets built from the initial lists; ``==`` compares the
+    nodes, edges and span only.
     """
 
-    nodes: list[str] = field(default_factory=list)
-    edges: list[tuple[str, str]] = field(default_factory=list)
-    span: SourceSpan | None = None
+    __slots__ = ("nodes", "edges", "span", "_node_set", "_edge_set")
+    _fields = ("nodes", "edges", "span")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, nodes: list[str] | None = None,
+        edges: list[tuple[str, str]] | None = None, span: SourceSpan | None = None,
+    ) -> None:
+        self.nodes = [] if nodes is None else nodes
+        self.edges = [] if edges is None else edges
+        self.span = span
         self._node_set = set(self.nodes)
         self._edge_set = set(self.edges)
 

@@ -32,11 +32,9 @@ so storing every thimac's name of a 10^4-deep chain would hold about
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
-from typing import ClassVar
 
 from . import graph
-from .diagnostics import SourceSpan
+from .diagnostics import Record, SourceSpan
 from .errors import (
     AmbiguousExpansion,
     DuplicateName,
@@ -52,6 +50,11 @@ ElementId = int
 
 
 class StageKind(enum.Enum):
+    """A stage's kind. The namers (``Model.qualified_name``, the printer,
+    ``json_io`` and ``render``) read a kind's word as ``kind._value_``:
+    ``kind.value`` goes through a pure-Python enum property, which costs
+    several times as much per read."""
+
     CREATE = "create"
     PROCESS = "process"
     RELEASE = "release"
@@ -95,55 +98,73 @@ def edge_legal(from_kind: StageKind, to_kind: StageKind, same_machine: bool) -> 
     return (from_kind, to_kind, same_machine) in LEGAL
 
 
-@dataclass
-class Thimac:
-    id: ElementId
-    name: str
-    parent: ElementId | None
-    stages: dict[StageKind, ElementId] = field(default_factory=dict)
-    children: list[ElementId] = field(default_factory=list)
-    annotation: int | None = None
-    span: SourceSpan | None = None
+class Thimac(Record):
+    __slots__ = _fields = (
+        "id", "name", "parent", "stages", "children", "annotation", "span"
+    )
+
+    def __init__(
+        self, id: ElementId, name: str, parent: ElementId | None,
+        stages: dict[StageKind, ElementId] | None = None,
+        children: list[ElementId] | None = None,
+        annotation: int | None = None, span: SourceSpan | None = None,
+    ) -> None:
+        self.id, self.name, self.parent = id, name, parent
+        self.stages = {} if stages is None else stages
+        self.children = [] if children is None else children
+        self.annotation, self.span = annotation, span
 
 
-@dataclass
-class Stage:
-    id: ElementId
-    kind: StageKind
-    thimac: ElementId
-    annotation: int | None = None
-    span: SourceSpan | None = None
+class Stage(Record):
+    __slots__ = _fields = ("id", "kind", "thimac", "annotation", "span")
+
+    def __init__(
+        self, id: ElementId, kind: StageKind, thimac: ElementId,
+        annotation: int | None = None, span: SourceSpan | None = None,
+    ) -> None:
+        self.id, self.kind, self.thimac = id, kind, thimac
+        self.annotation, self.span = annotation, span
 
 
-@dataclass
-class FlowEdge:
-    arrow: ClassVar[str] = "->"
-    id: ElementId
-    from_stage: ElementId
-    to_stage: ElementId
-    # stages created by normalization while expanding this edge's chain
-    implicit_segments: list[ElementId] = field(default_factory=list)
-    span: SourceSpan | None = None
+class FlowEdge(Record):
+    __slots__ = _fields = ("id", "from_stage", "to_stage", "implicit_segments", "span")
+    arrow = "->"
+
+    def __init__(
+        self, id: ElementId, from_stage: ElementId, to_stage: ElementId,
+        # stages created by normalization while expanding this edge's chain
+        implicit_segments: list[ElementId] | None = None,
+        span: SourceSpan | None = None,
+    ) -> None:
+        self.id, self.from_stage, self.to_stage = id, from_stage, to_stage
+        self.implicit_segments = [] if implicit_segments is None else implicit_segments
+        self.span = span
 
 
-@dataclass
-class TriggerEdge:
-    arrow: ClassVar[str] = "~>"
-    id: ElementId
-    from_stage: ElementId
-    to_stage: ElementId
-    span: SourceSpan | None = None
+class _DashEdge(Record):
+    """The fields of a trigger or a memory edge; the two are separate
+    classes, so neither is an instance of the other."""
+
+    __slots__ = _fields = ("id", "from_stage", "to_stage", "span")
+
+    def __init__(
+        self, id: ElementId, from_stage: ElementId, to_stage: ElementId,
+        span: SourceSpan | None = None,
+    ) -> None:
+        self.id, self.from_stage, self.to_stage = id, from_stage, to_stage
+        self.span = span
 
 
-@dataclass
-class MemoryEdge:
+class TriggerEdge(_DashEdge):
+    __slots__ = ()
+    arrow = "~>"
+
+
+class MemoryEdge(_DashEdge):
     """Reserved dashed relation; parsed but rejected by the validator."""
 
-    arrow: ClassVar[str] = "~~"
-    id: ElementId
-    from_stage: ElementId
-    to_stage: ElementId
-    span: SourceSpan | None = None
+    __slots__ = ()
+    arrow = "~~"
 
 
 class Model:
@@ -361,7 +382,7 @@ class Model:
             return name
         if element in self.stages:
             st = self.stages[element]
-            return f"{self.qualified_name(st.thimac)}.{st.kind.value}"
+            return f"{self.qualified_name(st.thimac)}.{st.kind._value_}"
         if element in self.edges:
             e = self.edges[element]
             return (

@@ -38,7 +38,7 @@ def to_json(result: ParseResult) -> str:
             stage = model.stages[sid]
             quoted[sid] = _quote(model.qualified_name(sid))
             stages.append(
-                f'{{\n          "kind": "{stage.kind.value}",\n'
+                f'{{\n          "kind": "{stage.kind._value_}",\n'
                 f'          "annotation": {_number(stage.annotation)}\n        }}'
             )
         parent = "null" if thimac.parent is None else quoted[thimac.parent]
@@ -200,7 +200,7 @@ def from_json(text: str) -> ParseResult:
                     f"thimac '{name}' declares unknown stage kind {kind_name!r}",
                 )
                 continue
-            owner = f"thimac '{name}' {kind.value} stage"
+            owner = f"thimac '{name}' {kind._value_} stage"
             try:
                 model.add_stage(tid, kind, annotation(stage, owner))
             except DuplicateStageKind as exc:

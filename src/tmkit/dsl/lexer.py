@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import re
 from bisect import bisect_right
-from typing import NamedTuple
+from collections import namedtuple
 
 from ..core import STAGE_KIND_NAMES
 from ..diagnostics import Diagnostic, Severity, SourceSpan
@@ -51,17 +51,9 @@ class TokenKind(enum.Enum):
     EOF = "end of input"
 
 
-class Token(NamedTuple):
-    """One lexeme with its 1-based start and (inclusive) end position.
-
-    A string's ``text`` is its value: quotes dropped, escapes applied."""
-
-    kind: TokenKind
-    text: str
-    line: int
-    col: int
-    end_line: int
-    end_col: int
+# One lexeme with its 1-based start and (inclusive) end position. A
+# string's ``text`` is its value: quotes dropped, escapes applied.
+Token = namedtuple("Token", "kind text line col end_line end_col")
 
 
 # A word is an identifier unless it is a keyword. Words and integers are

@@ -18,22 +18,25 @@ declared later in the file.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .. import graph
 from ..behavior import Chronology, EventDef, containment_cycles
 from ..core import Model, StageKind, STAGE_KIND_NAMES
-from ..diagnostics import Diagnostic, Severity, SourceSpan, has_errors, sorted_diagnostics
+from ..diagnostics import (
+    Diagnostic, Record, Severity, SourceSpan, has_errors, sorted_diagnostics
+)
 from ..errors import DuplicateName, DuplicateStageKind
 from .lexer import TokenKind, Tokens, string_value, tokenize
 
 
-@dataclass
-class ParseResult:
-    model: Model | None
-    events: list[EventDef]
-    chronology: Chronology | None
-    diagnostics: list[Diagnostic]
+class ParseResult(Record):
+    __slots__ = _fields = ("model", "events", "chronology", "diagnostics")
+
+    def __init__(
+        self, model: Model | None, events: list[EventDef],
+        chronology: Chronology | None, diagnostics: list[Diagnostic],
+    ) -> None:
+        self.model, self.events = model, events
+        self.chronology, self.diagnostics = chronology, diagnostics
 
     @property
     def ok(self) -> bool:
@@ -41,61 +44,65 @@ class ParseResult:
 
 
 # -- statement-level AST ----------------------------------------------
+# Slotted classes without ``Record``'s ``==`` and ``repr``: lowering
+# only reads them.
 
 
-@dataclass
 class _Path:
     """A path's segments and the tokens it was written with; its span is
     built only when a diagnostic asks for it."""
 
-    segments: list[str]
-    tokens: Tokens
-    first: int
-    last: int
+    __slots__ = ("segments", "tokens", "first", "last")
+
+    def __init__(self, segments: list[str], tokens: Tokens, first: int, last: int) -> None:
+        self.segments, self.tokens = segments, tokens
+        self.first, self.last = first, last
 
     @property
     def span(self) -> SourceSpan:
         return self.tokens.span(self.first, self.last)
 
 
-@dataclass
 class _StageDecl:
-    kind_name: str
-    annotation: int | None
-    span: SourceSpan
+    __slots__ = ("kind_name", "annotation", "span")
+
+    def __init__(self, kind_name: str, annotation: int | None, span: SourceSpan) -> None:
+        self.kind_name, self.annotation, self.span = kind_name, annotation, span
 
 
-@dataclass
 class _ThimacDecl:
-    name: str
-    annotation: int | None
-    span: SourceSpan
-    stages: list[_StageDecl] = field(default_factory=list)
-    children: list["_ThimacDecl"] = field(default_factory=list)
+    __slots__ = ("name", "annotation", "span", "stages", "children")
+
+    def __init__(self, name: str, annotation: int | None, span: SourceSpan) -> None:
+        self.name, self.annotation, self.span = name, annotation, span
+        self.stages: list[_StageDecl] = []
+        self.children: list[_ThimacDecl] = []
 
 
-@dataclass
 class _FlowStmt:
-    paths: list[_Path]
-    span: SourceSpan
+    __slots__ = ("paths", "span")
+
+    def __init__(self, paths: list[_Path], span: SourceSpan) -> None:
+        self.paths, self.span = paths, span
 
 
-@dataclass
 class _DashStmt:
-    keyword: str  # trigger | memory
-    src: _Path
-    dst: _Path
-    span: SourceSpan
+    __slots__ = ("keyword", "src", "dst", "span")
+
+    def __init__(self, keyword: str, src: _Path, dst: _Path, span: SourceSpan) -> None:
+        self.keyword = keyword  # trigger | memory
+        self.src, self.dst, self.span = src, dst, span
 
 
-@dataclass
 class _EventDecl:
-    id: str
-    label: str | None
-    region: list[_Path]
-    repeat: int | None
-    contains: list[str]
-    span: SourceSpan
+    __slots__ = ("id", "label", "region", "repeat", "contains", "span")
+
+    def __init__(
+        self, id: str, label: str | None, region: list[_Path], repeat: int | None,
+        contains: list[str], span: SourceSpan,
+    ) -> None:
+        self.id, self.label, self.region = id, label, region
+        self.repeat, self.contains, self.span = repeat, contains, span
 
 
 # token kinds as module globals: the parser compares one per token, and

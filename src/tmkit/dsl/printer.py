@@ -28,7 +28,7 @@ def _thimacs(model: Model) -> list[str]:
         out.append(f"{pad}thimac {thimac.name}{_annot(thimac.annotation)} {{")
         for sid in thimac.stages.values():
             stage = model.stages[sid]
-            out.append(f"{pad}  stage {stage.kind.value}{_annot(stage.annotation)};")
+            out.append(f"{pad}  stage {stage.kind._value_}{_annot(stage.annotation)};")
     return out
 
 

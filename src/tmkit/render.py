@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
 
 from . import graph
 from .behavior import Chronology, EventDef
 from .core import ElementId, Model
+from .diagnostics import Record
 from .errors import UnknownHighlightEvent
 
 _FILL = "lightgoldenrod1"
@@ -29,11 +29,14 @@ class RenderMode(enum.Enum):
     CHRONOLOGY = "chronology"
 
 
-@dataclass
-class RenderOptions:
-    mode: RenderMode = RenderMode.STATIC
-    highlight: str | None = None
-    simplified: bool = False
+class RenderOptions(Record):
+    __slots__ = _fields = ("mode", "highlight", "simplified")
+
+    def __init__(
+        self, mode: RenderMode = RenderMode.STATIC, highlight: str | None = None,
+        simplified: bool = False,
+    ) -> None:
+        self.mode, self.highlight, self.simplified = mode, highlight, simplified
 
 
 def _escape(text: str) -> str:
@@ -50,7 +53,7 @@ def _quote(text: str) -> str:
 
 def _stage_label(model: Model, stage_id: ElementId) -> str:
     stage = model.stages[stage_id]
-    label = stage.kind.value
+    label = stage.kind._value_
     if stage.annotation is not None:
         label += f" @{stage.annotation}"
     return label

@@ -97,7 +97,6 @@ from __future__ import annotations
 import enum
 from collections import defaultdict
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
 from . import graph
@@ -109,6 +108,7 @@ from .core import (
     StageKind,
     TriggerEdge,
 )
+from .diagnostics import Record
 from .errors import PreconditionViolated, StepBudgetExceeded
 from .validate import validate
 
@@ -126,37 +126,56 @@ class FiringKind(enum.Enum):
         self.quoted = encode_basestring_ascii(value)
 
 
-@dataclass
-class Token:
-    id: int
-    thing: str
-    location: ElementId
-    # routing state for the bidirectional transfer port
-    prev_stage: ElementId | None = field(default=None, repr=False)
+class Token(Record):
+    __slots__ = _fields = ("id", "thing", "location", "prev_stage")
+
+    def __init__(
+        self, id: int, thing: str, location: ElementId,
+        # routing state for the bidirectional transfer port
+        prev_stage: ElementId | None = None,
+    ) -> None:
+        self.id, self.thing, self.location = id, thing, location
+        self.prev_stage = prev_stage
+
+    def __repr__(self) -> str:
+        # without the routing state
+        return f"Token(id={self.id!r}, thing={self.thing!r}, location={self.location!r})"
 
 
-@dataclass(slots=True)
-class Firing:
-    step: int
-    event: str
-    instance: int
-    element: ElementId
-    kind: FiringKind
-    token: int | None = None
+class Firing(Record):
+    __slots__ = _fields = ("step", "event", "instance", "element", "kind", "token")
+
+    def __init__(
+        self, step: int, event: str, instance: int, element: ElementId,
+        kind: FiringKind, token: int | None = None,
+    ) -> None:
+        self.step, self.event, self.instance = step, event, instance
+        self.element, self.kind, self.token = element, kind, token
 
 
-@dataclass
-class Trace:
+class Trace(Record):
     """The record of a run; firings are kept as parallel columns, and a
     firing's step is its index in them (see the module docstring)."""
 
-    events: list[str] = field(default_factory=list)
-    instances: list[int] = field(default_factory=list)
-    elements: list[ElementId] = field(default_factory=list)
-    kinds: list[FiringKind] = field(default_factory=list)
-    tokens: list[int | None] = field(default_factory=list)
-    event_order: list[tuple[str, int, int]] = field(default_factory=list)
-    final_tokens: list[Token] = field(default_factory=list)
+    __slots__ = _fields = (
+        "events", "instances", "elements", "kinds", "tokens", "event_order",
+        "final_tokens",
+    )
+
+    def __init__(
+        self, events: list[str] | None = None, instances: list[int] | None = None,
+        elements: list[ElementId] | None = None, kinds: list[FiringKind] | None = None,
+        tokens: list[int | None] | None = None,
+        event_order: list[tuple[str, int, int]] | None = None,
+        final_tokens: list[Token] | None = None,
+    ) -> None:
+        self.events = [] if events is None else events
+        self.instances = [] if instances is None else instances
+        self.elements = [] if elements is None else elements
+        self.kinds = [] if kinds is None else kinds
+        self.tokens = [] if tokens is None else tokens
+        self.event_order = [] if event_order is None else event_order
+        self.final_tokens = [] if final_tokens is None else final_tokens
 
     @property
     def firings(self) -> Firings:
@@ -195,13 +214,13 @@ class Firings(Sequence):
         )
 
 
-@dataclass
-class SimConfig:
-    max_steps_per_event: int = 10000
+class SimConfig(Record):
+    __slots__ = _fields = ("max_steps_per_event",)
 
-    def __post_init__(self) -> None:
-        if self.max_steps_per_event < 1:
+    def __init__(self, max_steps_per_event: int = 10000) -> None:
+        if max_steps_per_event < 1:
             raise ValueError("max_steps_per_event must be at least 1")
+        self.max_steps_per_event = max_steps_per_event
 
 
 def linear_extension(chronology: Chronology) -> list[str]:
@@ -212,19 +231,24 @@ def linear_extension(chronology: Chronology) -> list[str]:
     return order
 
 
-@dataclass
 class _Plan:
     """What one event's instances read of the model, built once per node."""
 
-    triggers: list[TriggerEdge]
-    trigs_by_src: dict[ElementId, list[TriggerEdge]]
-    # per stage with out-flows: (all out-flows, None), or for a transfer
-    # port (cross-machine out-flows, within-machine out-flows); the keys
-    # are the stages that can move a token
-    routes: dict[ElementId, tuple[list[FlowEdge], list[FlowEdge] | None]]
-    origins: list[ElementId]
-    # the stages whose occupancy an instance reads (see the module docstring)
-    watched: list[ElementId]
+    __slots__ = ("triggers", "trigs_by_src", "routes", "origins", "watched")
+
+    def __init__(
+        self, triggers: list[TriggerEdge],
+        trigs_by_src: dict[ElementId, list[TriggerEdge]],
+        # per stage with out-flows: (all out-flows, None), or for a transfer
+        # port (cross-machine out-flows, within-machine out-flows); the keys
+        # are the stages that can move a token
+        routes: dict[ElementId, tuple[list[FlowEdge], list[FlowEdge] | None]],
+        origins: list[ElementId],
+        # the stages whose occupancy an instance reads (see the module docstring)
+        watched: list[ElementId],
+    ) -> None:
+        self.triggers, self.trigs_by_src, self.routes = triggers, trigs_by_src, routes
+        self.origins, self.watched = origins, watched
 
 
 def _plan(model: Model, event: EventDef) -> _Plan:

@@ -443,6 +443,12 @@ def _run_tm(argv: list[str]) -> tuple[int, set[str], str, str]:
     return int(code), set(modules), out, done.stderr
 
 
+# Standard-library modules that no subcommand loads: tmkit's records are
+# plain classes, and it imports neither ``dataclasses`` (which loads
+# ``inspect``, ``ast`` and ``dis``) nor ``typing``.
+UNUSED = {"dataclasses", "inspect", "typing", "ast", "dis"}
+
+
 @pytest.mark.parametrize(
     "argv, loads",
     [
@@ -450,6 +456,7 @@ def _run_tm(argv: list[str]) -> tuple[int, set[str], str, str]:
         (["validate"], set()),
         (["normalize"], {"tmkit.dsl.printer"}),
         (["render", "--mode", "static"], {"tmkit.render"}),
+        (["parse"], set()),
     ],
 )
 def test_a_subcommand_imports_only_what_it_runs(argv, loads):
@@ -462,12 +469,14 @@ def test_a_subcommand_imports_only_what_it_runs(argv, loads):
     code, modules, _, err = _run_tm([argv[0], model, *argv[1:]])
     assert (code, err) == (0, "")
     assert modules & optional == loads
+    assert not modules & UNUSED
 
 
 def test_simulate_loads_logging_only_to_warn(tmp_path):
     code, modules, _, err = _run_tm(["simulate", str(corpus_path("atm_full.tm"))])
     assert (code, err) == (0, "")
     assert "tmkit.sim" in modules and "logging" not in modules
+    assert not modules & UNUSED
     path = tmp_path / "broadcast.tm"
     path.write_text(BROADCAST)
     code, modules, out, err = _run_tm(["simulate", str(path)])
