@@ -101,13 +101,24 @@ def containment_cycles(events: list[EventDef]) -> list[list[str]]:
 
 
 def region_edges(model: Model, region: set[ElementId]) -> tuple[list, list]:
-    """Flow and trigger edges induced by a region (both endpoints inside)."""
+    """Flow and trigger edges induced by a region (both endpoints inside).
+
+    It walks the out-edges of the region's members through the model's
+    per-source indexes, so it costs the number of edges leaving the
+    region, not the number in the model. Each source's flows come in
+    model order, the sources in the region's iteration order; the
+    triggers come in model order, which is ascending id.
+    """
+    flows_from, triggers_from = model.flows_from, model.triggers_from
     flows = [
-        f for f in model.flows if f.from_stage in region and f.to_stage in region
+        e for s in region if s in flows_from
+        for d, e in flows_from[s].items() if d in region
     ]
     triggers = [
-        t for t in model.triggers if t.from_stage in region and t.to_stage in region
+        e for s in region if s in triggers_from
+        for d, e in triggers_from[s].items() if d in region
     ]
+    triggers.sort(key=lambda t: t.id)
     return flows, triggers
 
 

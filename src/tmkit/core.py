@@ -7,14 +7,18 @@ dashes. Models are append-only during construction and treated as
 immutable afterwards; ``normalize`` returns a new model.
 
 Thimacs and edges enter a ``Model`` only through its ``add_*`` methods,
-which keep four indexes: thimacs by ``(parent, name)``, flows and
-triggers by ``(from, to)``, and every edge by its id (``edges``).
-Lookups (``find_thimac``, ``find_stage``, ``find_flow``) and the
-duplicate checks are one dict probe each, so building and resolving a
-model is linear in its size. ``copy`` and ``normalize`` rebuild the
-indexes for the model they return; ``normalize`` swaps in its flows
-through ``replace_flows``. ``add_thimac`` refuses a name that no path
-could reach: an empty one, a dotted one, or a stage-kind word.
+which keep four indexes: thimacs by ``(parent, name)``, every edge by
+its id (``edges``), and flows and triggers by source (``flows_from``,
+``triggers_from``), each ``{from: {to: edge}}`` with a source's edges in
+model order. ``triggers`` is in ascending id order, since each trigger
+is appended with a fresh id. Lookups (``find_thimac``, ``find_stage``,
+``find_flow``) and the duplicate checks are a dict probe or two, so
+building and resolving a model is linear in its size, and the edges
+leaving a set of stages cost their number to find. ``copy`` and
+``normalize`` rebuild the indexes for the model they return;
+``normalize`` swaps in its flows through ``replace_flows``.
+``add_thimac`` refuses a name that no path could reach: an empty one, a
+dotted one, or a stage-kind word.
 
 ``LEGAL`` is the one table of the stage-wiring rule; ``edge_legal``,
 ``Model.flow_legal`` and the validator's FLOW_ILLEGAL read it, and
@@ -180,8 +184,8 @@ class Model:
         self.edges: dict[ElementId, FlowEdge | TriggerEdge | MemoryEdge] = {}
         self._next_id = 1
         self._thimac_index: dict[tuple[ElementId | None, str], ElementId] = {}
-        self._flow_index: dict[tuple[ElementId, ElementId], FlowEdge] = {}
-        self._trigger_index: dict[tuple[ElementId, ElementId], TriggerEdge] = {}
+        self.flows_from: dict[ElementId, dict[ElementId, FlowEdge]] = {}
+        self.triggers_from: dict[ElementId, dict[ElementId, TriggerEdge]] = {}
         self._names: dict[ElementId, str] = {}
 
     # -- construction -------------------------------------------------
@@ -261,7 +265,7 @@ class Model:
         eid = self._alloc()
         edge = FlowEdge(eid, src, dst, span=span)
         self.flows.append(edge)
-        self._flow_index[src, dst] = edge
+        self.flows_from.setdefault(src, {})[dst] = edge
         self.edges[eid] = edge
         return eid
 
@@ -271,11 +275,10 @@ class Model:
         for old in self.flows:
             del self.edges[old.id]
         self.flows = []
-        self._flow_index = {}
+        self.flows_from = {}
         for flow in flows:
-            key = (flow.from_stage, flow.to_stage)
-            if key not in self._flow_index:
-                self._flow_index[key] = flow
+            out = self.flows_from.setdefault(flow.from_stage, {})
+            if out.setdefault(flow.to_stage, flow) is flow:
                 self.flows.append(flow)
                 self.edges[flow.id] = flow
 
@@ -287,13 +290,12 @@ class Model:
     ) -> ElementId:
         src = self._resolve_endpoint(from_stage)
         dst = self._resolve_endpoint(to_stage)
-        existing = self._trigger_index.get((src, dst))
-        if existing is not None:
-            return existing.id
+        out = self.triggers_from.setdefault(src, {})
+        if dst in out:
+            return out[dst].id
         eid = self._alloc()
-        edge = TriggerEdge(eid, src, dst, span=span)
+        edge = out[dst] = TriggerEdge(eid, src, dst, span=span)
         self.triggers.append(edge)
-        self._trigger_index[src, dst] = edge
         self.edges[eid] = edge
         return eid
 
@@ -322,7 +324,7 @@ class Model:
     # -- lookup -------------------------------------------------------
 
     def find_flow(self, src: ElementId, dst: ElementId) -> FlowEdge | None:
-        return self._flow_index.get((src, dst))
+        return self.flows_from.get(src, {}).get(dst)
 
     def _thimac_at(self, segments: Sequence[str]) -> ElementId | None:
         current: ElementId | None = None
@@ -455,8 +457,11 @@ class Model:
         out.edges = {e.id: e for e in (*out.flows, *out.triggers, *out.memories)}
         out._next_id = self._next_id
         out._thimac_index = dict(self._thimac_index)
-        out._flow_index = {(f.from_stage, f.to_stage): f for f in out.flows}
-        out._trigger_index = {(t.from_stage, t.to_stage): t for t in out.triggers}
+        for edges, index in (
+            (out.flows, out.flows_from), (out.triggers, out.triggers_from)
+        ):
+            for e in edges:
+                index.setdefault(e.from_stage, {})[e.to_stage] = e
         out._names = dict(self._names)
         return out
 

@@ -50,6 +50,15 @@ reads the same plan, and an instance follows exactly the steps above.
 Resting tokens are kept by stage and token id, so moving one is a
 constant-time update.
 
+Movement runs in rounds. Each round visits the active tokens in order;
+the next round's are the tokens that moved, in the same order, then the
+tokens spawned during the round, in spawn order. A token with no
+eligible out-flow leaves the rounds for good: its eligibility reads only
+its own location and ``prev_stage`` and the plan, and only its own move
+changes those. That is the FIFO order of step 4 with the tokens that can
+no longer move left out, so a round costs the tokens that still move,
+not every token the instance has touched.
+
 A token's only routing state is ``prev_stage``, the stage it last moved
 from. The port rule reads it: a token at a transfer port leaves across
 the boundary when ``prev_stage`` is a release stage. That is exactly
@@ -318,11 +327,6 @@ class _Run:
 
     # -- token bookkeeping ----------------------------------------------
 
-    def _place(self, token: Token, stage: ElementId) -> None:
-        del self.at[token.location][token.id]
-        token.location = stage
-        self.at[stage][token.id] = token
-
     def _machine_occupied(self, thimac_id: ElementId) -> bool:
         thimac = self.model.thimacs[thimac_id]
         return any(self.at.get(sid) for sid in thimac.stages.values())
@@ -391,9 +395,11 @@ class _Run:
 
     def _move(self, token: Token, edge: FlowEdge) -> None:
         self._emit(FiringKind.FLOW_MOVE, edge.id, token.id)
-        token.prev_stage = edge.from_stage
-        self._place(token, edge.to_stage)
-        self._fire_stage_triggers(edge.to_stage)
+        stage = edge.to_stage
+        del self.at[token.location][token.id]
+        token.prev_stage, token.location = edge.from_stage, stage
+        self.at[stage][token.id] = token
+        self._fire_stage_triggers(stage)
 
     # -- one event instance ------------------------------------------------
 
@@ -498,14 +504,15 @@ class _Run:
             if spawned is not None:
                 self._fire_stage_triggers(spawned)
 
-        # 4. movement rounds until quiescence
-        while True:
-            moved = False
-            for token in list(self.active):
+        # 4. movement rounds until quiescence (see the module docstring)
+        while self.active:
+            tokens, self.active = self.active, []  # the round's spawns
+            moved = []
+            for token in tokens:
                 edges = self._eligible(token)
                 if not edges:
                     continue
-                moved = True
+                moved.append(token)
                 if len(edges) > 1:
                     quiet = False
                     # logging is imported only by a run that broadcasts
@@ -529,8 +536,7 @@ class _Run:
                         self._move(clone, extra)
                 else:
                     self._move(token, edges[0])
-            if not moved:
-                break
+            self.active = moved + self.active
 
         self.trace.event_order.append((event.id, instance, tick))
         return quiet

@@ -214,10 +214,13 @@ def _check_chronology_justified(
             continue
         if ea.region & eb.region:
             continue
+        # an edge from one region into the other, found by source
         linked = any(
-            (e.from_stage in ea.region and e.to_stage in eb.region)
-            or (e.from_stage in eb.region and e.to_stage in ea.region)
-            for e in (*model.flows, *model.triggers)
+            dst in other
+            for index in (model.flows_from, model.triggers_from)
+            for region, other in ((ea.region, eb.region), (eb.region, ea.region))
+            for src in region
+            for dst in index.get(src, ())
         )
         if not linked:
             diags.append(

@@ -9,7 +9,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 
-from tmkit.behavior import Chronology, EventDef, instances, region_edges
+from tmkit.behavior import Chronology, EventDef, instances
 from tmkit.core import (
     STAGE_KIND_NAMES,
     ElementId,
@@ -291,6 +291,43 @@ def reference_qualified_name(model: Model, element: ElementId) -> str:
 def scan_edge(edges, src: int, dst: int):
     """The first edge of ``edges`` from ``src`` to ``dst``, or None."""
     return next((e for e in edges if e.from_stage == src and e.to_stage == dst), None)
+
+
+def reference_region_edges(model: Model, region: set[ElementId]) -> tuple[list, list]:
+    """The flows and the triggers with both endpoints in ``region``, each
+    in model order, by a scan of every edge: the oracle for
+    ``tmkit.behavior.region_edges``."""
+    flows = [
+        f for f in model.flows if f.from_stage in region and f.to_stage in region
+    ]
+    triggers = [
+        t for t in model.triggers if t.from_stage in region and t.to_stage in region
+    ]
+    return flows, triggers
+
+
+def reference_chronology_unjustified(
+    model: Model, chronology: Chronology, events: list[EventDef]
+) -> list[tuple[str, str]]:
+    """The chronology edges between two declared events whose regions
+    share no element and are joined by no flow or trigger in either
+    direction, by a scan of every edge for each chronology edge: the
+    oracle for the validator's CHRONO_UNJUSTIFIED lint."""
+    by_id = {e.id: e for e in events}
+    out = []
+    for a, b in chronology.edges:
+        if a not in by_id or b not in by_id:
+            continue
+        ra, rb = by_id[a].region, by_id[b].region
+        if ra & rb:
+            continue
+        if not any(
+            (e.from_stage in ra and e.to_stage in rb)
+            or (e.from_stage in rb and e.to_stage in ra)
+            for e in (*model.flows, *model.triggers)
+        ):
+            out.append((a, b))
+    return out
 
 
 def random_legal_chain_model(rng: random.Random, machines: int = 3) -> Model:
@@ -611,7 +648,7 @@ class _ReferenceRun:
         self.active_ids = set()
 
         region = {s for s in event.region if s in self.model.stages}
-        flows, triggers = region_edges(self.model, region)
+        flows, triggers = reference_region_edges(self.model, region)
         self.flows_by_src = {}
         for f in flows:
             self.flows_by_src.setdefault(f.from_stage, []).append(f)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tmkit import dsl
+from tmkit.behavior import region_edges
 from tmkit.core import (
     STAGE_KIND_NAMES,
     Model,
@@ -35,6 +36,7 @@ from _support import (
     random_model,
     reference_expansion,
     reference_qualified_name,
+    reference_region_edges,
     scan_edge,
     scan_stage,
     scan_thimac,
@@ -428,6 +430,28 @@ def _probe_paths(model: Model) -> list[str]:
     return paths
 
 
+def _by_source(edges) -> dict:
+    """``{from: [(to, edge object's identity), ...]}`` in the edges' order."""
+    out: dict = {}
+    for e in edges:
+        out.setdefault(e.from_stage, []).append((e.to_stage, id(e)))
+    return out
+
+
+def _check_out_edges(model: Model, label: str) -> None:
+    """The per-source indexes hold exactly the model's edges, each source's
+    in model order, and the triggers are in ascending id order."""
+    for index, edges in (
+        (model.flows_from, model.flows), (model.triggers_from, model.triggers)
+    ):
+        held = {
+            src: [(dst, id(e)) for dst, e in out.items()] for src, out in index.items()
+        }
+        assert held == _by_source(edges), label
+    ids = [t.id for t in model.triggers]
+    assert ids == sorted(ids), label
+
+
 def _check_indexes(model: Model, rng: random.Random, label: str) -> None:
     for path in _probe_paths(model):
         assert model.find_thimac(path) == scan_thimac(model, path), (label, path)
@@ -436,8 +460,9 @@ def _check_indexes(model: Model, rng: random.Random, label: str) -> None:
     for src in stages:
         for dst in stages:
             assert model.find_flow(src, dst) is scan_edge(model.flows, src, dst), label
-    # trigger dedup: an existing (from, to) pair returns its edge, a new
-    # one appends exactly one edge
+    _check_out_edges(model, label)
+    # edge dedup: an existing (from, to) pair returns its edge, a new one
+    # appends exactly one edge
     for _ in range(6):
         src, dst = rng.choice(stages), rng.choice(stages)
         existing = scan_edge(model.triggers, src, dst)
@@ -448,7 +473,13 @@ def _check_indexes(model: Model, rng: random.Random, label: str) -> None:
         else:
             assert len(model.triggers) == count + 1, label
             assert model.triggers[-1].id == tid, label
+        if src != dst:
+            existing = scan_edge(model.flows, src, dst)
+            fid = model.add_flow(src, dst)
+            want = model.flows[-1] if existing is None else existing
+            assert fid == want.id, label
         assert model.find_flow(src, dst) is scan_edge(model.flows, src, dst), label
+    _check_out_edges(model, f"{label} grown")
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -460,6 +491,35 @@ def test_indexes_agree_with_brute_force_scans(seed):
         model = random_model(rng, max_thimacs=5, max_stages=10, max_flows=12)
     for label, variant in _variants(model).items():
         _check_indexes(variant, rng, label)
+
+
+def _check_region_edges(model: Model, rng: random.Random, label: str) -> None:
+    """``region_edges`` against the full scan over random regions, which
+    may hold thimac ids, edge ids and ids of nothing: the same flows and
+    triggers, the triggers in the same order, and each source's flows in
+    the same order."""
+    ids = [*model.stages, *model.thimacs, *model.edges, 0, model._next_id]
+    for _ in range(6):
+        region = set(rng.sample(ids, rng.randint(0, len(ids))))
+        flows, triggers = region_edges(model, region)
+        want_flows, want_triggers = reference_region_edges(model, region)
+        assert [id(t) for t in triggers] == [id(t) for t in want_triggers], label
+        assert _by_source(flows) == _by_source(want_flows), label
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 100_000))
+def test_region_edges_matches_the_scan_on_random_models(seed):
+    rng = random.Random(seed)
+    if seed % 2:
+        model = random_legal_chain_model(rng, machines=4)
+    else:
+        model = random_model(rng, max_thimacs=5, max_stages=12, max_flows=16)
+    stages = list(model.stages)
+    for _ in range(rng.randint(0, 6)):
+        model.add_trigger(rng.choice(stages), rng.choice(stages))
+    for label, variant in _variants(model).items():
+        _check_region_edges(variant, rng, label)
 
 
 def test_index_lookups_on_corpus(load_corpus):

@@ -79,6 +79,21 @@ BROADCAST = (
     "event E { region { a; } }\n"
     "chronology { E; }"
 )
+# movement order: a's token rests after one move while b's keeps moving;
+# b's token entering b.process spawns one at c.create mid-round, and
+# that one broadcasts in the next round
+REST_SPAWN_BROADCAST = (
+    "thimac a { stage create; stage process; }\n"
+    "flow a.create -> a.process;\n"
+    "thimac b { stage create; stage process; stage release; stage transfer; }\n"
+    "flow b.create -> b.process -> b.release -> b.transfer;\n"
+    "thimac c { stage create; stage process; stage release; }\n"
+    "flow c.create -> c.process;\n"
+    "flow c.create -> c.release;\n"
+    "trigger b.process ~> c.create;\n"
+    "event E { region { a; b; c; } repeat 2; }\n"
+    "chronology { E; }"
+)
 # two machines bouncing the same thing back and forth forever
 FLOW_LOOP = (
     "thimac a { stage create; stage release; stage transfer; stage receive; }\n"
@@ -623,6 +638,7 @@ def test_simulate_matches_reference_on_corpus(load_corpus, name):
         (WAITING_TOKEN, "FlowMove"),
         (PORT_RELAY, "FlowMove"),
         (BROADCAST, "broadcast"),
+        (REST_SPAWN_BROADCAST, "broadcast"),
         (FLOW_LOOP, "StepBudgetExceeded"),
         (TRIGGER_LOOP, "StepBudgetExceeded"),
     ],
@@ -631,6 +647,7 @@ def test_simulate_matches_reference_on_corpus(load_corpus, name):
         "waiting-token",
         "port-relay",
         "broadcast",
+        "rest-spawn-broadcast",
         "flow-loop",
         "trigger-loop",
     ],
@@ -642,6 +659,36 @@ def test_simulate_matches_reference_on_scenarios(source, outcome):
         model, result.events, result.chronology, SimConfig(max_steps_per_event=200)
     )
     assert outcome in text or any(outcome in message for _, message in records)
+
+
+def test_rest_spawn_broadcast_trace_is_the_references_byte_for_byte():
+    result = dsl.parse(REST_SPAWN_BROADCAST, "scenario.tm")
+    model = normalize(result.model)
+    trace = _simulate_validated(model, result.events, result.chronology)
+    want = reference_simulate(model, result.events, result.chronology)
+    assert trace_to_json(model, trace) == reference_trace_to_json(model, want)
+    name = model.qualified_name
+    first = [
+        (name(f.element), f.kind.value, f.token)
+        for f in trace.firings
+        if f.instance == 1
+    ]
+    # a's token 1 rests at a.process after its first round, b's token 2
+    # moves on; token 3 appears at c.create in round 1 and broadcasts in
+    # round 2 (clone 4), where token 1 is no longer visited
+    assert first == [
+        ("a.create", "TokenSpawn", 1),
+        ("b.create", "TokenSpawn", 2),
+        ("a.create->a.process", "FlowMove", 1),
+        ("b.create->b.process", "FlowMove", 2),
+        ("b.process~>c.create", "TriggerFire", None),
+        ("c.create", "TokenSpawn", 3),
+        ("b.process->b.release", "FlowMove", 2),
+        ("c.create", "TokenSpawn", 4),
+        ("c.create->c.process", "FlowMove", 3),
+        ("c.create->c.release", "FlowMove", 4),
+        ("b.release->b.transfer", "FlowMove", 2),
+    ]
 
 
 def _random_scenario(rng: random.Random, max_multiplicity: int = 3):
