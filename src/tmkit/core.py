@@ -3,8 +3,11 @@
 A model is a forest of thimacs ("thing/machines"). Each thimac owns at
 most one stage per kind; the transfer stage is a single bidirectional
 port. Flow edges carry things between stages, trigger edges are causal
-dashes. Models are append-only during construction and treated as
-immutable afterwards; ``normalize`` returns a new model.
+dashes; these are the only two edge kinds. The DSL's reserved
+``memory`` relation never reaches a model: the parser and ``from_json``
+reject it where they read it (MEMORY_UNSUPPORTED). Models are
+append-only during construction and treated as immutable afterwards;
+``normalize`` returns a new model.
 
 Thimacs and edges enter a ``Model`` only through its ``add_*`` methods,
 which keep four indexes: thimacs by ``(parent, name)``, every edge by
@@ -26,11 +29,11 @@ dotted one, or a stage-kind word.
 
 ``qualified_name`` is the one table of element names. A thimac's name
 is memoized the first time it is asked for; a stage's (``m.kind``) and
-an edge's (``x->y``, ``x~>y``, ``x~~y``) are built from the memo on each
-call. The memo is lazy and holds only the names asked for, not the
-prefix of each ancestor a walk passes: a name is as long as its depth,
-so storing every thimac's name of a 10^4-deep chain would hold about
-2.9e8 characters, while naming its bottom stage needs one such string.
+an edge's (``x->y``, ``x~>y``) are built from the memo on each call.
+The memo is lazy and holds only the names asked for, not the prefix of
+each ancestor a walk passes: a name is as long as its depth, so storing
+every thimac's name of a 10^4-deep chain would hold about 2.9e8
+characters, while naming its bottom stage needs one such string.
 """
 
 from __future__ import annotations
@@ -145,11 +148,9 @@ class FlowEdge(Record):
         self.span = span
 
 
-class _DashEdge(Record):
-    """The fields of a trigger or a memory edge; the two are separate
-    classes, so neither is an instance of the other."""
-
+class TriggerEdge(Record):
     __slots__ = _fields = ("id", "from_stage", "to_stage", "span")
+    arrow = "~>"
 
     def __init__(
         self, id: ElementId, from_stage: ElementId, to_stage: ElementId,
@@ -157,18 +158,6 @@ class _DashEdge(Record):
     ) -> None:
         self.id, self.from_stage, self.to_stage = id, from_stage, to_stage
         self.span = span
-
-
-class TriggerEdge(_DashEdge):
-    __slots__ = ()
-    arrow = "~>"
-
-
-class MemoryEdge(_DashEdge):
-    """Reserved dashed relation; parsed but rejected by the validator."""
-
-    __slots__ = ()
-    arrow = "~~"
 
 
 class Model:
@@ -180,8 +169,7 @@ class Model:
         self.stages: dict[ElementId, Stage] = {}
         self.flows: list[FlowEdge] = []
         self.triggers: list[TriggerEdge] = []
-        self.memories: list[MemoryEdge] = []
-        self.edges: dict[ElementId, FlowEdge | TriggerEdge | MemoryEdge] = {}
+        self.edges: dict[ElementId, FlowEdge | TriggerEdge] = {}
         self._next_id = 1
         self._thimac_index: dict[tuple[ElementId | None, str], ElementId] = {}
         self.flows_from: dict[ElementId, dict[ElementId, FlowEdge]] = {}
@@ -299,20 +287,6 @@ class Model:
         self.edges[eid] = edge
         return eid
 
-    def add_memory(
-        self,
-        from_stage: ElementId | str,
-        to_stage: ElementId | str,
-        span: SourceSpan | None = None,
-    ) -> ElementId:
-        src = self._resolve_endpoint(from_stage)
-        dst = self._resolve_endpoint(to_stage)
-        eid = self._alloc()
-        edge = MemoryEdge(eid, src, dst, span=span)
-        self.memories.append(edge)
-        self.edges[eid] = edge
-        return eid
-
     def ensure_transfer(self, thimac: ElementId) -> ElementId:
         """Return the thimac's transfer port, materializing it if absent."""
         owner = self.thimacs[thimac]
@@ -366,9 +340,8 @@ class Model:
         return self.thimacs[tid].stages.get(StageKind.TRANSFER if kind is None else kind)
 
     def qualified_name(self, element: ElementId) -> str:
-        """The dotted name of a thimac or stage, or ``x->y``, ``x~>y``,
-        ``x~~y`` for a flow, trigger or memory; ``KeyError`` for an
-        unknown id."""
+        """The dotted name of a thimac or stage, or ``x->y`` or ``x~>y``
+        for a flow or trigger; ``KeyError`` for an unknown id."""
         name = self._names.get(element)
         if name is not None:
             return name
@@ -416,11 +389,7 @@ class Model:
 
     def element_count(self) -> int:
         return (
-            len(self.thimacs)
-            + len(self.stages)
-            + len(self.flows)
-            + len(self.triggers)
-            + len(self.memories)
+            len(self.thimacs) + len(self.stages) + len(self.flows) + len(self.triggers)
         )
 
     def copy(self) -> "Model":
@@ -451,10 +420,7 @@ class Model:
         out.triggers = [
             TriggerEdge(t.id, t.from_stage, t.to_stage, t.span) for t in self.triggers
         ]
-        out.memories = [
-            MemoryEdge(m.id, m.from_stage, m.to_stage, m.span) for m in self.memories
-        ]
-        out.edges = {e.id: e for e in (*out.flows, *out.triggers, *out.memories)}
+        out.edges = {e.id: e for e in (*out.flows, *out.triggers)}
         out._next_id = self._next_id
         out._thimac_index = dict(self._thimac_index)
         for edges, index in (

@@ -19,7 +19,7 @@ from ..core import ElementId, Model, StageKind
 from ..diagnostics import Diagnostic, Severity, has_errors
 from ..errors import DuplicateName, DuplicateStageKind
 from .lexer import is_identifier
-from .parser import ParseResult
+from .parser import ParseResult, memory_unsupported
 
 
 def to_json(result: ParseResult) -> str:
@@ -53,6 +53,10 @@ def to_json(result: ParseResult) -> str:
         f'{_list("      ", [quoted[s] for s in f.implicit_segments])}\n    }}'
         for f in model.flows
     ]
+    triggers = [
+        f'{{\n      "from": {quoted[t.from_stage]},\n      "to": {quoted[t.to_stage]}\n    }}'
+        for t in model.triggers
+    ]
     events = []
     for e in result.events:
         label = "null" if e.label is None else _quote(e.label)
@@ -74,29 +78,17 @@ def to_json(result: ParseResult) -> str:
             f'{{\n    "nodes": {_list("    ", nodes)},\n'
             f'    "edges": {_list("    ", edges)}\n  }}'
         )
-    parts = [
-        f'{{\n  "thimacs": {_list("  ", thimacs)},\n',
-        f'  "flows": {_list("  ", flows)},\n',
-        f'  "triggers": {_list("  ", _pairs(model.triggers, quoted))},\n',
-        f'  "events": {_list("  ", events)},\n',
-        f'  "chronology": {chronology}',
-    ]
-    if model.memories:
-        parts.append(f',\n  "memories": {_list("  ", _pairs(model.memories, quoted))}')
-    parts.append("\n}\n")
-    return "".join(parts)
+    return (
+        f'{{\n  "thimacs": {_list("  ", thimacs)},\n'
+        f'  "flows": {_list("  ", flows)},\n'
+        f'  "triggers": {_list("  ", triggers)},\n'
+        f'  "events": {_list("  ", events)},\n'
+        f'  "chronology": {chronology}\n}}\n'
+    )
 
 
 def _number(value: int | None) -> str:
     return "null" if value is None else str(value)
-
-
-def _pairs(edges, quoted: dict[ElementId, str]) -> list[str]:
-    """The ``{"from", "to"}`` entries of trigger or memory edges."""
-    return [
-        f'{{\n      "from": {quoted[e.from_stage]},\n      "to": {quoted[e.to_stage]}\n    }}'
-        for e in edges
-    ]
 
 
 def _list(indent: str, items: list[str]) -> str:
@@ -246,11 +238,9 @@ def from_json(text: str) -> ParseResult:
         if src is not None and dst is not None:
             model.add_trigger(src, dst)
 
-    for entry in objects(doc.get("memories", []), "memories"):
-        src = stage_ref(entry.get("from"), "memory")
-        dst = stage_ref(entry.get("to"), "memory")
-        if src is not None and dst is not None:
-            model.add_memory(src, dst)
+    # the notation gives a memory no meaning: each entry is an error
+    for _ in objects(doc.get("memories", []), "memories"):
+        diags.append(memory_unsupported())
 
     events: list[EventDef] = []
     declared: set[str] = set()

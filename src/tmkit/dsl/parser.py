@@ -9,7 +9,9 @@ once per diagnostic. A path keeps the indexes of its first and last
 tokens and builds its span only if lowering reports it.
 
 Parsing recovers at statement boundaries (semicolons and braces), so a
-single run reports every diagnosable problem it can. Chronology
+single run reports every diagnosable problem it can. A well-formed
+``memory P ~> Q;`` statement is parsed like a trigger and reported as
+MEMORY_UNSUPPORTED; its endpoints are not resolved. Chronology
 statements name only events, so the parser builds the chronology
 itself. Lowering happens in two passes: thimac declarations first,
 then flows, triggers and events, which may therefore reference thimacs
@@ -41,6 +43,19 @@ class ParseResult(Record):
     @property
     def ok(self) -> bool:
         return self.model is not None
+
+
+def memory_unsupported(span: SourceSpan | None = None) -> Diagnostic:
+    """The error for a ``memory`` relation, which the parser and
+    ``from_json`` report where they read one: the notation gives it no
+    meaning, so no model carries it."""
+    return Diagnostic(
+        Severity.ERROR,
+        "MEMORY_UNSUPPORTED",
+        "the 'memory' relation is reserved notation with no defined "
+        "semantics; use a trigger instead",
+        span,
+    )
 
 
 # -- statement-level AST ----------------------------------------------
@@ -86,11 +101,10 @@ class _FlowStmt:
         self.paths, self.span = paths, span
 
 
-class _DashStmt:
-    __slots__ = ("keyword", "src", "dst", "span")
+class _TriggerStmt:
+    __slots__ = ("src", "dst", "span")
 
-    def __init__(self, keyword: str, src: _Path, dst: _Path, span: SourceSpan) -> None:
-        self.keyword = keyword  # trigger | memory
+    def __init__(self, src: _Path, dst: _Path, span: SourceSpan) -> None:
         self.src, self.dst, self.span = src, dst, span
 
 
@@ -137,7 +151,7 @@ class _Parser:
         self.diagnostics: list[Diagnostic] = []
         self.thimacs: list[_ThimacDecl] = []
         self.flows: list[_FlowStmt] = []
-        self.dashes: list[_DashStmt] = []
+        self.triggers: list[_TriggerStmt] = []
         self.events: list[_EventDecl] = []
         # chronology statements name only events, so need no lowering
         self.chronology: Chronology | None = None
@@ -342,9 +356,10 @@ class _Parser:
         if dst is None:
             return self.sync(i)
         i = self.expect(i, _SEMI, "';'")
-        self.dashes.append(
-            _DashStmt(self.texts[keyword], src, dst, self.tokens.span(keyword))
-        )
+        if self.texts[keyword] == "trigger":
+            self.triggers.append(_TriggerStmt(src, dst, self.tokens.span(keyword)))
+        else:
+            self.diagnostics.append(memory_unsupported(self.tokens.span(keyword)))
         return i
 
     def event_decl(self, i: int) -> int:
@@ -538,16 +553,12 @@ class _Lowering:
                     continue
                 self.model.add_flow(src, dst, span=stmt.span)
 
-    def lower_dashes(self) -> None:
-        for stmt in self.p.dashes:
+    def lower_triggers(self) -> None:
+        for stmt in self.p.triggers:
             src = self.resolve_stage(stmt.src)
             dst = self.resolve_stage(stmt.dst)
-            if src is None or dst is None:
-                continue
-            if stmt.keyword == "trigger":
+            if src is not None and dst is not None:
                 self.model.add_trigger(src, dst, span=stmt.span)
-            else:
-                self.model.add_memory(src, dst, span=stmt.span)
 
     def region_members(self, path: _Path) -> set[int]:
         """A region path: a stage, or a thimac meaning all its stages."""
@@ -623,7 +634,7 @@ def parse(text: str, file: str = "<input>") -> ParseResult:
     lowering = _Lowering(parser)
     lowering.declare_thimacs()
     lowering.lower_flows()
-    lowering.lower_dashes()
+    lowering.lower_triggers()
     events = lowering.lower_events()
     diagnostics = sorted_diagnostics(
         diagnostics + parser.diagnostics + lowering.diagnostics

@@ -50,11 +50,6 @@ def format_parts(
             f"trigger {model.qualified_name(trig.from_stage)} ~> "
             f"{model.qualified_name(trig.to_stage)};"
         )
-    for mem in model.memories:
-        out.append(
-            f"memory {model.qualified_name(mem.from_stage)} ~> "
-            f"{model.qualified_name(mem.to_stage)};"
-        )
     for event in events:
         head = f"event {event.id}"
         if event.label is not None:

@@ -21,7 +21,9 @@ EVENT_EMPTY          event with an empty region (error)
 CHRONO_CYCLE         chronology has a directed cycle (error)
 CHRONO_UNKNOWN_EVENT chronology references an undeclared event (error)
 CHRONO_UNJUSTIFIED   chronology edge with unrelated regions (opt-in warning)
-MEMORY_UNSUPPORTED   reserved "memory" construct used (error)
+
+MEMORY_UNSUPPORTED is no rule here: the parser and ``from_json`` report
+a ``memory`` relation where they read it, and no model holds one.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ RULE_CODES = (
     "CHRONO_CYCLE",
     "CHRONO_UNKNOWN_EVENT",
     "CHRONO_UNJUSTIFIED",
-    "MEMORY_UNSUPPORTED",
 )
 
 
@@ -151,20 +152,6 @@ def _check_reachability(model: Model) -> list[Diagnostic]:
     return diags
 
 
-def _check_memories(model: Model) -> list[Diagnostic]:
-    return [
-        Diagnostic(
-            Severity.ERROR,
-            "MEMORY_UNSUPPORTED",
-            "the 'memory' relation is reserved notation with no defined "
-            "semantics; use a trigger instead",
-            span=m.span,
-            element=m.id,
-        )
-        for m in model.memories
-    ]
-
-
 def chronology_cycle(chronology: Chronology) -> list[str] | None:
     """Return one directed cycle as a node list, or None if acyclic: the
     first witness of a depth-first search from the nodes in order."""
@@ -253,7 +240,6 @@ def validate(
     diags += _check_origins(model)
     diags += _check_triggers(model)
     diags += _check_reachability(model)
-    diags += _check_memories(model)
     for event in events:
         diags += check_region(model, event)
     if chronology is not None:

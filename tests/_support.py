@@ -23,12 +23,12 @@ from tmkit.diagnostics import has_errors, sorted_diagnostics
 from tmkit.dsl.lexer import KEYWORDS, Token, TokenKind
 from tmkit.dsl.parser import (
     ParseResult,
-    _DashStmt,
     _EventDecl,
     _FlowStmt,
     _Lowering,
     _StageDecl,
     _ThimacDecl,
+    _TriggerStmt,
 )
 from tmkit.errors import (
     ContainmentCycle,
@@ -274,11 +274,7 @@ def reference_qualified_name(model: Model, element: ElementId) -> str:
     if element in model.stages:
         st = model.stages[element]
         return f"{reference_qualified_name(model, st.thimac)}.{st.kind.value}"
-    for arrow, edges in (
-        ("->", model.flows),
-        ("~>", model.triggers),
-        ("~~", model.memories),
-    ):
+    for arrow, edges in (("->", model.flows), ("~>", model.triggers)):
         for edge in edges:
             if edge.id == element:
                 return (
@@ -462,14 +458,6 @@ def reference_to_json(result) -> str:
         "events": events,
         "chronology": chronology,
     }
-    if model.memories:
-        doc["memories"] = [
-            {
-                "from": model.qualified_name(m.from_stage),
-                "to": model.qualified_name(m.to_stage),
-            }
-            for m in model.memories
-        ]
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -1106,7 +1094,7 @@ class ReferenceParser:
         self.diagnostics: list[Diagnostic] = []
         self.thimacs: list[_ThimacDecl] = []
         self.flows: list[_FlowStmt] = []
-        self.dashes: list[_DashStmt] = []
+        self.triggers: list[_TriggerStmt] = []
         self.events: list[_EventDecl] = []
         self.chronology: Chronology | None = None
 
@@ -1310,9 +1298,20 @@ class ReferenceParser:
             self.sync_statement()
             return
         self.expect(TokenKind.SEMI, "';'")
-        self.dashes.append(
-            _DashStmt(keyword.text, src, dst, _token_span(keyword, self.file))
-        )
+        span = _token_span(keyword, self.file)
+        if keyword.text == "trigger":
+            self.triggers.append(_TriggerStmt(src, dst, span))
+        else:
+            # a memory is reported where it is read, and never lowered
+            self.diagnostics.append(
+                Diagnostic(
+                    Severity.ERROR,
+                    "MEMORY_UNSUPPORTED",
+                    "the 'memory' relation is reserved notation with no defined "
+                    "semantics; use a trigger instead",
+                    span,
+                )
+            )
 
     def event_decl(self) -> None:
         self.take()  # event
@@ -1441,7 +1440,7 @@ def reference_parse(text: str, file: str = "<input>") -> ParseResult:
     lowering = ReferenceLowering(parser)
     lowering.declare_thimacs()
     lowering.lower_flows()
-    lowering.lower_dashes()
+    lowering.lower_triggers()
     events = lowering.lower_events()
     diagnostics = sorted_diagnostics(
         diagnostics + parser.diagnostics + lowering.diagnostics

@@ -72,6 +72,25 @@ def test_parse_errors_exit_one(tmp_path, capsys):
     assert "UNRESOLVED_PATH" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv", [["parse"], ["parse", "--json"], ["validate"], ["normalize"], ["render"]]
+)
+def test_memory_source_exits_one_before_output(argv, tmp_path, capsys):
+    path = tmp_path / "memory.tm"
+    path.write_text(
+        "thimac a { stage create; stage process; }\n"
+        "flow a.create -> a.process;\n"
+        "memory a.process ~> a.create;\n"
+    )
+    assert run([argv[0], str(path), *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"{path}:3:1: error[MEMORY_UNSUPPORTED] the 'memory' relation is reserved "
+        "notation with no defined semantics; use a trigger instead\n"
+    )
+
+
 def test_usage_error_exit_two(capsys):
     assert run(["no-such-command"]) == 2
     assert run(["validate", "x.tm", "--no-such-flag"]) == 2

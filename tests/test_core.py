@@ -578,7 +578,7 @@ def test_copy_is_independent():
 
 
 def _element_ids(model: Model) -> list[int]:
-    edges = (*model.flows, *model.triggers, *model.memories)
+    edges = (*model.flows, *model.triggers)
     return [*model.thimacs, *model.stages, *(e.id for e in edges)]
 
 
@@ -606,7 +606,7 @@ def _check_name_table(model: Model, rng: random.Random, label: str) -> None:
     tid = dup.add_thimac("grown", rng.choice([None, *dup.thimacs]))
     a = dup.add_stage(tid, StageKind.PROCESS)
     b = dup.add_stage(tid, StageKind.RELEASE)
-    grown = [tid, a, b, dup.add_flow(a, b), dup.add_trigger(b, a), dup.add_memory(a, b)]
+    grown = [tid, a, b, dup.add_flow(a, b), dup.add_trigger(b, a)]
     _check_names(dup, rng, f"{label} grown copy")
     assert {eid: model.qualified_name(eid) for eid in before} == before, label
     for eid in grown:
@@ -621,7 +621,7 @@ def test_qualified_name_matches_the_parent_walk_on_random_models(seed):
     model = random_model(rng, max_thimacs=8, max_stages=14, max_flows=14)
     stages = list(model.stages)
     for _ in range(rng.randint(0, 3)):
-        model.add_memory(rng.choice(stages), rng.choice(stages))
+        model.add_trigger(rng.choice(stages), rng.choice(stages))
     _check_name_table(model, rng, "random")
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from tmkit import dsl
 from tmkit.behavior import Chronology, EventDef
 from tmkit.core import Model, StageKind, model_equal, normalize
-from tmkit.diagnostics import Severity
+from tmkit.diagnostics import Diagnostic, Severity, SourceSpan
 
 from tmkit.corpus import corpus_path
 from tmkit.dsl.lexer import TokenKind, tokenize
@@ -152,16 +152,45 @@ def test_parse_multi_hop_flow_desugars_pairwise():
     assert len(result.model.flows) == 2
 
 
+MEMORY_MESSAGE = (
+    "the 'memory' relation is reserved notation with no defined "
+    "semantics; use a trigger instead"
+)
+
+
 def test_parse_trigger_and_memory_statements():
+    head = "thimac a { stage process; } thimac b { stage create; }\n"
+    triggers = dsl.parse(head + "trigger a.process ~> b.create;", "dash.tm")
+    assert errors(triggers) == []
+    assert len(triggers.model.triggers) == 1
+    # a memory is reported at its keyword, and no model is built
     result = dsl.parse(
-        "thimac a { stage process; } thimac b { stage create; }\n"
-        "trigger a.process ~> b.create;\n"
-        "memory b.create ~> a.process;",
+        head + "trigger a.process ~> b.create;\n  memory b.create ~> a.process;",
         "dash.tm",
     )
-    assert errors(result) == []
-    assert len(result.model.triggers) == 1
-    assert len(result.model.memories) == 1
+    assert result.model is None
+    assert result.diagnostics == [
+        Diagnostic(
+            Severity.ERROR,
+            "MEMORY_UNSUPPORTED",
+            MEMORY_MESSAGE,
+            SourceSpan("dash.tm", 3, 3, 3, 8),
+        )
+    ]
+    # its endpoints are not resolved: names of nothing add no diagnostic
+    unresolved = dsl.parse("memory x.create ~> y;", "dash.tm")
+    assert [d.code for d in unresolved.diagnostics] == ["MEMORY_UNSUPPORTED"]
+    # a syntax error inside a memory statement is reported as for a trigger
+    for keyword in ("trigger", "memory"):
+        broken = dsl.parse(head + f"{keyword} a.process -> b.create;", "dash.tm")
+        assert broken.model is None
+        assert [(d.code, d.message, d.span) for d in broken.diagnostics] == [
+            (
+                "SYNTAX",
+                f"expected '~>' in {keyword} statement",
+                SourceSpan("dash.tm", 2, len(keyword) + 12, 2, len(keyword) + 13),
+            )
+        ]
 
 
 def test_parse_recovers_and_reports_multiple_errors():
@@ -263,7 +292,6 @@ def _assert_same_parse(text: str, file: str) -> None:
         assert list(got.model.stages.values()) == list(want.model.stages.values())
         assert got.model.flows == want.model.flows
         assert got.model.triggers == want.model.triggers
-        assert got.model.memories == want.model.memories
 
 
 @settings(max_examples=500, deadline=None)
@@ -282,10 +310,12 @@ def test_parse_matches_reference_parser_on_corpus(name):
     [
         # statements the generators seldom write whole
         'thimac a @1 { stage create @2; stage release; thimac b { stage receive; } }\n'
-        'memory a.create ~> a.b.receive;\n'
+        'trigger a.create ~> a.b.receive;\n'
         'event E "tab\\there\\n" { region { a; a.b.receive; } repeat 3; contains F, G, H; }\n'
         'event F { region { a.create; } } event G { region { a; } } event H { region { a; } }\n'
         "chronology { E -> F; G; } chronology { F -> H; }",
+        # a memory: reported, with no model
+        "memory a.create ~> a; thimac a { stage create; } memory a ~> b.c",
         # recovery: stray braces, missing names, unterminated bodies
         "} } thimac { stage create; } flow a -> ; event { } chronology { -> E; ",
         'event E "x" region { a; } } trigger a -> b; memory a ~> ; thimac a { stage x;',
@@ -588,7 +618,6 @@ CORNER_DOCUMENTS = {
             {"id": "F", "label": None, "region": [], "repeat": 1, "contains": ["E"]},
         ],
         "chronology": {"nodes": ["E", "F", "G"], "edges": [["E", "F"], ["F", "G"]]},
-        "memories": [{"from": "a.create", "to": "a.b.receive"}],
     },
     "empty sections, no chronology": {
         "thimacs": [{"name": "a", "parent": None, "annotation": None, "stages": []}],
@@ -962,20 +991,42 @@ def test_from_json_repeated_flow_keeps_the_first_entry():
     assert [model.qualified_name(s) for s in edge.implicit_segments] == ["a.release"]
 
 
-def test_json_round_trip_keeps_memories():
+def test_from_json_rejects_memories():
     first = dsl.parse(
         "thimac a { stage create; stage process; }\n"
         "thimac b { stage create; }\n"
-        "flow a.create -> a.process;\n"
-        "memory b.create ~> a.process;\n",
+        "flow a.create -> a.process;\n",
         "memory.tm",
     )
-    text = dsl.to_json(first)
-    assert json.loads(text)["memories"] == [{"from": "b.create", "to": "a.process"}]
-    second = dsl.from_json(text)
-    assert errors(second) == []
-    assert model_equal(first.model, second.model)
-    assert len(second.model.memories) == 1
+    doc = json.loads(dsl.to_json(first))
+    assert "memories" not in doc
+    # one error per entry, whatever the entry names
+    doc["memories"] = [
+        {"from": "b.create", "to": "a.process"},
+        {"from": "nowhere", "to": 5},
+        {},
+    ]
+    result = dsl.from_json(json.dumps(doc))
+    assert result.model is None
+    assert [(d.severity, d.code, d.message, d.span) for d in result.diagnostics] == [
+        (Severity.ERROR, "MEMORY_UNSUPPORTED", MEMORY_MESSAGE, None)
+    ] * 3
+    # an empty list is accepted, and other values are malformed
+    doc["memories"] = []
+    accepted = dsl.from_json(json.dumps(doc))
+    assert accepted.diagnostics == []
+    assert model_equal(first.model, accepted.model)
+    for value in ({"from": "b.create", "to": "a.process"}, "b.create", 3, None):
+        doc["memories"] = value
+        rejected = dsl.from_json(json.dumps(doc))
+        assert rejected.model is None
+        assert [(d.code, d.message) for d in rejected.diagnostics] == [
+            ("JSON_MALFORMED", "memories must be a list")
+        ]
+    doc["memories"] = [1]
+    assert [(d.code, d.message) for d in dsl.from_json(json.dumps(doc)).diagnostics] == [
+        ("JSON_MALFORMED", "memories entry 1 must be an object")
+    ]
 
 
 def test_json_round_trip_preserves_normalization_provenance(load_corpus):
@@ -1018,3 +1069,8 @@ def test_corpus_json_conforms_to_shipped_schema(load_corpus):
     for name in CORPUS_NAMES:
         doc = json.loads(dsl.to_json(load_corpus(name)))
         jsonschema.validate(doc, schema)
+    # a document may not carry memories, not even an empty list of them
+    flow = doc["flows"][0]
+    for memories in ([], [{"from": flow["from"], "to": flow["to"]}]):
+        with pytest.raises(jsonschema.ValidationError, match="memories"):
+            jsonschema.validate({**doc, "memories": memories}, schema)

@@ -56,6 +56,8 @@ def _dsl_program(draw) -> str:
         lines.append(f"flow {draw(ref)} -> {draw(ref)};")
     for _ in range(draw(st.integers(0, 2))):
         lines.append(f"trigger {draw(ref)} ~> {draw(ref)};")
+    if draw(st.integers(0, 9)) == 0:
+        lines.append(f"memory {draw(ref)} ~> {draw(ref)};")  # always rejected
     events = draw(st.lists(st.sampled_from(["E", "F", "G"]), unique=True, max_size=3))
     for event in events:
         region = " ".join(f"{p};" for p in draw(st.lists(ref, min_size=1, max_size=3)))
@@ -199,7 +201,14 @@ def _document(draw) -> dict:
 @settings(max_examples=500, deadline=None)
 @given(st.one_of(_json, _document()))
 def test_from_json_never_raises(doc):
-    _check_downstream(dsl.from_json(json.dumps(doc)))
+    result = dsl.from_json(json.dumps(doc))
+    _check_downstream(result)
+    memories = doc.get("memories") if isinstance(doc, dict) else None
+    if isinstance(memories, list):
+        # each object entry is one MEMORY_UNSUPPORTED, and any rejects the model
+        count = sum(isinstance(m, dict) for m in memories)
+        assert [d.code for d in result.diagnostics].count("MEMORY_UNSUPPORTED") == count
+        assert count == 0 or result.model is None
 
 
 # names the DSL cannot write, and labels that need escaping

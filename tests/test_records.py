@@ -12,8 +12,8 @@ import inspect
 import pytest
 
 from tmkit.behavior import Chronology, EventDef
-from tmkit.core import FlowEdge, MemoryEdge, Stage, StageKind, Thimac, TriggerEdge
-from tmkit.diagnostics import Diagnostic, Severity, SourceSpan
+from tmkit.core import FlowEdge, Stage, StageKind, Thimac, TriggerEdge
+from tmkit.diagnostics import Diagnostic, Record, Severity, SourceSpan
 from tmkit.dsl.parser import ParseResult
 from tmkit.render import RenderMode, RenderOptions
 from tmkit.sim import Firing, FiringKind, SimConfig, Token, Trace
@@ -46,10 +46,6 @@ SIGNATURES = {
         ("implicit_segments", list), ("span", None),
     ],
     TriggerEdge: [
-        ("id", REQUIRED), ("from_stage", REQUIRED), ("to_stage", REQUIRED),
-        ("span", None),
-    ],
-    MemoryEdge: [
         ("id", REQUIRED), ("from_stage", REQUIRED), ("to_stage", REQUIRED),
         ("span", None),
     ],
@@ -134,10 +130,19 @@ def test_equality_is_field_wise(cls):
 
 
 def test_records_of_two_classes_with_the_same_fields_differ():
-    assert TriggerEdge(1, 2, 3) != MemoryEdge(1, 2, 3)
-    assert not issubclass(MemoryEdge, TriggerEdge)
-    assert not issubclass(TriggerEdge, MemoryEdge)
-    assert (TriggerEdge.arrow, MemoryEdge.arrow, FlowEdge.arrow) == ("~>", "~~", "->")
+    class Twin(Record):
+        __slots__ = _fields = ("id", "from_stage", "to_stage", "span")
+
+        def __init__(self, id, from_stage, to_stage, span=None):
+            self.id, self.from_stage, self.to_stage = id, from_stage, to_stage
+            self.span = span
+
+    # a trigger is a plain record of its own, with no shared edge base
+    assert TriggerEdge.__bases__ == (Record,)
+    assert TriggerEdge.__slots__ == TriggerEdge._fields == Twin._fields
+    assert TriggerEdge(1, 2, 3) != Twin(1, 2, 3)
+    assert Twin(1, 2, 3) != TriggerEdge(1, 2, 3)
+    assert (TriggerEdge.arrow, FlowEdge.arrow) == ("~>", "->")
 
 
 @pytest.mark.parametrize(
@@ -195,6 +200,10 @@ def test_reprs():
     )
     assert repr(FlowEdge(5, 3, 4, [6])) == (
         "FlowEdge(id=5, from_stage=3, to_stage=4, implicit_segments=[6], span=None)"
+    )
+    assert repr(TriggerEdge(7, 3, 4, SourceSpan("f", 1, 2, 1, 8))) == (
+        "TriggerEdge(id=7, from_stage=3, to_stage=4, span=SourceSpan(file='f', "
+        "start_line=1, start_col=2, end_line=1, end_col=8))"
     )
     assert repr(Chronology(["a"])) == "Chronology(nodes=['a'], edges=[], span=None)"
     assert repr(RenderOptions()) == (
