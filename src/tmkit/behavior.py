@@ -123,10 +123,23 @@ def region_edges(model: Model, region: set[ElementId]) -> tuple[list, list]:
 
 
 def region_connected(model: Model, region: set[ElementId]) -> bool:
+    """Whether the region's stages and induced edges form one weakly
+    connected group (or none): a union-find with path halving over the
+    edges' endpoints, counting the groups as they merge."""
     members = {s for s in region if s in model.stages}
     flows, triggers = region_edges(model, members)
-    pairs = [(e.from_stage, e.to_stage) for e in flows + triggers]
-    return len(graph.components(members, pairs)) <= 1
+    parent = {s: s for s in members}
+    groups = len(members)
+    for edge in flows + triggers:
+        a, b = edge.from_stage, edge.to_stage
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[a] = b
+            groups -= 1
+    return groups <= 1
 
 
 def check_region(model: Model, event: EventDef) -> list[Diagnostic]:

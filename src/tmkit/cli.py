@@ -1,7 +1,8 @@
 """Command-line driver: parse, validate, normalize, simulate, render.
 
 Exit codes: 0 success, 1 parse/validation errors, 2 usage errors,
-3 simulation errors. Warnings alone exit 0 unless --deny-warnings.
+3 simulation errors (running out of memory among them, reported by
+``main`` as one line). Warnings alone exit 0 unless --deny-warnings.
 
 Start-up rule: a subcommand imports only the modules it runs. ``core``,
 ``dsl`` and ``validate`` serve every subcommand and are imported here
@@ -272,7 +273,16 @@ def main() -> None:
     import gc
 
     gc.disable()  # nothing cyclic to collect: see the module docstring
-    sys.exit(run(sys.argv[1:]))
+    try:
+        status = run(sys.argv[1:])
+    except MemoryError:
+        status = None
+    if status is None:
+        # once the except block has ended, the traceback and the frames it
+        # kept (and with them the trace) are freed, so printing has room
+        print("simulation error: out of memory", file=sys.stderr)
+        status = EXIT_SIM
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -93,12 +93,17 @@ The trace stores firings as parallel columns, one entry per firing:
 the event id, the instance number, the element, the kind and the token
 id (or None). They hold only shared strings, ints, None and kind
 members, so a trace makes no object per firing for the cyclic collector
-to walk. A firing's step is its index in the columns; the columns grow
-by one firing at a time, so that index is the step counter. A replayed
-copy extends each column once: the event id and the instance number
-repeated, the template's elements and kinds, and its token ids mapped
-to the tokens the copy made. ``Trace.firings`` reads the columns as a
-sequence of ``Firing``, built when read.
+to walk. A firing's step is its index in the columns. The element, kind
+and token columns grow by one firing at a time, so the length of
+``kinds`` is the step counter, which the step budget reads. The event
+and instance columns are the same value over a whole instance, so they
+are extended once, at the instance's end, by its firing count; a run
+that exceeds the budget raises and returns no trace, so the shorter
+columns are never seen. A replayed copy extends each column once: the
+event id and the instance number repeated, the template's elements and
+kinds, and its token ids mapped to the tokens the copy made.
+``Trace.firings`` reads the columns as a sequence of ``Firing``, built
+when read.
 """
 
 from __future__ import annotations
@@ -313,17 +318,20 @@ class _Run:
     # -- record keeping ------------------------------------------------
 
     def _emit(self, kind: FiringKind, element: ElementId, token: int | None) -> None:
+        # the event and instance columns are filled once, at the
+        # instance's end (run_instance)
         trace = self.trace
-        trace.events.append(self.event_id)
-        trace.instances.append(self.instance)
         trace.elements.append(element)
         trace.kinds.append(kind)
         trace.tokens.append(token)
         if len(trace.kinds) > self.step_limit:
-            raise StepBudgetExceeded(
-                f"event '{self.event_id}' instance {self.instance} exceeded "
-                f"{self.config.max_steps_per_event} steps without quiescing"
-            )
+            self._over_budget()
+
+    def _over_budget(self) -> None:
+        raise StepBudgetExceeded(
+            f"event '{self.event_id}' instance {self.instance} exceeded "
+            f"{self.config.max_steps_per_event} steps without quiescing"
+        )
 
     # -- token bookkeeping ----------------------------------------------
 
@@ -379,13 +387,11 @@ class _Run:
 
     # -- movement --------------------------------------------------------
 
-    def _eligible(self, token: Token) -> list[FlowEdge]:
-        route = self.plan.routes.get(token.location)
-        if route is None:
-            return []
+    def _port_edges(
+        self, token: Token, route: tuple[list[FlowEdge], list[FlowEdge]]
+    ) -> list[FlowEdge]:
+        """The out-flows a token at a transfer port may take."""
         out, within = route
-        if within is None:
-            return out
         prev = token.prev_stage
         if prev is not None and self.model.stages[prev].kind is StageKind.RELEASE:
             return out
@@ -400,6 +406,27 @@ class _Run:
         token.prev_stage, token.location = edge.from_stage, stage
         self.at[stage][token.id] = token
         self._fire_stage_triggers(stage)
+
+    def _broadcast(self, token: Token, edges: list[FlowEdge], event_id: str) -> None:
+        """Move a token along the first of several eligible out-flows and
+        a new clone of it along each other one, with a warning."""
+        # logging is imported only by a run that broadcasts
+        import logging
+
+        logging.getLogger(__name__).warning(
+            "broadcast: token %d at %s replicates along %d flows (event %s)",
+            token.id,
+            self.model.qualified_name(token.location),
+            len(edges),
+            event_id,
+        )
+        # a clone's routing state is set by its move below
+        clones = [
+            (self._spawn(token.location, token.thing), extra) for extra in edges[1:]
+        ]
+        self._move(token, edges[0])
+        for clone, extra in clones:
+            self._move(clone, extra)
 
     # -- one event instance ------------------------------------------------
 
@@ -443,18 +470,20 @@ class _Run:
         events = [event_id] * len(kinds)
         # the template adopted nothing, so its firings name only tokens it
         # made: keep their positions in ``made``, so that each copy's
-        # firings share the copy's id object instead of each adding one
+        # firings share the copy's id object instead of each adding one; -1,
+        # for no token, reads the None that ends each copy's ``ids``
         made_at = [
-            None if t is None else t - first_token - 1
+            -1 if t is None else t - first_token - 1
             for t in trace.tokens[first_firing:]
         ]
         for instance in range(template + 1, count + 1):
             ids = [self._new_token(t.location, t.thing, t.prev_stage).id for t in made]
+            ids.append(None)
             trace.events += events
             trace.instances += [instance] * len(kinds)
             trace.elements += elements
             trace.kinds += kinds
-            trace.tokens += [None if i is None else ids[i] for i in made_at]
+            trace.tokens += map(ids.__getitem__, made_at)
             trace.event_order.append((event_id, instance, tick))
             tick += 1
 
@@ -463,30 +492,33 @@ class _Run:
     ) -> bool:
         """Run one instance; True when it adopted no token and did not
         broadcast."""
+        trace, at = self.trace, self.at
+        first = len(trace.kinds)
         self.plan = plan
         self.event_id = event.id
         self.instance = instance
-        self.step_limit = len(self.trace.kinds) + self.config.max_steps_per_event
+        self.step_limit = step_limit = first + self.config.max_steps_per_event
         self.active = []
 
-        held_before = {
-            t.from_stage for t in plan.triggers if self.at.get(t.from_stage)
-        }
+        held_before = {t.from_stage for t in plan.triggers if at.get(t.from_stage)}
 
         # 1. origin spawns
         for stage_id in plan.origins:
-            if self.at.get(stage_id):
+            if at.get(stage_id):
                 continue
             self._spawn(stage_id)
             self._fire_stage_triggers(stage_id)
 
-        # 2. adopt resting tokens that can still move inside this region
+        # 2. adopt resting tokens that can still move inside this region; a
+        # stage with a route has an out-flow, so only a port can hold one
+        # that cannot
         fresh = {token.id for token in self.active}
         adoptable = [
             token
-            for stage_id in plan.routes
-            for token in self.at.get(stage_id, {}).values()
-            if token.id not in fresh and self._eligible(token)
+            for stage_id, route in plan.routes.items()
+            for token in at.get(stage_id, {}).values()
+            if token.id not in fresh
+            and (route[1] is None or self._port_edges(token, route))
         ]
         self.active.extend(sorted(adoptable, key=lambda t: t.id))
         quiet = not adoptable
@@ -504,41 +536,48 @@ class _Run:
             if spawned is not None:
                 self._fire_stage_triggers(spawned)
 
-        # 4. movement rounds until quiescence (see the module docstring)
+        # 4. movement rounds until quiescence (see the module docstring); a
+        # move along a token's one eligible out-flow is _move written out
+        kinds = trace.kinds
+        add_element, add_kind, add_token = (
+            trace.elements.append, kinds.append, trace.tokens.append
+        )
+        routes, trigs_by_src = plan.routes, plan.trigs_by_src
+        flow_move = FiringKind.FLOW_MOVE
         while self.active:
             tokens, self.active = self.active, []  # the round's spawns
             moved = []
             for token in tokens:
-                edges = self._eligible(token)
+                route = routes.get(token.location)
+                if route is None:
+                    continue
+                out, within = route
+                edges = out if within is None else self._port_edges(token, route)
                 if not edges:
                     continue
                 moved.append(token)
                 if len(edges) > 1:
                     quiet = False
-                    # logging is imported only by a run that broadcasts
-                    import logging
-
-                    logging.getLogger(__name__).warning(
-                        "broadcast: token %d at %s replicates along %d flows "
-                        "(event %s)",
-                        token.id,
-                        self.model.qualified_name(token.location),
-                        len(edges),
-                        event.id,
-                    )
-                    # a clone's routing state is set by its move below
-                    clones = [
-                        (self._spawn(token.location, token.thing), extra)
-                        for extra in edges[1:]
-                    ]
-                    self._move(token, edges[0])
-                    for clone, extra in clones:
-                        self._move(clone, extra)
-                else:
-                    self._move(token, edges[0])
+                    self._broadcast(token, edges, event.id)
+                    continue
+                edge = edges[0]
+                add_element(edge.id)
+                add_kind(flow_move)
+                add_token(token.id)
+                if len(kinds) > step_limit:
+                    self._over_budget()
+                stage = edge.to_stage
+                del at[token.location][token.id]
+                token.prev_stage, token.location = edge.from_stage, stage
+                at[stage][token.id] = token
+                if stage in trigs_by_src:
+                    self._fire_stage_triggers(stage)
             self.active = moved + self.active
 
-        self.trace.event_order.append((event.id, instance, tick))
+        made = len(kinds) - first
+        trace.events += [event.id] * made
+        trace.instances += [instance] * made
+        trace.event_order.append((event.id, instance, tick))
         return quiet
 
 
@@ -628,8 +667,10 @@ def trace_to_json(model: Model, trace: Trace) -> str:
 
     The text is exactly ``json.dumps(doc, indent=2) + "\n"`` for the
     document ``{"eventOrder", "firings", "finalTokens"}``, but is written
-    directly: each string is escaped once and each entry is filled into
-    a fixed template, since the indenting encoder runs in pure Python.
+    directly: each string is escaped once, each instance number and token
+    id is formatted once into a number table (with None as ``null``), and
+    each entry is filled into a fixed template, since the indenting
+    encoder runs in pure Python.
     """
     named = set(trace.elements)
     named.update(t.location for t in trace.final_tokens)
@@ -640,25 +681,33 @@ def trace_to_json(model: Model, trace: Trace) -> str:
         *(t.thing for t in trace.final_tokens),
     }
     q = {text: encode_basestring_ascii(text) for text in texts}
+    numbers = {
+        *trace.instances,
+        *(i for _, i, _ in trace.event_order),
+        *trace.tokens,
+        *(t.id for t in trace.final_tokens),
+    }
+    nums = {n: str(n) for n in numbers}
+    nums[None] = "null"
 
     # every entry starts with its separator; _json_list drops the first one
     event_order = [
-        f',\n    {{\n      "event": {q[e]},\n      "instance": {i},\n'
+        f',\n    {{\n      "event": {q[e]},\n      "instance": {nums[i]},\n'
         f'      "tick": {t}\n    }}'
         for e, i, t in trace.event_order
     ]
     firings = [
         f',\n    {{\n      "step": {step},\n      "event": {q[e]},\n'
-        f'      "instance": {i},\n      "element": {quoted[el]},\n'
+        f'      "instance": {nums[i]},\n      "element": {quoted[el]},\n'
         f'      "kind": {kind.quoted},\n'
-        f'      "token": {"null" if token is None else token}\n    }}'
+        f'      "token": {nums[token]}\n    }}'
         for step, e, i, el, kind, token in zip(
             range(len(trace.kinds)), trace.events, trace.instances, trace.elements,
             trace.kinds, trace.tokens,
         )
     ]
     final_tokens = [
-        f',\n    {{\n      "id": {t.id},\n      "thing": {q[t.thing]},\n'
+        f',\n    {{\n      "id": {nums[t.id]},\n      "thing": {q[t.thing]},\n'
         f'      "location": {quoted[t.location]}\n    }}'
         for t in trace.final_tokens
     ]

@@ -551,6 +551,46 @@ def test_main_runs_without_the_collector_and_writes_the_same_bytes(
         assert done.stderr.endswith("collector on: False\n"), argv
 
 
+# Runs ``tm`` through ``cli.main`` in a fresh interpreter that caps its own
+# address space (argv: tmkit's source folder, the cap in bytes, then the
+# arguments of ``tm``); the cap binds that interpreter alone.
+_CAPPED_MAIN = """
+import resource, sys
+cap = int(sys.argv[2])
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+sys.path.insert(0, sys.argv[1])
+from tmkit import cli
+sys.argv = ["tm", *sys.argv[3:]]
+cli.main()
+"""
+
+# One machine, one event: every instance after the first is a replayed
+# copy, so the trace grows until memory runs out.
+HUGE_REPEAT = (
+    "thimac a { stage create; stage process; }\n"
+    "flow a.create -> a.process;\n"
+    "event E { region { a; } repeat 100000000; }\n"
+    "chronology { E; }\n"
+)
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux", reason="RLIMIT_AS bounds allocation on Linux only"
+)
+def test_out_of_memory_is_one_line_and_exit_3(tmp_path):
+    source = tmp_path / "huge.tm"
+    source.write_text(HUGE_REPEAT, encoding="utf-8")
+    src = str(Path(tmkit.__file__).parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", _CAPPED_MAIN, src, str(256 * 2**20), "simulate",
+         str(source)],
+        capture_output=True, text=True,
+    )
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr == "simulation error: out of memory\n"
+
+
 # Each public name of tmkit and the module it is defined in or re-exported from.
 PUBLIC_HOMES = {
     "tmkit.behavior": [

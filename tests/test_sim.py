@@ -11,8 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tmkit import dsl
-from tmkit.behavior import Chronology, EventDef, topological_orders_contains
+from tmkit import dsl, graph
+from tmkit.behavior import (
+    Chronology,
+    EventDef,
+    region_connected,
+    region_edges,
+    topological_orders_contains,
+)
 from tmkit.core import Model, StageKind, edge_legal, normalize
 from tmkit.corpus import corpus_path
 from tmkit.errors import PreconditionViolated, StepBudgetExceeded
@@ -20,6 +26,8 @@ from tmkit.sim import (
     Firing,
     FiringKind,
     SimConfig,
+    Token,
+    Trace,
     _Run,
     _simulate_validated,
     coverage,
@@ -31,6 +39,7 @@ from tmkit.sim import (
 from _support import (
     random_digraph,
     random_legal_chain_model,
+    random_model,
     reference_linear_extension,
     reference_simulate,
     reference_trace_to_json,
@@ -175,13 +184,22 @@ def assert_trace_json_matches_reference(model, trace):
     assert trace_to_json(model, trace) == reference_trace_to_json(model, trace)
 
 
+def assert_columns_aligned(trace):
+    """The five firing columns have one entry per firing each: the event
+    and instance columns, filled once per instance, kept up."""
+    assert (
+        len(trace.events) == len(trace.instances) == len(trace.elements)
+        == len(trace.kinds) == len(trace.tokens)
+    )
+
+
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_trace_json_matches_reference_on_corpus(load_corpus, name):
     result = load_corpus(name)
     model = normalize(result.model)
-    assert_trace_json_matches_reference(
-        model, simulate(model, result.events, result.chronology)
-    )
+    trace = simulate(model, result.events, result.chronology)
+    assert_columns_aligned(trace)
+    assert_trace_json_matches_reference(model, trace)
 
 
 def test_trace_json_of_a_run_without_events():
@@ -239,7 +257,42 @@ def test_trace_json_escapes_names_and_event_ids():
 def test_trace_json_matches_reference_on_generated_models(seed):
     model = normalize(random_legal_chain_model(random.Random(seed)))
     event = EventDef("E", region=set(model.stages), multiplicity=2)
-    assert_trace_json_matches_reference(model, simulate(model, [event], None))
+    trace = simulate(model, [event], None)
+    assert_columns_aligned(trace)
+    assert_trace_json_matches_reference(model, trace)
+
+
+def test_trace_json_of_hand_built_traces():
+    # numbers no run makes: the writer's number table must still give each
+    # integer the document writes, and None as null (an empty trace is the
+    # run without events above)
+    model = Model()
+    tid = model.add_thimac("m")
+    create = model.add_stage(tid, StageKind.CREATE)
+    process = model.add_stage(tid, StageKind.PROCESS)
+    flow = model.add_flow(create, process)
+    trigger = model.add_trigger(process, create)
+    spawn, move = FiringKind.TOKEN_SPAWN, FiringKind.FLOW_MOVE
+    big = 10**18
+    traces = {
+        "an event_order instance with no firing": Trace(
+            ["E", "E"], [1, 1], [create, flow], [spawn, move], [1, 1],
+            [("E", 1, 0), ("E", 7, 1), ("F", 12345, 2)], [Token(1, "m", create)],
+        ),
+        "token ids past the final tokens, and huge": Trace(
+            ["E"] * 3, [1, 3, big], [create, flow, process],
+            [spawn, move, FiringKind.STAGE_FIRE], [5, big, None],
+            [("E", 1, 0), ("E", big, 1)],
+            [Token(2, "m", process), Token(big + 1, "m", create)],
+        ),
+        "instance 0": Trace(["E"], [0], [create], [spawn], [0], [("E", 0, 0)]),
+        "trigger fires only": Trace(
+            ["E", "E"], [1, 2], [trigger, trigger],
+            [FiringKind.TRIGGER_FIRE] * 2, [None, None], [("E", 1, 0), ("E", 2, 1)],
+        ),
+    }
+    for case, trace in traces.items():
+        assert trace_to_json(model, trace) == reference_trace_to_json(model, trace), case
 
 
 # -- event ordering -----------------------------------------------------------
@@ -409,6 +462,27 @@ def test_pure_port_relays_without_uturn():
     assert model.qualified_name(trace.final_tokens[0].location) == "dst.receive"
 
 
+# -- region connectivity -------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 1_000_000))
+def test_region_connected_matches_components(seed):
+    # the union-find against the component walk, on regions that may hold
+    # thimac ids and ids of nothing as well as stages
+    rng = random.Random(seed)
+    model = random_model(rng, max_stages=12, max_flows=14)
+    ids = [*model.stages, *model.thimacs, 10**6]
+    for _ in range(5):
+        region = set(rng.sample(ids, rng.randint(0, len(ids))))
+        members = {s for s in region if s in model.stages}
+        flows, triggers = region_edges(model, members)
+        pairs = [(e.from_stage, e.to_stage) for e in flows + triggers]
+        assert region_connected(model, region) == (
+            len(graph.components(members, pairs)) <= 1
+        )
+
+
 # -- failure modes ----------------------------------------------------------------
 
 
@@ -427,6 +501,50 @@ def test_step_budget_exceeded_on_trigger_cycle():
     with pytest.raises(StepBudgetExceeded):
         simulate(result.model, result.events, result.chronology,
                  SimConfig(max_steps_per_event=9000))
+
+
+# one token moving twice; the budget is met by a FlowMove
+MOVES_ONLY = (
+    "thimac A { stage create; stage release; stage transfer; }\n"
+    "flow A.create -> A.release -> A.transfer;\n"
+    "event E { region { A; } }\n"
+    "chronology { E; }"
+)
+# a move whose stage starts a chain of two triggers, each spawning
+MOVE_THEN_TRIGGERS = (
+    "thimac a { stage create; stage process; }\n"
+    "flow a.create -> a.process;\n"
+    "thimac b { stage create; }\n"
+    "thimac c { stage create; }\n"
+    "trigger a.process ~> b.create;\n"
+    "trigger b.create ~> c.create;\n"
+    "event E { region { a; b; c; } }\n"
+    "chronology { E; }"
+)
+
+
+@pytest.mark.parametrize(
+    "source, count", [(MOVES_ONLY, 3), (MOVE_THEN_TRIGGERS, 6)],
+    ids=["moves-only", "move-then-triggers"],
+)
+def test_step_budget_of_exactly_the_firings_passes_and_one_less_raises(
+    source, count
+):
+    model, events, chronology = parse_normalized(source)
+    trace = _simulate_validated(
+        model, events, chronology, SimConfig(max_steps_per_event=count)
+    )
+    assert len(trace.kinds) == count
+    assert_columns_aligned(trace)
+    for budget in range(1, count):
+        config = SimConfig(max_steps_per_event=budget)
+        with pytest.raises(StepBudgetExceeded) as ours:
+            _simulate_validated(model, events, chronology, config)
+        with pytest.raises(StepBudgetExceeded) as oracle:
+            reference_simulate(model, events, chronology, config)
+        assert str(ours.value) == str(oracle.value) == (
+            f"event 'E' instance 1 exceeded {budget} steps without quiescing"
+        )
 
 
 def test_precondition_rejects_invalid_model():
