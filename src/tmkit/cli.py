@@ -70,12 +70,25 @@ def _read_source(path: str) -> tuple[str, str]:
         return handle.read(), path
 
 
+# characters per write of _write_output
+_SLICE = 1 << 20
+
+
 def _write_output(text: str, out: str | None) -> None:
+    # in slices: a text stream encodes what it is given into one bytes
+    # object, so one write of a trace would hold it twice, as text and as
+    # UTF-8, where a slice at a time adds at most one slice and its bytes;
+    # a text shorter than a slice is the slice itself, and is not copied
     if out is None or out == "-":
-        sys.stdout.write(text)
+        _write_slices(sys.stdout, text)
     else:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            _write_slices(handle, text)
+
+
+def _write_slices(stream, text: str) -> None:
+    for start in range(0, len(text), _SLICE):
+        stream.write(text[start : start + _SLICE])
 
 
 def _load(path: str) -> dsl.ParseResult:

@@ -64,7 +64,9 @@ from. The port rule reads it: a token at a transfer port leaves across
 the boundary when ``prev_stage`` is a release stage. That is exactly
 "arrived from its own machine's release", because the legality table
 allows a release -> transfer flow only within one machine and
-``simulate`` runs only on models without a FLOW_ILLEGAL error.
+``simulate`` runs only on models without a FLOW_ILLEGAL error. So the
+plan keeps each port's own release stage with its route, and the rule
+compares ``prev_stage`` with it.
 
 A node's later instances are often copies of an earlier one: each
 passage of a ship through a lock makes the same firings. An instance
@@ -111,6 +113,7 @@ from __future__ import annotations
 import enum
 from collections import defaultdict
 from collections.abc import Iterator, Sequence
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 
 from . import graph
@@ -253,10 +256,14 @@ class _Plan:
     def __init__(
         self, triggers: list[TriggerEdge],
         trigs_by_src: dict[ElementId, list[TriggerEdge]],
-        # per stage with out-flows: (all out-flows, None), or for a transfer
-        # port (cross-machine out-flows, within-machine out-flows); the keys
-        # are the stages that can move a token
-        routes: dict[ElementId, tuple[list[FlowEdge], list[FlowEdge] | None]],
+        # per stage with out-flows: (all out-flows, None, None), or for a
+        # transfer port (cross-machine out-flows, within-machine out-flows,
+        # its machine's release stage or None); the keys are the stages that
+        # can move a token
+        routes: dict[
+            ElementId,
+            tuple[list[FlowEdge], list[FlowEdge] | None, ElementId | None],
+        ],
         origins: list[ElementId],
         # the stages whose occupancy an instance reads (see the module docstring)
         watched: list[ElementId],
@@ -279,9 +286,10 @@ def _plan(model: Model, event: EventDef) -> _Plan:
             routes[sid] = (
                 [e for e in out if stages[e.to_stage].thimac != thimac],
                 [e for e in out if stages[e.to_stage].thimac == thimac],
+                model.thimacs[thimac].stages.get(StageKind.RELEASE),
             )
         else:
-            routes[sid] = (out, None)
+            routes[sid] = (out, None, None)
     trigs_by_src: dict[ElementId, list[TriggerEdge]] = {}
     for t in triggers:
         trigs_by_src.setdefault(t.from_stage, []).append(t)
@@ -388,12 +396,16 @@ class _Run:
     # -- movement --------------------------------------------------------
 
     def _port_edges(
-        self, token: Token, route: tuple[list[FlowEdge], list[FlowEdge]]
+        self,
+        token: Token,
+        route: tuple[list[FlowEdge], list[FlowEdge], ElementId | None],
     ) -> list[FlowEdge]:
         """The out-flows a token at a transfer port may take."""
-        out, within = route
+        out, within, release = route
         prev = token.prev_stage
-        if prev is not None and self.model.stages[prev].kind is StageKind.RELEASE:
+        # release is None for a machine without one; prev is None for a
+        # token that has not moved
+        if prev is not None and prev == release:
             return out
         if within:
             return within
@@ -551,7 +563,7 @@ class _Run:
                 route = routes.get(token.location)
                 if route is None:
                     continue
-                out, within = route
+                out, within, _ = route
                 edges = out if within is None else self._port_edges(token, route)
                 if not edges:
                     continue
@@ -662,6 +674,10 @@ def coverage(model: Model, trace: Trace, events: list[EventDef]) -> dict:
     return {"events": per_event, "neverFired": never}
 
 
+# the most firings trace_to_json formats before it appends them to its text
+_CHUNK = 4096
+
+
 def trace_to_json(model: Model, trace: Trace) -> str:
     """Stable-keyed JSON rendering for golden comparisons and replay.
 
@@ -671,6 +687,13 @@ def trace_to_json(model: Model, trace: Trace) -> str:
     id is formatted once into a number table (with None as ``null``), and
     each entry is filled into a fixed template, since the indenting
     encoder runs in pure Python.
+
+    The firings are formatted at most ``_CHUNK`` at a time, and each
+    chunk is joined and appended with ``text += ...``. ``text`` is the
+    only reference to the text, so CPython grows it in place: at its peak
+    the writer holds the text once, plus one chunk and the name and
+    number tables. One entry per firing joined at the end, or an
+    ``io.StringIO``, would hold the text twice.
     """
     named = set(trace.elements)
     named.update(t.location for t in trace.final_tokens)
@@ -696,32 +719,49 @@ def trace_to_json(model: Model, trace: Trace) -> str:
         f'      "tick": {t}\n    }}'
         for e, i, t in trace.event_order
     ]
-    firings = [
-        f',\n    {{\n      "step": {step},\n      "event": {q[e]},\n'
-        f'      "instance": {nums[i]},\n      "element": {quoted[el]},\n'
-        f'      "kind": {kind.quoted},\n'
-        f'      "token": {nums[token]}\n    }}'
-        for step, e, i, el, kind, token in zip(
-            range(len(trace.kinds)), trace.events, trace.instances, trace.elements,
-            trace.kinds, trace.tokens,
-        )
-    ]
+    text = "".join(["{\n", *_json_list("eventOrder", event_order), ",\n"])
+    del event_order  # the text holds it now
+    firings = zip(
+        range(len(trace.kinds)), trace.events, trace.instances, trace.elements,
+        trace.kinds, trace.tokens,
+    )
+    # Each chunk is as long as all the firings before it (16 at first), up
+    # to _CHUNK. The first chunks are small because CPython 3.11 grows a
+    # string in place only once it has specialized the ``+=``, after about
+    # eight calls of this function or turns of this ``while True`` loop (a
+    # loop that tests a condition does not count); until then each ``+=``
+    # copies the text.
+    written = 0
+    while True:
+        chunk = [
+            f',\n    {{\n      "step": {step},\n      "event": {q[e]},\n'
+            f'      "instance": {nums[i]},\n      "element": {quoted[el]},\n'
+            f'      "kind": {kind.quoted},\n'
+            f'      "token": {nums[token]}\n    }}'
+            for step, e, i, el, kind, token in islice(
+                firings, min(max(written, 16), _CHUNK)
+            )
+        ]
+        if not chunk:
+            break
+        if not written:
+            chunk[0] = '  "firings": [' + chunk[0][1:]
+        text += "".join(chunk)
+        written += len(chunk)
     final_tokens = [
         f',\n    {{\n      "id": {nums[t.id]},\n      "thing": {q[t.thing]},\n'
         f'      "location": {quoted[t.location]}\n    }}'
         for t in trace.final_tokens
     ]
-    return "".join(
+    text += "".join(
         [
-            "{\n",
-            *_json_list("eventOrder", event_order),
-            ",\n",
-            *_json_list("firings", firings),
+            "\n  ]" if written else '  "firings": []',
             ",\n",
             *_json_list("finalTokens", final_tokens),
             "\n}\n",
         ]
     )
+    return text
 
 
 def _json_list(key: str, entries: list[str]) -> list[str]:

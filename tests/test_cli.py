@@ -205,6 +205,42 @@ def test_simulate_writes_trace(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_output_is_written_in_slices_with_the_same_bytes(
+    tmp_path, capsysbinary, monkeypatch
+):
+    from tmkit import cli
+
+    size = cli._SLICE
+    # a two-byte and a four-byte character on either side of the first
+    # slice boundary, a two-byte and a three-byte one around the second
+    text = (
+        "a" * (size - 1) + "\u00e9\U0001d11e" + "b" * (size - 2) + "\u00f8\u20ac"
+    )
+    assert len(text) > 2 * size
+    path = tmp_path / "out.txt"
+    cli._write_output(text, str(path))
+    assert path.read_bytes() == text.encode("utf-8")
+    cli._write_output(text, "-")
+    assert capsysbinary.readouterr().out == text.encode("utf-8")
+
+    class Recorder:
+        def __init__(self) -> None:
+            self.writes = []
+
+        def write(self, piece: str) -> None:
+            self.writes.append(piece)
+
+    stdout = Recorder()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    cli._write_output(text, None)
+    assert [len(piece) for piece in stdout.writes] == [size, size, 1]
+    # a text shorter than a slice is written as itself, not copied
+    stdout.writes.clear()
+    short = "x" * 100
+    cli._write_output(short, None)
+    assert len(stdout.writes) == 1 and stdout.writes[0] is short
+
+
 def test_simulate_summary_line(capsys):
     code = run(["simulate", str(corpus_path("mud.tm"))])
     captured = capsys.readouterr()

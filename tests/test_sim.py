@@ -6,11 +6,15 @@ import json
 import logging
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tmkit
 from tmkit import dsl, graph
 from tmkit.behavior import (
     Chronology,
@@ -28,6 +32,7 @@ from tmkit.sim import (
     SimConfig,
     Token,
     Trace,
+    _CHUNK,
     _Run,
     _simulate_validated,
     coverage,
@@ -293,6 +298,64 @@ def test_trace_json_of_hand_built_traces():
     }
     for case, trace in traces.items():
         assert trace_to_json(model, trace) == reference_trace_to_json(model, trace), case
+
+
+@pytest.mark.parametrize(
+    "count", [0, 1, 15, 16, 17, 33, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1]
+)
+def test_trace_json_across_chunk_boundaries(count):
+    # the writer appends the firings in chunks of 16, 16, 32, 64, ... and
+    # then _CHUNK: counts that end on a chunk and just before or after one
+    model = Model()
+    tid = model.add_thimac("m")
+    create = model.add_stage(tid, StageKind.CREATE)
+    process = model.add_stage(tid, StageKind.PROCESS)
+    flow = model.add_flow(create, process)
+    spawn, move = FiringKind.TOKEN_SPAWN, FiringKind.FLOW_MOVE
+    instances = [1 + n // 3 for n in range(count)]
+    trace = Trace(
+        ["E"] * count,
+        instances,
+        [flow if n % 3 else create for n in range(count)],
+        [move if n % 3 else spawn for n in range(count)],
+        [None if n % 3 == 2 else n // 3 + 1 for n in range(count)],
+        [("E", i, i - 1) for i in sorted(set(instances))],
+        [Token(t, "m", process) for t in range(1, count // 3 + 2)],
+    )
+    assert trace_to_json(model, trace) == reference_trace_to_json(model, trace)
+
+
+# Prints, from a fresh interpreter (argv: tmkit's source folder), the
+# length of the ships trace text and the tracemalloc peak of writing it:
+# a first call, as in ``tm``, which nothing before it has warmed up.
+_SHIPS_TRACE_PEAK = """
+import sys, tracemalloc
+sys.path.insert(0, sys.argv[1])
+from tmkit import dsl
+from tmkit.core import normalize
+from tmkit.corpus import corpus_path
+from tmkit.sim import simulate, trace_to_json
+result = dsl.parse(corpus_path("ships.tm").read_text(encoding="utf-8"), "ships.tm")
+model = normalize(result.model)
+trace = simulate(model, result.events, result.chronology)
+tracemalloc.start()
+text = trace_to_json(model, trace)
+print(len(text), tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_trace_json_holds_its_text_about_once():
+    # the ships trace (40000 firings, about 8 MB): one entry per firing
+    # joined at the end, or a text that is copied as it grows, holds the
+    # text about twice
+    src = str(Path(tmkit.__file__).parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", _SHIPS_TRACE_PEAK, src],
+        capture_output=True, text=True, check=True,
+    )
+    length, peak = map(int, done.stdout.split())
+    assert length > 7_000_000
+    assert peak <= 1.5 * length
 
 
 # -- event ordering -----------------------------------------------------------
