@@ -286,6 +286,10 @@ def main() -> None:
     import gc
 
     gc.disable()  # nothing cyclic to collect: see the module docstring
+    # output is UTF-8 whatever the locale, as input is read and -o FILE is
+    # written; a locale's encoding could fail on a non-ASCII name midway
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(encoding="utf-8")
     try:
         status = run(sys.argv[1:])
     except MemoryError:

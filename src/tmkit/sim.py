@@ -101,9 +101,12 @@ and token columns grow by one firing at a time, so the length of
 and instance columns are the same value over a whole instance, so they
 are extended once, at the instance's end, by its firing count; a run
 that exceeds the budget raises and returns no trace, so the shorter
-columns are never seen. A replayed copy extends each column once: the
-event id and the instance number repeated, the template's elements and
-kinds, and its token ids mapped to the tokens the copy made.
+columns are never seen. Replayed copies are appended in groups of about
+``_CHUNK`` firings, and a group extends each column once: the event id
+repeated, each copy's instance number repeated, the template's elements
+and kinds repeated, and its token ids mapped to the tokens each copy
+made. A group makes its tokens in one pass, and a bounded group keeps
+the lists it makes small, however large the ``repeat``.
 ``Trace.firings`` reads the columns as a sequence of ``Firing``, built
 when read.
 """
@@ -113,8 +116,9 @@ from __future__ import annotations
 import enum
 from collections import defaultdict
 from collections.abc import Iterator, Sequence
-from itertools import islice
+from itertools import chain, count, cycle, islice, repeat
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 
 from . import graph
 from .behavior import Chronology, EventDef, instances, region_edges
@@ -474,30 +478,53 @@ class _Run:
     ) -> None:
         """Append instances ``template + 1 .. count`` as copies of instance
         ``template``, whose firings and new tokens start at the given list
-        positions; each copy extends every firing column once."""
-        trace = self.trace
+        positions; each group of copies extends every firing column once."""
+        trace, at = self.trace, self.at
         made = self.tokens[first_token:]
+        m = len(made)
         elements = trace.elements[first_firing:]
         kinds = trace.kinds[first_firing:]
-        events = [event_id] * len(kinds)
+        k = len(kinds)
+        # about _CHUNK firings a group, so that the lists one group makes
+        # stay small whatever the count
+        size = min(max(1, _CHUNK // max(k, 1)), count - template)
         # the template adopted nothing, so its firings name only tokens it
-        # made: keep their positions in ``made``, so that each copy's
-        # firings share the copy's id object instead of each adding one; -1,
-        # for no token, reads the None that ends each copy's ``ids``
+        # made: keep their positions in ``made``. A group's firings read
+        # their token ids from the list of the ids the group made, copy c's
+        # token j at c * m + j, so that each copy's firings share the copy's
+        # id objects instead of each adding one; -1, for no token, reads the
+        # None that ends the list.
         made_at = [
             -1 if t is None else t - first_token - 1
             for t in trace.tokens[first_firing:]
         ]
-        for instance in range(template + 1, count + 1):
-            ids = [self._new_token(t.location, t.thing, t.prev_stage).id for t in made]
+        positions = made_at + [
+            -1 if j < 0 else j + c * m for c in range(1, size) for j in made_at
+        ]
+        instance = template + 1
+        while instance <= count:
+            g = min(size, count + 1 - instance)
+            # a list, so that the instance column and the event order share
+            # each copy's instance number
+            copies = list(range(instance, instance + g))
+            first_id = len(self.tokens) + 1
+            ids = list(range(first_id, first_id + g * m))
+            tokens = [
+                Token(i, t.thing, t.location, t.prev_stage)
+                for i, t in zip(ids, made * g)
+            ]
+            self.tokens += tokens
+            for token in tokens:
+                at[token.location][token.id] = token
             ids.append(None)
-            trace.events += events
-            trace.instances += [instance] * len(kinds)
-            trace.elements += elements
-            trace.kinds += kinds
-            trace.tokens += map(ids.__getitem__, made_at)
-            trace.event_order.append((event_id, instance, tick))
-            tick += 1
+            trace.events += [event_id] * (k * g)
+            trace.instances += chain.from_iterable(map(repeat, copies, repeat(k)))
+            trace.elements += elements * g
+            trace.kinds += kinds * g
+            trace.tokens += map(ids.__getitem__, positions[: k * g])
+            trace.event_order += zip(repeat(event_id), copies, range(tick, tick + g))
+            tick += g
+            instance += g
 
     def run_instance(
         self, event: EventDef, plan: _Plan, instance: int, tick: int
@@ -677,41 +704,70 @@ def coverage(model: Model, trace: Trace, events: list[EventDef]) -> dict:
 # the most firings trace_to_json formats before it appends them to its text
 _CHUNK = 4096
 
+# a step is written as its thousands (none below 1000) and then its last
+# three digits, each a shared string, so no string is made per step
+_LOW = [str(n) for n in range(1000)]
+_LOW3 = [f"{n:03}" for n in range(1000)]
+
+# what a firing's entry starts with: the end of the entry before it
+_FIRING_HEAD = '\n    },\n    {\n      "step": '
+_FIRST_FIRING_HEAD = '  "firings": [\n    {\n      "step": '
+
 
 def trace_to_json(model: Model, trace: Trace) -> str:
     """Stable-keyed JSON rendering for golden comparisons and replay.
 
     The text is exactly ``json.dumps(doc, indent=2) + "\n"`` for the
     document ``{"eventOrder", "firings", "finalTokens"}``, but is written
-    directly: each string is escaped once, each instance number and token
-    id is formatted once into a number table (with None as ``null``), and
-    each entry is filled into a fixed template, since the indenting
-    encoder runs in pure Python.
+    directly, since the indenting encoder runs in pure Python. Each
+    string is escaped once, and each instance number and token id is
+    formatted once into a number table (with None as ``null``). A firing
+    entry is 9 pieces: the head (which closes the entry before it), the
+    step's thousands and its last three digits, the event with the
+    "instance" key, the instance, the element with the "kind" key, the
+    kind, the "token" key and the token. Each piece is a shared string
+    read from a table, so no string is made per firing.
 
-    The firings are formatted at most ``_CHUNK`` at a time, and each
+    The firings are written at most ``_CHUNK`` at a time, into one list
+    of slots per chunk size: the constant slots are filled when the list
+    is made, and each other slot column is filled from a firing column
+    by one extended-slice assignment, which runs in C, so a chunk costs
+    a few operations per column rather than bytecode per firing. Each
     chunk is joined and appended with ``text += ...``. ``text`` is the
-    only reference to the text, so CPython grows it in place: at its peak
-    the writer holds the text once, plus one chunk and the name and
-    number tables. One entry per firing joined at the end, or an
+    only reference to the text, so CPython grows it in place: at its
+    peak the writer holds the text once, plus one chunk, its slots and
+    the tables. One entry per firing joined at the end, or an
     ``io.StringIO``, would hold the text twice.
     """
-    named = set(trace.elements)
-    named.update(t.location for t in trace.final_tokens)
-    quoted = {eid: encode_basestring_ascii(model.qualified_name(eid)) for eid in named}
+    elements = set(trace.elements)
+    quoted = {
+        eid: encode_basestring_ascii(model.qualified_name(eid))
+        for eid in elements.union(t.location for t in trace.final_tokens)
+    }
     texts = {
         *trace.events,
         *(e for e, _, _ in trace.event_order),
         *(t.thing for t in trace.final_tokens),
     }
     q = {text: encode_basestring_ascii(text) for text in texts}
-    numbers = {
-        *trace.instances,
-        *(i for _, i, _ in trace.event_order),
-        *trace.tokens,
-        *(t.id for t in trace.final_tokens),
+    # the set of numbers is freed once the table is made, before the text
+    # grows
+    nums = {
+        n: str(n)
+        for n in {
+            *trace.instances,
+            *(i for _, i, _ in trace.event_order),
+            *trace.tokens,
+            *(t.id for t in trace.final_tokens),
+        }
     }
-    nums = {n: str(n) for n in numbers}
     nums[None] = "null"
+    event_pieces = {
+        e: f',\n      "event": {q[e]},\n      "instance": ' for e in set(trace.events)
+    }
+    element_pieces = {
+        el: f',\n      "element": {quoted[el]},\n      "kind": ' for el in elements
+    }
 
     # every entry starts with its separator; _json_list drops the first one
     event_order = [
@@ -721,33 +777,43 @@ def trace_to_json(model: Model, trace: Trace) -> str:
     ]
     text = "".join(["{\n", *_json_list("eventOrder", event_order), ",\n"])
     del event_order  # the text holds it now
-    firings = zip(
-        range(len(trace.kinds)), trace.events, trace.instances, trace.elements,
-        trace.kinds, trace.tokens,
+    # the steps' pieces in step order: thousands "" for 0-999, then "1"
+    # for 1000-1999, and so on; the last three digits "0" to "999", then
+    # "000" to "999" over and over
+    thousands = chain.from_iterable(
+        map(repeat, chain(("",), map(str, count(1))), repeat(1000))
     )
+    lows = chain(_LOW, cycle(_LOW3))
+    kind_piece = attrgetter("quoted")
     # Each chunk is as long as all the firings before it (16 at first), up
     # to _CHUNK. The first chunks are small because CPython 3.11 grows a
     # string in place only once it has specialized the ``+=``, after about
     # eight calls of this function or turns of this ``while True`` loop (a
     # loop that tests a condition does not count); until then each ``+=``
-    # copies the text.
-    written = 0
+    # copies the text. The slot list is made again only when the chunk size
+    # changes, and each turn writes only the variable slots: the slot
+    # columns 1 to 6 and 8, and the first chunk's head.
+    total, written = len(trace.kinds), 0
+    pieces: list[str] = []
     while True:
-        chunk = [
-            f',\n    {{\n      "step": {step},\n      "event": {q[e]},\n'
-            f'      "instance": {nums[i]},\n      "element": {quoted[el]},\n'
-            f'      "kind": {kind.quoted},\n'
-            f'      "token": {nums[token]}\n    }}'
-            for step, e, i, el, kind, token in islice(
-                firings, min(max(written, 16), _CHUNK)
-            )
-        ]
-        if not chunk:
+        n = min(max(written, 16), _CHUNK, total - written)
+        if not n:
             break
+        if len(pieces) != 9 * n:
+            pieces = [_FIRING_HEAD, *[""] * 6, ',\n      "token": ', ""] * n
+        end = written + n
+        pieces[1::9] = islice(thousands, n)
+        pieces[2::9] = islice(lows, n)
+        pieces[3::9] = map(event_pieces.__getitem__, trace.events[written:end])
+        pieces[4::9] = map(nums.__getitem__, trace.instances[written:end])
+        pieces[5::9] = map(element_pieces.__getitem__, trace.elements[written:end])
+        pieces[6::9] = map(kind_piece, trace.kinds[written:end])
+        pieces[8::9] = map(nums.__getitem__, trace.tokens[written:end])
         if not written:
-            chunk[0] = '  "firings": [' + chunk[0][1:]
-        text += "".join(chunk)
-        written += len(chunk)
+            pieces[0] = _FIRST_FIRING_HEAD
+        text += "".join(pieces)
+        pieces[0] = _FIRING_HEAD
+        written = end
     final_tokens = [
         f',\n    {{\n      "id": {nums[t.id]},\n      "thing": {q[t.thing]},\n'
         f'      "location": {quoted[t.location]}\n    }}'
@@ -755,7 +821,7 @@ def trace_to_json(model: Model, trace: Trace) -> str:
     ]
     text += "".join(
         [
-            "\n  ]" if written else '  "firings": []',
+            "\n    }\n  ]" if written else '  "firings": []',
             ",\n",
             *_json_list("finalTokens", final_tokens),
             "\n}\n",

@@ -241,6 +241,30 @@ def test_output_is_written_in_slices_with_the_same_bytes(
     assert len(stdout.writes) == 1 and stdout.writes[0] is short
 
 
+def test_stdout_is_utf8_whatever_the_locale(tmp_path):
+    # with an ASCII stdout, a non-ASCII event label still comes out as the
+    # UTF-8 that -o FILE writes, with no traceback
+    source = tmp_path / "cafe.tm"
+    source.write_text(
+        "thimac a { stage create; stage process; }\n"
+        "flow a.create -> a.process;\n"
+        'event E "caf\u00e9" { region { a; } }\n'
+        "chronology { E; }\n",
+        encoding="utf-8",
+    )
+    src = str(Path(tmkit.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="ascii")
+    for argv in (["normalize"], ["render", "--mode", "events"]):
+        out = tmp_path / "out.txt"
+        tm = [sys.executable, "-m", "tmkit", *argv, str(source)]
+        done = subprocess.run(tm, capture_output=True, env=env)
+        assert done.returncode == 0, argv
+        assert done.stderr == b"", argv
+        assert subprocess.run([*tm, "-o", str(out)], env=env).returncode == 0
+        assert done.stdout == out.read_bytes(), argv
+        assert "caf\u00e9".encode("utf-8") in done.stdout, argv
+
+
 def test_simulate_summary_line(capsys):
     code = run(["simulate", str(corpus_path("mud.tm"))])
     captured = capsys.readouterr()
@@ -601,11 +625,11 @@ cli.main()
 """
 
 # One machine, one event: every instance after the first is a replayed
-# copy, so the trace grows until memory runs out.
+# copy, so the trace grows until memory runs out. {repeat} is the count.
 HUGE_REPEAT = (
     "thimac a { stage create; stage process; }\n"
     "flow a.create -> a.process;\n"
-    "event E { region { a; } repeat 100000000; }\n"
+    "event E { region { a; } repeat {repeat}; }\n"
     "chronology { E; }\n"
 )
 
@@ -614,17 +638,20 @@ HUGE_REPEAT = (
     sys.platform != "linux", reason="RLIMIT_AS bounds allocation on Linux only"
 )
 def test_out_of_memory_is_one_line_and_exit_3(tmp_path):
-    source = tmp_path / "huge.tm"
-    source.write_text(HUGE_REPEAT, encoding="utf-8")
+    # a count past any index-sized integer too: replay must still run out
+    # of memory, not overflow building its columns
     src = str(Path(tmkit.__file__).parent.parent)
-    done = subprocess.run(
-        [sys.executable, "-c", _CAPPED_MAIN, src, str(256 * 2**20), "simulate",
-         str(source)],
-        capture_output=True, text=True,
-    )
-    assert done.returncode == 3
-    assert done.stdout == ""
-    assert done.stderr == "simulation error: out of memory\n"
+    for repeat in ("100000000", "99999999999999999999"):
+        source = tmp_path / f"huge{repeat}.tm"
+        source.write_text(HUGE_REPEAT.replace("{repeat}", repeat), encoding="utf-8")
+        done = subprocess.run(
+            [sys.executable, "-c", _CAPPED_MAIN, src, str(256 * 2**20), "simulate",
+             str(source)],
+            capture_output=True, text=True,
+        )
+        assert done.returncode == 3, repeat
+        assert done.stdout == "", repeat
+        assert done.stderr == "simulation error: out of memory\n", repeat
 
 
 # Each public name of tmkit and the module it is defined in or re-exported from.

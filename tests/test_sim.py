@@ -129,6 +129,22 @@ TRIGGER_LOOP = (
     "event E { region { seed; a; b; } }\n"
     "chronology { E; }"
 )
+# Fill leaves a token in each machine; each Poke instance then makes a
+# StageFire and a TriggerFire that enables b's token, and no token, so its
+# copies are replayed in groups of _CHUNK // 2: three groups and one more
+# copy. Idle's instances make no firing at all.
+TOKENLESS_REPEATS = (
+    "thimac a { stage create; stage process; }\n"
+    "flow a.create -> a.process;\n"
+    "thimac b { stage create; stage process; }\n"
+    "flow b.create -> b.process;\n"
+    "trigger a.process ~> b.process;\n"
+    "event Fill { region { a; b; } }\n"
+    "event Poke { region { a.process; b.process; } "
+    f"repeat {3 * (_CHUNK // 2) + 2}; }}\n"
+    "event Idle { region { a.process; } repeat 3; }\n"
+    "chronology { Fill -> Poke; Poke -> Idle; }"
+)
 
 
 def run_source(source: str, config: SimConfig | None = None):
@@ -301,11 +317,17 @@ def test_trace_json_of_hand_built_traces():
 
 
 @pytest.mark.parametrize(
-    "count", [0, 1, 15, 16, 17, 33, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1]
+    "count",
+    [
+        0, 1, 15, 16, 17, 33, 999, 1000, 1001, _CHUNK - 1, _CHUNK, _CHUNK + 1,
+        2 * _CHUNK + 1, 9999, 10000, 10001,
+    ],
 )
 def test_trace_json_across_chunk_boundaries(count):
-    # the writer appends the firings in chunks of 16, 16, 32, 64, ... and
-    # then _CHUNK: counts that end on a chunk and just before or after one
+    # the writer appends the firings in chunks of 16, 16, 32, 64, ... up to
+    # _CHUNK, reusing one list of slots while the chunk size stays, and
+    # writes a step as its thousands and its last three digits: counts that
+    # end on a chunk or a thousands boundary and just before or after one
     model = Model()
     tid = model.add_thimac("m")
     create = model.add_stage(tid, StageKind.CREATE)
@@ -323,6 +345,22 @@ def test_trace_json_across_chunk_boundaries(count):
         [Token(t, "m", process) for t in range(1, count // 3 + 2)],
     )
     assert trace_to_json(model, trace) == reference_trace_to_json(model, trace)
+
+
+def test_trace_json_of_a_million_firings_has_every_step():
+    # steps of up to seven digits, past the counts compared above; the
+    # document is parsed keeping only each firing's step
+    model = Model()
+    create = model.add_stage(model.add_thimac("m"), StageKind.CREATE)
+    count = 1_000_001
+    trace = Trace(
+        ["E"] * count, [1] * count, [create] * count,
+        [FiringKind.TOKEN_SPAWN] * count, [None] * count, [("E", 1, 0)],
+    )
+    doc = json.loads(
+        trace_to_json(model, trace), object_hook=lambda entry: entry.get("step", entry)
+    )
+    assert doc["firings"] == list(range(count))
 
 
 # Prints, from a fresh interpreter (argv: tmkit's source folder), the
@@ -799,6 +837,8 @@ def assert_matches_reference(model, events, chronology, config=None):
             logger.setLevel(level)
         traces.append(trace)
         outcomes.append((outcome, records.seen))
+    if traces[0] is not None:
+        assert_columns_aligned(traces[0])
     assert outcomes[0] == outcomes[1]
     outcome, seen = outcomes[0]
     return (outcome if traces[0] is None else trace_to_json(model, traces[0])), seen
@@ -813,15 +853,19 @@ def test_simulate_matches_reference_on_corpus(load_corpus, name):
 
 
 @pytest.mark.parametrize(
-    "source, outcome",
+    "source, outcome, replayed",
     [
-        (START_PASS, "StageFire"),
-        (WAITING_TOKEN, "FlowMove"),
-        (PORT_RELAY, "FlowMove"),
-        (BROADCAST, "broadcast"),
-        (REST_SPAWN_BROADCAST, "broadcast"),
-        (FLOW_LOOP, "StepBudgetExceeded"),
-        (TRIGGER_LOOP, "StepBudgetExceeded"),
+        (START_PASS, "StageFire", []),
+        (WAITING_TOKEN, "FlowMove", []),
+        (PORT_RELAY, "FlowMove", []),
+        (BROADCAST, "broadcast", []),
+        (REST_SPAWN_BROADCAST, "broadcast", []),
+        (FLOW_LOOP, "StepBudgetExceeded", []),
+        (TRIGGER_LOOP, "StepBudgetExceeded", []),
+        (
+            TOKENLESS_REPEATS, "TriggerFire",
+            [("Poke", 1, 3 * (_CHUNK // 2) + 2), ("Idle", 1, 3)],
+        ),
     ],
     ids=[
         "start-pass",
@@ -831,15 +875,17 @@ def test_simulate_matches_reference_on_corpus(load_corpus, name):
         "rest-spawn-broadcast",
         "flow-loop",
         "trigger-loop",
+        "tokenless-repeats",
     ],
 )
-def test_simulate_matches_reference_on_scenarios(source, outcome):
+def test_simulate_matches_reference_on_scenarios(replays, source, outcome, replayed):
     result = dsl.parse(source, "scenario.tm")
     model = normalize(result.model, strict=False)
     text, records = assert_matches_reference(
         model, result.events, result.chronology, SimConfig(max_steps_per_event=200)
     )
     assert outcome in text or any(outcome in message for _, message in records)
+    assert replays == replayed
 
 
 def test_rest_spawn_broadcast_trace_is_the_references_byte_for_byte():
@@ -965,7 +1011,11 @@ def ships(repeat: int):
     return parse_normalized(text)
 
 
-@pytest.mark.parametrize("repeat", [4000, 16000])
+# E_passing makes 10 firings an instance, so its copies are replayed in
+# groups of _CHUNK // 10: one group exactly, and several groups plus one
+@pytest.mark.parametrize(
+    "repeat", [4000, 16000, 1 + _CHUNK // 10, 2 + 3 * (_CHUNK // 10)]
+)
 def test_ships_replay_matches_reference(replays, repeat):
     model, events, chronology = ships(repeat)
     trace_json, records = assert_matches_reference(model, events, chronology)
@@ -977,11 +1027,16 @@ def test_ships_replay_matches_reference(replays, repeat):
 def test_replay_waits_for_the_trigger_target_machine_to_fill(replays):
     text, _ = assert_matches_reference(*parse_normalized(FILLS_THEN_REPEATS))
     assert replays == [("E", 2, 6)]
+    firings = json.loads(text)["firings"]
     b_spawns = [
-        f for f in json.loads(text)["firings"]
-        if f["kind"] == "TokenSpawn" and f["element"] == "b.release"
+        f for f in firings if f["kind"] == "TokenSpawn" and f["element"] == "b.release"
     ]
     assert len(b_spawns) == 1
+    # the template's firings, copied into instances 3 to 6, mix tokens and
+    # the None of a TriggerFire
+    template = [(f["kind"], f["token"]) for f in firings if f["instance"] == 2]
+    assert ("TriggerFire", None) in template
+    assert any(token is not None for _, token in template)
 
 
 def test_broadcasting_repeat_is_interpreted_and_logged_every_time(replays):
