@@ -2,8 +2,9 @@
 
 An event is represented by its region: the set of static-model stages
 over which it occurs. Edges belong to a region implicitly, whenever
-both endpoints do. Time is logical: an event instance's tick is its
-position in the executed order.
+both endpoints do. An event may contain other events; both front ends
+check that rule with ``check_containment``. Time is logical: an event
+instance's tick is its position in the executed order.
 """
 
 from __future__ import annotations
@@ -89,15 +90,27 @@ def flatten(events: list[EventDef], root: str) -> set[ElementId]:
     return out
 
 
-def containment_cycles(events: list[EventDef]) -> list[list[str]]:
-    """One ``[a, ..., a]`` witness per containment cycle among the events,
-    depth first in declaration order; undeclared sub-events are skipped."""
+def check_containment(events: list[EventDef], undeclared_code: str) -> list[Diagnostic]:
+    """The containment rule, as both front ends check it: an
+    ``undeclared_code`` error per undeclared sub-event, then one
+    ``EVENT_CYCLE`` per containment cycle, depth first in declaration
+    order; each at its event's span."""
     by_id = {e.id: e for e in events}
+    diags = [
+        Diagnostic(
+            Severity.ERROR, undeclared_code,
+            f"event '{e.id}' contains undeclared event '{sub}'", e.span,
+        )
+        for e in events for sub in e.subevents if sub not in by_id
+    ]
 
     def subevents(eid: str) -> list[str]:
         return by_id[eid].subevents if eid in by_id else []
 
-    return list(graph.cycles(by_id, subevents))
+    for cycle in graph.cycles(by_id, subevents):
+        message = f"event containment cycle: {' -> '.join(cycle)}"
+        diags.append(Diagnostic(Severity.ERROR, "EVENT_CYCLE", message, by_id[cycle[0]].span))
+    return diags
 
 
 def region_edges(model: Model, region: set[ElementId]) -> tuple[list, list]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii as _quote
 
-from ..behavior import Chronology, EventDef, containment_cycles
+from ..behavior import Chronology, EventDef, check_containment
 from ..core import ElementId, Model, StageKind
 from ..diagnostics import Diagnostic, Severity, has_errors
 from ..errors import DuplicateName, DuplicateStageKind
@@ -278,12 +278,7 @@ def from_json(text: str) -> ParseResult:
                     f"event '{eid}' contains entry {sub!r} must be a string",
                 )
         events.append(EventDef(eid, label, region, repeat, contains))
-    for event in events:
-        for sub in event.subevents:
-            if sub not in declared:
-                err("DANGLING_REF", f"event '{event.id}' contains undeclared event '{sub}'")
-    for cycle in containment_cycles(events):
-        err("EVENT_CYCLE", f"event containment cycle: {' -> '.join(cycle)}")
+    diags += check_containment(events, "DANGLING_REF")
 
     chronology = None
     chrono_doc = doc.get("chronology")

@@ -21,7 +21,7 @@ declared later in the file.
 from __future__ import annotations
 
 from .. import graph
-from ..behavior import Chronology, EventDef, containment_cycles
+from ..behavior import Chronology, EventDef, check_containment
 from ..core import Model, StageKind, STAGE_KIND_NAMES
 from ..diagnostics import (
     Diagnostic, Record, Severity, SourceSpan, has_errors, sorted_diagnostics
@@ -583,14 +583,14 @@ class _Lowering:
 
     def lower_events(self) -> list[EventDef]:
         events: list[EventDef] = []
-        seen: dict[str, SourceSpan] = {}
+        seen: set[str] = set()
         for decl in self.p.events:
             if decl.id in seen:
                 self.diag(
                     "DUPLICATE_DEF", f"event '{decl.id}' already declared", decl.span
                 )
                 continue
-            seen[decl.id] = decl.span
+            seen.add(decl.id)
             region: set[int] = set()
             for path in decl.region:
                 region |= self.region_members(path)
@@ -604,26 +604,8 @@ class _Lowering:
                     decl.span,
                 )
             )
-        declared = {e.id for e in events}
-        for event in events:
-            for sub in event.subevents:
-                if sub not in declared:
-                    self.diag(
-                        "UNRESOLVED_PATH",
-                        f"event '{event.id}' contains undeclared event '{sub}'",
-                        event.span,
-                    )
-        self._check_containment_cycles(events)
+        self.diagnostics += check_containment(events, "UNRESOLVED_PATH")
         return events
-
-    def _check_containment_cycles(self, events: list[EventDef]) -> None:
-        by_id = {e.id: e for e in events}
-        for cycle in containment_cycles(events):
-            self.diag(
-                "EVENT_CYCLE",
-                f"event containment cycle: {' -> '.join(cycle)}",
-                by_id[cycle[0]].span,
-            )
 
 
 def parse(text: str, file: str = "<input>") -> ParseResult:

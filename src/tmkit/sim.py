@@ -107,6 +107,9 @@ repeated, each copy's instance number repeated, the template's elements
 and kinds repeated, and its token ids mapped to the tokens each copy
 made. A group makes its tokens in one pass, and a bounded group keeps
 the lists it makes small, however large the ``repeat``.
+An instance's tick is its position in the executed order, so it is
+read, not kept: an ``event_order`` entry takes the list's length as it
+is appended, and a group of copies takes its ticks from that length on.
 ``Trace.firings`` reads the columns as a sequence of ``Firing``, built
 when read.
 """
@@ -351,21 +354,15 @@ class _Run:
         thimac = self.model.thimacs[thimac_id]
         return any(self.at.get(sid) for sid in thimac.stages.values())
 
-    def _new_token(
-        self, stage: ElementId, thing: str, prev_stage: ElementId | None = None
-    ) -> Token:
-        """Make the next token and rest it at ``stage``."""
-        token = Token(len(self.tokens) + 1, thing, stage, prev_stage)
-        self.tokens.append(token)
-        self.at[stage][token.id] = token
-        return token
-
     def _spawn(self, stage: ElementId, thing: str | None = None) -> Token:
-        """Make an active token at ``stage`` and record its TokenSpawn; the
-        thing is by default a new one of the stage's machine."""
+        """Make the next token, active and resting at ``stage``, and record
+        its TokenSpawn; the thing is by default a new one of the stage's
+        machine."""
         if thing is None:
             thing = self.model.qualified_name(self.model.stages[stage].thimac)
-        token = self._new_token(stage, thing)
+        token = Token(len(self.tokens) + 1, thing, stage)
+        self.tokens.append(token)
+        self.at[stage][token.id] = token
         self.active.append(token)
         self._emit(FiringKind.TOKEN_SPAWN, stage, token.id)
         return token
@@ -446,8 +443,8 @@ class _Run:
 
     # -- one event instance ------------------------------------------------
 
-    def run_node(self, event: EventDef, plan: _Plan, tick: int) -> int:
-        """Run every instance of one chronology node; returns the next tick.
+    def run_node(self, event: EventDef, plan: _Plan) -> None:
+        """Run every instance of one chronology node.
 
         Instances are interpreted until one is a template (see the module
         docstring); the rest are replayed from it.
@@ -456,16 +453,14 @@ class _Run:
         at = self.at
         for instance in range(1, count + 1):
             if instance == count:
-                self.run_instance(event, plan, instance, tick)
-                return tick + 1
+                self.run_instance(event, plan, instance)
+                return
             before = [s for s in plan.watched if at.get(s)]
             first_firing, first_token = len(self.trace.kinds), len(self.tokens)
-            quiet = self.run_instance(event, plan, instance, tick)
-            tick += 1
+            quiet = self.run_instance(event, plan, instance)
             if quiet and [s for s in plan.watched if at.get(s)] == before:
-                self._replay(event.id, first_firing, first_token, instance, count, tick)
-                return tick + count - instance
-        return tick
+                self._replay(event.id, first_firing, first_token, instance, count)
+                return
 
     def _replay(
         self,
@@ -474,7 +469,6 @@ class _Run:
         first_token: int,
         template: int,
         count: int,
-        tick: int,
     ) -> None:
         """Append instances ``template + 1 .. count`` as copies of instance
         ``template``, whose firings and new tokens start at the given list
@@ -522,13 +516,11 @@ class _Run:
             trace.elements += elements * g
             trace.kinds += kinds * g
             trace.tokens += map(ids.__getitem__, positions[: k * g])
+            tick = len(trace.event_order)
             trace.event_order += zip(repeat(event_id), copies, range(tick, tick + g))
-            tick += g
             instance += g
 
-    def run_instance(
-        self, event: EventDef, plan: _Plan, instance: int, tick: int
-    ) -> bool:
+    def run_instance(self, event: EventDef, plan: _Plan, instance: int) -> bool:
         """Run one instance; True when it adopted no token and did not
         broadcast."""
         trace, at = self.trace, self.at
@@ -616,7 +608,7 @@ class _Run:
         made = len(kinds) - first
         trace.events += [event.id] * made
         trace.instances += [instance] * made
-        trace.event_order.append((event.id, instance, tick))
+        trace.event_order.append((event.id, instance, len(trace.event_order)))
         return quiet
 
 
@@ -657,10 +649,9 @@ def _simulate_validated(
 
     by_id = {e.id: e for e in events}
     run = _Run(model, config)
-    tick = 0
     for node in linear_extension(chronology):
         event = by_id[node]
-        tick = run.run_node(event, _plan(model, event), tick)
+        run.run_node(event, _plan(model, event))
     return run.trace
 
 

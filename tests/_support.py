@@ -1402,8 +1402,7 @@ class ReferenceParser:
 
 
 class ReferenceLowering(_Lowering):
-    """Lowering with the old recursive ``declare_thimacs`` and
-    ``EVENT_CYCLE`` check."""
+    """Lowering with the old recursive ``declare_thimacs``."""
 
     def declare_thimacs(self) -> None:
         def declare(decl: _ThimacDecl, parent: int | None) -> None:
@@ -1425,9 +1424,6 @@ class ReferenceLowering(_Lowering):
 
         for decl in self.p.thimacs:
             declare(decl, None)
-
-    def _check_containment_cycles(self, events: list[EventDef]) -> None:
-        self.diagnostics += reference_containment_cycles(events)
 
 
 def reference_parse(text: str, file: str = "<input>") -> ParseResult:

@@ -317,7 +317,7 @@ def test_parse_matches_reference_parser_on_corpus(name):
         # a memory: reported, with no model
         "memory a.create ~> a; thimac a { stage create; } memory a ~> b.c",
         # recovery: stray braces, missing names, unterminated bodies
-        "} } thimac { stage create; } flow a -> ; event { } chronology { -> E; ",
+        "} } thimac { stage create; } flow a -> ; event { } chronology { E -> ; -> E; ",
         'event E "x" region { a; } } trigger a -> b; memory a ~> ; thimac a { stage x;',
         "thimac a { stage create; } event E { region { a.create.b; a.; } repeat 0; contains ; }",
     ],
@@ -491,6 +491,8 @@ def test_format_requires_model():
     assert bad.model is None
     with pytest.raises(ValueError):
         dsl.format(bad)
+    with pytest.raises(ValueError, match="without a model"):
+        dsl.to_json(bad)
 
 
 # -- JSON -------------------------------------------------------------------

@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from tmkit.cli import run
-from tmkit.corpus import corpus_files
+from tmkit.corpus import corpus_files, corpus_path
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
 
@@ -89,6 +89,10 @@ def test_corpus_outputs_match_golden_digests(name, outputs):
 def test_golden_covers_every_corpus_file():
     golden = json.loads(GOLDEN.read_text())
     assert sorted(golden) == [p.name for p in corpus_files()]
+    # a name outside the corpus is refused with the bundled names
+    with pytest.raises(FileNotFoundError) as excinfo:
+        corpus_path("nope.tm")
+    assert str(excinfo.value) == f"no corpus file 'nope.tm' (have: {', '.join(sorted(golden))})"
 
 
 if __name__ == "__main__":

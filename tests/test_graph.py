@@ -3,7 +3,9 @@ against the recursive walks they replaced (kept in ``_support``)."""
 
 from __future__ import annotations
 
+import json
 import random
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -14,7 +16,7 @@ from tmkit import graph, render
 from tmkit.behavior import EventDef, flatten
 from tmkit.core import normalize
 from tmkit.diagnostics import sorted_diagnostics
-from tmkit.dsl import parse
+from tmkit.dsl import from_json, parse
 from tmkit.errors import ContainmentCycle, UnknownEvent
 from tmkit.render import RenderMode, RenderOptions, render_dot
 
@@ -156,28 +158,63 @@ def test_walks_are_iterative_on_long_chains():
 # -- callers against the walks they replaced -----------------------------------
 
 
-def _containment_source(rng: random.Random) -> str:
-    """Events with random ``contains`` lists: cycles, self-loops, repeats,
-    undeclared and duplicate events."""
+def _containment_events(rng: random.Random) -> list[tuple[str, list[str]]]:
+    """``(id, contains)`` pairs with random ``contains`` lists: cycles,
+    self-loops, repeats, undeclared and duplicate events."""
     count = rng.randint(1, 7)
     names = [f"E{i}" for i in range(count)] + ["Undeclared"]
+    return [
+        (rng.choice(names[:count]), [rng.choice(names) for _ in range(rng.randint(0, 3))])
+        for _ in range(count + rng.randint(0, 2))
+    ]
+
+
+def _containment_source(events: list[tuple[str, list[str]]]) -> str:
     lines = ["thimac a { stage create; }"]
-    for _ in range(count + rng.randint(0, 2)):
-        eid = rng.choice(names[:count])
-        subs = [rng.choice(names) for _ in range(rng.randint(0, 3))]
+    for eid, subs in events:
         contains = f" contains {', '.join(subs)};" if subs else ""
         lines.append(f"event {eid} {{ region {{ a.create; }}{contains} }}")
     return "\n".join(lines)
 
 
+def _containment_document(events: list[tuple[str, list[str]]]) -> str:
+    """The same events as a model document."""
+    return json.dumps({
+        "thimacs": [{"name": "a", "stages": [{"kind": "create"}]}],
+        "events": [
+            {"id": eid, "region": ["a.create"], "contains": subs} for eid, subs in events
+        ],
+    })
+
+
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 1_000_000))
 def test_event_cycle_diagnostics_match_recursive_check(seed):
-    text = _containment_source(random.Random(seed))
+    text = _containment_source(_containment_events(random.Random(seed)))
     result = parse(text, "c.tm")
     cycles = [d for d in result.diagnostics if d.code == "EVENT_CYCLE"]
     assert cycles == sorted_diagnostics(reference_containment_cycles(result.events))
     assert result.diagnostics == reference_parse(text, "c.tm").diagnostics
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 1_000_000))
+def test_json_containment_diagnostics_match_parse(seed):
+    """``from_json`` reports the containment rule as ``parse`` does, an
+    undeclared sub-event as DANGLING_REF where the text reports
+    UNRESOLVED_PATH."""
+    events = _containment_events(random.Random(seed))
+    rule = {"DUPLICATE_DEF", "EVENT_CYCLE", "UNRESOLVED_PATH"}
+    from_text = Counter(
+        (d.code, d.message) for d in parse(_containment_source(events), "c.tm").diagnostics
+        if d.code in rule
+    )
+    # the document has nothing else to report
+    from_document = Counter(
+        ("UNRESOLVED_PATH" if d.code == "DANGLING_REF" else d.code, d.message)
+        for d in from_json(_containment_document(events)).diagnostics
+    )
+    assert from_document == from_text
 
 
 def _flatten_outcome(fn, events, root):

@@ -989,9 +989,9 @@ def replays(monkeypatch):
     seen = []
     replay = _Run._replay
 
-    def recording(self, event_id, first_firing, first_token, template, count, tick):
+    def recording(self, event_id, first_firing, first_token, template, count):
         seen.append((event_id, template, count))
-        replay(self, event_id, first_firing, first_token, template, count, tick)
+        replay(self, event_id, first_firing, first_token, template, count)
 
     monkeypatch.setattr(_Run, "_replay", recording)
     return seen
