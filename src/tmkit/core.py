@@ -13,8 +13,9 @@ Thimacs and edges enter a ``Model`` only through its ``add_*`` methods,
 which keep four indexes: thimacs by ``(parent, name)``, every edge by
 its id (``edges``), and flows and triggers by source (``flows_from``,
 ``triggers_from``), each ``{from: {to: edge}}`` with a source's edges in
-model order. ``triggers`` is in ascending id order, since each trigger
-is appended with a fresh id. Lookups (``find_thimac``, ``find_stage``,
+model order and a key only for a stage that has such an edge.
+``triggers`` is in ascending id order, since each trigger is appended
+with a fresh id. Lookups (``find_thimac``, ``find_stage``,
 ``find_flow``) and the duplicate checks are a dict probe or two, so
 building and resolving a model is linear in its size, and the edges
 leaving a set of stages cost their number to find. ``copy`` and
@@ -60,7 +61,17 @@ class StageKind(enum.Enum):
     """A stage's kind. The namers (``Model.qualified_name``, the printer,
     ``json_io`` and ``render``) read a kind's word as ``kind._value_``:
     ``kind.value`` goes through a pure-Python enum property, which costs
-    several times as much per read."""
+    several times as much per read.
+
+    A kind hashes by identity. ``Enum.__hash__`` is a Python function
+    (``hash(self._name_)``) that every dict, set and ``LEGAL`` lookup
+    keyed by a kind would call; ``object.__hash__`` runs in C. This is
+    safe because each kind is a singleton that compares by identity
+    anyway, the name hash already varied per process under hash
+    randomization, and no output iterates a set of kinds: dicts keyed
+    by kind keep insertion order."""
+
+    __hash__ = object.__hash__
 
     CREATE = "create"
     PROCESS = "process"
@@ -370,11 +381,10 @@ class Model:
         return self.stages[stage_a].thimac == self.stages[stage_b].thimac
 
     def flow_legal(self, edge: FlowEdge) -> bool:
-        return edge_legal(
-            self.stages[edge.from_stage].kind,
-            self.stages[edge.to_stage].kind,
-            self.same_machine(edge.from_stage, edge.to_stage),
-        )
+        """``edge_legal`` for a flow of this model, as one ``LEGAL`` lookup."""
+        src = self.stages[edge.from_stage]
+        dst = self.stages[edge.to_stage]
+        return (src.kind, dst.kind, src.thimac == dst.thimac) in LEGAL
 
     def iter_thimacs(self) -> list[Thimac]:
         """All thimacs in declaration (depth-first) order."""

@@ -221,16 +221,24 @@ def from_json(text: str) -> ParseResult:
         if src == dst:
             err("JSON_MALFORMED", f"flow from '{entry['from']}' to itself")
             continue
-        repeated = model.find_flow(src, dst) is not None
-        eid = model.add_flow(src, dst)
         segments = []
         for seg in entries(entry.get("implicitSegments", []), "flow implicitSegments"):
             sid = stage_ref(seg, "flow implicitSegments")
             if sid is not None:
                 segments.append(sid)
-        # a repeated flow collapses to the first edge, segments included
-        if not repeated:
-            model.edges[eid].implicit_segments = segments
+        if model.find_flow(src, dst) is None:
+            model.edges[model.add_flow(src, dst)].implicit_segments = segments
+        else:
+            # as the parser does: a repeated flow collapses to the first
+            # edge, segments included
+            diags.append(
+                Diagnostic(
+                    Severity.WARNING,
+                    "DUPLICATE_EDGE",
+                    f"duplicate flow {model.qualified_name(src)} -> "
+                    f"{model.qualified_name(dst)} collapsed",
+                )
+            )
 
     for entry in objects(doc.get("triggers", []), "triggers"):
         src = stage_ref(entry.get("from"), "trigger")

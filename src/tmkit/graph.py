@@ -25,8 +25,10 @@ Orders guaranteed:
     (Tarjan, SIAM J. Comput. 1972).
 ``components``
     Weakly connected components as sets, in the order of the first
-    node of each in ``nodes``. The walk inside a component is
-    unordered.
+    node of each in ``nodes``. Adjacency is kept as lists, and the walk
+    is breadth first over a list that grows as it finds nodes, testing
+    each neighbour once against the nodes already seen; the order
+    inside a component is not part of the result.
 ``topological``
     Kahn's algorithm (CACM 1962) with ties broken by position in
     ``nodes``: O((V + E) log V). Nodes on or after a cycle are left
@@ -101,23 +103,22 @@ def cycles(roots: Iterable[Node], succ: Succ) -> Iterator[list[Node]]:
 
 def components(nodes: Iterable[Node], edges: Edges) -> list[set[Node]]:
     """Weakly connected components; every edge endpoint must be a node."""
-    adj: dict[Node, set[Node]] = {n: set() for n in nodes}
+    adj: dict[Node, list[Node]] = {n: [] for n in nodes}
     for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
+        adj[a].append(b)
+        adj[b].append(a)
     seen: set[Node] = set()
     out = []
     for node in adj:
         if node not in seen:
-            comp: set[Node] = set()
-            stack = [node]
-            while stack:
-                cur = stack.pop()
-                if cur not in comp:
-                    comp.add(cur)
-                    stack.extend(adj[cur] - comp)
-            seen |= comp
-            out.append(comp)
+            seen.add(node)
+            comp = [node]
+            for cur in comp:  # the list grows as the walk finds nodes
+                for nxt in adj[cur]:
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        comp.append(nxt)
+            out.append(set(comp))
     return out
 
 

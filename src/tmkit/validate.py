@@ -28,6 +28,8 @@ a ``memory`` relation where they read it, and no model holds one.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from . import graph
 from .behavior import Chronology, EventDef, check_region
 from .core import LEGAL, Model, StageKind
@@ -46,6 +48,9 @@ RULE_CODES = (
     "CHRONO_UNKNOWN_EVENT",
     "CHRONO_UNJUSTIFIED",
 )
+
+
+_to_stage = attrgetter("to_stage")
 
 
 def legality_matrix() -> set[tuple[StageKind, StageKind, bool]]:
@@ -83,10 +88,11 @@ def _check_origins(model: Model) -> list[Diagnostic]:
     embedded data is extracted from a processed thing).
     """
     trigger_targets = {t.to_stage for t in model.triggers}
-    feeding = {f.from_stage for f in model.flows}
+    feeding = model.flows_from.keys()  # each key has a flow
     pairs = [(f.from_stage, f.to_stage) for f in model.flows]
+    ends = feeding | set(map(_to_stage, model.flows))
     diags = []
-    for comp in graph.components(sorted({s for pair in pairs for s in pair}), pairs):
+    for comp in graph.components(sorted(ends), pairs):
         has_origin = False
         for sid in comp:
             stage = model.stages[sid]
@@ -136,20 +142,19 @@ def _check_triggers(model: Model) -> list[Diagnostic]:
 
 
 def _check_reachability(model: Model) -> list[Diagnostic]:
-    touched = {s for e in model.edges.values() for s in (e.from_stage, e.to_stage)}
-    diags = []
-    for stage in model.stages_in_order():
-        if stage.id not in touched:
-            diags.append(
-                Diagnostic(
-                    Severity.WARNING,
-                    "STAGE_UNREACHABLE",
-                    f"stage {model.qualified_name(stage.id)} has no incident edges",
-                    span=stage.span,
-                    element=stage.id,
-                )
-            )
-    return diags
+    # each key of a by-source index has an edge
+    touched = model.flows_from.keys() | model.triggers_from.keys()
+    touched.update(map(_to_stage, model.edges.values()))
+    return [
+        Diagnostic(
+            Severity.WARNING,
+            "STAGE_UNREACHABLE",
+            f"stage {model.qualified_name(sid)} has no incident edges",
+            span=model.stages[sid].span,
+            element=sid,
+        )
+        for sid in sorted(model.stages.keys() - touched)
+    ]
 
 
 def chronology_cycle(chronology: Chronology) -> list[str] | None:

@@ -118,6 +118,53 @@ def oracle_flow_illegal(model: Model) -> set[int]:
     return bad
 
 
+def oracle_origin_missing(model: Model) -> list[int]:
+    """Brute-force ORIGIN_MISSING: the least stage id of each flow
+    component with no origin, sorted. A component is the undirected
+    closure of a flow endpoint, grown by rescanning every flow until no
+    flow has exactly one end inside it."""
+    flows = [(f.from_stage, f.to_stage) for f in model.flows]
+    trigger_targets = [t.to_stage for t in model.triggers]
+
+    def origin(sid: int) -> bool:
+        stage = model.stages[sid]
+        boundary_port = (
+            stage.kind.value == "transfer"
+            and model.thimacs[stage.thimac].parent is None
+            and any(a == sid for a, _ in flows)
+        )
+        return stage.kind.value == "create" or boundary_port or sid in trigger_targets
+
+    covered: set[int] = set()
+    anchors = []
+    for start in [s for pair in flows for s in pair]:
+        if start in covered:
+            continue
+        comp = {start}
+        grew = True
+        while grew:
+            grew = False
+            for a, b in flows:
+                if (a in comp) != (b in comp):
+                    comp.update((a, b))
+                    grew = True
+        covered |= comp
+        if not any(origin(s) for s in comp):
+            anchors.append(min(comp))
+    return sorted(anchors)
+
+
+def oracle_stage_unreachable(model: Model) -> list[int]:
+    """Brute-force STAGE_UNREACHABLE: the ids of the stages that no flow
+    or trigger touches, each found by a scan of every edge, sorted."""
+    edges = [*model.flows, *model.triggers]
+    return sorted(
+        sid
+        for sid in model.stages
+        if not any(sid in (e.from_stage, e.to_stage) for e in edges)
+    )
+
+
 def oracle_has_cycle(nodes: list[str], edges: list[tuple[str, str]]) -> bool:
     """Plain DFS cycle search over a digraph."""
     adj: dict[str, list[str]] = {n: [] for n in nodes}

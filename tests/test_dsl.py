@@ -991,6 +991,37 @@ def test_from_json_repeated_flow_keeps_the_first_entry():
     model = result.model
     [edge] = model.flows
     assert [model.qualified_name(s) for s in edge.implicit_segments] == ["a.release"]
+    assert [d.render() for d in result.diagnostics] == [
+        "<model>: warning[DUPLICATE_EDGE] duplicate flow a.release -> a.transfer collapsed"
+    ]
+
+
+def test_from_json_reports_a_repeated_flow_as_the_parser_does():
+    source = (
+        "thimac a { stage create; stage process; thimac b { stage transfer; } }\n"
+        "flow a.create -> a.process;\n"
+        "flow a.create -> a.process -> a.b;\n"
+        "flow a.b.transfer -> a.process;\n"
+        "flow a.b -> a.process;\n"
+    )
+    parsed = dsl.parse(source, "dup.tm")
+    doc = json.loads(dsl.to_json(parsed))
+    # the flows as written, repeats included; a bare thimac is its port
+    doc["flows"] = [
+        {"from": a, "to": b}
+        for a, b in [
+            ("a.create", "a.process"),
+            ("a.create", "a.process"),
+            ("a.process", "a.b"),
+            ("a.b.transfer", "a.process"),
+            ("a.b", "a.process"),
+        ]
+    ]
+    loaded = dsl.from_json(json.dumps(doc))
+    want = [(d.severity, d.code, d.message) for d in parsed.diagnostics]
+    assert [(d.severity, d.code, d.message) for d in loaded.diagnostics] == want
+    assert len(want) == 2 and {code for _, code, _ in want} == {"DUPLICATE_EDGE"}
+    assert dsl.to_json(loaded) == dsl.to_json(parsed)
 
 
 def test_from_json_rejects_memories():

@@ -23,6 +23,8 @@ from _support import (
     ORACLE_LEGAL,
     oracle_flow_illegal,
     oracle_has_cycle,
+    oracle_origin_missing,
+    oracle_stage_unreachable,
     random_legal_chain_model,
     random_model,
     reference_chronology_cycle,
@@ -343,6 +345,61 @@ def test_flow_illegal_matches_bruteforce_oracle_on_random_models():
             if d.code == "FLOW_ILLEGAL"
         }
         assert found == expected
+
+
+def _assert_origin_and_reachability_match_the_oracles(model):
+    diags = validate(model)
+    found = {
+        code: sorted(d.element for d in diags if d.code == code)
+        for code in ("ORIGIN_MISSING", "STAGE_UNREACHABLE")
+    }
+    assert found["ORIGIN_MISSING"] == oracle_origin_missing(model)
+    assert found["STAGE_UNREACHABLE"] == oracle_stage_unreachable(model)
+    return found
+
+
+def test_origin_and_reachability_match_bruteforce_oracles_on_random_models():
+    rng = random.Random(4321)
+    seen = {"ORIGIN_MISSING": 0, "STAGE_UNREACHABLE": 0}
+    for _ in range(1000):
+        model = random_model(rng, max_thimacs=5, max_stages=10, max_flows=10)
+        for code, elements in _assert_origin_and_reachability_match_the_oracles(
+            model
+        ).items():
+            seen[code] += len(elements)
+        _assert_origin_and_reachability_match_the_oracles(
+            normalize(model, strict=False)
+        )
+    # both rules fire on the generated models, not only stay silent
+    assert seen["ORIGIN_MISSING"] > 100 and seen["STAGE_UNREACHABLE"] > 100
+
+
+@pytest.mark.parametrize(
+    "workload, variant",
+    [("ladder", 0), ("ladder", 3), ("chronology", 0), ("chronology", 1)],
+)
+def test_origin_and_reachability_match_the_oracles_on_benchmark_models(
+    workload, variant
+):
+    """The benchmark's generated models (the ladder's smaller rung), as
+    written and normalized, where neither rule fires, and normalized
+    with every other flow dropped, where both do."""
+    gen = runpy.run_path(str(Path(__file__).parent.parent / "tmbench" / "gen.py"))
+    if workload == "ladder":
+        text = gen["ladder"](variant, *gen["LADDER_RUNGS"][0])
+    else:
+        text = gen["chronology"](variant)
+    model = dsl.parse(text, f"{workload}.tm").model
+    norm = normalize(model)
+    for each in (model, norm):
+        assert _assert_origin_and_reachability_match_the_oracles(each) == {
+            "ORIGIN_MISSING": [],
+            "STAGE_UNREACHABLE": [],
+        }
+    sparse = norm.copy()
+    sparse.replace_flows(sparse.flows[::2])
+    found = _assert_origin_and_reachability_match_the_oracles(sparse)
+    assert found["ORIGIN_MISSING"] and found["STAGE_UNREACHABLE"]
 
 
 def test_chronology_cycles_match_dfs_oracle_on_random_digraphs():
