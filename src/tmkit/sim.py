@@ -96,17 +96,29 @@ the event id, the instance number, the element, the kind and the token
 id (or None). They hold only shared strings, ints, None and kind
 members, so a trace makes no object per firing for the cyclic collector
 to walk. A firing's step is its index in the columns. The element, kind
-and token columns grow by one firing at a time, so the length of
-``kinds`` is the step counter, which the step budget reads. The event
-and instance columns are the same value over a whole instance, so they
-are extended once, at the instance's end, by its firing count; a run
-that exceeds the budget raises and returns no trace, so the shorter
-columns are never seen. Replayed copies are appended in groups of about
-``_CHUNK`` firings, and a group extends each column once: the event id
-repeated, each copy's instance number repeated, the template's elements
-and kinds repeated, and its token ids mapped to the tokens each copy
-made. A group makes its tokens in one pass, and a bounded group keeps
-the lists it makes small, however large the ``repeat``.
+and token columns grow by one firing at a time, so how far ``kinds``
+grows during an instance is its step count, which the step budget reads. The
+event and instance columns are the same value over a whole instance, so
+they are extended once, at the instance's end, by its firing count; a
+run that exceeds the budget raises and returns no trace, so the shorter
+columns are never seen.
+
+Replayed copies are not stored in the columns. A replayed node adds one
+run of copies to the trace: where it goes among the stored firings, the
+event, the first copy's instance number, the copy count, the template's
+elements and kinds, the template's token positions among the tokens it
+made, the first copy's first token id and the tokens per copy. Copy c
+makes the template's firings with instance number ``first + c`` and its
+tokens shifted by c times the tokens per copy, so the run gives every
+firing of every copy. ``len(trace.firings)`` counts a run and
+``trace_to_json`` writes it from the template's pieces, so a trace that
+is only counted or written holds nothing per copied firing. The first
+read of any of the five columns writes the runs into them, each column
+made once at its exact length; from then on the trace is plain columns,
+and later reads return the same lists. ``_replay`` still makes each
+copy's tokens and event order entry, in groups of about ``_CHUNK``
+tokens, so the lists one group makes stay small however large the
+``repeat``.
 An instance's tick is its position in the executed order, so it is
 read, not kept: an ``event_order`` entry takes the list's length as it
 is appended, and a group of copies takes its ticks from that length on.
@@ -179,9 +191,12 @@ class Firing(Record):
 
 class Trace(Record):
     """The record of a run; firings are kept as parallel columns, and a
-    firing's step is its index in them (see the module docstring)."""
+    firing's step is its index in them. Replayed copies are kept as runs,
+    which the first read of a firing column writes into the columns (see
+    the module docstring); every column read returns a plain list."""
 
-    __slots__ = _fields = (
+    __slots__ = ("_columns", "_copies", "event_order", "final_tokens")
+    _fields = (
         "events", "instances", "elements", "kinds", "tokens", "event_order",
         "final_tokens",
     )
@@ -193,19 +208,76 @@ class Trace(Record):
         event_order: list[tuple[str, int, int]] | None = None,
         final_tokens: list[Token] | None = None,
     ) -> None:
-        self.events = [] if events is None else events
-        self.instances = [] if instances is None else instances
-        self.elements = [] if elements is None else elements
-        self.kinds = [] if kinds is None else kinds
-        self.tokens = [] if tokens is None else tokens
+        # the stored firings, in the order of _fields; the runs of copies
+        # go between them
+        self._columns = [
+            [] if column is None else column
+            for column in (events, instances, elements, kinds, tokens)
+        ]
+        self._copies: list[_Copies] = []
         self.event_order = [] if event_order is None else event_order
         self.final_tokens = [] if final_tokens is None else final_tokens
+
+    def _column(index: int) -> property:
+        def read(trace: Trace) -> list:
+            if trace._copies:
+                trace._build()
+            return trace._columns[index]
+
+        def write(trace: Trace, column: list) -> None:
+            if trace._copies:
+                trace._build()
+            trace._columns[index] = column
+
+        return property(read, write)
+
+    events = _column(0)
+    instances = _column(1)
+    elements = _column(2)
+    kinds = _column(3)
+    tokens = _column(4)
+    del _column
+
+    def _build(self) -> None:
+        """Write the runs of copies into the columns, each made once at its
+        exact length."""
+        columns = [[None] * len(self.firings) for _ in self._columns]
+        at = 0
+        for n, *parts in _chunks(self):
+            for column, writes in zip(columns, parts):
+                for start, step, values in writes:
+                    column[at + start : at + n : step] = values
+            at += n
+        self._columns, self._copies = columns, []
 
     @property
     def firings(self) -> Firings:
         """The firings as a read-only sequence of ``Firing``; a new view
         on each read, since one kept here would make a reference cycle."""
         return Firings(self)
+
+
+class _Copies:
+    """``count`` replayed copies of a template instance, kept on a
+    ``Trace`` as one run: they follow its first ``at`` stored firings, copy
+    c (from 0) is instance ``first + c`` of ``event``, and makes the
+    template's firings (``elements``, ``kinds``), whose tokens are copy c's
+    ``made_at`` ones (-1 for none) of the ``m`` it made from ``first_id +
+    c * m`` on."""
+
+    __slots__ = (
+        "at", "event", "first", "count", "elements", "kinds", "made_at",
+        "first_id", "m",
+    )
+
+    def __init__(
+        self, at: int, event: str, first: int, count: int,
+        elements: list[ElementId], kinds: list[FiringKind], made_at: list[int],
+        first_id: int, m: int,
+    ) -> None:
+        self.at, self.event, self.first, self.count = at, event, first, count
+        self.elements, self.kinds, self.made_at = elements, kinds, made_at
+        self.first_id, self.m = first_id, m
 
 
 class Firings(Sequence):
@@ -218,7 +290,9 @@ class Firings(Sequence):
         self._trace = trace
 
     def __len__(self) -> int:
-        return len(self._trace.kinds)
+        # counted from the runs of copies, which it leaves unbuilt
+        t = self._trace
+        return len(t._columns[3]) + sum(len(c.kinds) * c.count for c in t._copies)
 
     def __getitem__(self, index):
         steps = range(len(self))[index]
@@ -319,6 +393,8 @@ class _Run:
         self.model = model
         self.config = config
         self.trace = Trace()
+        # the stored firing columns, which a run of copies leaves as they are
+        _, _, self.elements, self.kinds, self.token_ids = self.trace._columns
         # every token made, in id order
         self.tokens = self.trace.final_tokens
         # resting tokens by stage, then by token id
@@ -335,11 +411,10 @@ class _Run:
     def _emit(self, kind: FiringKind, element: ElementId, token: int | None) -> None:
         # the event and instance columns are filled once, at the
         # instance's end (run_instance)
-        trace = self.trace
-        trace.elements.append(element)
-        trace.kinds.append(kind)
-        trace.tokens.append(token)
-        if len(trace.kinds) > self.step_limit:
+        self.elements.append(element)
+        self.kinds.append(kind)
+        self.token_ids.append(token)
+        if len(self.kinds) > self.step_limit:
             self._over_budget()
 
     def _over_budget(self) -> None:
@@ -456,7 +531,7 @@ class _Run:
                 self.run_instance(event, plan, instance)
                 return
             before = [s for s in plan.watched if at.get(s)]
-            first_firing, first_token = len(self.trace.kinds), len(self.tokens)
+            first_firing, first_token = len(self.kinds), len(self.tokens)
             quiet = self.run_instance(event, plan, instance)
             if quiet and [s for s in plan.watched if at.get(s)] == before:
                 self._replay(event.id, first_firing, first_token, instance, count)
@@ -472,59 +547,48 @@ class _Run:
     ) -> None:
         """Append instances ``template + 1 .. count`` as copies of instance
         ``template``, whose firings and new tokens start at the given list
-        positions; each group of copies extends every firing column once."""
+        positions: one run of copies on the trace, and each copy's tokens
+        and event order entry."""
         trace, at = self.trace, self.at
         made = self.tokens[first_token:]
         m = len(made)
-        elements = trace.elements[first_firing:]
-        kinds = trace.kinds[first_firing:]
-        k = len(kinds)
-        # about _CHUNK firings a group, so that the lists one group makes
-        # stay small whatever the count
-        size = min(max(1, _CHUNK // max(k, 1)), count - template)
-        # the template adopted nothing, so its firings name only tokens it
-        # made: keep their positions in ``made``. A group's firings read
-        # their token ids from the list of the ids the group made, copy c's
-        # token j at c * m + j, so that each copy's firings share the copy's
-        # id objects instead of each adding one; -1, for no token, reads the
-        # None that ends the list.
-        made_at = [
-            -1 if t is None else t - first_token - 1
-            for t in trace.tokens[first_firing:]
-        ]
-        positions = made_at + [
-            -1 if j < 0 else j + c * m for c in range(1, size) for j in made_at
-        ]
+        if len(self.kinds) > first_firing:
+            # the template adopted nothing, so its firings name only tokens
+            # it made: keep their positions in ``made``
+            made_at = [
+                -1 if t is None else t - first_token - 1
+                for t in self.token_ids[first_firing:]
+            ]
+            trace._copies.append(_Copies(
+                len(self.kinds), event_id, template + 1, count - template,
+                self.elements[first_firing:], self.kinds[first_firing:], made_at,
+                len(self.tokens) + 1, m,
+            ))
+        # about _CHUNK tokens a group, so that the lists one group makes stay
+        # small whatever the count
+        size = max(1, _CHUNK // max(m, 1))
         instance = template + 1
         while instance <= count:
             g = min(size, count + 1 - instance)
-            # a list, so that the instance column and the event order share
-            # each copy's instance number
-            copies = list(range(instance, instance + g))
             first_id = len(self.tokens) + 1
-            ids = list(range(first_id, first_id + g * m))
             tokens = [
                 Token(i, t.thing, t.location, t.prev_stage)
-                for i, t in zip(ids, made * g)
+                for i, t in zip(range(first_id, first_id + g * m), made * g)
             ]
             self.tokens += tokens
             for token in tokens:
                 at[token.location][token.id] = token
-            ids.append(None)
-            trace.events += [event_id] * (k * g)
-            trace.instances += chain.from_iterable(map(repeat, copies, repeat(k)))
-            trace.elements += elements * g
-            trace.kinds += kinds * g
-            trace.tokens += map(ids.__getitem__, positions[: k * g])
             tick = len(trace.event_order)
-            trace.event_order += zip(repeat(event_id), copies, range(tick, tick + g))
+            trace.event_order += zip(
+                repeat(event_id), range(instance, instance + g), range(tick, tick + g)
+            )
             instance += g
 
     def run_instance(self, event: EventDef, plan: _Plan, instance: int) -> bool:
         """Run one instance; True when it adopted no token and did not
         broadcast."""
         trace, at = self.trace, self.at
-        first = len(trace.kinds)
+        first = len(self.kinds)
         self.plan = plan
         self.event_id = event.id
         self.instance = instance
@@ -569,9 +633,9 @@ class _Run:
 
         # 4. movement rounds until quiescence (see the module docstring); a
         # move along a token's one eligible out-flow is _move written out
-        kinds = trace.kinds
+        kinds = self.kinds
         add_element, add_kind, add_token = (
-            trace.elements.append, kinds.append, trace.tokens.append
+            self.elements.append, kinds.append, self.token_ids.append
         )
         routes, trigs_by_src = plan.routes, plan.trigs_by_src
         flow_move = FiringKind.FLOW_MOVE
@@ -606,8 +670,9 @@ class _Run:
             self.active = moved + self.active
 
         made = len(kinds) - first
-        trace.events += [event.id] * made
-        trace.instances += [instance] * made
+        events, instances = trace._columns[:2]
+        events += [event.id] * made
+        instances += [instance] * made
         trace.event_order.append((event.id, instance, len(trace.event_order)))
         return quiet
 
@@ -692,7 +757,8 @@ def coverage(model: Model, trace: Trace, events: list[EventDef]) -> dict:
     return {"events": per_event, "neverFired": never}
 
 
-# the most firings trace_to_json formats before it appends them to its text
+# the most firings trace_to_json formats before it appends them to its text,
+# give or take one copy of a run's template, which a chunk never splits
 _CHUNK = 4096
 
 # a step is written as its thousands (none below 1000) and then its last
@@ -703,6 +769,93 @@ _LOW3 = [f"{n:03}" for n in range(1000)]
 # what a firing's entry starts with: the end of the entry before it
 _FIRING_HEAD = '\n    },\n    {\n      "step": '
 _FIRST_FIRING_HEAD = '  "firings": [\n    {\n      "step": '
+# a firing's slots, with the constant ones filled
+_FIRING_SLOTS = [_FIRING_HEAD, *[""] * 6, ',\n      "token": ', ""]
+
+
+def _chunks(trace: Trace, of: tuple | None = None) -> Iterator[tuple]:
+    """The trace's firings in step order, a chunk at a time: the chunk's
+    length n, then for each of the five firing columns, in ``Trace``'s
+    order, the writes that fill the chunk's n entries of it. A write is
+    ``(start, step, values)``, for the chunk's extended slice
+    ``[start:n:step]``; with ``of``, each value is mapped by the column's
+    function in it.
+
+    A chunk is about as long as all the chunks before it (16 firings at
+    first), up to ``_CHUNK`` (see trace_to_json). Stored firings, and a
+    run's copies while fewer fit in a chunk than the template has
+    firings, are gathered unmapped and mapped a column at a time, as one
+    write. A group of more copies is a chunk of its own: the template's
+    entries are mapped once and repeated by list multiplication, and the
+    copies' instance numbers and token ids are mapped once each and
+    written one template firing at a time, across the copies, with the
+    template's length as the step. So a run costs its template and its
+    copies, not its firings."""
+    columns = trace._columns
+    raw = [[] for _ in columns]  # the chunk being gathered
+    written = start = 0
+
+    def take() -> tuple:
+        nonlocal raw, written
+        n, parts = len(raw[3]), raw
+        if of:
+            parts = [map(f, part) for f, part in zip(of, parts)]
+        raw = [[] for _ in columns]
+        written += n
+        return (n, *[[(0, 1, part)] for part in parts])
+
+    for run in [*trace._copies, None]:
+        end = len(columns[3]) if run is None else run.at
+        while start < end:
+            n = min(min(max(written, 16), _CHUNK) - len(raw[3]), end - start)
+            for part, column in zip(raw, columns):
+                part += column[start : start + n]
+            start += n
+            if len(raw[3]) >= min(max(written, 16), _CHUNK):
+                yield take()
+        if run is None:
+            break
+        k, m, made_at = len(run.kinds), run.m, run.made_at
+        done = 0
+        while done < run.count:
+            room = min(max(written, 16), _CHUNK) - len(raw[3])
+            g = min(max(1, room // k), run.count - done)
+            copies = range(run.first + done, run.first + done + g)
+            ids = range(run.first_id + done * m, run.first_id + (done + g) * m)
+            if g < k:
+                # copy c's token j is its ids[c * m + j]; -1 reads the None
+                raw[0] += [run.event] * (k * g)
+                raw[1] += chain.from_iterable(map(repeat, copies, repeat(k)))
+                raw[2] += run.elements * g
+                raw[3] += run.kinds * g
+                raw[4] += chain.from_iterable([
+                    map([*ids[c * m : c * m + m], None].__getitem__, made_at)
+                    for c in range(g)
+                ])
+                done += g
+                if len(raw[3]) >= min(max(written, 16), _CHUNK):
+                    yield take()
+                continue
+            if raw[3]:
+                yield take()
+                continue
+            event, elements, kinds, null = [run.event], run.elements, run.kinds, None
+            if of:
+                event, null = [of[0](run.event)], of[4](None)
+                elements, kinds = list(map(of[2], elements)), list(map(of[3], kinds))
+                copies, ids = list(map(of[1], copies)), list(map(of[4], ids))
+            n, nulls = k * g, [null] * g
+            # template firing i names the copies' tokens made_at[i]: every
+            # m-th of their ids from it
+            yield (
+                n, [(0, 1, event * n)], [(i, k, copies) for i in range(k)],
+                [(0, 1, elements * g)], [(0, 1, kinds * g)],
+                [(i, k, nulls if j < 0 else ids[j::m]) for i, j in enumerate(made_at)],
+            )
+            written += n
+            done += g
+    if raw[3]:
+        yield take()
 
 
 def trace_to_json(model: Model, trace: Trace) -> str:
@@ -719,24 +872,32 @@ def trace_to_json(model: Model, trace: Trace) -> str:
     kind, the "token" key and the token. Each piece is a shared string
     read from a table, so no string is made per firing.
 
-    The firings are written at most ``_CHUNK`` at a time, into one list
-    of slots per chunk size: the constant slots are filled when the list
-    is made, and each other slot column is filled from a firing column
-    by one extended-slice assignment, which runs in C, so a chunk costs
-    a few operations per column rather than bytecode per firing. Each
-    chunk is joined and appended with ``text += ...``. ``text`` is the
-    only reference to the text, so CPython grows it in place: at its
-    peak the writer holds the text once, plus one chunk, its slots and
-    the tables. One entry per firing joined at the end, or an
-    ``io.StringIO``, would hold the text twice.
+    The firings are written about ``_CHUNK`` at a time (see ``_chunks``),
+    into one list of slots: the constant slots are filled when the list
+    grows, and each other slot column is filled by a few extended-slice
+    assignments, which run in C, so a chunk costs a few operations per
+    column rather than bytecode per firing. A group of a run's copies
+    maps its template's event, element and kind pieces once and repeats
+    them by list multiplication, and maps each copy's instance number
+    and token ids once. The tables come from the stored firings (which
+    hold each run's template), the event order and the final tokens, so
+    no entry per copied firing is read. Each chunk is joined and appended
+    with ``text += ...``. ``text`` is the only reference to the text, so
+    CPython grows it in place: at its peak the writer holds the text
+    once, plus one chunk, its slots and the tables. One entry per firing
+    joined at the end, or an ``io.StringIO``, would hold the text twice.
     """
-    elements = set(trace.elements)
+    # the stored firings hold every event, element and kind of a run's
+    # template, and the event order and final tokens every instance number
+    # and token id of its copies
+    events, instances, elements, _, tokens = trace._columns
+    elements = set(elements)
     quoted = {
         eid: encode_basestring_ascii(model.qualified_name(eid))
         for eid in elements.union(t.location for t in trace.final_tokens)
     }
     texts = {
-        *trace.events,
+        *events,
         *(e for e, _, _ in trace.event_order),
         *(t.thing for t in trace.final_tokens),
     }
@@ -746,15 +907,15 @@ def trace_to_json(model: Model, trace: Trace) -> str:
     nums = {
         n: str(n)
         for n in {
-            *trace.instances,
+            *instances,
             *(i for _, i, _ in trace.event_order),
-            *trace.tokens,
+            *tokens,
             *(t.id for t in trace.final_tokens),
         }
     }
     nums[None] = "null"
     event_pieces = {
-        e: f',\n      "event": {q[e]},\n      "instance": ' for e in set(trace.events)
+        e: f',\n      "event": {q[e]},\n      "instance": ' for e in set(events)
     }
     element_pieces = {
         el: f',\n      "element": {quoted[el]},\n      "kind": ' for el in elements
@@ -775,36 +936,32 @@ def trace_to_json(model: Model, trace: Trace) -> str:
         map(repeat, chain(("",), map(str, count(1))), repeat(1000))
     )
     lows = chain(_LOW, cycle(_LOW3))
-    kind_piece = attrgetter("quoted")
-    # Each chunk is as long as all the firings before it (16 at first), up
-    # to _CHUNK. The first chunks are small because CPython 3.11 grows a
-    # string in place only once it has specialized the ``+=``, after about
-    # eight calls of this function or turns of this ``while True`` loop (a
-    # loop that tests a condition does not count); until then each ``+=``
-    # copies the text. The slot list is made again only when the chunk size
-    # changes, and each turn writes only the variable slots: the slot
-    # columns 1 to 6 and 8, and the first chunk's head.
-    total, written = len(trace.kinds), 0
+    of = (
+        event_pieces.__getitem__, nums.__getitem__, element_pieces.__getitem__,
+        attrgetter("quoted"), nums.__getitem__,
+    )
+    # The chunks start small because CPython 3.11 grows a string in place
+    # only once it has specialized the ``+=``, after about eight calls of
+    # this function or turns of this ``for`` loop (a loop that tests a
+    # condition does not count); until then each ``+=`` copies the text.
+    # The slot list grows or shrinks by the change in chunk size, and each
+    # turn writes only the variable slots: the slot columns 1 to 6 and 8,
+    # and the first chunk's head.
+    written = 0
     pieces: list[str] = []
-    while True:
-        n = min(max(written, 16), _CHUNK, total - written)
-        if not n:
-            break
-        if len(pieces) != 9 * n:
-            pieces = [_FIRING_HEAD, *[""] * 6, ',\n      "token": ', ""] * n
-        end = written + n
+    for n, *columns in _chunks(trace, of):
+        del pieces[9 * n :]
+        pieces += _FIRING_SLOTS * (n - len(pieces) // 9)
         pieces[1::9] = islice(thousands, n)
         pieces[2::9] = islice(lows, n)
-        pieces[3::9] = map(event_pieces.__getitem__, trace.events[written:end])
-        pieces[4::9] = map(nums.__getitem__, trace.instances[written:end])
-        pieces[5::9] = map(element_pieces.__getitem__, trace.elements[written:end])
-        pieces[6::9] = map(kind_piece, trace.kinds[written:end])
-        pieces[8::9] = map(nums.__getitem__, trace.tokens[written:end])
+        for slot, writes in zip((3, 4, 5, 6, 8), columns):
+            for start, step, values in writes:
+                pieces[9 * start + slot :: 9 * step] = values
         if not written:
             pieces[0] = _FIRST_FIRING_HEAD
         text += "".join(pieces)
         pieces[0] = _FIRING_HEAD
-        written = end
+        written += n
     final_tokens = [
         f',\n    {{\n      "id": {nums[t.id]},\n      "thing": {q[t.thing]},\n'
         f'      "location": {quoted[t.location]}\n    }}'

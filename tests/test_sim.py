@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tmkit
-from tmkit import dsl, graph
+from tmkit import cli, dsl, graph
 from tmkit.behavior import (
     Chronology,
     EventDef,
@@ -131,8 +131,8 @@ TRIGGER_LOOP = (
 )
 # Fill leaves a token in each machine; each Poke instance then makes a
 # StageFire and a TriggerFire that enables b's token, and no token, so its
-# copies are replayed in groups of _CHUNK // 2: three groups and one more
-# copy. Idle's instances make no firing at all.
+# copies are written in chunks of up to _CHUNK // 2 copies: three such
+# chunks' worth and one more copy. Idle's instances make no firing at all.
 TOKENLESS_REPEATS = (
     "thimac a { stage create; stage process; }\n"
     "flow a.create -> a.process;\n"
@@ -794,6 +794,57 @@ def test_firings_view_is_a_read_only_sequence_of_firing():
     assert list(again.firings) == every and again == trace
 
 
+def test_runs_of_copies_are_built_once_on_the_first_column_read(
+    monkeypatch, tmp_path, capsys
+):
+    builds = []
+    build = Trace._build
+
+    def counted(trace):
+        builds.append(trace)
+        build(trace)
+
+    monkeypatch.setattr(Trace, "_build", counted)
+    # tm simulate counts and writes the ships passage's 4000 instances, 3999
+    # of them copies, without building them
+    ships_file = str(corpus_path("ships.tm"))
+    assert cli.run(["simulate", ships_file]) == 0
+    assert "40000 firing(s)" in capsys.readouterr().out
+    assert cli.run(["simulate", ships_file, "--trace", str(tmp_path / "t.json")]) == 0
+    assert builds == []
+
+    model, events, chronology = ships(50)
+    trace = _simulate_validated(model, events, chronology)
+    text = trace_to_json(model, trace)
+    assert len(trace.firings) == 500 and builds == []
+    columns = [trace.events, trace.instances, trace.elements, trace.kinds, trace.tokens]
+    assert builds == [trace]
+    for name, column in zip(Trace._fields, columns):
+        # later reads return the same list, made once at its exact length
+        assert getattr(trace, name) is column
+        assert sys.getsizeof(column) == sys.getsizeof([None] * 500)
+    assert builds == [trace] and trace_to_json(model, trace) == text
+    # an edit in place persists
+    trace.tokens[-1] = None
+    assert trace.firings[-1].token is None
+
+    # writing a column of an unbuilt trace builds the others first
+    other = _simulate_validated(model, events, chronology)
+    other.events = ["X"] * 500
+    assert builds == [trace, other]
+    assert [(f.event, f.step) for f in other.firings] == [("X", n) for n in range(500)]
+    assert other.kinds == trace.kinds
+
+    # a hand-built trace reads and writes the lists it was given
+    hand = [["E"], [1], [5], [FiringKind.TOKEN_SPAWN], [1]]
+    made = Trace(*hand, [("E", 1, 0)])
+    for name, column in zip(Trace._fields, hand):
+        assert getattr(made, name) is column
+    made.kinds = [FiringKind.FLOW_MOVE]
+    assert made.firings[0] == Firing(0, "E", 1, 5, FiringKind.FLOW_MOVE, 1)
+    assert builds == [trace, other]
+
+
 # -- the reference interpreter ---------------------------------------------------
 
 
@@ -814,12 +865,30 @@ def recorded(trace):
     return list(trace.firings), trace.event_order, tokens
 
 
+def run_form_json(model, trace):
+    """``trace_to_json`` of a simulated trace that no column was read from,
+    so that its replayed copies are still runs, checked against the column
+    form: once the columns are read, the firing count is the same, and a
+    ``Trace`` rebuilt from them and the reference writer give the same
+    text."""
+    count, text = len(trace.firings), trace_to_json(model, trace)
+    rebuilt = Trace(
+        trace.events, trace.instances, trace.elements, trace.kinds, trace.tokens,
+        trace.event_order, trace.final_tokens,
+    )
+    assert len(trace.firings) == count == len(trace.kinds)
+    assert trace_to_json(model, rebuilt) == text
+    assert reference_trace_to_json(model, trace) == text
+    return text
+
+
 def assert_matches_reference(model, events, chronology, config=None):
     """The simulator and the reference interpreter record the same run
     (or raise the same step-budget message) and log the same records:
     ``list(trace.firings)`` equals the oracle's stored ``Firing`` list,
-    steps included. Returns the simulator's trace JSON (or that message)
-    and its log records."""
+    steps included. Returns the simulator's trace JSON (or that message),
+    written before any column was read (``run_form_json``), and its log
+    records."""
     logger = logging.getLogger("tmkit.sim")
     traces, outcomes = [], []
     for run in (_simulate_validated, reference_simulate):
@@ -829,6 +898,8 @@ def assert_matches_reference(model, events, chronology, config=None):
         logger.setLevel(logging.WARNING)
         try:
             trace = run(model, events, chronology, config)
+            if run is _simulate_validated:
+                text = run_form_json(model, trace)
             outcome = recorded(trace)
         except StepBudgetExceeded as exc:
             trace, outcome = None, f"StepBudgetExceeded: {exc}"
@@ -841,7 +912,7 @@ def assert_matches_reference(model, events, chronology, config=None):
         assert_columns_aligned(traces[0])
     assert outcomes[0] == outcomes[1]
     outcome, seen = outcomes[0]
-    return (outcome if traces[0] is None else trace_to_json(model, traces[0])), seen
+    return (outcome if traces[0] is None else text), seen
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
@@ -1011,17 +1082,21 @@ def ships(repeat: int):
     return parse_normalized(text)
 
 
-# E_passing makes 10 firings an instance, so its copies are replayed in
-# groups of _CHUNK // 10: one group exactly, and several groups plus one
+# E_passing makes 10 firings and one token an instance. Its copies are
+# written in chunks of up to _CHUNK // 10 copies: one chunk's worth
+# exactly, and several plus one; and their tokens are made in groups of
+# _CHUNK: one group exactly, and several plus part of one. Repeats 1 and 2
+# have no copy and one.
 @pytest.mark.parametrize(
-    "repeat", [4000, 16000, 1 + _CHUNK // 10, 2 + 3 * (_CHUNK // 10)]
+    "repeat",
+    [1, 2, 4000, 16000, 1 + _CHUNK // 10, 2 + 3 * (_CHUNK // 10), 1 + _CHUNK],
 )
 def test_ships_replay_matches_reference(replays, repeat):
     model, events, chronology = ships(repeat)
     trace_json, records = assert_matches_reference(model, events, chronology)
     assert records == []
     assert len(json.loads(trace_json)["firings"]) == 10 * repeat
-    assert replays == [("E_passing", 1, repeat)]
+    assert replays == ([("E_passing", 1, repeat)] if repeat > 1 else [])
 
 
 def test_replay_waits_for_the_trigger_target_machine_to_fill(replays):
