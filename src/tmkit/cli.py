@@ -167,10 +167,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.trace:
         _write_output(sim.trace_to_json(model, trace), args.trace)
     else:
+        # counted from the runs of replayed copies, which stay unbuilt
+        instances, firings, tokens = trace._sizes()
         print(
-            f"{len(trace.event_order)} event instance(s), "
-            f"{len(trace.firings)} firing(s), "
-            f"{len(trace.final_tokens)} token(s)"
+            f"{instances} event instance(s), {firings} firing(s), {tokens} token(s)"
         )
     return EXIT_OK
 

@@ -103,27 +103,34 @@ they are extended once, at the instance's end, by its firing count; a
 run that exceeds the budget raises and returns no trace, so the shorter
 columns are never seen.
 
-Replayed copies are not stored in the columns. A replayed node adds one
-run of copies to the trace: where it goes among the stored firings, the
-event, the first copy's instance number, the copy count, the template's
-elements and kinds, the template's token positions among the tokens it
-made, the first copy's first token id and the tokens per copy. Copy c
-makes the template's firings with instance number ``first + c`` and its
-tokens shifted by c times the tokens per copy, so the run gives every
-firing of every copy. ``len(trace.firings)`` counts a run and
-``trace_to_json`` writes it from the template's pieces, so a trace that
-is only counted or written holds nothing per copied firing. The first
-read of any of the five columns writes the runs into them, each column
-made once at its exact length; from then on the trace is plain columns,
-and later reads return the same lists. ``_replay`` still makes each
-copy's tokens and event order entry, in groups of about ``_CHUNK``
-tokens, so the lists one group makes stay small however large the
-``repeat``.
-An instance's tick is its position in the executed order, so it is
-read, not kept: an ``event_order`` entry takes the list's length as it
-is appended, and a group of copies takes its ticks from that length on.
-``Trace.firings`` reads the columns as a sequence of ``Firing``, built
-when read.
+Replayed copies are not stored. A replayed node adds one run of copies
+to the trace (``_Copies``): the template's elements, kinds and token
+positions among the tokens it made, the template's tokens as it left
+them, the copy count, and the first copy's instance number, tick and
+token id. Copy c makes the template's firings with instance number
+``first + c`` and its tokens shifted by c times the tokens per copy, so
+the run gives every firing, every event order entry and every token of
+every copy. A replay therefore costs its template, whatever its
+``repeat``: ``_replay`` makes no object per copy. ``Trace``'s lists hold
+the stored entries, with the runs between them: ``Trace._sizes`` counts
+a run and ``trace_to_json`` writes it from the template's pieces, so a
+trace that is only counted or written holds nothing per copy. The first
+read of any of the seven lists writes the runs into them, each list
+made once at its exact length; from then on the trace is plain lists,
+and later reads return the same lists.
+
+A copy's tokens rest where the template's rest, and a later node reads
+the resting index only at its plan's stages: where it routes (adoption)
+and where it watches (origins, held trigger sources and occupied trigger
+target machines). So the resting index keeps the runs by the stages
+where their tokens rest, and before a node runs, the tokens of every run
+resting at one of its plan's stages are made and indexed: only then
+could one of them move or be seen. The template's own tokens rest at the
+same stages, so a stage's occupancy never waits on a run.
+
+An instance's tick is its position in the executed order, copies
+included. ``Trace.firings`` reads the columns as a sequence of
+``Firing``, built when read.
 """
 
 from __future__ import annotations
@@ -192,10 +199,11 @@ class Firing(Record):
 class Trace(Record):
     """The record of a run; firings are kept as parallel columns, and a
     firing's step is its index in them. Replayed copies are kept as runs,
-    which the first read of a firing column writes into the columns (see
-    the module docstring); every column read returns a plain list."""
+    whose firings, event order entries and tokens the first read of any
+    of the seven lists writes into them (see the module docstring); every
+    read returns a plain list."""
 
-    __slots__ = ("_columns", "_copies", "event_order", "final_tokens")
+    __slots__ = ("_lists", "_copies")
     _fields = (
         "events", "instances", "elements", "kinds", "tokens", "event_order",
         "final_tokens",
@@ -208,47 +216,73 @@ class Trace(Record):
         event_order: list[tuple[str, int, int]] | None = None,
         final_tokens: list[Token] | None = None,
     ) -> None:
-        # the stored firings, in the order of _fields; the runs of copies
+        # the stored entries, in the order of _fields; the runs of copies
         # go between them
-        self._columns = [
-            [] if column is None else column
-            for column in (events, instances, elements, kinds, tokens)
+        self._lists = [
+            [] if stored is None else stored
+            for stored in (
+                events, instances, elements, kinds, tokens, event_order, final_tokens
+            )
         ]
         self._copies: list[_Copies] = []
-        self.event_order = [] if event_order is None else event_order
-        self.final_tokens = [] if final_tokens is None else final_tokens
 
-    def _column(index: int) -> property:
+    def _list(index: int) -> property:
         def read(trace: Trace) -> list:
             if trace._copies:
                 trace._build()
-            return trace._columns[index]
+            return trace._lists[index]
 
-        def write(trace: Trace, column: list) -> None:
+        def write(trace: Trace, stored: list) -> None:
             if trace._copies:
                 trace._build()
-            trace._columns[index] = column
+            trace._lists[index] = stored
 
         return property(read, write)
 
-    events = _column(0)
-    instances = _column(1)
-    elements = _column(2)
-    kinds = _column(3)
-    tokens = _column(4)
-    del _column
+    events = _list(0)
+    instances = _list(1)
+    elements = _list(2)
+    kinds = _list(3)
+    tokens = _list(4)
+    event_order = _list(5)
+    final_tokens = _list(6)
+    del _list
+
+    def _sizes(self) -> tuple[int, int, int]:
+        """The instances, firings and tokens, counted from the runs of
+        copies, which it leaves unbuilt."""
+        copies = self._copies
+        return (
+            len(self._lists[5]) + sum(c.count for c in copies),
+            len(self._lists[3]) + sum(len(c.kinds) * c.count for c in copies),
+            len(self._lists[6]) + sum(len(c.made) * c.count for c in copies),
+        )
 
     def _build(self) -> None:
-        """Write the runs of copies into the columns, each made once at its
+        """Write the runs of copies into the lists, each made once at its
         exact length."""
-        columns = [[None] * len(self.firings) for _ in self._columns]
+        n_order, n_firings, n_tokens = self._sizes()
+        columns = [[None] * n_firings for _ in range(5)]
         at = 0
         for n, *parts in _chunks(self):
             for column, writes in zip(columns, parts):
                 for start, step, values in writes:
                     column[at + start : at + n : step] = values
             at += n
-        self._columns, self._copies = columns, []
+        order = [None] * n_order
+        for at, n, part in _parts(self, 5):
+            if part.__class__ is _Copies:
+                part = zip(
+                    repeat(part.event), range(part.first, part.first + n),
+                    range(at, at + n),
+                )
+            order[at : at + n] = part
+        tokens = [None] * n_tokens
+        for at, n, part in _parts(self, 6):
+            if part.__class__ is _Copies:
+                part = part.make_tokens() if part.tokens is None else part.tokens
+            tokens[at : at + n] = part
+        self._lists, self._copies = [*columns, order, tokens], []
 
     @property
     def firings(self) -> Firings:
@@ -260,24 +294,39 @@ class Trace(Record):
 class _Copies:
     """``count`` replayed copies of a template instance, kept on a
     ``Trace`` as one run: they follow its first ``at`` stored firings, copy
-    c (from 0) is instance ``first + c`` of ``event``, and makes the
-    template's firings (``elements``, ``kinds``), whose tokens are copy c's
-    ``made_at`` ones (-1 for none) of the ``m`` it made from ``first_id +
-    c * m`` on."""
+    c (from 0) is instance ``first + c`` of ``event``, with tick ``tick +
+    c``, and makes the template's firings (``elements``, ``kinds``), whose
+    tokens are copy c's ``made_at`` ones (-1 for none) of the ``len(made)``
+    it made from ``first_id + c * len(made)`` on; its token j starts as
+    ``made[j]``, the template's token j as the template left it. ``tokens``
+    holds the copies' tokens, in id order, once they are made (see
+    ``_Run._make_resting``), and is None before."""
 
     __slots__ = (
-        "at", "event", "first", "count", "elements", "kinds", "made_at",
-        "first_id", "m",
+        "at", "event", "first", "count", "tick", "elements", "kinds", "made_at",
+        "first_id", "made", "tokens",
     )
 
     def __init__(
-        self, at: int, event: str, first: int, count: int,
+        self, at: int, event: str, first: int, count: int, tick: int,
         elements: list[ElementId], kinds: list[FiringKind], made_at: list[int],
-        first_id: int, m: int,
+        first_id: int, made: list[Token],
     ) -> None:
         self.at, self.event, self.first, self.count = at, event, first, count
-        self.elements, self.kinds, self.made_at = elements, kinds, made_at
-        self.first_id, self.m = first_id, m
+        self.tick, self.elements, self.kinds = tick, elements, kinds
+        self.made_at, self.first_id, self.made = made_at, first_id, made
+        self.tokens: list[Token] | None = None
+
+    def make_tokens(self) -> list[Token]:
+        """New tokens for the copies, as they start."""
+        made = self.made
+        return [
+            Token(i, t.thing, t.location, t.prev_stage)
+            for i, t in zip(
+                range(self.first_id, self.first_id + self.count * len(made)),
+                cycle(made),
+            )
+        ]
 
 
 class Firings(Sequence):
@@ -290,9 +339,7 @@ class Firings(Sequence):
         self._trace = trace
 
     def __len__(self) -> int:
-        # counted from the runs of copies, which it leaves unbuilt
-        t = self._trace
-        return len(t._columns[3]) + sum(len(c.kinds) * c.count for c in t._copies)
+        return self._trace._sizes()[1]
 
     def __getitem__(self, index):
         steps = range(len(self))[index]
@@ -310,6 +357,28 @@ class Firings(Sequence):
             Firing, range(len(t.kinds)), t.events, t.instances, t.elements,
             t.kinds, t.tokens,
         )
+
+
+def _parts(trace: Trace, index: int) -> Iterator[tuple[int, int, list | _Copies]]:
+    """The trace's event order (``index`` 5) or final tokens (6) in
+    order, a part at a time: its first position, its length, and a slice
+    of the stored entries or a run of copies, whose entries are its
+    copies' instances or the tokens they made."""
+    stored, at, done = trace._lists[index], 0, 0
+    for run in [*trace._copies, None]:
+        if run is None:
+            start, n = at + len(stored) - done, 0
+        elif index == 5:
+            start, n = run.tick, run.count
+        else:
+            start, n = run.first_id - 1, run.count * len(run.made)
+        if start > at:
+            yield at, start - at, stored[done : done + start - at]
+            done += start - at
+            at = start
+        if n:
+            yield at, n, run
+            at += n
 
 
 class SimConfig(Record):
@@ -332,7 +401,7 @@ def linear_extension(chronology: Chronology) -> list[str]:
 class _Plan:
     """What one event's instances read of the model, built once per node."""
 
-    __slots__ = ("triggers", "trigs_by_src", "routes", "origins", "watched")
+    __slots__ = ("triggers", "trigs_by_src", "routes", "origins", "watched", "reads")
 
     def __init__(
         self, triggers: list[TriggerEdge],
@@ -351,6 +420,8 @@ class _Plan:
     ) -> None:
         self.triggers, self.trigs_by_src, self.routes = triggers, trigs_by_src, routes
         self.origins, self.watched = origins, watched
+        # every stage where an instance reads the resting tokens
+        self.reads = routes.keys() | watched
 
 
 def _plan(model: Model, event: EventDef) -> _Plan:
@@ -393,12 +464,18 @@ class _Run:
         self.model = model
         self.config = config
         self.trace = Trace()
-        # the stored firing columns, which a run of copies leaves as they are
-        _, _, self.elements, self.kinds, self.token_ids = self.trace._columns
-        # every token made, in id order
-        self.tokens = self.trace.final_tokens
+        # the stored lists, which a run of copies leaves as they are: the
+        # firing columns, the event order and the tokens made, in id order
+        (
+            _, _, self.elements, self.kinds, self.token_ids, self.order, self.tokens
+        ) = self.trace._lists
+        # the instances run and the tokens made, stored or copied
+        self.ticks = self.ids = 0
         # resting tokens by stage, then by token id
         self.at: defaultdict[ElementId, dict[int, Token]] = defaultdict(dict)
+        # the runs of copies whose tokens are not made yet, by the stages
+        # where one of them rests
+        self.resting: dict[ElementId, list[_Copies]] = {}
         # per-instance state
         self.plan: _Plan | None = None
         self.event_id = ""
@@ -435,7 +512,8 @@ class _Run:
         machine."""
         if thing is None:
             thing = self.model.qualified_name(self.model.stages[stage].thimac)
-        token = Token(len(self.tokens) + 1, thing, stage)
+        self.ids += 1
+        token = Token(self.ids, thing, stage)
         self.tokens.append(token)
         self.at[stage][token.id] = token
         self.active.append(token)
@@ -526,6 +604,8 @@ class _Run:
         """
         count = instances(event)
         at = self.at
+        if self.resting:
+            self._make_resting(plan)
         for instance in range(1, count + 1):
             if instance == count:
                 self.run_instance(event, plan, instance)
@@ -537,6 +617,17 @@ class _Run:
                 self._replay(event.id, first_firing, first_token, instance, count)
                 return
 
+    def _make_resting(self, plan: _Plan) -> None:
+        """Make the tokens of every run of copies that has one resting where
+        the plan reads, and index them where they rest."""
+        at, resting = self.at, self.resting
+        for stage in resting.keys() & plan.reads:
+            for run in resting.pop(stage):
+                if run.tokens is None:
+                    run.tokens = run.make_tokens()
+                    for token in run.tokens:
+                        at[token.location][token.id] = token
+
     def _replay(
         self,
         event_id: str,
@@ -547,42 +638,26 @@ class _Run:
     ) -> None:
         """Append instances ``template + 1 .. count`` as copies of instance
         ``template``, whose firings and new tokens start at the given list
-        positions: one run of copies on the trace, and each copy's tokens
-        and event order entry."""
-        trace, at = self.trace, self.at
-        made = self.tokens[first_token:]
-        m = len(made)
-        if len(self.kinds) > first_firing:
-            # the template adopted nothing, so its firings name only tokens
-            # it made: keep their positions in ``made``
-            made_at = [
-                -1 if t is None else t - first_token - 1
-                for t in self.token_ids[first_firing:]
-            ]
-            trace._copies.append(_Copies(
-                len(self.kinds), event_id, template + 1, count - template,
-                self.elements[first_firing:], self.kinds[first_firing:], made_at,
-                len(self.tokens) + 1, m,
-            ))
-        # about _CHUNK tokens a group, so that the lists one group makes stay
-        # small whatever the count
-        size = max(1, _CHUNK // max(m, 1))
-        instance = template + 1
-        while instance <= count:
-            g = min(size, count + 1 - instance)
-            first_id = len(self.tokens) + 1
-            tokens = [
-                Token(i, t.thing, t.location, t.prev_stage)
-                for i, t in zip(range(first_id, first_id + g * m), made * g)
-            ]
-            self.tokens += tokens
-            for token in tokens:
-                at[token.location][token.id] = token
-            tick = len(trace.event_order)
-            trace.event_order += zip(
-                repeat(event_id), range(instance, instance + g), range(tick, tick + g)
-            )
-            instance += g
+        positions: one run of copies on the trace, whose tokens are made
+        only when a later node reads where they rest."""
+        made = [
+            Token(t.id, t.thing, t.location, t.prev_stage)
+            for t in self.tokens[first_token:]
+        ]
+        # the template adopted nothing, so its firings name only tokens it
+        # made: keep their positions in ``made``
+        base = self.ids - len(made) + 1
+        made_at = [-1 if t is None else t - base for t in self.token_ids[first_firing:]]
+        run = _Copies(
+            len(self.kinds), event_id, template + 1, count - template, self.ticks,
+            self.elements[first_firing:], self.kinds[first_firing:], made_at,
+            self.ids + 1, made,
+        )
+        self.trace._copies.append(run)
+        self.ticks += run.count
+        self.ids += run.count * len(made)
+        for stage in {t.location for t in made}:
+            self.resting.setdefault(stage, []).append(run)
 
     def run_instance(self, event: EventDef, plan: _Plan, instance: int) -> bool:
         """Run one instance; True when it adopted no token and did not
@@ -670,10 +745,11 @@ class _Run:
             self.active = moved + self.active
 
         made = len(kinds) - first
-        events, instances = trace._columns[:2]
+        events, instances = trace._lists[:2]
         events += [event.id] * made
         instances += [instance] * made
-        trace.event_order.append((event.id, instance, len(trace.event_order)))
+        self.order.append((event.id, instance, self.ticks))
+        self.ticks += 1
         return quiet
 
 
@@ -728,7 +804,10 @@ def coverage(model: Model, trace: Trace, events: list[EventDef]) -> dict:
     """
     fired_by_event: dict[str, set[ElementId]] = {}
     fired_all: set[ElementId] = set()
-    for event_id, element, kind in zip(trace.events, trace.elements, trace.kinds):
+    # a run's copies fire exactly its template's (event, element, kind)
+    # triples, which are stored firings, so a run is left unbuilt
+    event_ids, _, elements, kinds = trace._lists[:4]
+    for event_id, element, kind in zip(event_ids, elements, kinds):
         if kind is FiringKind.FLOW_MOVE:
             stage = model.edges[element].to_stage
         elif kind is FiringKind.TRIGGER_FIRE:
@@ -760,6 +839,11 @@ def coverage(model: Model, trace: Trace, events: list[EventDef]) -> dict:
 # the most firings trace_to_json formats before it appends them to its text,
 # give or take one copy of a run's template, which a chunk never splits
 _CHUNK = 4096
+# the most firings of a group of a run's copies, a chunk of its own, which
+# costs its template and its copies' numbers: an append moves the text when
+# the allocator cannot grow it where it is, so a long run's text is
+# appended in fewer, larger pieces
+_GROUP = 3 * _CHUNK
 
 # a step is written as its thousands (none below 1000) and then its last
 # three digits, each a shared string, so no string is made per step
@@ -771,6 +855,21 @@ _FIRING_HEAD = '\n    },\n    {\n      "step": '
 _FIRST_FIRING_HEAD = '  "firings": [\n    {\n      "step": '
 # a firing's slots, with the constant ones filled
 _FIRING_SLOTS = [_FIRING_HEAD, *[""] * 6, ',\n      "token": ', ""]
+class _Numbers(dict):
+    """Numbers' texts; one not in the table is formatted when read."""
+
+    __slots__ = ()
+
+    def __missing__(self, n: int) -> str:
+        return str(n)
+
+
+# a replayed event order entry's slots: the event with the "instance" key,
+# the instance, the "tick" key, the tick and the entry's end
+_ORDER_SLOTS = ["", "", ',\n      "tick": ', "", "\n    }"]
+# a replayed final token's slots: the "id" key, the id, and the thing and
+# location
+_TOKEN_SLOTS = [',\n    {\n      "id": ', "", ""]
 
 
 def _chunks(trace: Trace, of: tuple | None = None) -> Iterator[tuple]:
@@ -785,13 +884,14 @@ def _chunks(trace: Trace, of: tuple | None = None) -> Iterator[tuple]:
     first), up to ``_CHUNK`` (see trace_to_json). Stored firings, and a
     run's copies while fewer fit in a chunk than the template has
     firings, are gathered unmapped and mapped a column at a time, as one
-    write. A group of more copies is a chunk of its own: the template's
+    write. A group of more copies is a chunk of its own, of up to
+    ``_GROUP`` firings: the template's
     entries are mapped once and repeated by list multiplication, and the
     copies' instance numbers and token ids are mapped once each and
     written one template firing at a time, across the copies, with the
     template's length as the step. So a run costs its template and its
     copies, not its firings."""
-    columns = trace._columns
+    columns = trace._lists[:5]
     raw = [[] for _ in columns]  # the chunk being gathered
     written = start = 0
 
@@ -815,11 +915,16 @@ def _chunks(trace: Trace, of: tuple | None = None) -> Iterator[tuple]:
                 yield take()
         if run is None:
             break
-        k, m, made_at = len(run.kinds), run.m, run.made_at
-        done = 0
+        k, m, made_at = len(run.kinds), len(run.made), run.made_at
+        done = 0 if k else run.count  # a run of copies that fire nothing
         while done < run.count:
             room = min(max(written, 16), _CHUNK) - len(raw[3])
             g = min(max(1, room // k), run.count - done)
+            if g >= k:
+                if raw[3]:
+                    yield take()
+                    continue
+                g = min(min(max(written, 16), _GROUP) // k, run.count - done)
             copies = range(run.first + done, run.first + done + g)
             ids = range(run.first_id + done * m, run.first_id + (done + g) * m)
             if g < k:
@@ -835,9 +940,6 @@ def _chunks(trace: Trace, of: tuple | None = None) -> Iterator[tuple]:
                 done += g
                 if len(raw[3]) >= min(max(written, 16), _CHUNK):
                     yield take()
-                continue
-            if raw[3]:
-                yield take()
                 continue
             event, elements, kinds, null = [run.event], run.elements, run.kinds, None
             if of:
@@ -864,13 +966,16 @@ def trace_to_json(model: Model, trace: Trace) -> str:
     The text is exactly ``json.dumps(doc, indent=2) + "\n"`` for the
     document ``{"eventOrder", "firings", "finalTokens"}``, but is written
     directly, since the indenting encoder runs in pure Python. Each
-    string is escaped once, and each instance number and token id is
-    formatted once into a number table (with None as ``null``). A firing
-    entry is 9 pieces: the head (which closes the entry before it), the
-    step's thousands and its last three digits, the event with the
-    "instance" key, the instance, the element with the "kind" key, the
-    kind, the "token" key and the token. Each piece is a shared string
-    read from a table, so no string is made per firing.
+    string is escaped once, and each instance number, tick and token id
+    is formatted once into a number table (with None as ``null``): a
+    simulated trace's numbers are all below its instance and token
+    counts, so the table is made for that range, and a run's copies'
+    numbers are slices of it. A firing entry is 9 pieces: the head (which
+    closes the entry before it), the step's thousands and its last three
+    digits, the event with the "instance" key, the instance, the element
+    with the "kind" key, the kind, the "token" key and the token. Each
+    piece is a shared string read from a table, so no string is made per
+    firing.
 
     The firings are written about ``_CHUNK`` at a time (see ``_chunks``),
     into one list of slots: the constant slots are filled when the list
@@ -879,40 +984,41 @@ def trace_to_json(model: Model, trace: Trace) -> str:
     column rather than bytecode per firing. A group of a run's copies
     maps its template's event, element and kind pieces once and repeats
     them by list multiplication, and maps each copy's instance number
-    and token ids once. The tables come from the stored firings (which
-    hold each run's template), the event order and the final tokens, so
-    no entry per copied firing is read. Each chunk is joined and appended
-    with ``text += ...``. ``text`` is the only reference to the text, so
-    CPython grows it in place: at its peak the writer holds the text
-    once, plus one chunk, its slots and the tables. One entry per firing
-    joined at the end, or an ``io.StringIO``, would hold the text twice.
+    and token ids once. The event order and the final tokens are written
+    the same way, into lists of slots: a run's entries repeat its
+    template's pieces and take their numbers from slices of the table.
+    The string tables come from the stored entries (the stored firings
+    hold each run's template) and each run's template tokens, so no entry
+    per copy is read. Each chunk is joined and appended with ``text +=
+    ...``. ``text`` is the only reference to the text, so CPython grows
+    it in place: at its peak the writer holds the text once, plus one
+    chunk, its slots and the tables. One entry per firing joined at the
+    end, or an ``io.StringIO``, would hold the text twice.
     """
     # the stored firings hold every event, element and kind of a run's
-    # template, and the event order and final tokens every instance number
-    # and token id of its copies
-    events, instances, elements, _, tokens = trace._columns
+    # template; a run gives its copies' instance numbers, ticks and token
+    # ids as ranges, and its tokens' things and locations are its
+    # template's, or are read from its copies' tokens if they were made
+    events, _, elements, _, _, order, final = trace._lists
+    copies = trace._copies
+    listed = [
+        *final,
+        *chain.from_iterable(c.made if c.tokens is None else c.tokens for c in copies),
+    ]
     elements = set(elements)
     quoted = {
         eid: encode_basestring_ascii(model.qualified_name(eid))
-        for eid in elements.union(t.location for t in trace.final_tokens)
+        for eid in elements.union(t.location for t in listed)
     }
-    texts = {
-        *events,
-        *(e for e, _, _ in trace.event_order),
-        *(t.thing for t in trace.final_tokens),
-    }
+    order_events = {*(e for e, _, _ in order), *(c.event for c in copies)}
+    texts = {*events, *order_events, *(t.thing for t in listed)}
     q = {text: encode_basestring_ascii(text) for text in texts}
-    # the set of numbers is freed once the table is made, before the text
-    # grows
-    nums = {
-        n: str(n)
-        for n in {
-            *instances,
-            *(i for _, i, _ in trace.event_order),
-            *tokens,
-            *(t.id for t in trace.final_tokens),
-        }
-    }
+    # a simulated trace's instance numbers, ticks and token ids are all
+    # below ``len(strs)``, and the texts of a run's copies' ones are slices
+    # of it
+    instances, _, tokens = trace._sizes()
+    strs = list(map(str, range(max(instances, tokens) + 1)))
+    nums = _Numbers(zip(range(len(strs)), strs))
     nums[None] = "null"
     event_pieces = {
         e: f',\n      "event": {q[e]},\n      "instance": ' for e in set(events)
@@ -922,13 +1028,27 @@ def trace_to_json(model: Model, trace: Trace) -> str:
     }
 
     # every entry starts with its separator; _json_list drops the first one
-    event_order = [
-        f',\n    {{\n      "event": {q[e]},\n      "instance": {nums[i]},\n'
-        f'      "tick": {t}\n    }}'
-        for e, i, t in trace.event_order
-    ]
-    text = "".join(["{\n", *_json_list("eventOrder", event_order), ",\n"])
-    del event_order  # the text holds it now
+    order_heads = {
+        e: f',\n    {{\n      "event": {q[e]},\n      "instance": '
+        for e in order_events
+    }
+    # a stored entry is one string; a run's entries are slots that repeat
+    # its event's piece and take its instances and ticks from the table
+    entries: list[str] = []
+    for at, n, part in _parts(trace, 5):
+        if part.__class__ is _Copies:
+            slots = _ORDER_SLOTS * n
+            slots[0::5] = [order_heads[part.event]] * n
+            slots[1::5] = strs[part.first : part.first + n]
+            slots[3::5] = strs[at : at + n]
+            entries += slots
+        else:
+            entries += [
+                f'{order_heads[e]}{nums[i]},\n      "tick": {nums[t]}\n    }}'
+                for e, i, t in part
+            ]
+    text = "".join(["{\n", _json_list("eventOrder", entries), ",\n"])
+    del entries  # the text holds it now
     # the steps' pieces in step order: thousands "" for 0-999, then "1"
     # for 1000-1999, and so on; the last three digits "0" to "999", then
     # "000" to "999" over and over
@@ -962,25 +1082,45 @@ def trace_to_json(model: Model, trace: Trace) -> str:
         text += "".join(pieces)
         pieces[0] = _FIRING_HEAD
         written += n
-    final_tokens = [
-        f',\n    {{\n      "id": {nums[t.id]},\n      "thing": {q[t.thing]},\n'
-        f'      "location": {quoted[t.location]}\n    }}'
-        for t in trace.final_tokens
-    ]
+    # a token is one string, but a run whose copies' tokens were not made is
+    # slots that repeat its template's tokens' pieces
+    entries = []
+    tokens: list[Token] = []  # the tokens to write next, one string each
+    for _, n, part in chain(_parts(trace, 6), [(0, 0, None)]):
+        if part.__class__ is list or part is not None and part.tokens is not None:
+            tokens += part if part.__class__ is list else part.tokens
+            continue
+        entries += [
+            f',\n    {{\n      "id": {nums[t.id]},\n      "thing": {q[t.thing]},\n'
+            f'      "location": {quoted[t.location]}\n    }}'
+            for t in tokens
+        ]
+        tokens = []
+        if part is not None:
+            slots = _TOKEN_SLOTS * n
+            slots[1::3] = strs[part.first_id : part.first_id + n]
+            slots[2::3] = [
+                f',\n      "thing": {q[t.thing]},\n      "location": {quoted[t.location]}'
+                "\n    }"
+                for t in part.made
+            ] * part.count
+            entries += slots
     text += "".join(
         [
             "\n    }\n  ]" if written else '  "firings": []',
             ",\n",
-            *_json_list("finalTokens", final_tokens),
+            _json_list("finalTokens", entries),
             "\n}\n",
         ]
     )
     return text
 
 
-def _json_list(key: str, entries: list[str]) -> list[str]:
-    """The pieces of one indented list member of the trace document."""
+def _json_list(key: str, entries: list[str]) -> str:
+    """One indented list member of the trace document, from the pieces of
+    its entries, each starting with a separator."""
     if not entries:
-        return [f'  "{key}": []']
-    entries[0] = entries[0][1:]
-    return [f'  "{key}": [', *entries, "\n  ]"]
+        return f'  "{key}": []'
+    entries[0] = f'  "{key}": [' + entries[0][1:]
+    entries.append("\n  ]")
+    return "".join(entries)

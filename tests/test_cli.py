@@ -625,33 +625,58 @@ cli.main()
 """
 
 # One machine, one event: every instance after the first is a replayed
-# copy, so the trace grows until memory runs out. {repeat} is the count.
+# copy. {repeat} is the count.
 HUGE_REPEAT = (
     "thimac a { stage create; stage process; }\n"
     "flow a.create -> a.process;\n"
     "event E { region { a; } repeat {repeat}; }\n"
     "chronology { E; }\n"
 )
+# the counts that fill memory, a count past any index-sized integer too
+HUGE_COUNTS = ("100000000", "99999999999999999999")
+
+
+def _run_capped(tmp_path, repeat: str, *args: str) -> subprocess.CompletedProcess:
+    """``tm simulate`` of HUGE_REPEAT at ``repeat`` under a 256 MiB address
+    space, with the extra arguments."""
+    src = str(Path(tmkit.__file__).parent.parent)
+    source = tmp_path / f"huge{repeat}.tm"
+    source.write_text(HUGE_REPEAT.replace("{repeat}", repeat), encoding="utf-8")
+    return subprocess.run(
+        [sys.executable, "-c", _CAPPED_MAIN, src, str(256 * 2**20), "simulate",
+         str(source), *args],
+        capture_output=True, text=True,
+    )
 
 
 @pytest.mark.skipif(
     sys.platform != "linux", reason="RLIMIT_AS bounds allocation on Linux only"
 )
 def test_out_of_memory_is_one_line_and_exit_3(tmp_path):
-    # a count past any index-sized integer too: replay must still run out
-    # of memory, not overflow building its columns
-    src = str(Path(tmkit.__file__).parent.parent)
-    for repeat in ("100000000", "99999999999999999999"):
-        source = tmp_path / f"huge{repeat}.tm"
-        source.write_text(HUGE_REPEAT.replace("{repeat}", repeat), encoding="utf-8")
-        done = subprocess.run(
-            [sys.executable, "-c", _CAPPED_MAIN, src, str(256 * 2**20), "simulate",
-             str(source)],
-            capture_output=True, text=True,
-        )
+    # the written trace grows per firing: it must run out of memory, not
+    # overflow, and leave no file behind
+    for repeat in HUGE_COUNTS:
+        out = tmp_path / f"huge{repeat}.json"
+        done = _run_capped(tmp_path, repeat, "--trace", str(out))
         assert done.returncode == 3, repeat
         assert done.stdout == "", repeat
         assert done.stderr == "simulation error: out of memory\n", repeat
+        assert not out.exists(), repeat
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux", reason="RLIMIT_AS bounds allocation on Linux only"
+)
+def test_counting_a_huge_repeat_costs_its_template(tmp_path):
+    # without --trace, the copies stay one run: the counts are exact under
+    # the same cap
+    for repeat in HUGE_COUNTS:
+        done = _run_capped(tmp_path, repeat)
+        assert (done.returncode, done.stderr) == (0, ""), repeat
+        n = int(repeat)
+        assert done.stdout == (
+            f"{n} event instance(s), {2 * n} firing(s), {n} token(s)\n"
+        ), repeat
 
 
 # Each public name of tmkit and the module it is defined in or re-exported from.

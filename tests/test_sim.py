@@ -6,6 +6,7 @@ import json
 import logging
 import random
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -33,6 +34,7 @@ from tmkit.sim import (
     Token,
     Trace,
     _CHUNK,
+    _GROUP,
     _Run,
     _simulate_validated,
     coverage,
@@ -131,8 +133,8 @@ TRIGGER_LOOP = (
 )
 # Fill leaves a token in each machine; each Poke instance then makes a
 # StageFire and a TriggerFire that enables b's token, and no token, so its
-# copies are written in chunks of up to _CHUNK // 2 copies: three such
-# chunks' worth and one more copy. Idle's instances make no firing at all.
+# copies are written in groups of up to _GROUP // 2 copies, several groups
+# and part of one. Idle's instances make no firing at all.
 TOKENLESS_REPEATS = (
     "thimac a { stage create; stage process; }\n"
     "flow a.create -> a.process;\n"
@@ -144,6 +146,49 @@ TOKENLESS_REPEATS = (
     f"repeat {3 * (_CHUNK // 2) + 2}; }}\n"
     "event Idle { region { a.process; } repeat 3; }\n"
     "chronology { Fill -> Poke; Poke -> Idle; }"
+)
+
+# Fill's first instance is a template: its token moves on from a.create,
+# so the origin is free again, and its 3 copies' tokens rest at a.process
+# until a later node reads there. Each of the next three scenarios reads
+# that stage one way; in ORIGIN_BLOCKED the copies' things rest at an
+# origin.
+FILL = (
+    "thimac a { stage create; stage process; stage release; }\n"
+    "flow a.create -> a.process;\n"
+    "event Fill { region { a.create; a.process; } repeat 4; }\n"
+)
+# the copies hold Ring's trigger source
+HELD_SOURCE = (
+    FILL + "thimac bell { stage create; }\n"
+    "trigger a.process ~> bell.create;\n"
+    "event Ring { region { a.process; bell.create; } }\n"
+    "chronology { Fill -> Ring; }"
+)
+# the copies occupy the machine that Poke's trigger targets
+OCCUPIED_MACHINE = (
+    FILL + "thimac g { stage create; }\n"
+    "trigger g.create ~> a.release;\n"
+    "event Poke { region { g.create; a.release; } repeat 2; }\n"
+    "chronology { Fill -> Poke; }"
+)
+# Move adopts the copies' tokens and moves each on
+ADOPTED = (
+    FILL + "flow a.process -> a.release;\n"
+    "event Move { region { a.process; a.release; } }\n"
+    "chronology { Fill -> Move; }"
+)
+# Fill's second instance is the template (the first leaves a token at the
+# trigger's source), and each copy leaves two things at b.create, which
+# block Park's origin
+ORIGIN_BLOCKED = (
+    "thimac a { stage create; stage process; }\n"
+    "flow a.create -> a.process;\n"
+    "thimac b { stage create; }\n"
+    "trigger a.process ~> b.create;\n"
+    "event Fill { region { a; b; } repeat 4; }\n"
+    "event Park { region { b; } repeat 2; }\n"
+    "chronology { Fill -> Park; }"
 )
 
 
@@ -764,6 +809,25 @@ def test_coverage_of_atm_full_is_unchanged_by_containment(load_corpus):
     assert coverage(result.model, trace, result.events)["events"] == expected
 
 
+@pytest.mark.parametrize("variant", [None, 0, 1, 2, 3])
+def test_coverage_reads_the_stored_firings_of_a_run_form_trace(variant):
+    # ships, then the benchmark's chronology models, whose nodes of one or
+    # two replayed copies sit between interpreted ones
+    if variant is None:
+        model, events, chronology = ships(300)
+    else:
+        gen = runpy.run_path(str(Path(__file__).parent.parent / "tmbench" / "gen.py"))
+        model, events, chronology = parse_normalized(gen["chronology"](variant))
+    trace = _simulate_validated(model, events, chronology)
+    copies = list(trace._copies)
+    assert copies
+    unbuilt = coverage(model, trace, events)
+    assert trace._copies == copies
+    trace.kinds  # builds the columns
+    assert not trace._copies
+    assert coverage(model, trace, events) == unbuilt
+
+
 def test_firings_view_is_a_read_only_sequence_of_firing():
     model, _, trace = run_source(START_PASS)
     firings = trace.firings
@@ -814,19 +878,29 @@ def test_runs_of_copies_are_built_once_on_the_first_column_read(
     assert builds == []
 
     model, events, chronology = ships(50)
-    trace = _simulate_validated(model, events, chronology)
-    text = trace_to_json(model, trace)
-    assert len(trace.firings) == 500 and builds == []
-    columns = [trace.events, trace.instances, trace.elements, trace.kinds, trace.tokens]
-    assert builds == [trace]
-    for name, column in zip(Trace._fields, columns):
-        # later reads return the same list, made once at its exact length
-        assert getattr(trace, name) is column
-        assert sys.getsizeof(column) == sys.getsizeof([None] * 500)
-    assert builds == [trace] and trace_to_json(model, trace) == text
+    sizes = dict(zip(Trace._fields, [500] * 5 + [50, 50]))
+    for first in Trace._fields:
+        trace = _simulate_validated(model, events, chronology)
+        text = trace_to_json(model, trace)
+        assert len(trace.firings) == 500 and builds == []
+        # the first read of any of the lists builds them all, once
+        lists = {first: getattr(trace, first)}
+        assert builds == [trace]
+        lists.update((name, getattr(trace, name)) for name in Trace._fields)
+        for name, stored in lists.items():
+            # later reads return the same list, made once at its exact length
+            assert getattr(trace, name) is stored
+            assert sys.getsizeof(stored) == sys.getsizeof([None] * sizes[name]), name
+        assert builds == [trace] and trace_to_json(model, trace) == text
+        builds.clear()
+    assert [t.id for t in trace.final_tokens] == list(range(1, 51))
+    assert [i for _, i, _ in trace.event_order] == list(range(1, 51))
     # an edit in place persists
     trace.tokens[-1] = None
     assert trace.firings[-1].token is None
+    trace.final_tokens.pop()
+    assert '"id": 50' not in trace_to_json(model, trace)
+    builds.append(trace)
 
     # writing a column of an unbuilt trace builds the others first
     other = _simulate_validated(model, events, chronology)
@@ -836,11 +910,16 @@ def test_runs_of_copies_are_built_once_on_the_first_column_read(
     assert other.kinds == trace.kinds
 
     # a hand-built trace reads and writes the lists it was given
-    hand = [["E"], [1], [5], [FiringKind.TOKEN_SPAWN], [1]]
-    made = Trace(*hand, [("E", 1, 0)])
-    for name, column in zip(Trace._fields, hand):
-        assert getattr(made, name) is column
+    hand = [
+        ["E"], [1], [5], [FiringKind.TOKEN_SPAWN], [1], [("E", 1, 0)],
+        [Token(1, "thing", 5)],
+    ]
+    made = Trace(*hand)
+    for name, stored in zip(Trace._fields, hand):
+        assert getattr(made, name) is stored
     made.kinds = [FiringKind.FLOW_MOVE]
+    made.event_order = [("F", 2, 0)]
+    assert (made.kinds, made.event_order) == ([FiringKind.FLOW_MOVE], [("F", 2, 0)])
     assert made.firings[0] == Firing(0, "E", 1, 5, FiringKind.FLOW_MOVE, 1)
     assert builds == [trace, other]
 
@@ -937,6 +1016,10 @@ def test_simulate_matches_reference_on_corpus(load_corpus, name):
             TOKENLESS_REPEATS, "TriggerFire",
             [("Poke", 1, 3 * (_CHUNK // 2) + 2), ("Idle", 1, 3)],
         ),
+        (ORIGIN_BLOCKED, "TriggerFire", [("Fill", 2, 4), ("Park", 1, 2)]),
+        (HELD_SOURCE, "StageFire", [("Fill", 1, 4)]),
+        (OCCUPIED_MACHINE, "TriggerFire", [("Fill", 1, 4)]),
+        (ADOPTED, "FlowMove", [("Fill", 1, 4)]),
     ],
     ids=[
         "start-pass",
@@ -947,6 +1030,10 @@ def test_simulate_matches_reference_on_corpus(load_corpus, name):
         "flow-loop",
         "trigger-loop",
         "tokenless-repeats",
+        "copies-block-an-origin",
+        "copies-hold-a-trigger-source",
+        "copies-occupy-a-trigger-target-machine",
+        "copies-adopted",
     ],
 )
 def test_simulate_matches_reference_on_scenarios(replays, source, outcome, replayed):
@@ -1083,13 +1170,15 @@ def ships(repeat: int):
 
 
 # E_passing makes 10 firings and one token an instance. Its copies are
-# written in chunks of up to _CHUNK // 10 copies: one chunk's worth
-# exactly, and several plus one; and their tokens are made in groups of
-# _CHUNK: one group exactly, and several plus part of one. Repeats 1 and 2
-# have no copy and one.
+# written in groups that grow with what is written, up to _GROUP // 10
+# copies: counts around one and several full groups, and around _CHUNK
+# // 10 and _CHUNK copies. Repeats 1 and 2 have no copy and one.
 @pytest.mark.parametrize(
     "repeat",
-    [1, 2, 4000, 16000, 1 + _CHUNK // 10, 2 + 3 * (_CHUNK // 10), 1 + _CHUNK],
+    [
+        1, 2, 4000, 16000, 1 + _CHUNK // 10, 2 + 3 * (_CHUNK // 10), 1 + _CHUNK,
+        1 + _GROUP // 10, 2 + 3 * (_GROUP // 10),
+    ],
 )
 def test_ships_replay_matches_reference(replays, repeat):
     model, events, chronology = ships(repeat)
