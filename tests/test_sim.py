@@ -1172,12 +1172,14 @@ def ships(repeat: int):
 # E_passing makes 10 firings and one token an instance. Its copies are
 # written in groups that grow with what is written, up to _GROUP // 10
 # copies: counts around one and several full groups, and around _CHUNK
-# // 10 and _CHUNK copies. Repeats 1 and 2 have no copy and one.
+# // 10 and _CHUNK copies. Repeats 1 and 2 have no copy and one. Since
+# _GROUP is 3 * _CHUNK, 2 + 3 * (_CHUNK // 10) makes exactly one full
+# group; 2 + _GROUP // 10 makes one full group and one copy more.
 @pytest.mark.parametrize(
     "repeat",
     [
         1, 2, 4000, 16000, 1 + _CHUNK // 10, 2 + 3 * (_CHUNK // 10), 1 + _CHUNK,
-        1 + _GROUP // 10, 2 + 3 * (_GROUP // 10),
+        2 + _GROUP // 10, 2 + 3 * (_GROUP // 10),
     ],
 )
 def test_ships_replay_matches_reference(replays, repeat):
