@@ -157,10 +157,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         return EXIT_INVALID
     config = sim.SimConfig(max_steps_per_event=args.max_steps)
     try:
-        # validated just above; simulate would validate again
-        trace = sim._simulate_validated(
-            model, result.events, result.chronology, config
-        )
+        # validated just above: simulate reuses the model's stored verdict
+        # and runs only the event and chronology rules again
+        trace = sim.simulate(model, result.events, result.chronology, config)
     except StepBudgetExceeded as exc:
         print(f"simulation error: {exc}", file=sys.stderr)
         return EXIT_SIM

@@ -24,6 +24,13 @@ leaving a set of stages cost their number to find. ``copy`` and
 ``add_thimac`` refuses a name that no path could reach: an empty one, a
 dotted one, or a stage-kind word.
 
+``_alloc`` (which every ``add_*`` that makes an element calls) and
+``replace_flows`` are the only ways a model changes, and each bumps its
+change counter ``_changes``. ``validate`` stores the verdict of its
+model-level rules on the model with the counter's value, and reuses it
+while the counter matches; ``copy`` starts with no verdict. Writing a
+table or an element's fields directly is not counted.
+
 ``LEGAL`` is the one table of the stage-wiring rule; ``edge_legal``,
 ``Model.flow_legal`` and the validator's FLOW_ILLEGAL read it, and
 ``normalize`` expands each flow outside it by one rule, ``_expansion``.
@@ -42,7 +49,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from . import graph
-from .diagnostics import Record, SourceSpan
+from .diagnostics import Diagnostic, Record, SourceSpan
 from .errors import (
     AmbiguousExpansion,
     DuplicateName,
@@ -186,12 +193,16 @@ class Model:
         self.flows_from: dict[ElementId, dict[ElementId, FlowEdge]] = {}
         self.triggers_from: dict[ElementId, dict[ElementId, TriggerEdge]] = {}
         self._names: dict[ElementId, str] = {}
+        self._changes = 0
+        # (``_changes``, model-level diagnostics), stored by ``validate``
+        self._verdict: tuple[int, tuple[Diagnostic, ...]] | None = None
 
     # -- construction -------------------------------------------------
 
     def _alloc(self) -> ElementId:
         eid = self._next_id
         self._next_id += 1
+        self._changes += 1
         return eid
 
     def add_thimac(
@@ -271,6 +282,7 @@ class Model:
     def replace_flows(self, flows: Iterable[FlowEdge]) -> None:
         """Make ``flows`` the flow list, keeping the first edge of each
         ``(from, to)`` pair."""
+        self._changes += 1
         for old in self.flows:
             del self.edges[old.id]
         self.flows = []
@@ -376,9 +388,6 @@ class Model:
                 f"{self.qualified_name(e.to_stage)}"
             )
         raise KeyError(f"unknown element id {element}")
-
-    def same_machine(self, stage_a: ElementId, stage_b: ElementId) -> bool:
-        return self.stages[stage_a].thimac == self.stages[stage_b].thimac
 
     def flow_legal(self, edge: FlowEdge) -> bool:
         """``edge_legal`` for a flow of this model, as one ``LEGAL`` lookup."""

@@ -766,6 +766,10 @@ def simulate(
     would still expand is an error there (FLOW_ILLEGAL), so validation
     is the one check of both. With no chronology, all declared events
     run once in declaration order.
+
+    The check is a ``validate`` call, whose model-level verdict is stored
+    on the model: after ``validate``, or a first ``simulate``, on the
+    same unchanged model, only the event and chronology rules run again.
     """
     errors = [d for d in validate(model, events, chronology) if d.is_error]
     if errors:
@@ -773,17 +777,6 @@ def simulate(
             f"validation reported {len(errors)} error(s); first: "
             + errors[0].render()
         )
-    return _simulate_validated(model, events, chronology, config)
-
-
-def _simulate_validated(
-    model: Model,
-    events: list[EventDef],
-    chronology: Chronology | None,
-    config: SimConfig | None = None,
-) -> Trace:
-    """``simulate`` for a caller that has already validated the model and
-    behavior definitions and found no errors; it checks neither again."""
     config = config or SimConfig()
     if chronology is None:
         chronology = Chronology(nodes=[e.id for e in events])

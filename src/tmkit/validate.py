@@ -22,6 +22,15 @@ CHRONO_CYCLE         chronology has a directed cycle (error)
 CHRONO_UNKNOWN_EVENT chronology references an undeclared event (error)
 CHRONO_UNJUSTIFIED   chronology edge with unrelated regions (opt-in warning)
 
+The four model-level rules (FLOW_ILLEGAL, ORIGIN_MISSING, TRIGGER_SELF,
+STAGE_UNREACHABLE) read the model alone, and their verdict is stored on
+the model with its change counter (see :mod:`tmkit.core`): ``validate``
+reuses it while the model is unchanged, so ``simulate`` after
+``validate``, or ``simulate`` again, scans the model once. Each call
+returns new ``Diagnostic`` objects. The event and chronology rules run
+on every call, since ``EventDef`` and ``Chronology`` are plain mutable
+records.
+
 MEMORY_UNSUPPORTED is no rule here: the parser and ``from_json`` report
 a ``memory`` relation where they read it, and no model holds one.
 """
@@ -236,15 +245,27 @@ def validate(
 ) -> list[Diagnostic]:
     """Run every rule; an empty result means the inputs are accepted.
 
+    The model-level rules are not run again on a model whose stored
+    verdict is current (see the module docstring).
+
     ``lint_chronology`` additionally warns about chronology edges whose
     regions share nothing (CHRONO_UNJUSTIFIED).
     """
     events = events or []
-    diags: list[Diagnostic] = []
-    diags += _check_flows(model)
-    diags += _check_origins(model)
-    diags += _check_triggers(model)
-    diags += _check_reachability(model)
+    stored = model._verdict
+    if stored is None or stored[0] != model._changes:
+        found = (
+            *_check_flows(model),
+            *_check_origins(model),
+            *_check_triggers(model),
+            *_check_reachability(model),
+        )
+        stored = model._verdict = (model._changes, found)
+    # copies, so a caller who edits a diagnostic leaves the verdict as it was
+    diags = [
+        Diagnostic(d.severity, d.code, d.message, d.span, d.element)
+        for d in stored[1]
+    ]
     for event in events:
         diags += check_region(model, event)
     if chronology is not None:

@@ -96,7 +96,7 @@ def reference_expansion(
     the ``(kind, owner)`` stages to insert between stages ``src`` and
     ``dst``, or None."""
     a, b = model.stages[src], model.stages[dst]
-    if model.same_machine(src, dst):
+    if a.thimac == b.thimac:
         inserts = _same_machine_inserts(a.kind, b.kind)
         return None if inserts is None else [(k, a.thimac) for k in inserts]
     chain = _cross_machine_chain(a.kind, b.kind)
@@ -648,14 +648,12 @@ class _ReferenceRun:
         stage = self.model.stages[token.location]
         if stage.kind is not StageKind.TRANSFER:
             return out
-        cross = [
-            e for e in out if not self.model.same_machine(e.from_stage, e.to_stage)
-        ]
+        # each edge leaves the token's stage, so its own machine is the source's
+        stages, owner = self.model.stages, stage.thimac
+        cross = [e for e in out if stages[e.to_stage].thimac != owner]
         if token.outbound:
             return cross
-        within = [
-            e for e in out if self.model.same_machine(e.from_stage, e.to_stage)
-        ]
+        within = [e for e in out if stages[e.to_stage].thimac == owner]
         if within:
             return within
         return [e for e in cross if e.to_stage != token.prev_stage]
@@ -781,8 +779,8 @@ def reference_simulate(
 ) -> ReferenceTrace:
     """The interpreter ``tmkit.sim`` replaced with per-event plans, which
     rebuilds each region's edge lists on every instance: the oracle for
-    ``tmkit.sim._simulate_validated``. It logs broadcasts to the
-    ``tmkit.sim`` logger, as the simulator does."""
+    ``tmkit.sim.simulate``. It logs broadcasts to the ``tmkit.sim``
+    logger, as the simulator does."""
     config = config or SimConfig()
     if not is_normalized(model):
         raise PreconditionViolated("model is not normalized")

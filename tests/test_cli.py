@@ -389,23 +389,30 @@ def test_color_env_var(monkeypatch, capsys, broken_file):
 
 
 def test_simulate_validates_once(monkeypatch, capsys):
+    # the CLI validates, and simulate checks through validate again, which
+    # reuses the model's stored verdict: the model-level rules run once, the
+    # event and chronology rules twice
     import tmkit.cli
     import tmkit.sim
 
+    rules = importlib.import_module("tmkit.validate")
     calls = []
 
-    def counted(real):
+    def counted(name, real):
         def wrapper(*args, **kwargs):
-            calls.append(1)
+            calls.append(name)
             return real(*args, **kwargs)
 
         return wrapper
 
-    monkeypatch.setattr(tmkit.cli, "validate", counted(tmkit.cli.validate))
-    monkeypatch.setattr(tmkit.sim, "validate", counted(tmkit.sim.validate))
+    monkeypatch.setattr(tmkit.cli, "validate", counted("cli", tmkit.cli.validate))
+    monkeypatch.setattr(tmkit.sim, "validate", counted("sim", tmkit.sim.validate))
+    monkeypatch.setattr(
+        rules, "_check_flows", counted("model", rules._check_flows)
+    )
     assert run(["simulate", str(corpus_path("davidson.tm"))]) == 0
     capsys.readouterr()
-    assert len(calls) == 1
+    assert calls == ["cli", "model", "sim"]
 
 
 @pytest.mark.parametrize("module", ["tmkit", "tmkit.cli"])

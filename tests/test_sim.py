@@ -36,7 +36,6 @@ from tmkit.sim import (
     _CHUNK,
     _GROUP,
     _Run,
-    _simulate_validated,
     coverage,
     linear_extension,
     simulate,
@@ -677,7 +676,7 @@ def test_step_budget_of_exactly_the_firings_passes_and_one_less_raises(
     source, count
 ):
     model, events, chronology = parse_normalized(source)
-    trace = _simulate_validated(
+    trace = simulate(
         model, events, chronology, SimConfig(max_steps_per_event=count)
     )
     assert len(trace.kinds) == count
@@ -685,7 +684,7 @@ def test_step_budget_of_exactly_the_firings_passes_and_one_less_raises(
     for budget in range(1, count):
         config = SimConfig(max_steps_per_event=budget)
         with pytest.raises(StepBudgetExceeded) as ours:
-            _simulate_validated(model, events, chronology, config)
+            simulate(model, events, chronology, config)
         with pytest.raises(StepBudgetExceeded) as oracle:
             reference_simulate(model, events, chronology, config)
         assert str(ours.value) == str(oracle.value) == (
@@ -818,7 +817,7 @@ def test_coverage_reads_the_stored_firings_of_a_run_form_trace(variant):
     else:
         gen = runpy.run_path(str(Path(__file__).parent.parent / "tmbench" / "gen.py"))
         model, events, chronology = parse_normalized(gen["chronology"](variant))
-    trace = _simulate_validated(model, events, chronology)
+    trace = simulate(model, events, chronology)
     copies = list(trace._copies)
     assert copies
     unbuilt = coverage(model, trace, events)
@@ -880,7 +879,7 @@ def test_runs_of_copies_are_built_once_on_the_first_column_read(
     model, events, chronology = ships(50)
     sizes = dict(zip(Trace._fields, [500] * 5 + [50, 50]))
     for first in Trace._fields:
-        trace = _simulate_validated(model, events, chronology)
+        trace = simulate(model, events, chronology)
         text = trace_to_json(model, trace)
         assert len(trace.firings) == 500 and builds == []
         # the first read of any of the lists builds them all, once
@@ -903,7 +902,7 @@ def test_runs_of_copies_are_built_once_on_the_first_column_read(
     builds.append(trace)
 
     # writing a column of an unbuilt trace builds the others first
-    other = _simulate_validated(model, events, chronology)
+    other = simulate(model, events, chronology)
     other.events = ["X"] * 500
     assert builds == [trace, other]
     assert [(f.event, f.step) for f in other.firings] == [("X", n) for n in range(500)]
@@ -970,14 +969,14 @@ def assert_matches_reference(model, events, chronology, config=None):
     records."""
     logger = logging.getLogger("tmkit.sim")
     traces, outcomes = [], []
-    for run in (_simulate_validated, reference_simulate):
+    for run in (simulate, reference_simulate):
         records = _Records()
         level = logger.level
         logger.addHandler(records)
         logger.setLevel(logging.WARNING)
         try:
             trace = run(model, events, chronology, config)
-            if run is _simulate_validated:
+            if run is simulate:
                 text = run_form_json(model, trace)
             outcome = recorded(trace)
         except StepBudgetExceeded as exc:
@@ -1049,7 +1048,7 @@ def test_simulate_matches_reference_on_scenarios(replays, source, outcome, repla
 def test_rest_spawn_broadcast_trace_is_the_references_byte_for_byte():
     result = dsl.parse(REST_SPAWN_BROADCAST, "scenario.tm")
     model = normalize(result.model)
-    trace = _simulate_validated(model, result.events, result.chronology)
+    trace = simulate(model, result.events, result.chronology)
     want = reference_simulate(model, result.events, result.chronology)
     assert trace_to_json(model, trace) == reference_trace_to_json(model, want)
     name = model.qualified_name

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import random
 import runpy
 from itertools import product
@@ -15,6 +16,8 @@ from tmkit import dsl
 from tmkit.behavior import Chronology, EventDef
 from tmkit.core import Model, StageKind, normalize
 from tmkit.diagnostics import Severity
+from tmkit.errors import PreconditionViolated
+from tmkit.sim import simulate
 from tmkit.validate import (
     RULE_CODES, chronology_cycle, legality, legality_matrix, validate
 )
@@ -442,3 +445,129 @@ def test_normalization_output_never_flow_illegal():
         model = random_legal_chain_model(rng)
         norm = normalize(model)
         assert "FLOW_ILLEGAL" not in codes(validate(norm))
+
+
+# -- the stored model-level verdict -------------------------------------------
+
+CLEAN = (
+    "thimac a { stage create; stage process; stage release; }\n"
+    "thimac b { stage create; stage process; }\n"
+    "flow a.create -> a.process -> a.release;\n"
+    "flow b.create -> b.process;\n"
+    "event E { region { a; } }\n"
+)
+
+# each change to the clean model, through one mutator, and the finding it adds
+MUTATIONS = {
+    "add_stage": (
+        lambda m: m.add_stage(m.find_thimac("b"), StageKind.RELEASE),
+        "STAGE_UNREACHABLE",
+    ),
+    "add_flow": (lambda m: m.add_flow("b.process", "b.create"), "FLOW_ILLEGAL"),
+    "add_trigger": (lambda m: m.add_trigger("b.process", "b.process"), "TRIGGER_SELF"),
+    "ensure_transfer": (
+        lambda m: m.ensure_transfer(m.find_thimac("b")), "STAGE_UNREACHABLE"
+    ),
+    # drops a.create -> a.process: a.process -> a.release has no origin
+    "replace_flows": (lambda m: m.replace_flows(m.flows[1:]), "ORIGIN_MISSING"),
+}
+
+
+def _clean():
+    result = dsl.parse(CLEAN, "clean.tm")
+    model = normalize(result.model)
+    assert validate(model, result.events, result.chronology) == []
+    return model, result.events, result.chronology
+
+
+@pytest.mark.parametrize("mutator", list(MUTATIONS))
+def test_a_change_after_validation_is_found(mutator):
+    mutate, code = MUTATIONS[mutator]
+    model, events, chronology = _clean()
+    simulate(model, events, chronology)
+    mutate(model)
+    diags = validate(model, events, chronology)
+    assert code in codes(diags)
+    assert diags == validate(model.copy(), events, chronology)
+    if any(d.is_error for d in diags):
+        assert code in ("FLOW_ILLEGAL", "ORIGIN_MISSING")
+        with pytest.raises(PreconditionViolated, match=code):
+            simulate(model, events, chronology)
+    else:
+        assert code in ("STAGE_UNREACHABLE", "TRIGGER_SELF")
+        simulate(model, events, chronology)
+    # each call returns its own diagnostics: an edit does not reach the next
+    diags[0].message = "edited"
+    assert validate(model, events, chronology) == validate(
+        model.copy(), events, chronology
+    )
+
+
+def test_simulate_after_validate_runs_no_model_rule_again(monkeypatch):
+    rules = importlib.import_module("tmkit.validate")
+    model, events, chronology = _clean()
+    calls = []
+    check_flows = rules._check_flows
+    monkeypatch.setattr(
+        rules, "_check_flows", lambda m: calls.append(m) or check_flows(m)
+    )
+    simulate(model, events, chronology)
+    simulate(model, events, chronology)
+    validate(model, events, chronology)
+    assert calls == []
+    model.add_trigger("a.release", "b.create")
+    simulate(model, events, chronology)
+    validate(model, events, chronology)
+    assert calls == [model]
+    # a copy starts with no verdict
+    other = model.copy()
+    validate(other)
+    assert calls == [model, other]
+
+
+_OP = st.one_of(
+    st.tuples(st.just("stage"), st.integers(0, 2), st.sampled_from(list(StageKind))),
+    st.tuples(
+        st.sampled_from(["flow", "trigger"]), st.integers(0, 15), st.integers(0, 15)
+    ),
+    st.tuples(st.just("transfer"), st.integers(0, 2)),
+    st.tuples(st.just("replace"), st.integers(0, 15), st.booleans()),
+    st.just(("validate",)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=st.lists(_OP, max_size=40))
+def test_validate_equals_validate_of_a_copy_across_mutations(ops):
+    model = Model()
+    owners = [model.add_thimac(name) for name in "abc"]
+    for owner in owners:
+        model.add_stage(owner, StageKind.CREATE)
+        model.add_stage(owner, StageKind.PROCESS)
+    # two components with an origin, one of them joined by an illegal flow:
+    # dropping or adding an edge changes what the rules find
+    model.add_flow("a.create", "a.process")
+    model.add_flow("a.process", "b.process")
+    model.add_flow("c.create", "c.process")
+    for op in ops + [("validate",)]:
+        stages = list(model.stages)
+        if op[0] == "validate":
+            assert validate(model) == validate(model.copy())
+        elif op[0] == "stage":
+            if op[2] not in model.thimacs[owners[op[1]]].stages:
+                model.add_stage(owners[op[1]], op[2])
+        elif op[0] == "transfer":
+            model.ensure_transfer(owners[op[1]])
+        elif op[0] == "replace":
+            # drops a flow, if any, and may reverse the rest (diagnostics
+            # without spans keep the order of the flows)
+            kept = list(model.flows)
+            if kept:
+                del kept[op[1] % len(kept)]
+            model.replace_flows(kept[::-1] if op[2] else kept)
+        else:
+            a, b = stages[op[1] % len(stages)], stages[op[2] % len(stages)]
+            if op[0] == "trigger":
+                model.add_trigger(a, b)
+            elif a != b:
+                model.add_flow(a, b)
