@@ -31,6 +31,15 @@ model-level rules on the model with the counter's value, and reuses it
 while the counter matches; ``copy`` starts with no verdict. Writing a
 table or an element's fields directly is not counted.
 
+``normalize`` stamps the model it returns with a record of what was
+declared, read through ``declared``: the ``(from, to)`` pairs of the
+flows it was given, in order, and the stages it created. The record
+holds while the counter matches, so any ``add_*`` or ``replace_flows``
+after ``normalize`` leaves the model with none. ``copy`` carries a
+record that holds, and a second ``normalize`` keeps the first one.
+``render --simplified`` draws the record; the model JSON does not
+carry it, so a model read by ``from_json`` or built by hand has none.
+
 ``LEGAL`` is the one table of the stage-wiring rule; ``edge_legal``,
 ``Model.flow_legal`` and the validator's FLOW_ILLEGAL read it, and
 ``normalize`` expands each flow outside it by one rule, ``_expansion``.
@@ -62,6 +71,8 @@ from .errors import (
 import enum
 
 ElementId = int
+# ``Model.declared``: declared flow endpoints, and the stages normalize created
+Declared = tuple[tuple[tuple[ElementId, ElementId], ...], frozenset[ElementId]]
 
 
 class StageKind(enum.Enum):
@@ -196,6 +207,9 @@ class Model:
         self._changes = 0
         # (``_changes``, model-level diagnostics), stored by ``validate``
         self._verdict: tuple[int, tuple[Diagnostic, ...]] | None = None
+        # (``_changes``, what ``declared`` returns), stored by ``normalize``
+        # and carried by ``copy``
+        self._declared: tuple[int, Declared | None] = (0, None)
 
     # -- construction -------------------------------------------------
 
@@ -395,6 +409,13 @@ class Model:
         dst = self.stages[edge.to_stage]
         return (src.kind, dst.kind, src.thimac == dst.thimac) in LEGAL
 
+    def declared(self) -> Declared | None:
+        """``normalize``'s record: the ``(from, to)`` pairs of the flows it
+        was given, in order, and the stages it created; None if
+        ``normalize`` did not make this model or it changed since."""
+        stamp, record = self._declared
+        return record if stamp == self._changes else None
+
     def iter_thimacs(self) -> list[Thimac]:
         """All thimacs in declaration (depth-first) order."""
         walk = graph.tree(self.roots, self.children)
@@ -413,7 +434,7 @@ class Model:
 
     def copy(self) -> "Model":
         """An independent copy: new element objects and containers, with
-        the (immutable) source spans shared."""
+        the (immutable) source spans and ``declared`` record shared."""
         out = Model()
         out.roots = list(self.roots)
         out.thimacs = {
@@ -448,6 +469,7 @@ class Model:
             for e in edges:
                 index.setdefault(e.from_stage, {})[e.to_stage] = e
         out._names = dict(self._names)
+        out._declared = (out._changes, self.declared())
         return out
 
 
@@ -490,6 +512,9 @@ def normalize(model: Model, strict: bool = True) -> Model:
     receive. Existing stages are reused, created ones are recorded in
     each expanded edge's ``implicit_segments``. Create stages are never
     inserted: flow origins must be explicit.
+
+    The result's ``declared`` record holds the flows of ``model`` and the
+    stages created here, or ``model``'s own record if it has one.
 
     With ``strict`` (the default) an edge admitting no legal expansion
     raises :class:`AmbiguousExpansion`; otherwise it is left in place
@@ -534,6 +559,10 @@ def normalize(model: Model, strict: bool = True) -> Model:
             )
     # expansions may recreate edges declared elsewhere; keep the first
     out.replace_flows(new_flows)
+    out._declared = (out._changes, model.declared() or (
+        tuple((f.from_stage, f.to_stage) for f in model.flows),
+        frozenset(out.stages.keys() - model.stages.keys()),
+    ))
     return out
 
 

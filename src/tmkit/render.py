@@ -7,6 +7,17 @@ drawn by filling the region's nodes and adding a legend instead.
 Output is deterministic: declaration order in, identical bytes out.
 Each stage name is quoted once per render, into a table that the node,
 flow and trigger lines all read.
+
+``simplified`` draws a model as it was declared, from the record that
+``normalize`` leaves on the model it returns (``Model.declared``): one
+edge per declared ``(from, to)`` pair, in declaration order, with the
+stages normalization created hidden. No trigger can touch a hidden
+stage, since the triggers are the declared ones. ``copy`` carries the
+record; any later ``add_*`` or ``replace_flows`` clears it, and the
+model JSON does not hold it. A model with no record is drawn in full.
+So ``render_dot(normalize(S, strict=False), ev, ch, RenderOptions(mode,
+simplified=True))`` equals ``render_dot(S, ev, ch, RenderOptions(mode))``
+byte for byte.
 """
 
 from __future__ import annotations
@@ -59,42 +70,9 @@ def _stage_label(model: Model, stage_id: ElementId) -> str:
     return label
 
 
-def _hidden_stages(model: Model) -> set[ElementId]:
-    hidden: set[ElementId] = set()
-    for flow in model.flows:
-        hidden.update(flow.implicit_segments)
-    return hidden
-
-
-def _contracted_flows(
-    model: Model, hidden: set[ElementId]
-) -> list[tuple[ElementId, ElementId]]:
-    """Flow endpoints with normalization-inserted stages walked through.
-
-    From each flow out of a visible stage, the walk passes through hidden
-    stages only; the visible stages it reaches (other than the flow's
-    source) are the contracted targets, in depth-first preorder.
-    """
-    outgoing: dict[ElementId, list[ElementId]] = {}
-    for flow in model.flows:
-        outgoing.setdefault(flow.from_stage, []).append(flow.to_stage)
-
-    def through_hidden(stage: ElementId) -> list[ElementId]:
-        return outgoing.get(stage, []) if stage in hidden else []
-
-    pairs: dict[tuple[ElementId, ElementId], None] = {}
-    for flow in model.flows:
-        if flow.from_stage in hidden:
-            continue
-        for dst in graph.preorder([flow.to_stage], through_hidden):
-            if dst not in hidden and dst != flow.from_stage:
-                pairs[flow.from_stage, dst] = None
-    return list(pairs)
-
-
 def _clusters(
     model: Model,
-    hidden: set[ElementId],
+    hidden: frozenset[ElementId],
     filled: set[ElementId],
     quoted: dict[ElementId, str],
 ) -> list[str]:
@@ -152,22 +130,17 @@ def render_dot(
             text = event.id if event.label is None else f"{event.id}: {event.label}"
             legend.append(text)
 
-    hidden = _hidden_stages(model) if opts.simplified else set()
+    declared = model.declared() if opts.simplified else None
+    flows, hidden = declared or (
+        ((f.from_stage, f.to_stage) for f in model.flows), frozenset()
+    )
     quoted = {sid: _quote(model.qualified_name(sid)) for sid in model.stages}
 
     out = ["digraph tm {", "  rankdir=LR;", "  node [shape=box];"]
     out += _clusters(model, hidden, filled, quoted)
-    if opts.simplified and hidden:
-        for src, dst in _contracted_flows(model, hidden):
-            out.append(f"  {quoted[src]} -> {quoted[dst]};")
-    else:
-        for flow in model.flows:
-            out.append(f"  {quoted[flow.from_stage]} -> {quoted[flow.to_stage]};")
+    for src, dst in flows:
+        out.append(f"  {quoted[src]} -> {quoted[dst]};")
     for trig in model.triggers:
-        if opts.simplified and (
-            trig.from_stage in hidden or trig.to_stage in hidden
-        ):
-            continue
         out.append(
             f"  {quoted[trig.from_stage]} -> {quoted[trig.to_stage]} [style=dashed];"
         )

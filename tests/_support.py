@@ -1073,35 +1073,6 @@ def reference_flatten(events: list[EventDef], root: str) -> set[ElementId]:
     return out
 
 
-def reference_contracted_flows(
-    model: Model, hidden: set[ElementId]
-) -> list[tuple[ElementId, ElementId]]:
-    """The old ``render._contracted_flows``: recursion over every simple
-    path through hidden stages, and a linear ``not in pairs`` scan."""
-    outgoing: dict[ElementId, list[ElementId]] = {}
-    for flow in model.flows:
-        outgoing.setdefault(flow.from_stage, []).append(flow.to_stage)
-
-    def sinks(stage: ElementId, seen: frozenset[ElementId]) -> list[ElementId]:
-        if stage not in hidden:
-            return [stage]
-        out: list[ElementId] = []
-        for nxt in outgoing.get(stage, []):
-            if nxt in seen:
-                continue
-            out.extend(sinks(nxt, seen | {nxt}))
-        return out
-
-    pairs: list[tuple[ElementId, ElementId]] = []
-    for flow in model.flows:
-        if flow.from_stage in hidden:
-            continue
-        for dst in sinks(flow.to_stage, frozenset({flow.from_stage, flow.to_stage})):
-            if (flow.from_stage, dst) not in pairs:
-                pairs.append((flow.from_stage, dst))
-    return pairs
-
-
 def reference_iter_thimacs(model: Model) -> list:
     """The old recursive ``Model.iter_thimacs``."""
     out = []

@@ -6,25 +6,21 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tmkit import graph, render
+from tmkit import graph
 from tmkit.behavior import EventDef, flatten
-from tmkit.core import normalize
 from tmkit.diagnostics import sorted_diagnostics
 from tmkit.dsl import from_json, parse
 from tmkit.errors import ContainmentCycle, UnknownEvent
-from tmkit.render import RenderMode, RenderOptions, render_dot
 
 from _support import (
     random_digraph,
     random_model,
     reference_containment_cycles,
-    reference_contracted_flows,
     reference_flatten,
     reference_iter_thimacs,
     reference_parse,
@@ -260,28 +256,6 @@ def test_flatten_cycle_message_names_the_witness():
     ]
     with pytest.raises(ContainmentCycle, match=r"^event containment cycle: B -> C -> B$"):
         flatten(events, "A")
-
-
-@settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 1_000_000))
-def test_contracted_flows_match_recursive_walk(seed):
-    rng = random.Random(seed)
-    model = random_model(rng, max_thimacs=5, max_stages=12, max_flows=20)
-    hidden = {s for s in model.stages if rng.random() < 0.5}
-    assert render._contracted_flows(model, hidden) == reference_contracted_flows(
-        model, hidden
-    )
-
-
-@settings(max_examples=150, deadline=None)
-@given(seed=st.integers(0, 1_000_000))
-def test_simplified_dot_matches_recursive_contraction(seed):
-    model = normalize(random_model(random.Random(seed), max_flows=14), strict=False)
-    for mode in (RenderMode.STATIC, RenderMode.EVENT_OVERLAY):
-        opts = RenderOptions(mode=mode, simplified=True)
-        dot = render_dot(model, [], None, opts)
-        with mock.patch.object(render, "_contracted_flows", reference_contracted_flows):
-            assert dot == render_dot(model, [], None, opts)
 
 
 @settings(max_examples=100, deadline=None)
