@@ -162,16 +162,21 @@ HIDDEN_TRIGGER_DOC = {
 }
 
 
+def test_simplified_render_keeps_a_trigger_at_an_implicit_segment():
+    model = dsl.from_json(json.dumps(HIDDEN_TRIGGER_DOC)).model
+    plain = render_dot(model, [], None, RenderOptions())
+    assert '"b.create" -> "a.release" [style=dashed];' in plain
+    assert render_dot(model, [], None, RenderOptions(simplified=True)) == plain
+
+
 def test_simplified_render_noop_without_provenance(load_corpus):
     simplified = load_corpus("atm_simplified.tm")
     normalized = dsl.ParseResult(normalize(simplified.model), [], None, [])
     models = [
         load_corpus("atm_full.tm").model,
-        dsl.from_json(json.dumps(HIDDEN_TRIGGER_DOC)).model,
         dsl.from_json(dsl.to_json(simplified)).model,
         dsl.from_json(dsl.to_json(normalized)).model,
     ]
-    assert '"b.create" -> "a.release" [style=dashed];' in render_dot(models[1])
     for model in models:
         plain = render_dot(model, [], None, RenderOptions())
         assert render_dot(model, [], None, RenderOptions(simplified=True)) == plain
