@@ -12,13 +12,16 @@ the printer and ``json_io`` on first use. Functions are called through
 their modules (``dsl.parse``, ``render.render_dot``), so a wrapper set
 on the module attribute sees every call.
 
-``main`` turns the cyclic collector off before it runs a command. The
-pipeline makes no reference cycles (``tests/test_gc.py`` checks every
-step), so the collector could free nothing, and its full passes walk
-the whole model and trace for nothing. Memory is still freed by
-reference counting. ``run`` and every library function leave the
-collector as they found it, so a program that calls them in-process
-keeps its own setting.
+``main`` turns the cyclic collector off before it runs a command, for
+the whole process. The pipeline makes no reference cycles
+(``tests/test_gc.py`` checks every step), so the collector could free
+nothing, and its passes walk the whole model and trace for nothing.
+Memory is still freed by reference counting. A program that calls
+``run`` or the library in-process keeps its own setting: each pipeline
+function pauses the collector for its call only
+(``diagnostics.collector_paused``) and turns it back on if it was on.
+So a program that switches the collector from another thread while a
+call runs may find it on when the call returns.
 """
 
 from __future__ import annotations

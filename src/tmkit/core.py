@@ -58,7 +58,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from . import graph
-from .diagnostics import Diagnostic, Record, SourceSpan
+from .diagnostics import Diagnostic, Record, SourceSpan, collector_paused
 from .errors import (
     AmbiguousExpansion,
     DuplicateName,
@@ -424,9 +424,6 @@ class Model:
     def children(self, thimac: ElementId) -> list[ElementId]:
         return self.thimacs[thimac].children
 
-    def stages_in_order(self) -> list[Stage]:
-        return sorted(self.stages.values(), key=lambda s: s.id)
-
     def element_count(self) -> int:
         return (
             len(self.thimacs) + len(self.stages) + len(self.flows) + len(self.triggers)
@@ -504,6 +501,7 @@ def _expansion(src: Stage, dst: Stage) -> list[tuple[StageKind, ElementId]] | No
     return [(k, src.thimac) for k in src_ins] + [(k, dst.thimac) for k in dst_ins]
 
 
+@collector_paused
 def normalize(model: Model, strict: bool = True) -> Model:
     """Expand elided stage chains so every flow edge is legality-exact.
 

@@ -7,12 +7,42 @@ record declares ``__slots__`` and writes its own ``__init__``;
 import: the standard library's generator of record classes loads
 ``inspect``, ``ast`` and ``dis`` and compiles each class's methods from
 source, a start-up cost that every ``tm`` call would pay.
+
+Last, ``collector_paused`` pauses the cyclic collector for each call of
+a pipeline function whose work grows with its input.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+import gc
 from collections import namedtuple
+
+
+def collector_paused(function):
+    """``function`` run with the cyclic collector off, and turned back on
+    when it returns or raises if it was on at the call.
+
+    The pipeline makes no reference cycles (``tests/test_gc.py`` checks
+    every step), so the collector could free nothing during a call, and
+    its older-generation passes would walk the whole model or trace
+    being built. Memory is still freed by reference counting. A call
+    made with the collector off, as every call inside another paused
+    call or under ``tm``, goes straight through. The wrapper keeps the
+    function's name, docstring and signature."""
+
+    @functools.wraps(function)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return function(*args, **kwargs)
+        gc.disable()
+        try:
+            return function(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 class Severity(enum.Enum):

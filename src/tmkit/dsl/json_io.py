@@ -16,12 +16,13 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from ..behavior import Chronology, EventDef, check_containment
 from ..core import ElementId, Model, StageKind
-from ..diagnostics import Diagnostic, Severity, has_errors
+from ..diagnostics import Diagnostic, Severity, collector_paused, has_errors
 from ..errors import DuplicateName, DuplicateStageKind
 from .lexer import is_identifier
 from .parser import ParseResult, memory_unsupported
 
 
+@collector_paused
 def to_json(result: ParseResult) -> str:
     """The model document: exactly ``json.dumps(doc, indent=2) + "\n"``,
     written from fixed templates, since the indenting encoder runs in
@@ -100,6 +101,7 @@ def _list(indent: str, items: list[str]) -> str:
     return f"[{inner}{f',{inner}'.join(items)}\n{indent}]"
 
 
+@collector_paused
 def from_json(text: str) -> ParseResult:
     diags: list[Diagnostic] = []
 

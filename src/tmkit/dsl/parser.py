@@ -24,7 +24,8 @@ from .. import graph
 from ..behavior import Chronology, EventDef, check_containment
 from ..core import Model, StageKind, STAGE_KIND_NAMES
 from ..diagnostics import (
-    Diagnostic, Record, Severity, SourceSpan, has_errors, sorted_diagnostics
+    Diagnostic, Record, Severity, SourceSpan, collector_paused, has_errors,
+    sorted_diagnostics,
 )
 from ..errors import DuplicateName, DuplicateStageKind
 from .lexer import TokenKind, Tokens, string_value, tokenize
@@ -608,6 +609,7 @@ class _Lowering:
         return events
 
 
+@collector_paused
 def parse(text: str, file: str = "<input>") -> ParseResult:
     """Parse TM source text into a model plus behavior definitions."""
     tokens, diagnostics = tokenize(text, file)

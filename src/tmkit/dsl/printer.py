@@ -5,6 +5,7 @@ from __future__ import annotations
 from .. import graph
 from ..behavior import Chronology, EventDef
 from ..core import Model
+from ..diagnostics import collector_paused
 
 
 def _quote(label: str) -> str:
@@ -32,6 +33,7 @@ def _thimacs(model: Model) -> list[str]:
     return out
 
 
+@collector_paused
 def format_parts(
     model: Model,
     events: list[EventDef] | None = None,

@@ -28,7 +28,7 @@ import itertools
 from . import graph
 from .behavior import Chronology, EventDef
 from .core import ElementId, Model
-from .diagnostics import Record
+from .diagnostics import Record, collector_paused
 from .errors import UnknownHighlightEvent
 
 _FILL = "lightgoldenrod1"
@@ -101,6 +101,7 @@ def _clusters(
     return out
 
 
+@collector_paused
 def render_dot(
     model: Model,
     events: list[EventDef] | None = None,

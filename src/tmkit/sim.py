@@ -151,7 +151,7 @@ from .core import (
     StageKind,
     TriggerEdge,
 )
-from .diagnostics import Record
+from .diagnostics import Record, collector_paused
 from .errors import PreconditionViolated, StepBudgetExceeded
 from .validate import validate
 
@@ -753,6 +753,7 @@ class _Run:
         return quiet
 
 
+@collector_paused
 def simulate(
     model: Model,
     events: list[EventDef],
@@ -789,6 +790,7 @@ def simulate(
     return run.trace
 
 
+@collector_paused
 def coverage(model: Model, trace: Trace, events: list[EventDef]) -> dict:
     """Runtime coverage: which region stages actually fired.
 
@@ -953,6 +955,7 @@ def _chunks(trace: Trace, of: tuple | None = None) -> Iterator[tuple]:
         yield take()
 
 
+@collector_paused
 def trace_to_json(model: Model, trace: Trace) -> str:
     """Stable-keyed JSON rendering for golden comparisons and replay.
 

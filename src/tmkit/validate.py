@@ -43,7 +43,7 @@ from . import graph
 from .behavior import Chronology, EventDef, check_region
 from .core import LEGAL, Model, StageKind
 from .core import edge_legal as legality
-from .diagnostics import Diagnostic, Severity, sorted_diagnostics
+from .diagnostics import Diagnostic, Severity, collector_paused, sorted_diagnostics
 
 RULE_CODES = (
     "FLOW_ILLEGAL",
@@ -236,6 +236,7 @@ def _check_chronology_justified(
     return diags
 
 
+@collector_paused
 def validate(
     model: Model,
     events: list[EventDef] | None = None,
