@@ -22,7 +22,11 @@ leaving a set of stages cost their number to find. ``copy`` and
 ``normalize`` rebuild the indexes for the model they return;
 ``normalize`` swaps in its flows through ``replace_flows``.
 ``add_thimac`` refuses a name that no path could reach: an empty one, a
-dotted one, or a stage-kind word.
+dotted one, or a stage-kind word. ``add_flow`` and ``add_trigger``
+accept equal endpoints, and collapse a repeated edge to the first one
+and return its id. ``LEGAL`` has no step from a stage to itself, so a
+self-flow is left to the validator's FLOW_ILLEGAL, as a self-trigger is
+to its TRIGGER_SELF.
 
 ``_alloc`` (which every ``add_*`` that makes an element calls) and
 ``replace_flows`` are the only ways a model changes, and each bumps its
@@ -280,8 +284,6 @@ class Model:
     ) -> ElementId:
         src = self._resolve_endpoint(from_stage)
         dst = self._resolve_endpoint(to_stage)
-        if src == dst:
-            raise UnknownEndpoint("flow endpoints must differ")
         existing = self.find_flow(src, dst)
         if existing is not None:
             # parallel duplicates collapse to the first edge

@@ -19,7 +19,7 @@ from ..core import ElementId, Model, StageKind
 from ..diagnostics import Diagnostic, Severity, collector_paused, has_errors
 from ..errors import DuplicateName, DuplicateStageKind
 from .lexer import is_identifier
-from .parser import ParseResult, memory_unsupported
+from .parser import ParseResult, add_edge, memory_unsupported
 
 
 @collector_paused
@@ -220,33 +220,22 @@ def from_json(text: str) -> ParseResult:
         dst = stage_ref(entry.get("to"), "flow")
         if src is None or dst is None:
             continue
-        if src == dst:
-            err("JSON_MALFORMED", f"flow from '{entry['from']}' to itself")
-            continue
         segments = []
         for seg in entries(entry.get("implicitSegments", []), "flow implicitSegments"):
             sid = stage_ref(seg, "flow implicitSegments")
             if sid is not None:
                 segments.append(sid)
-        if model.find_flow(src, dst) is None:
-            model.edges[model.add_flow(src, dst)].implicit_segments = segments
+        duplicate = add_edge(model, "->", src, dst)
+        if duplicate:
+            diags += duplicate  # the first entry's segments stay with the edge
         else:
-            # as the parser does: a repeated flow collapses to the first
-            # edge, segments included
-            diags.append(
-                Diagnostic(
-                    Severity.WARNING,
-                    "DUPLICATE_EDGE",
-                    f"duplicate flow {model.qualified_name(src)} -> "
-                    f"{model.qualified_name(dst)} collapsed",
-                )
-            )
+            model.flows[-1].implicit_segments = segments
 
     for entry in objects(doc.get("triggers", []), "triggers"):
         src = stage_ref(entry.get("from"), "trigger")
         dst = stage_ref(entry.get("to"), "trigger")
         if src is not None and dst is not None:
-            model.add_trigger(src, dst)
+            diags += add_edge(model, "~>", src, dst)
 
     # the notation gives a memory no meaning: each entry is an error
     for _ in objects(doc.get("memories", []), "memories"):

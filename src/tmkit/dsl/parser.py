@@ -59,6 +59,30 @@ def memory_unsupported(span: SourceSpan | None = None) -> Diagnostic:
     )
 
 
+def add_edge(
+    model: Model, arrow: str, src: int, dst: int, span: SourceSpan | None = None
+) -> list[Diagnostic]:
+    """Add a flow (``->``) or a trigger (``~>``) from ``src`` to ``dst``,
+    as the parser and ``from_json`` do for every edge they read. A
+    repeated edge collapses to the first one, and the one DUPLICATE_EDGE
+    warning that reports it is returned; a new edge returns none."""
+    flow = arrow == "->"
+    before = len(model.edges)
+    (model.add_flow if flow else model.add_trigger)(src, dst, span)
+    if len(model.edges) > before:
+        return []
+    name = model.qualified_name
+    return [
+        Diagnostic(
+            Severity.WARNING,
+            "DUPLICATE_EDGE",
+            f"duplicate {'flow' if flow else 'trigger'} {name(src)} {arrow} "
+            f"{name(dst)} collapsed",
+            span,
+        )
+    ]
+
+
 # -- statement-level AST ----------------------------------------------
 # Slotted classes without ``Record``'s ``==`` and ``repr``: lowering
 # only reads them.
@@ -473,11 +497,8 @@ class _Lowering:
         self.model = Model()
         self.diagnostics: list[Diagnostic] = []
 
-    def diag(
-        self, code: str, message: str, span: SourceSpan,
-        severity: Severity = Severity.ERROR,
-    ) -> None:
-        self.diagnostics.append(Diagnostic(severity, code, message, span))
+    def diag(self, code: str, message: str, span: SourceSpan) -> None:
+        self.diagnostics.append(Diagnostic(Severity.ERROR, code, message, span))
 
     def declare_thimacs(self) -> None:
         """Declarations in preorder, so ids are allocated as written; a
@@ -532,34 +553,15 @@ class _Lowering:
             for src_path, dst_path in zip(stmt.paths, stmt.paths[1:]):
                 src = self.resolve_stage(src_path)
                 dst = self.resolve_stage(dst_path)
-                if src is None or dst is None:
-                    continue
-                if src == dst:
-                    self.diag(
-                        "UNRESOLVED_PATH",
-                        "flow endpoints coincide at "
-                        f"'{self.model.qualified_name(src)}'",
-                        stmt.span,
-                    )
-                    continue
-                if self.model.find_flow(src, dst) is not None:
-                    self.diag(
-                        "DUPLICATE_EDGE",
-                        "duplicate flow "
-                        f"{self.model.qualified_name(src)} -> "
-                        f"{self.model.qualified_name(dst)} collapsed",
-                        stmt.span,
-                        Severity.WARNING,
-                    )
-                    continue
-                self.model.add_flow(src, dst, span=stmt.span)
+                if src is not None and dst is not None:
+                    self.diagnostics += add_edge(self.model, "->", src, dst, stmt.span)
 
     def lower_triggers(self) -> None:
         for stmt in self.p.triggers:
             src = self.resolve_stage(stmt.src)
             dst = self.resolve_stage(stmt.dst)
             if src is not None and dst is not None:
-                self.model.add_trigger(src, dst, span=stmt.span)
+                self.diagnostics += add_edge(self.model, "~>", src, dst, stmt.span)
 
     def region_members(self, path: _Path) -> set[int]:
         """A region path: a stage, or a thimac meaning all its stages."""

@@ -11,7 +11,7 @@ any error here, and so a model that is not normalized.
 
 Rule codes
 ----------
-FLOW_ILLEGAL         flow edge outside ``core.LEGAL`` (error)
+FLOW_ILLEGAL         flow edge outside ``core.LEGAL``, a self-flow too (error)
 ORIGIN_MISSING       flow component with no origin (error)
 TRIGGER_SELF         trigger from a stage to itself (warning)
 STAGE_UNREACHABLE    stage with no incident edges (warning)
@@ -20,7 +20,6 @@ REGION_DISCONNECTED  region not weakly connected (warning)
 EVENT_EMPTY          event with an empty region (error)
 CHRONO_CYCLE         chronology has a directed cycle (error)
 CHRONO_UNKNOWN_EVENT chronology references an undeclared event (error)
-CHRONO_UNJUSTIFIED   chronology edge with unrelated regions (opt-in warning)
 
 The four model-level rules (FLOW_ILLEGAL, ORIGIN_MISSING, TRIGGER_SELF,
 STAGE_UNREACHABLE) read the model alone, and their verdict is stored on
@@ -55,7 +54,6 @@ RULE_CODES = (
     "EVENT_EMPTY",
     "CHRONO_CYCLE",
     "CHRONO_UNKNOWN_EVENT",
-    "CHRONO_UNJUSTIFIED",
 )
 
 
@@ -204,53 +202,16 @@ def _check_chronology(
     return diags
 
 
-def _check_chronology_justified(
-    model: Model, chronology: Chronology, events: list[EventDef]
-) -> list[Diagnostic]:
-    by_id = {e.id: e for e in events}
-    diags = []
-    for a, b in chronology.edges:
-        ea, eb = by_id.get(a), by_id.get(b)
-        if ea is None or eb is None:
-            continue
-        if ea.region & eb.region:
-            continue
-        # an edge from one region into the other, found by source
-        linked = any(
-            dst in other
-            for index in (model.flows_from, model.triggers_from)
-            for region, other in ((ea.region, eb.region), (eb.region, ea.region))
-            for src in region
-            for dst in index.get(src, ())
-        )
-        if not linked:
-            diags.append(
-                Diagnostic(
-                    Severity.WARNING,
-                    "CHRONO_UNJUSTIFIED",
-                    f"chronology edge {a} -> {b} joins regions with no "
-                    "shared element or connecting edge",
-                    span=chronology.span,
-                )
-            )
-    return diags
-
-
 @collector_paused
 def validate(
     model: Model,
     events: list[EventDef] | None = None,
     chronology: Chronology | None = None,
-    *,
-    lint_chronology: bool = False,
 ) -> list[Diagnostic]:
     """Run every rule; an empty result means the inputs are accepted.
 
     The model-level rules are not run again on a model whose stored
     verdict is current (see the module docstring).
-
-    ``lint_chronology`` additionally warns about chronology edges whose
-    regions share nothing (CHRONO_UNJUSTIFIED).
     """
     events = events or []
     stored = model._verdict
@@ -271,8 +232,6 @@ def validate(
         diags += check_region(model, event)
     if chronology is not None:
         diags += _check_chronology(chronology, events)
-        if lint_chronology:
-            diags += _check_chronology_justified(model, chronology, events)
     return sorted_diagnostics(diags)
 
 

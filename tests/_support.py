@@ -349,30 +349,6 @@ def reference_region_edges(model: Model, region: set[ElementId]) -> tuple[list, 
     return flows, triggers
 
 
-def reference_chronology_unjustified(
-    model: Model, chronology: Chronology, events: list[EventDef]
-) -> list[tuple[str, str]]:
-    """The chronology edges between two declared events whose regions
-    share no element and are joined by no flow or trigger in either
-    direction, by a scan of every edge for each chronology edge: the
-    oracle for the validator's CHRONO_UNJUSTIFIED lint."""
-    by_id = {e.id: e for e in events}
-    out = []
-    for a, b in chronology.edges:
-        if a not in by_id or b not in by_id:
-            continue
-        ra, rb = by_id[a].region, by_id[b].region
-        if ra & rb:
-            continue
-        if not any(
-            (e.from_stage in ra and e.to_stage in rb)
-            or (e.from_stage in rb and e.to_stage in ra)
-            for e in (*model.flows, *model.triggers)
-        ):
-            out.append((a, b))
-    return out
-
-
 def random_legal_chain_model(rng: random.Random, machines: int = 3) -> Model:
     """A simplified-style model whose flows all admit legal expansion.
 

@@ -28,6 +28,7 @@ from tmkit.errors import (
     UnknownParent,
     UnknownThimac,
 )
+from tmkit.validate import validate
 
 from conftest import CORPUS_NAMES
 from _support import (
@@ -143,9 +144,12 @@ def test_add_flow_unknown_endpoint():
         model.add_flow(a[StageKind.CREATE], 12345)
     with pytest.raises(UnknownEndpoint):
         model.add_flow("a.create", "a.transfer")
-    with pytest.raises(UnknownEndpoint, match="flow endpoints must differ"):
-        model.add_flow(a[StageKind.CREATE], a[StageKind.CREATE])
     assert model.flows == []
+    # equal endpoints make an edge, which validation reports as illegal
+    edge = model.add_flow(a[StageKind.CREATE], a[StageKind.CREATE])
+    assert [f.id for f in model.flows] == [edge]
+    [illegal] = [d for d in validate(model) if d.code == "FLOW_ILLEGAL"]
+    assert illegal.element == edge
 
 
 def test_add_flow_accepts_paths():

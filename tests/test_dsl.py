@@ -11,11 +11,14 @@ from hypothesis import strategies as st
 
 from tmkit import dsl
 from tmkit.behavior import Chronology, EventDef
+from tmkit.cli import run
 from tmkit.core import Model, StageKind, model_equal, normalize
 from tmkit.diagnostics import Diagnostic, Severity, SourceSpan
+from tmkit.errors import AmbiguousExpansion
 
 from tmkit.corpus import corpus_path
 from tmkit.dsl.lexer import TokenKind, tokenize
+from tmkit.validate import validate
 
 from _support import (
     random_legal_chain_model,
@@ -802,9 +805,9 @@ def test_from_json_list_fields_that_are_not_lists(doc, field):
         (
             {
                 "thimacs": [{"name": "a", "stages": [{"kind": "create"}]}],
-                "flows": [{"from": "a.create", "to": "a.create"}],
+                "flows": [{"from": "a.create", "to": 5}],
             },
-            "flow from 'a.create' to itself",
+            "flow: stage reference must be a string",
         ),
         (
             {"thimacs": [{"name": "a", "parent": [1]}]},
@@ -831,6 +834,44 @@ def test_from_json_values_of_the_wrong_shape(doc, message):
     assert [(d.code, d.message) for d in errors(result)] == [
         ("JSON_MALFORMED", message)
     ]
+
+
+def test_a_self_flow_is_an_illegal_flow_in_both_front_ends(tmp_path, capsys):
+    """Text and JSON both accept a flow from a stage to itself; what
+    ``tm validate`` and ``tm normalize`` report for it is the same line,
+    but for the location."""
+    path = tmp_path / "self.tm"
+    path.write_text(
+        "thimac a { stage create; stage process; }\n"
+        "flow a.create -> a.process;\n"
+        "flow a.process -> a.process;\n"
+    )
+    flow = "flow a.process -> a.process"
+    illegal = f"error[FLOW_ILLEGAL] {flow} is not a legal within-machine step"
+    ambiguous = f"error[AMBIGUOUS_EXPANSION] {flow} has no legal expansion"
+    assert run(["parse", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+    assert run(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == f"{path}:3:1: {illegal}\n"
+    assert run(["normalize", str(path)]) == 1
+    assert capsys.readouterr().err == f"{path}:3:1: {ambiguous}\n"
+
+    loaded = dsl.from_json(json.dumps({
+        "thimacs": [
+            {"name": "a", "stages": [{"kind": "create"}, {"kind": "process"}]}
+        ],
+        "flows": [
+            {"from": "a.create", "to": "a.process"},
+            {"from": "a.process", "to": "a.process"},
+        ],
+    }))
+    assert loaded.diagnostics == []
+    # the steps of tm validate and tm normalize
+    diags = validate(normalize(loaded.model, strict=False), loaded.events)
+    assert [d.render() for d in diags] == [f"<model>: {illegal}"]
+    with pytest.raises(AmbiguousExpansion) as raised:
+        normalize(loaded.model)
+    assert f"error[AMBIGUOUS_EXPANSION] {raised.value}" == ambiguous
 
 
 @pytest.mark.parametrize(
@@ -1003,6 +1044,10 @@ def test_from_json_reports_a_repeated_flow_as_the_parser_does():
         "flow a.create -> a.process -> a.b;\n"
         "flow a.b.transfer -> a.process;\n"
         "flow a.b -> a.process;\n"
+        "trigger a.process ~> a.create;\n"
+        "trigger a.b ~> a.create;\n"
+        "trigger a.process ~> a.create;\n"
+        "trigger a.b.transfer ~> a.create;\n"
     )
     parsed = dsl.parse(source, "dup.tm")
     doc = json.loads(dsl.to_json(parsed))
@@ -1017,10 +1062,20 @@ def test_from_json_reports_a_repeated_flow_as_the_parser_does():
             ("a.b", "a.process"),
         ]
     ]
+    doc["triggers"] = [
+        {"from": a, "to": "a.create"}
+        for a in ["a.process", "a.b", "a.process", "a.b.transfer"]
+    ]
     loaded = dsl.from_json(json.dumps(doc))
     want = [(d.severity, d.code, d.message) for d in parsed.diagnostics]
     assert [(d.severity, d.code, d.message) for d in loaded.diagnostics] == want
-    assert len(want) == 2 and {code for _, code, _ in want} == {"DUPLICATE_EDGE"}
+    assert [(code, message) for _, code, message in want] == [
+        ("DUPLICATE_EDGE", "duplicate flow a.create -> a.process collapsed"),
+        ("DUPLICATE_EDGE", "duplicate flow a.b.transfer -> a.process collapsed"),
+        ("DUPLICATE_EDGE", "duplicate trigger a.process ~> a.create collapsed"),
+        ("DUPLICATE_EDGE", "duplicate trigger a.b.transfer ~> a.create collapsed"),
+    ]
+    assert [len(m.triggers) for m in (parsed.model, loaded.model)] == [2, 2]
     assert dsl.to_json(loaded) == dsl.to_json(parsed)
 
 

@@ -91,7 +91,7 @@ def _check_downstream(result) -> None:
     if result.model is None:
         return
     norm = normalize(result.model, strict=False)
-    validate(norm, result.events, result.chronology, lint_chronology=True)
+    validate(norm, result.events, result.chronology)
     for model in (result.model, norm):
         dsl.format_parts(model, result.events, result.chronology)
         for mode in RenderMode:

@@ -13,9 +13,11 @@ from hypothesis import strategies as st
 
 from tmkit import graph
 from tmkit.behavior import EventDef, flatten
+from tmkit.core import normalize
 from tmkit.diagnostics import sorted_diagnostics
 from tmkit.dsl import from_json, parse
 from tmkit.errors import ContainmentCycle, UnknownEvent
+from tmkit.validate import validate
 
 from _support import (
     random_digraph,
@@ -173,16 +175,6 @@ def _containment_source(events: list[tuple[str, list[str]]]) -> str:
     return "\n".join(lines)
 
 
-def _containment_document(events: list[tuple[str, list[str]]]) -> str:
-    """The same events as a model document."""
-    return json.dumps({
-        "thimacs": [{"name": "a", "stages": [{"kind": "create"}]}],
-        "events": [
-            {"id": eid, "region": ["a.create"], "contains": subs} for eid, subs in events
-        ],
-    })
-
-
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 1_000_000))
 def test_event_cycle_diagnostics_match_recursive_check(seed):
@@ -193,24 +185,117 @@ def test_event_cycle_diagnostics_match_recursive_check(seed):
     assert result.diagnostics == reference_parse(text, "c.tm").diagnostics
 
 
+_KIND_WORDS = ["create", "process", "release", "transfer", "receive"]
+
+
+def _element_spec(rng: random.Random) -> dict:
+    """Root thimacs, each with stage kinds and at most one child: some
+    names and kinds repeated. Flows (chains too) and triggers among the
+    stages a path reaches, with self-edges, a thimac's port to itself
+    among them, and repeats. Events from ``_containment_events``, each
+    over one stage, or none."""
+    thimacs = []  # (name, kinds, child's (name, kinds) or None)
+    stage_paths: list[str] = []
+    port_paths: list[str] = []  # a thimac path, meaning its transfer stage
+    names = rng.sample("abc", rng.randint(1, 3))
+    if rng.random() < 0.3:
+        names.append(rng.choice(names))
+    for i, name in enumerate(names):
+        kinds = rng.sample(_KIND_WORDS, rng.randint(1, 3))
+        if rng.random() < 0.2:
+            kinds.append(rng.choice(kinds))
+        if name in names[:i]:
+            # dropped with its body, so it gets no child and no paths
+            thimacs.append((name, kinds, None))
+            continue
+        child = ("d", rng.sample(_KIND_WORDS, rng.randint(1, 3))) if rng.random() < 0.4 else None
+        thimacs.append((name, kinds, child))
+        owners = [(name, kinds)] + ([(f"{name}.d", child[1])] if child else [])
+        for path, declared in owners:
+            stage_paths += [f"{path}.{kind}" for kind in dict.fromkeys(declared)]
+            if "transfer" in declared:
+                port_paths.append(path)
+    ends = stage_paths + port_paths
+    flows = [
+        [rng.choice(ends) for _ in range(rng.randint(2, 3))]
+        for _ in range(rng.randint(0, 5))
+    ]
+    triggers = [[rng.choice(ends), rng.choice(ends)] for _ in range(rng.randint(0, 4))]
+    events = _containment_events(rng) if rng.random() < 0.5 else []
+    return {
+        "thimacs": thimacs,
+        "flows": flows,
+        "triggers": triggers,
+        "events": [(eid, subs, rng.choice(stage_paths)) for eid, subs in events],
+    }
+
+
+def _element_source(spec: dict) -> str:
+    lines = []
+    for name, kinds, child in spec["thimacs"]:
+        body = " ".join(f"stage {kind};" for kind in kinds)
+        if child:
+            body += f" thimac {child[0]} {{ "
+            body += " ".join(f"stage {kind};" for kind in child[1]) + " }"
+        lines.append(f"thimac {name} {{ {body} }}")
+    lines += [f"flow {' -> '.join(chain)};" for chain in spec["flows"]]
+    lines += [f"trigger {a} ~> {b};" for a, b in spec["triggers"]]
+    for eid, subs, region in spec["events"]:
+        contains = f" contains {', '.join(subs)};" if subs else ""
+        lines.append(f"event {eid} {{ region {{ {region}; }}{contains} }}")
+    return "\n".join(lines)
+
+
+def _element_document(spec: dict) -> str:
+    """The same spec as a model document, a flow chain as its steps."""
+    thimacs = []
+    for name, kinds, child in spec["thimacs"]:
+        thimacs.append({"name": name, "stages": [{"kind": k} for k in kinds]})
+        if child:
+            thimacs.append({
+                "name": f"{name}.{child[0]}",
+                "parent": name,
+                "stages": [{"kind": k} for k in child[1]],
+            })
+    return json.dumps({
+        "thimacs": thimacs,
+        "flows": [
+            {"from": a, "to": b} for chain in spec["flows"] for a, b in zip(chain, chain[1:])
+        ],
+        "triggers": [{"from": a, "to": b} for a, b in spec["triggers"]],
+        "events": [
+            {"id": eid, "region": [region], "contains": subs}
+            for eid, subs, region in spec["events"]
+        ],
+    })
+
+
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 1_000_000))
 def test_json_containment_diagnostics_match_parse(seed):
-    """``from_json`` reports the containment rule as ``parse`` does, an
-    undeclared sub-event as DANGLING_REF where the text reports
-    UNRESOLVED_PATH."""
-    events = _containment_events(random.Random(seed))
-    rule = {"DUPLICATE_DEF", "EVENT_CYCLE", "UNRESOLVED_PATH"}
-    from_text = Counter(
-        (d.code, d.message) for d in parse(_containment_source(events), "c.tm").diagnostics
-        if d.code in rule
-    )
-    # the document has nothing else to report
-    from_document = Counter(
-        ("UNRESOLVED_PATH" if d.code == "DANGLING_REF" else d.code, d.message)
-        for d in from_json(_containment_document(events)).diagnostics
-    )
-    assert from_document == from_text
+    """``from_json`` reports every element rule as ``parse`` does:
+    repeated thimacs and stage kinds, repeated flows and triggers, and
+    containment, an undeclared sub-event as DANGLING_REF where the text
+    reports UNRESOLVED_PATH. A self-flow is no front-end finding in
+    either, and validation judges both models alike."""
+    spec = _element_spec(random.Random(seed))
+    parsed = parse(_element_source(spec), "c.tm")
+    loaded = from_json(_element_document(spec))
+    assert Counter(
+        (d.severity, "UNRESOLVED_PATH" if d.code == "DANGLING_REF" else d.code, d.message)
+        for d in loaded.diagnostics
+    ) == Counter((d.severity, d.code, d.message) for d in parsed.diagnostics)
+    if parsed.model is None:
+        assert loaded.model is None
+        return
+    found = [
+        sorted(
+            (d.code, d.message)
+            for d in validate(normalize(r.model, strict=False), r.events, r.chronology)
+        )
+        for r in (parsed, loaded)
+    ]
+    assert found[0] == found[1]
 
 
 def _flatten_outcome(fn, events, root):

@@ -31,7 +31,6 @@ from _support import (
     random_legal_chain_model,
     random_model,
     reference_chronology_cycle,
-    reference_chronology_unjustified,
 )
 
 
@@ -233,83 +232,6 @@ def test_chronology_unknown_event():
     chrono = Chronology()
     chrono.add_edge("A", "GHOST")
     assert "CHRONO_UNKNOWN_EVENT" in codes(validate(model, events, chrono))
-
-
-def test_chronology_lint_is_opt_in():
-    model = Model()
-    t1 = model.add_thimac("a")
-    s1 = model.add_stage(t1, StageKind.CREATE)
-    t2 = model.add_thimac("b")
-    s2 = model.add_stage(t2, StageKind.CREATE)
-    events = [EventDef("A", region={s1}), EventDef("B", region={s2})]
-    chrono = Chronology()
-    chrono.add_edge("A", "B")
-    assert "CHRONO_UNJUSTIFIED" not in codes(validate(model, events, chrono))
-    linted = validate(model, events, chrono, lint_chronology=True)
-    assert "CHRONO_UNJUSTIFIED" in codes(linted, Severity.WARNING)
-    model.add_trigger(s2, s1)
-    linted = validate(model, events, chrono, lint_chronology=True)
-    assert "CHRONO_UNJUSTIFIED" not in codes(linted)
-
-
-def test_chronology_lint_skips_an_edge_to_an_undeclared_event():
-    model = Model()
-    sid = model.add_stage(model.add_thimac("a"), StageKind.CREATE)
-    chrono = Chronology()
-    chrono.add_edge("A", "GHOST")
-    diags = validate(model, [EventDef("A", region={sid})], chrono, lint_chronology=True)
-    assert "CHRONO_UNKNOWN_EVENT" in codes(diags)
-    assert "CHRONO_UNJUSTIFIED" not in codes(diags)
-
-
-@settings(max_examples=80, deadline=None)
-@given(seed=st.integers(0, 100_000))
-def test_chronology_lint_matches_the_full_scan_on_generated_models(seed):
-    rng = random.Random(seed)
-    model = random_model(rng, max_thimacs=5, max_stages=12, max_flows=10)
-    stages = list(model.stages)
-    for _ in range(rng.randint(0, 4)):
-        model.add_trigger(rng.choice(stages), rng.choice(stages))
-    ids = [*stages, *model.thimacs, 0]
-    names = [f"E{k}" for k in range(rng.randint(1, 6))]
-    events = [
-        EventDef(n, region=set(rng.sample(ids, rng.randint(1, min(3, len(ids))))))
-        for n in names
-    ]
-    chrono = Chronology()
-    for _ in range(rng.randint(1, 8)):
-        chrono.add_edge(*rng.sample([*names, "GHOST"], 2))
-    _assert_lint_matches_the_scan(model, events, chrono)
-
-
-def _assert_lint_matches_the_scan(model, events, chrono):
-    diags = validate(model, events, chrono, lint_chronology=True)
-    got = sorted(d.message for d in diags if d.code == "CHRONO_UNJUSTIFIED")
-    want = sorted(
-        f"chronology edge {a} -> {b} joins regions with no shared element "
-        "or connecting edge"
-        for a, b in reference_chronology_unjustified(model, chrono, events)
-    )
-    assert got == want
-    return got
-
-
-@pytest.mark.parametrize("variant", [0, 1])
-def test_chronology_lint_matches_the_full_scan_on_benchmark_models(variant):
-    """The benchmark's chronology models: 100 events over 200 machines,
-    whose chronology edges join windows of the same chain or of others."""
-    gen = runpy.run_path(str(Path(__file__).parent.parent / "tmbench" / "gen.py"))
-    result = dsl.parse(gen["chronology"](variant), "chronology.tm")
-    got = _assert_lint_matches_the_scan(result.model, result.events, result.chronology)
-    assert 0 < len(got) < len(result.chronology.edges)
-
-
-def test_chronology_lint_accepts_justified_edges(load_corpus):
-    result = load_corpus("atm_full.tm")
-    diags = validate(
-        result.model, result.events, result.chronology, lint_chronology=True
-    )
-    assert "CHRONO_UNJUSTIFIED" not in codes(diags)
 
 
 # -- determinism ---------------------------------------------------------------
