@@ -21,6 +21,11 @@ building and resolving a model is linear in its size, and the edges
 leaving a set of stages cost their number to find. ``copy`` and
 ``normalize`` rebuild the indexes for the model they return;
 ``normalize`` swaps in its flows through ``replace_flows``.
+The lookups make nothing: ``find_stage`` reads a path that ends at a
+thimac as its transfer port only if the port exists, so ``add_flow``
+and ``add_trigger``, which look up string ends with it, leave no new
+stage behind when they fail. The front ends read a path through
+``dsl.parser.stage_at``, which makes the port.
 ``add_thimac`` refuses a name that no path could reach: an empty one, a
 dotted one, or a stage-kind word. ``add_flow`` and ``add_trigger``
 accept equal endpoints, and collapse a repeated edge to the first one
@@ -358,8 +363,11 @@ class Model:
         A trailing stage-kind segment gives the kind (``None`` without
         one); the segments before it walk the thimac tree from the
         roots. The id is ``None`` when those segments are empty or name
-        no thimac. This is the one path resolver: the parser, JSON
-        import and ``find_stage`` each add only their own diagnostics.
+        no thimac. This is the one path resolver. Both front ends read a
+        path through ``dsl.parser.stage_at`` (a flow or trigger end) and
+        ``stages_at`` (a region path), which add what a path means and
+        the one message for a path that names nothing; ``find_stage`` is
+        a lookup over it.
         """
         kind = STAGE_KIND_NAMES.get(segments[-1]) if segments else None
         if kind is not None:

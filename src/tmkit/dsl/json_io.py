@@ -5,8 +5,12 @@ The document layout is described by ``schemas/tm-model.schema.json``.
 
 Each name is handled once per document: ``to_json`` quotes each thimac
 and stage name once and fills fixed templates, and ``from_json``
-resolves each distinct stage reference once (a dangling one is still
-reported at every occurrence).
+resolves each distinct flow or trigger end, and each distinct region
+entry, once if it names something. It reads them as the parser reads
+a path, through ``parser.stage_at`` and ``stages_at``, and reports one
+that names nothing as DANGLING_REF at every occurrence, with the
+parser's message after the entry's context. An ``implicitSegments``
+entry is a lookup (``Model.find_stage``), which makes no stage.
 """
 
 from __future__ import annotations
@@ -17,9 +21,9 @@ from json.encoder import encode_basestring_ascii as _quote
 from ..behavior import Chronology, EventDef, check_containment
 from ..core import ElementId, Model, StageKind
 from ..diagnostics import Diagnostic, Severity, collector_paused, has_errors
-from ..errors import DuplicateName, DuplicateStageKind
+from ..errors import DuplicateName, DuplicateStageKind, UnknownEndpoint
 from .lexer import is_identifier
-from .parser import ParseResult, add_edge, memory_unsupported
+from .parser import ParseResult, add_edge, memory_unsupported, stage_at, stages_at
 
 
 @collector_paused
@@ -200,30 +204,38 @@ def from_json(text: str) -> ParseResult:
             except DuplicateStageKind as exc:
                 err("DUPLICATE_DEF", str(exc))
 
-    # the thimacs are all in: each distinct reference is resolved once
-    resolved: dict[str, ElementId | None] = {}
+    # the thimacs are all in. A bare thimac is its port as an end and all
+    # its stages in a region, so each reading keeps its own memo of the
+    # references it resolved; one that did not is read again where it
+    # recurs, since a later end may make the port it names
+    ends: dict[str, ElementId] = {}
+    regions: dict[str, list[ElementId]] = {}
 
-    def stage_ref(qualified, context: str) -> ElementId | None:
-        if not isinstance(qualified, str):
+    def read(ref, context: str, memo: dict, at=stage_at):
+        if not isinstance(ref, str):
             err("JSON_MALFORMED", f"{context}: stage reference must be a string")
             return None
-        if qualified in resolved:
-            sid = resolved[qualified]
-        else:
-            sid = resolved[qualified] = model.find_stage(qualified)
-        if sid is None:
-            err("DANGLING_REF", f"{context}: no stage at '{qualified}'")
-        return sid
+        found = memo.get(ref)
+        if found is None:
+            try:
+                found = memo[ref] = at(model, ref.split("."))
+            except UnknownEndpoint as exc:
+                err("DANGLING_REF", f"{context}: {exc}")
+        return found
 
     for entry in objects(doc.get("flows", []), "flows"):
-        src = stage_ref(entry.get("from"), "flow")
-        dst = stage_ref(entry.get("to"), "flow")
+        src = read(entry.get("from"), "flow", ends)
+        dst = read(entry.get("to"), "flow", ends)
         if src is None or dst is None:
             continue
         segments = []
         for seg in entries(entry.get("implicitSegments", []), "flow implicitSegments"):
-            sid = stage_ref(seg, "flow implicitSegments")
-            if sid is not None:
+            # a lookup: a bare thimac here is a port that already exists
+            if not isinstance(seg, str):
+                err("JSON_MALFORMED", "flow implicitSegments: stage reference must be a string")
+            elif (sid := model.find_stage(seg)) is None:
+                err("DANGLING_REF", f"flow implicitSegments: no stage at '{seg}'")
+            else:
                 segments.append(sid)
         duplicate = add_edge(model, "->", src, dst)
         if duplicate:
@@ -232,8 +244,8 @@ def from_json(text: str) -> ParseResult:
             model.flows[-1].implicit_segments = segments
 
     for entry in objects(doc.get("triggers", []), "triggers"):
-        src = stage_ref(entry.get("from"), "trigger")
-        dst = stage_ref(entry.get("to"), "trigger")
+        src = read(entry.get("from"), "trigger", ends)
+        dst = read(entry.get("to"), "trigger", ends)
         if src is not None and dst is not None:
             diags += add_edge(model, "~>", src, dst)
 
@@ -256,9 +268,7 @@ def from_json(text: str) -> ParseResult:
         declared.add(eid)
         region: set[int] = set()
         for ref in entries(entry.get("region", []), f"event '{eid}' region"):
-            sid = stage_ref(ref, f"event '{eid}' region")
-            if sid is not None:
-                region.add(sid)
+            region.update(read(ref, f"event '{eid}' region", regions, stages_at) or ())
         label = entry.get("label")
         if label is not None and not isinstance(label, str):
             err("JSON_MALFORMED", f"event '{eid}' label must be a string or null")

@@ -27,7 +27,7 @@ from ..diagnostics import (
     Diagnostic, Record, Severity, SourceSpan, collector_paused, has_errors,
     sorted_diagnostics,
 )
-from ..errors import DuplicateName, DuplicateStageKind
+from ..errors import DuplicateName, DuplicateStageKind, UnknownEndpoint
 from .lexer import TokenKind, Tokens, string_value, tokenize
 
 
@@ -81,6 +81,50 @@ def add_edge(
             span,
         )
     ]
+
+
+def stage_at(model: Model, segments: list[str]) -> int:
+    """The stage a flow or trigger end names, in both front ends: a
+    trailing stage kind names that stage, and a path that ends at a
+    thimac names its transfer port, which is made if absent. Raises
+    ``UnknownEndpoint`` if the path names neither."""
+    tid, kind = model.resolve(segments)
+    return _stage(model, segments, tid, kind)
+
+
+def _stage(
+    model: Model, segments: list[str], tid: int | None, kind: StageKind | None
+) -> int:
+    """``stage_at`` of a path that ``Model.resolve`` read as ``(tid, kind)``."""
+    if tid is None:
+        named = segments[:-1] if kind is not None else segments
+        raise UnknownEndpoint(f"no thimac at path '{'.'.join(named)}'")
+    if kind is None:
+        return model.ensure_transfer(tid)
+    sid = model.thimacs[tid].stages.get(kind)
+    if sid is None:
+        raise UnknownEndpoint(
+            f"thimac '{'.'.join(segments[:-1])}' has no {kind.value} stage"
+        )
+    return sid
+
+
+def stages_at(model: Model, segments: list[str]) -> list[int]:
+    """The stages a region path names, in both front ends: one stage, or
+    every stage of a thimac and of its parts. Raises ``UnknownEndpoint``
+    as ``stage_at`` does, or if the thimac and its parts have no stage."""
+    tid, kind = model.resolve(segments)
+    if tid is None or kind is not None:
+        return [_stage(model, segments, tid, kind)]
+    stages = [
+        sid
+        for cur, _, entering in graph.tree([tid], model.children)
+        if entering
+        for sid in model.thimacs[cur].stages.values()
+    ]
+    if not stages:
+        raise UnknownEndpoint(f"thimac '{'.'.join(segments)}' has no stages to include")
+    return stages
 
 
 # -- statement-level AST ----------------------------------------------
@@ -521,68 +565,28 @@ class _Lowering:
                     self.diag("DUPLICATE_DEF", str(exc), stage.span)
             pending.extend((child, tid) for child in reversed(decl.children))
 
-    def unresolved_thimac(self, path: _Path, kind: StageKind | None) -> None:
-        # a path starts with a name, so its thimac segments are never empty
-        segments = path.segments[:-1] if kind is not None else path.segments
-        self.diag(
-            "UNRESOLVED_PATH", f"no thimac at path '{'.'.join(segments)}'", path.span
-        )
-
-    def resolve_stage(self, path: _Path) -> int | None:
-        """A path names a stage; one ending at a thimac means its port."""
-        tid, kind = self.model.resolve(path.segments)
-        if tid is None:
-            self.unresolved_thimac(path, kind)
+    def resolve(self, path: _Path, read=stage_at):
+        """What ``read`` finds at the path, or None, reported at its span."""
+        try:
+            return read(self.model, path.segments)
+        except UnknownEndpoint as exc:
+            self.diag("UNRESOLVED_PATH", str(exc), path.span)
             return None
-        if kind is None:
-            return self.model.ensure_transfer(tid)
-        return self.stage_of(path, tid, kind)
-
-    def stage_of(self, path: _Path, tid: int, kind: StageKind) -> int | None:
-        sid = self.model.thimacs[tid].stages.get(kind)
-        if sid is None:
-            self.diag(
-                "UNRESOLVED_PATH",
-                f"thimac '{'.'.join(path.segments[:-1])}' has no {kind.value} stage",
-                path.span,
-            )
-        return sid
 
     def lower_flows(self) -> None:
         for stmt in self.p.flows:
             for src_path, dst_path in zip(stmt.paths, stmt.paths[1:]):
-                src = self.resolve_stage(src_path)
-                dst = self.resolve_stage(dst_path)
+                src = self.resolve(src_path)
+                dst = self.resolve(dst_path)
                 if src is not None and dst is not None:
                     self.diagnostics += add_edge(self.model, "->", src, dst, stmt.span)
 
     def lower_triggers(self) -> None:
         for stmt in self.p.triggers:
-            src = self.resolve_stage(stmt.src)
-            dst = self.resolve_stage(stmt.dst)
+            src = self.resolve(stmt.src)
+            dst = self.resolve(stmt.dst)
             if src is not None and dst is not None:
                 self.diagnostics += add_edge(self.model, "~>", src, dst, stmt.span)
-
-    def region_members(self, path: _Path) -> set[int]:
-        """A region path: a stage, or a thimac meaning all its stages."""
-        tid, kind = self.model.resolve(path.segments)
-        if tid is None:
-            self.unresolved_thimac(path, kind)
-            return set()
-        if kind is not None:
-            sid = self.stage_of(path, tid, kind)
-            return {sid} if sid is not None else set()
-        out: set[int] = set()
-        for cur, _, entering in graph.tree([tid], self.model.children):
-            if entering:
-                out.update(self.model.thimacs[cur].stages.values())
-        if not out:
-            self.diag(
-                "UNRESOLVED_PATH",
-                f"thimac '{'.'.join(path.segments)}' has no stages to include",
-                path.span,
-            )
-        return out
 
     def lower_events(self) -> list[EventDef]:
         events: list[EventDef] = []
@@ -596,7 +600,7 @@ class _Lowering:
             seen.add(decl.id)
             region: set[int] = set()
             for path in decl.region:
-                region |= self.region_members(path)
+                region.update(self.resolve(path, stages_at) or ())
             events.append(
                 EventDef(
                     decl.id,

@@ -659,28 +659,75 @@ def test_from_json_reads_an_empty_chronology_object():
 
 
 def test_from_json_reports_each_dangling_reference_where_it_occurs():
-    doc = {
+    """An end or region entry that names nothing is one DANGLING_REF per
+    occurrence, with the parser's message after the entry's context. An
+    ``implicitSegments`` entry is a lookup with its own message. Entries
+    that DSL syntax cannot write are read the same way and raise
+    nothing: an empty path or segment, a bare stage kind, and a stage
+    kind before the end."""
+    messages = {
+        "ghost": "no thimac at path 'ghost'",
+        "": "no thimac at path ''",
+        "create": "no thimac at path ''",
+        "a..create": "no thimac at path 'a.'",
+        "a.create.b": "no thimac at path 'a.create.b'",
+        ".": "no thimac at path '.'",
+    }
+    for ref, message in messages.items():
+        doc = {
+            "thimacs": [
+                {
+                    "name": "a",
+                    "stages": [{"kind": "create"}, {"kind": "process"}, {"kind": "transfer"}],
+                }
+            ],
+            "flows": [
+                {"from": ref, "to": ref},
+                {"from": "a.create", "to": "a.process", "implicitSegments": [ref, "a", ref]},
+            ],
+            "triggers": [{"from": ref, "to": "a.create"}, {"from": "a.process", "to": ref}],
+            "events": [{"id": "E", "region": [ref, "a.create", ref]}],
+        }
+        result = dsl.from_json(json.dumps(doc))
+        assert result.model is None
+        assert [d.render() for d in result.diagnostics] == [
+            f"<model>: error[DANGLING_REF] flow: {message}",
+            f"<model>: error[DANGLING_REF] flow: {message}",
+            f"<model>: error[DANGLING_REF] flow implicitSegments: no stage at '{ref}'",
+            f"<model>: error[DANGLING_REF] flow implicitSegments: no stage at '{ref}'",
+            f"<model>: error[DANGLING_REF] trigger: {message}",
+            f"<model>: error[DANGLING_REF] trigger: {message}",
+            f"<model>: error[DANGLING_REF] event 'E' region: {message}",
+            f"<model>: error[DANGLING_REF] event 'E' region: {message}",
+        ], ref
+
+
+def test_a_port_made_by_a_bare_end_resolves_after_it_in_both_front_ends():
+    """A transfer stage named before a bare end makes it is unresolved
+    there, and resolves after it: an unresolved reference is read again
+    where it recurs."""
+    text = (
+        "thimac a { stage create; } thimac b { stage receive; }\n"
+        "flow a.create -> b.transfer;\nflow a.create -> b;\n"
+        "flow b.transfer -> b.receive;\n"
+    )
+    parsed = dsl.parse(text, "p.tm")
+    assert [d.render() for d in parsed.diagnostics] == [
+        "p.tm:2:18: error[UNRESOLVED_PATH] thimac 'b' has no transfer stage"
+    ]
+    loaded = dsl.from_json(json.dumps({
         "thimacs": [
-            {
-                "name": "a",
-                "stages": [{"kind": "create"}, {"kind": "process"}, {"kind": "transfer"}],
-            }
+            {"name": "a", "stages": [{"kind": "create"}]},
+            {"name": "b", "stages": [{"kind": "receive"}]},
         ],
         "flows": [
-            {"from": "ghost", "to": "ghost"},
-            {"from": "a.create", "to": "a.process", "implicitSegments": ["ghost", "a", "ghost"]},
+            {"from": "a.create", "to": "b.transfer"},
+            {"from": "a.create", "to": "b"},
+            {"from": "b.transfer", "to": "b.receive"},
         ],
-        "events": [{"id": "E", "region": ["ghost", "a.create", "ghost"]}],
-    }
-    result = dsl.from_json(json.dumps(doc))
-    assert result.model is None
-    assert [d.render() for d in result.diagnostics] == [
-        "<model>: error[DANGLING_REF] flow: no stage at 'ghost'",
-        "<model>: error[DANGLING_REF] flow: no stage at 'ghost'",
-        "<model>: error[DANGLING_REF] flow implicitSegments: no stage at 'ghost'",
-        "<model>: error[DANGLING_REF] flow implicitSegments: no stage at 'ghost'",
-        "<model>: error[DANGLING_REF] event 'E' region: no stage at 'ghost'",
-        "<model>: error[DANGLING_REF] event 'E' region: no stage at 'ghost'",
+    }))
+    assert [d.render() for d in loaded.diagnostics] == [
+        "<model>: error[DANGLING_REF] flow: thimac 'b' has no transfer stage"
     ]
 
 

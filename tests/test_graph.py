@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -15,7 +16,7 @@ from tmkit import graph
 from tmkit.behavior import EventDef, flatten
 from tmkit.core import normalize
 from tmkit.diagnostics import sorted_diagnostics
-from tmkit.dsl import from_json, parse
+from tmkit.dsl import from_json, parse, to_json
 from tmkit.errors import ContainmentCycle, UnknownEvent
 from tmkit.validate import validate
 
@@ -189,14 +190,18 @@ _KIND_WORDS = ["create", "process", "release", "transfer", "receive"]
 
 
 def _element_spec(rng: random.Random) -> dict:
-    """Root thimacs, each with stage kinds and at most one child: some
-    names and kinds repeated. Flows (chains too) and triggers among the
-    stages a path reaches, with self-edges, a thimac's port to itself
-    among them, and repeats. Events from ``_containment_events``, each
-    over one stage, or none."""
+    """Root thimacs, each with stage kinds and at most one child, which
+    may have none: some names and kinds repeated. Flows (chains too) and
+    triggers between paths of every kind: a declared stage, a thimac
+    (its port, made if absent), and a path that names nothing (no such
+    thimac, a kind the thimac lacks). Self-edges, a thimac's port to
+    itself among them, and repeats. Events from ``_containment_events``,
+    or up to two that contain none, each over one or two paths: a stage,
+    a thimac (all its stages and its child's), or a path that names
+    nothing."""
     thimacs = []  # (name, kinds, child's (name, kinds) or None)
     stage_paths: list[str] = []
-    port_paths: list[str] = []  # a thimac path, meaning its transfer stage
+    thimac_paths: list[str] = []
     names = rng.sample("abc", rng.randint(1, 3))
     if rng.random() < 0.3:
         names.append(rng.choice(names))
@@ -208,25 +213,34 @@ def _element_spec(rng: random.Random) -> dict:
             # dropped with its body, so it gets no child and no paths
             thimacs.append((name, kinds, None))
             continue
-        child = ("d", rng.sample(_KIND_WORDS, rng.randint(1, 3))) if rng.random() < 0.4 else None
+        child = ("d", rng.sample(_KIND_WORDS, rng.randint(0, 3))) if rng.random() < 0.4 else None
         thimacs.append((name, kinds, child))
         owners = [(name, kinds)] + ([(f"{name}.d", child[1])] if child else [])
         for path, declared in owners:
             stage_paths += [f"{path}.{kind}" for kind in dict.fromkeys(declared)]
-            if "transfer" in declared:
-                port_paths.append(path)
-    ends = stage_paths + port_paths
-    flows = [
-        [rng.choice(ends) for _ in range(rng.randint(2, 3))]
-        for _ in range(rng.randint(0, 5))
-    ]
-    triggers = [[rng.choice(ends), rng.choice(ends)] for _ in range(rng.randint(0, 4))]
-    events = _containment_events(rng) if rng.random() < 0.5 else []
+            thimac_paths.append(path)
+    missing = ["x.process", "a.d.d"]
+
+    def path() -> str:
+        if rng.random() < 0.95:
+            return rng.choice(stage_paths + thimac_paths)
+        if rng.random() < 0.5:
+            return rng.choice(missing)
+        return f"{rng.choice(thimac_paths)}.{rng.choice(_KIND_WORDS)}"
+
+    flows = [[path() for _ in range(rng.randint(2, 3))] for _ in range(rng.randint(0, 5))]
+    triggers = [[path(), path()] for _ in range(rng.randint(0, 4))]
+    if rng.random() < 0.5:
+        events = _containment_events(rng)
+    else:  # none, or some with no containment to report
+        events = [(f"R{i}", []) for i in range(rng.randint(0, 2))]
     return {
         "thimacs": thimacs,
         "flows": flows,
         "triggers": triggers,
-        "events": [(eid, subs, rng.choice(stage_paths)) for eid, subs in events],
+        "events": [
+            (eid, subs, [path() for _ in range(rng.randint(1, 2))]) for eid, subs in events
+        ],
     }
 
 
@@ -242,7 +256,8 @@ def _element_source(spec: dict) -> str:
     lines += [f"trigger {a} ~> {b};" for a, b in spec["triggers"]]
     for eid, subs, region in spec["events"]:
         contains = f" contains {', '.join(subs)};" if subs else ""
-        lines.append(f"event {eid} {{ region {{ {region}; }}{contains} }}")
+        members = " ".join(f"{path};" for path in region)
+        lines.append(f"event {eid} {{ region {{ {members} }}{contains} }}")
     return "\n".join(lines)
 
 
@@ -264,30 +279,42 @@ def _element_document(spec: dict) -> str:
         ],
         "triggers": [{"from": a, "to": b} for a, b in spec["triggers"]],
         "events": [
-            {"id": eid, "region": [region], "contains": subs}
+            {"id": eid, "region": region, "contains": subs}
             for eid, subs, region in spec["events"]
         ],
     })
 
 
+# the context ``from_json`` puts before an unresolved path's message
+_JSON_CONTEXT = re.compile(r"^(flow|trigger|event '\w+' region): ")
+
+
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 1_000_000))
 def test_json_containment_diagnostics_match_parse(seed):
-    """``from_json`` reports every element rule as ``parse`` does:
-    repeated thimacs and stage kinds, repeated flows and triggers, and
-    containment, an undeclared sub-event as DANGLING_REF where the text
-    reports UNRESOLVED_PATH. A self-flow is no front-end finding in
-    either, and validation judges both models alike."""
+    """``from_json`` reads every path and reports every element rule as
+    ``parse`` does: repeated thimacs and stage kinds, flow and trigger
+    ends and region paths of every kind, repeated flows and triggers,
+    and containment. JSON names an unresolved path DANGLING_REF after
+    its entry's context, where the text reports UNRESOLVED_PATH. A
+    self-flow is no front-end finding in either. Where both give a
+    model, they write the same document and validation judges both
+    alike."""
     spec = _element_spec(random.Random(seed))
     parsed = parse(_element_source(spec), "c.tm")
     loaded = from_json(_element_document(spec))
     assert Counter(
-        (d.severity, "UNRESOLVED_PATH" if d.code == "DANGLING_REF" else d.code, d.message)
+        (
+            d.severity,
+            "UNRESOLVED_PATH" if d.code == "DANGLING_REF" else d.code,
+            _JSON_CONTEXT.sub("", d.message),
+        )
         for d in loaded.diagnostics
     ) == Counter((d.severity, d.code, d.message) for d in parsed.diagnostics)
     if parsed.model is None:
         assert loaded.model is None
         return
+    assert to_json(loaded) == to_json(parsed)
     found = [
         sorted(
             (d.code, d.message)
