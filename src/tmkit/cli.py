@@ -166,7 +166,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     except StepBudgetExceeded as exc:
         print(f"simulation error: {exc}", file=sys.stderr)
         return EXIT_SIM
-    if args.trace:
+    if args.trace is not None:
         _write_output(sim.trace_to_json(model, trace), args.trace)
     else:
         # counted from the runs of replayed copies, which stay unbuilt

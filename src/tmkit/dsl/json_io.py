@@ -6,7 +6,8 @@ The document layout is described by ``schemas/tm-model.schema.json``.
 Each name is handled once per document: ``to_json`` quotes each thimac
 and stage name once and fills fixed templates, and ``from_json``
 resolves each distinct flow or trigger end, and each distinct region
-entry, once if it names something. It reads them as the parser reads
+entry, once if it names something (a region entry that names a stage
+shares the ends' memo). It reads them as the parser reads
 a path, through ``parser.stage_at`` and ``stages_at``, and reports one
 that names nothing as DANGLING_REF at every occurrence, with the
 parser's message after the entry's context. An ``implicitSegments``
@@ -19,7 +20,7 @@ import json
 from json.encoder import encode_basestring_ascii as _quote
 
 from ..behavior import Chronology, EventDef, check_containment
-from ..core import ElementId, Model, StageKind
+from ..core import STAGE_KIND_NAMES, ElementId, Model, StageKind
 from ..diagnostics import Diagnostic, Severity, collector_paused, has_errors
 from ..errors import DuplicateName, DuplicateStageKind, UnknownEndpoint
 from .lexer import is_identifier
@@ -206,7 +207,8 @@ def from_json(text: str) -> ParseResult:
 
     # the thimacs are all in. A bare thimac is its port as an end and all
     # its stages in a region, so each reading keeps its own memo of the
-    # references it resolved; one that did not is read again where it
+    # references it resolved, but a stage path names one stage in both and
+    # is read as an end; one that did not resolve is read again where it
     # recurs, since a later end may make the port it names
     ends: dict[str, ElementId] = {}
     regions: dict[str, list[ElementId]] = {}
@@ -267,8 +269,13 @@ def from_json(text: str) -> ParseResult:
             continue
         declared.add(eid)
         region: set[int] = set()
-        for ref in entries(entry.get("region", []), f"event '{eid}' region"):
-            region.update(read(ref, f"event '{eid}' region", regions, stages_at) or ())
+        context = f"event '{eid}' region"
+        for ref in entries(entry.get("region", []), context):
+            if isinstance(ref, str) and ref.rpartition(".")[2] in STAGE_KIND_NAMES:
+                sid = read(ref, context, ends)
+                region.update(() if sid is None else (sid,))
+            else:
+                region.update(read(ref, context, regions, stages_at) or ())
         label = entry.get("label")
         if label is not None and not isinstance(label, str):
             err("JSON_MALFORMED", f"event '{eid}' label must be a string or null")

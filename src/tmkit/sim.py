@@ -266,8 +266,8 @@ class Trace(Record):
         at = 0
         for n, *parts in _chunks(self):
             for column, writes in zip(columns, parts):
-                for start, step, values in writes:
-                    column[at + start : at + n : step] = values
+                for start, stop, step, values in writes:
+                    column[at + start : at + stop : step] = values
             at += n
         order = [None] * n_order
         for at, n, part in _parts(self, 5):
@@ -831,13 +831,17 @@ def coverage(model: Model, trace: Trace, events: list[EventDef]) -> dict:
     return {"events": per_event, "neverFired": never}
 
 
-# the most firings trace_to_json formats before it appends them to its text,
-# give or take one copy of a run's template, which a chunk never splits
+# the most firings trace_to_json formats before it appends them to its
+# text, unless a group of a run's copies (below) fills the chunk further; a
+# chunk never splits a copy. A chunk's slots are held beside the text: at
+# 16384, writing the ships trace peaked at 1.61x its length under
+# tracemalloc, against 1.35x at 4096, and took longer (Python 3.11)
 _CHUNK = 4096
-# the most firings of a group of a run's copies, a chunk of its own, which
-# costs its template and its copies' numbers: an append moves the text when
-# the allocator cannot grow it where it is, so a long run's text is
-# appended in fewer, larger pieces
+# the most firings of a group of a run's copies, which costs its template
+# and its copies' numbers: an append moves the text when the allocator
+# cannot grow it where it is, so a long run's text is appended in fewer,
+# larger pieces. Capped at _CHUNK, the ships 16k write took 51-60 ms,
+# against 29-41 ms (best of 10, Python 3.11, 2-vCPU Xeon)
 _GROUP = 3 * _CHUNK
 
 # a step is written as its thousands (none below 1000) and then its last
@@ -871,88 +875,83 @@ def _chunks(trace: Trace, of: tuple | None = None) -> Iterator[tuple]:
     """The trace's firings in step order, a chunk at a time: the chunk's
     length n, then for each of the five firing columns, in ``Trace``'s
     order, the writes that fill the chunk's n entries of it. A write is
-    ``(start, step, values)``, for the chunk's extended slice
-    ``[start:n:step]``; with ``of``, each value is mapped by the column's
-    function in it.
+    ``(start, stop, step, values)``, for the chunk's extended slice
+    ``[start:stop:step]``; with ``of``, each value is mapped by the
+    column's function in it.
 
     A chunk is about as long as all the chunks before it (16 firings at
-    first), up to ``_CHUNK`` (see trace_to_json). Stored firings, and a
-    run's copies while fewer fit in a chunk than the template has
-    firings, are gathered unmapped and mapped a column at a time, as one
-    write. A group of more copies is a chunk of its own, of up to
-    ``_GROUP`` firings: the template's
-    entries are mapped once and repeated by list multiplication, and the
-    copies' instance numbers and token ids are mapped once each and
-    written one template firing at a time, across the copies, with the
+    first), up to ``_CHUNK`` (see trace_to_json). It is filled in step
+    order by slices of the stored firings and by groups of a run's
+    copies, each written at its offset in it; a group may fill it up to
+    ``_GROUP`` firings. A slice is one write per column. In a group, the
+    template's entries, mapped once per run, are repeated by list
+    multiplication, and the copies' instance numbers and token ids are
+    mapped once each. While the group has fewer copies than the template
+    has firings, those are written in step order, one write per column;
+    otherwise one template firing at a time, across the copies, with the
     template's length as the step. So a run costs its template and its
     copies, not its firings."""
     columns = trace._lists[:5]
-    raw = [[] for _ in columns]  # the chunk being gathered
-    written = start = 0
-
-    def take() -> tuple:
-        nonlocal raw, written
-        n, parts = len(raw[3]), raw
-        if of:
-            parts = [map(f, part) for f, part in zip(of, parts)]
-        raw = [[] for _ in columns]
-        written += n
-        return (n, *[[(0, 1, part)] for part in parts])
-
+    writes: list[list[tuple]] = [[] for _ in columns]
+    n = written = start = 0  # the chunk's firings; the firings before it
     for run in [*trace._copies, None]:
         end = len(columns[3]) if run is None else run.at
-        while start < end:
-            n = min(min(max(written, 16), _CHUNK) - len(raw[3]), end - start)
-            for part, column in zip(raw, columns):
-                part += column[start : start + n]
-            start += n
-            if len(raw[3]) >= min(max(written, 16), _CHUNK):
-                yield take()
-        if run is None:
-            break
-        k, m, made_at = len(run.kinds), len(run.made), run.made_at
-        done = 0 if k else run.count  # a run of copies that fire nothing
-        while done < run.count:
-            room = min(max(written, 16), _CHUNK) - len(raw[3])
-            g = min(max(1, room // k), run.count - done)
-            if g >= k:
-                if raw[3]:
-                    yield take()
-                    continue
-                g = min(min(max(written, 16), _GROUP) // k, run.count - done)
-            copies = range(run.first + done, run.first + done + g)
-            ids = range(run.first_id + done * m, run.first_id + (done + g) * m)
-            if g < k:
-                # copy c's token j is its ids[c * m + j]; -1 reads the None
-                raw[0] += [run.event] * (k * g)
-                raw[1] += chain.from_iterable(map(repeat, copies, repeat(k)))
-                raw[2] += run.elements * g
-                raw[3] += run.kinds * g
-                raw[4] += chain.from_iterable([
-                    map([*ids[c * m : c * m + m], None].__getitem__, made_at)
-                    for c in range(g)
-                ])
-                done += g
-                if len(raw[3]) >= min(max(written, 16), _CHUNK):
-                    yield take()
-                continue
+        # a run of copies that fire nothing adds no write
+        done, left = 0, 0 if run is None or not run.kinds else run.count
+        if left:
+            k, m, made_at = len(run.kinds), len(run.made), run.made_at
             event, elements, kinds, null = [run.event], run.elements, run.kinds, None
             if of:
                 event, null = [of[0](run.event)], of[4](None)
                 elements, kinds = list(map(of[2], elements)), list(map(of[3], kinds))
-                copies, ids = list(map(of[1], copies)), list(map(of[4], ids))
-            n, nulls = k * g, [null] * g
-            # template firing i names the copies' tokens made_at[i]: every
-            # m-th of their ids from it
-            yield (
-                n, [(0, 1, event * n)], [(i, k, copies) for i in range(k)],
-                [(0, 1, elements * g)], [(0, 1, kinds * g)],
-                [(i, k, nulls if j < 0 else ids[j::m]) for i, j in enumerate(made_at)],
-            )
-            written += n
-            done += g
-    if raw[3]:
-        yield take()
+        while start < end or done < left:
+            size = min(max(written, 16), _CHUNK)
+            if start < end:
+                g = min(size - n, end - start)
+                for write, column, f in zip(writes, columns, of or repeat(None)):
+                    part = column[start : start + g]
+                    write.append((n, n + g, 1, part if f is None else map(f, part)))
+                start += g
+            else:
+                # the copies that fill the chunk to the ramp's size, up to
+                # _GROUP firings, and at least one
+                c = min(max(1, (min(max(written, 16), _GROUP) - n) // k), left - done)
+                g = c * k
+                copies = range(run.first + done, run.first + done + c)
+                ids = range(run.first_id + done * m, run.first_id + (done + c) * m)
+                if of:
+                    copies, ids = list(map(of[1], copies)), list(map(of[4], ids))
+                writes[0].append((n, n + g, 1, event * g))
+                writes[2].append((n, n + g, 1, elements * c))
+                writes[3].append((n, n + g, 1, kinds * c))
+                if c < k:
+                    # copy i's firings in a row: its token j is its ids[i * m +
+                    # j], and -1 reads the null
+                    writes[1].append(
+                        (n, n + g, 1, chain.from_iterable(map(repeat, copies, repeat(k))))
+                    )
+                    writes[4].append((n, n + g, 1, chain.from_iterable([
+                        map([*ids[i * m : i * m + m], null].__getitem__, made_at)
+                        for i in range(c)
+                    ])))
+                else:
+                    # template firing i across the copies, which name its
+                    # made_at[i] tokens: every m-th of their ids from it
+                    nulls = [null] * c
+                    writes[1] += [(n + i, n + g, k, copies) for i in range(k)]
+                    writes[4] += [
+                        (n + i, n + g, k, nulls if j < 0 else ids[j::m])
+                        for i, j in enumerate(made_at)
+                    ]
+                done += c
+            n += g
+            if n >= size:
+                yield (n, *writes)
+                writes = [[] for _ in columns]
+                written += n
+                n = 0
+    if n:
+        yield (n, *writes)
 
 
 @collector_paused
@@ -977,19 +976,27 @@ def trace_to_json(model: Model, trace: Trace) -> str:
     into one list of slots: the constant slots are filled when the list
     grows, and each other slot column is filled by a few extended-slice
     assignments, which run in C, so a chunk costs a few operations per
-    column rather than bytecode per firing. A group of a run's copies
-    maps its template's event, element and kind pieces once and repeats
-    them by list multiplication, and maps each copy's instance number
-    and token ids once. The event order and the final tokens are written
-    the same way, into lists of slots: a run's entries repeat its
-    template's pieces and take their numbers from slices of the table.
+    column rather than bytecode per firing. A run of copies maps its
+    template's event, element and kind pieces once, and each group of
+    its copies repeats them by list multiplication and maps each copy's
+    instance number and token ids once. The event order and the final
+    tokens are written the same way, into lists of slots: a run's
+    entries repeat its template's pieces and take their numbers from
+    slices of the table.
     The string tables come from the stored entries (the stored firings
     hold each run's template) and each run's template tokens, so no entry
     per copy is read. Each chunk is joined and appended with ``text +=
-    ...``. ``text`` is the only reference to the text, so CPython grows
-    it in place: at its peak the writer holds the text once, plus one
-    chunk, its slots and the tables. One entry per firing joined at the
-    end, or an ``io.StringIO``, would hold the text twice.
+    ...``. ``text`` is the only reference to the text, so CPython 3.10
+    and 3.11 grow it in place: writing the ships trace peaks at 1.35x its
+    length under tracemalloc, the text plus one chunk, its slots and the
+    tables. CPython 3.12 and 3.13 peak at 2.2x, about what one entry per
+    firing joined at the end, or an ``io.StringIO``, would hold. The
+    chunks start small, as long as all the chunks before them: without
+    that ramp, a first call takes the same time and peak on 3.10 to 3.13
+    (1.43x instead of 1.35x under tracemalloc on 3.10 and 3.11), but in
+    a process that holds an earlier trace, simulating and writing the
+    corpus took a median of 15.0-15.5 ms a round with it and 16.8-17.2
+    ms without (Python 3.11, 2-vCPU Xeon).
     """
     # the stored firings hold every event, element and kind of a run's
     # template; a run gives its copies' instance numbers, ticks and token
@@ -1056,13 +1063,13 @@ def trace_to_json(model: Model, trace: Trace) -> str:
         event_pieces.__getitem__, nums.__getitem__, element_pieces.__getitem__,
         attrgetter("quoted"), nums.__getitem__,
     )
-    # The chunks start small because CPython 3.11 grows a string in place
-    # only once it has specialized the ``+=``, after about eight calls of
-    # this function or turns of this ``for`` loop (a loop that tests a
-    # condition does not count); until then each ``+=`` copies the text.
-    # The slot list grows or shrinks by the change in chunk size, and each
-    # turn writes only the variable slots: the slot columns 1 to 6 and 8,
-    # and the first chunk's head.
+    # The chunks start small and grow (see the docstring): the ramp pays in
+    # a process that holds an earlier trace, and it sets where the text's
+    # large allocations fall. Without it, tmbench's corpus firings_per_s
+    # read lower in 3 of 3 pairs (1.42-1.51M against 1.50-1.64M), and its
+    # peak_rss_mb 54.3 against 57.7 MB. The slot list grows or shrinks by
+    # the change in chunk size, and each turn writes only the variable
+    # slots: the slot columns 1 to 6 and 8, and the first chunk's head.
     written = 0
     pieces: list[str] = []
     for n, *columns in _chunks(trace, of):
@@ -1071,8 +1078,8 @@ def trace_to_json(model: Model, trace: Trace) -> str:
         pieces[1::9] = islice(thousands, n)
         pieces[2::9] = islice(lows, n)
         for slot, writes in zip((3, 4, 5, 6, 8), columns):
-            for start, step, values in writes:
-                pieces[9 * start + slot :: 9 * step] = values
+            for start, stop, step, values in writes:
+                pieces[9 * start + slot : 9 * stop : 9 * step] = values
         if not written:
             pieces[0] = _FIRST_FIRING_HEAD
         text += "".join(pieces)
@@ -1081,18 +1088,8 @@ def trace_to_json(model: Model, trace: Trace) -> str:
     # a token is one string, but a run whose copies' tokens were not made is
     # slots that repeat its template's tokens' pieces
     entries = []
-    tokens: list[Token] = []  # the tokens to write next, one string each
-    for _, n, part in chain(_parts(trace, 6), [(0, 0, None)]):
-        if part.__class__ is list or part is not None and part.tokens is not None:
-            tokens += part if part.__class__ is list else part.tokens
-            continue
-        entries += [
-            f',\n    {{\n      "id": {nums[t.id]},\n      "thing": {q[t.thing]},\n'
-            f'      "location": {quoted[t.location]}\n    }}'
-            for t in tokens
-        ]
-        tokens = []
-        if part is not None:
+    for _, n, part in _parts(trace, 6):
+        if part.__class__ is _Copies and part.tokens is None:
             slots = _TOKEN_SLOTS * n
             slots[1::3] = strs[part.first_id : part.first_id + n]
             slots[2::3] = [
@@ -1101,6 +1098,12 @@ def trace_to_json(model: Model, trace: Trace) -> str:
                 for t in part.made
             ] * part.count
             entries += slots
+        else:
+            entries += [
+                f',\n    {{\n      "id": {nums[t.id]},\n      "thing": {q[t.thing]},\n'
+                f'      "location": {quoted[t.location]}\n    }}'
+                for t in (part if part.__class__ is list else part.tokens)
+            ]
     text += "".join(
         [
             "\n    }\n  ]" if written else '  "firings": []',

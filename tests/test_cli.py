@@ -161,6 +161,17 @@ def test_missing_file_exit_two(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "command, option", [("simulate", "--trace"), ("render", "-o"), ("normalize", "-o")]
+)
+def test_empty_output_path_exits_two(command, option, capsys):
+    # an empty path names no file: it is not stdout, nor "no output"
+    assert run([command, str(corpus_path("mud.tm")), option, ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: [Errno 2] No such file or directory: ''\n"
+
+
 def test_normalize_output_simplified_to_full(tmp_path, capsys):
     out = tmp_path / "norm.tm"
     code = run(["normalize", str(corpus_path("atm_simplified.tm")), "-o", str(out)])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -700,6 +701,38 @@ def test_from_json_reports_each_dangling_reference_where_it_occurs():
             f"<model>: error[DANGLING_REF] event 'E' region: {message}",
             f"<model>: error[DANGLING_REF] event 'E' region: {message}",
         ], ref
+
+
+def test_from_json_resolves_each_distinct_reference_of_a_document_once(
+    load_corpus, monkeypatch
+):
+    """A region entry that names a stage is read as an end of the same
+    text is, through the end memo: every flow end, trigger end and region
+    entry of a corpus document names a stage, so each distinct one is
+    resolved once in all."""
+    from tmkit.dsl import json_io
+
+    resolved = Counter()
+
+    def spy(read):
+        def counted(model, segments):
+            resolved[".".join(segments)] += 1
+            return read(model, segments)
+
+        return counted
+
+    monkeypatch.setattr(json_io, "stage_at", spy(json_io.stage_at))
+    monkeypatch.setattr(json_io, "stages_at", spy(json_io.stages_at))
+    for name in CORPUS_NAMES:
+        doc = json.loads(dsl.to_json(load_corpus(name)))
+        edges = doc["flows"] + doc["triggers"]
+        refs = {
+            *(edge[end] for edge in edges for end in ("from", "to")),
+            *(ref for event in doc["events"] for ref in event["region"]),
+        }
+        resolved.clear()
+        assert errors(dsl.from_json(json.dumps(doc))) == [], name
+        assert resolved == Counter(refs), name
 
 
 def test_a_port_made_by_a_bare_end_resolves_after_it_in_both_front_ends():

@@ -191,6 +191,69 @@ ORIGIN_BLOCKED = (
 )
 
 
+
+def _spawners(name: str, count: int) -> str:
+    """A machine of ``count`` parts that each spawn a thing at create and
+    move it to process."""
+    parts = "".join(f"thimac m{i} {{ stage create; stage process; }} " for i in range(count))
+    flows = "".join(f"flow {name}.m{i}.create -> {name}.m{i}.process;\n" for i in range(count))
+    return f"thimac {name} {{ {parts}}}\n{flows}"
+
+
+# The trace writer fills each chunk in step order with slices of the
+# stored firings and groups of a run's copies (see sim._chunks). Warm's
+# 180 stored firings, and a run's template after them, end part way into
+# the ramp's chunk of firings 128-255; Tail's come after a run.
+WARM = _spawners("warm", 90) + "event Warm { region { warm; } }\n"
+TAIL = "thimac t { stage create; stage process; }\nflow t.create -> t.process;\n"
+
+
+def _pass_after_warm(repeat: int) -> str:
+    """Pass's first instance spawns at p.create and moves the thing to
+    p.process, which fires the trigger that spawns one at q.create; each
+    later one first fires the trigger again for the thing held at
+    p.process. So every instance after the second, the template, is a
+    copy of its 7 firings, two of them with no token."""
+    return (
+        WARM + "thimac p { stage create; stage process; }\n"
+        "flow p.create -> p.process;\n"
+        "thimac q { stage create; }\n"
+        "trigger p.process ~> q.create;\n"
+        f"event Pass {{ region {{ p; q; }} repeat {repeat}; }}\n"
+        "chronology { Warm -> Pass; }"
+    )
+
+
+# the run's first group, of more copies than the template has firings,
+# starts mid-chunk, and the run goes on past the _CHUNK-th firing
+PAST_CHUNK = _pass_after_warm(_CHUNK // 4)
+# groups of more copies than the template has firings grow to _GROUP
+# firings: two of that size, and part of one
+PAST_GROUP = _pass_after_warm(2 * _GROUP // 4)
+# Big's 3 copies of 10 firings, one group, fall between Warm's and
+# Tail's firings in one chunk
+FEW_COPIES = (
+    WARM + _spawners("big", 5) + TAIL
+    + "event Big { region { big; } repeat 4; }\n"
+    "event Tail { region { t; } }\n"
+    "chronology { Warm -> Big; Big -> Tail; }"
+)
+# Idle's instances fire nothing: a run with no firing between Warm's and
+# Tail's
+IDLE_COPIES = (
+    WARM + TAIL
+    + "event Idle { region { warm.m0.process; } repeat 3; }\n"
+    "event Tail { region { t; } }\n"
+    "chronology { Warm -> Idle; Idle -> Tail; }"
+)
+# Move makes Fill's copies' tokens; Stack's copies' tokens stay unmade
+MADE_THEN_UNMADE = (
+    FILL + TAIL + "flow a.process -> a.release;\n"
+    "event Move { region { a.process; a.release; } }\n"
+    "event Stack { region { t; } repeat 3; }\n"
+    "chronology { Fill -> Move; Move -> Stack; }"
+)
+
 def run_source(source: str, config: SimConfig | None = None):
     result = dsl.parse(source, "sim.tm")
     assert result.model is not None, [d.render() for d in result.diagnostics]
@@ -1019,6 +1082,11 @@ def test_simulate_matches_reference_on_corpus(load_corpus, name):
         (HELD_SOURCE, "StageFire", [("Fill", 1, 4)]),
         (OCCUPIED_MACHINE, "TriggerFire", [("Fill", 1, 4)]),
         (ADOPTED, "FlowMove", [("Fill", 1, 4)]),
+        (PAST_CHUNK, "TriggerFire", [("Pass", 2, _CHUNK // 4)]),
+        (PAST_GROUP, "TriggerFire", [("Pass", 2, 2 * _GROUP // 4)]),
+        (FEW_COPIES, "FlowMove", [("Big", 1, 4)]),
+        (IDLE_COPIES, "TokenSpawn", [("Idle", 1, 3)]),
+        (MADE_THEN_UNMADE, "FlowMove", [("Fill", 1, 4), ("Stack", 1, 3)]),
     ],
     ids=[
         "start-pass",
@@ -1033,6 +1101,11 @@ def test_simulate_matches_reference_on_corpus(load_corpus, name):
         "copies-hold-a-trigger-source",
         "copies-occupy-a-trigger-target-machine",
         "copies-adopted",
+        "copies-past-a-chunk",
+        "copies-past-a-group",
+        "fewer-copies-than-firings",
+        "copies-fire-nothing",
+        "made-and-unmade-copies",
     ],
 )
 def test_simulate_matches_reference_on_scenarios(replays, source, outcome, replayed):
