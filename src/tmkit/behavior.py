@@ -135,51 +135,32 @@ def region_edges(model: Model, region: set[ElementId]) -> tuple[list, list]:
     return flows, triggers
 
 
-def region_connected(model: Model, region: set[ElementId]) -> bool:
-    """Whether the region's stages and induced edges form one weakly
-    connected group (or none): a union-find with path halving over the
-    edges' endpoints, counting the groups as they merge."""
-    members = {s for s in region if s in model.stages}
-    flows, triggers = region_edges(model, members)
-    parent = {s: s for s in members}
-    groups = len(members)
-    for edge in flows + triggers:
-        a, b = edge.from_stage, edge.to_stage
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a != b:
-            parent[a] = b
-            groups -= 1
-    return groups <= 1
-
-
 def check_region(model: Model, event: EventDef) -> list[Diagnostic]:
     """Region well-formedness: members must exist, connectivity is advisory."""
-    diags: list[Diagnostic] = []
     if not event.region:
-        diags.append(
+        return [
             Diagnostic(
                 Severity.ERROR,
                 "EVENT_EMPTY",
                 f"event '{event.id}' has an empty region",
                 span=event.span,
             )
+        ]
+    diags = [
+        Diagnostic(
+            Severity.ERROR,
+            "REGION_DANGLING",
+            f"event '{event.id}' region references unknown element {missing}",
+            span=event.span,
+            element=missing,
         )
+        for missing in sorted(s for s in event.region if s not in model.stages)
+    ]
+    if diags:
         return diags
-    dangling = sorted(s for s in event.region if s not in model.stages)
-    for missing in dangling:
-        diags.append(
-            Diagnostic(
-                Severity.ERROR,
-                "REGION_DANGLING",
-                f"event '{event.id}' region references unknown element {missing}",
-                span=event.span,
-                element=missing,
-            )
-        )
-    if not dangling and not region_connected(model, event.region):
+    flows, triggers = region_edges(model, event.region)
+    pairs = [(e.from_stage, e.to_stage) for e in flows + triggers]
+    if len(graph.components(event.region, pairs)) > 1:
         diags.append(
             Diagnostic(
                 Severity.WARNING,

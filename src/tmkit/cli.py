@@ -50,16 +50,15 @@ def _use_color(stream) -> bool:
     return hasattr(stream, "isatty") and stream.isatty()
 
 
-def _print_diagnostics(diags: list[Diagnostic], stream=None) -> None:
-    stream = stream or sys.stderr
-    color = _use_color(stream)
+def _print_diagnostics(diags: list[Diagnostic]) -> None:
+    color = _use_color(sys.stderr)
     for diag in diags:
         line = diag.render()
         if color:
             tint = "31" if diag.severity is Severity.ERROR else "33"
             marker = f"{diag.severity.value}[{diag.code}]"
             line = line.replace(marker, f"\x1b[{tint}m{marker}\x1b[0m", 1)
-        print(line, file=stream)
+        print(line, file=sys.stderr)
 
 
 def _read_source(path: str) -> tuple[str, str]:
@@ -95,13 +94,15 @@ def _write_slices(stream, text: str) -> None:
 
 
 def _load(path: str) -> dsl.ParseResult:
+    """Parse a source, printing the parser's diagnostics."""
     text, name = _read_source(path)
-    return dsl.parse(text, name)
+    result = dsl.parse(text, name)
+    _print_diagnostics(result.diagnostics)
+    return result
 
 
 def _cmd_parse(args: argparse.Namespace) -> int:
     result = _load(args.file)
-    _print_diagnostics(result.diagnostics)
     if result.model is None:
         return EXIT_INVALID
     if args.json:
@@ -120,8 +121,9 @@ def _load_checked(
     diags = list(result.diagnostics)
     if result.model is not None:
         model = core.normalize(result.model, strict=False)
-        diags += validate(model, result.events, result.chronology)
-    _print_diagnostics(diags)
+        found = validate(model, result.events, result.chronology)
+        _print_diagnostics(found)
+        diags += found
     if result.model is None or any(d.is_error for d in diags):
         return result, None, diags
     return result, model, diags
@@ -136,7 +138,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_normalize(args: argparse.Namespace) -> int:
     result = _load(args.file)
-    _print_diagnostics(result.diagnostics)
     if result.model is None:
         return EXIT_INVALID
     try:
@@ -160,8 +161,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         return EXIT_INVALID
     config = sim.SimConfig(max_steps_per_event=args.max_steps)
     try:
-        # validated just above: simulate reuses the model's stored verdict
-        # and runs only the event and chronology rules again
+        # validated just above with the same inputs: simulate reuses the
+        # model's stored verdict and runs no rule again
         trace = sim.simulate(model, result.events, result.chronology, config)
     except StepBudgetExceeded as exc:
         print(f"simulation error: {exc}", file=sys.stderr)
@@ -182,7 +183,6 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
     result = _load(args.file)
     if result.model is None:
-        _print_diagnostics(result.diagnostics)
         return EXIT_INVALID
     model = core.normalize(result.model, strict=False)
     opts = render.RenderOptions(

@@ -35,10 +35,10 @@ to its TRIGGER_SELF.
 
 ``_alloc`` (which every ``add_*`` that makes an element calls) and
 ``replace_flows`` are the only ways a model changes, and each bumps its
-change counter ``_changes``. ``validate`` stores the verdict of its
-model-level rules on the model with the counter's value, and reuses it
-while the counter matches; ``copy`` starts with no verdict. Writing a
-table or an element's fields directly is not counted.
+change counter ``_changes``. ``validate`` stores its verdict on the
+model, keyed by the counter's value and the events and chronology it
+was given, and reuses it while the key matches; ``copy`` starts with no
+verdict. Writing a table or an element's fields directly is not counted.
 
 ``normalize`` stamps the model it returns with a record of what was
 declared, read through ``declared``: the ``(from, to)`` pairs of the
@@ -214,8 +214,9 @@ class Model:
         self.triggers_from: dict[ElementId, dict[ElementId, TriggerEdge]] = {}
         self._names: dict[ElementId, str] = {}
         self._changes = 0
-        # (``_changes``, model-level diagnostics), stored by ``validate``
-        self._verdict: tuple[int, tuple[Diagnostic, ...]] | None = None
+        # (key, diagnostics), stored by ``validate``: the key is
+        # ``_changes`` and what the event and chronology rules read
+        self._verdict: tuple[tuple, tuple[Diagnostic, ...]] | None = None
         # (``_changes``, what ``declared`` returns), stored by ``normalize``
         # and carried by ``copy``
         self._declared: tuple[int, Declared | None] = (0, None)

@@ -768,9 +768,9 @@ def simulate(
     is the one check of both. With no chronology, all declared events
     run once in declaration order.
 
-    The check is a ``validate`` call, whose model-level verdict is stored
-    on the model: after ``validate``, or a first ``simulate``, on the
-    same unchanged model, only the event and chronology rules run again.
+    The check is a ``validate`` call, whose verdict is stored on the
+    model: after ``validate``, or a first ``simulate``, with the same
+    unchanged model, events and chronology, no rule runs again.
     """
     errors = [d for d in validate(model, events, chronology) if d.is_error]
     if errors:

@@ -21,14 +21,16 @@ EVENT_EMPTY          event with an empty region (error)
 CHRONO_CYCLE         chronology has a directed cycle (error)
 CHRONO_UNKNOWN_EVENT chronology references an undeclared event (error)
 
-The four model-level rules (FLOW_ILLEGAL, ORIGIN_MISSING, TRIGGER_SELF,
-STAGE_UNREACHABLE) read the model alone, and their verdict is stored on
-the model with its change counter (see :mod:`tmkit.core`): ``validate``
-reuses it while the model is unchanged, so ``simulate`` after
-``validate``, or ``simulate`` again, scans the model once. Each call
-returns new ``Diagnostic`` objects. The event and chronology rules run
-on every call, since ``EventDef`` and ``Chronology`` are plain mutable
-records.
+``validate`` stores its verdict on the model, keyed by the model's
+change counter (see :mod:`tmkit.core`) and by what the event and
+chronology rules read: each event's id, region and span, and the
+chronology's nodes, edges and span. While the key matches, it runs no
+rule and returns copies of the stored diagnostics, so ``simulate``
+after ``validate``, or ``simulate`` again, checks its inputs once. The
+key holds the regions and the chronology by value, so an edit made in
+place to either is seen. A call with other events or another
+chronology, such as ``validate(model)`` and then ``simulate(model,
+events, chronology)``, runs every rule again.
 
 MEMORY_UNSUPPORTED is no rule here: the parser and ``from_json`` report
 a ``memory`` relation where they read it, and no model holds one.
@@ -210,29 +212,35 @@ def validate(
 ) -> list[Diagnostic]:
     """Run every rule; an empty result means the inputs are accepted.
 
-    The model-level rules are not run again on a model whose stored
-    verdict is current (see the module docstring).
+    No rule runs while the verdict stored on the model has the same key
+    (see the module docstring); a call with other inputs replaces it.
     """
     events = events or []
+    key = (
+        model._changes,
+        [(e.id, frozenset(e.region), e.span) for e in events],
+        None
+        if chronology is None
+        else (list(chronology.nodes), list(chronology.edges), chronology.span),
+    )
     stored = model._verdict
-    if stored is None or stored[0] != model._changes:
-        found = (
+    if stored is None or stored[0] != key:
+        found = [
             *_check_flows(model),
             *_check_origins(model),
             *_check_triggers(model),
             *_check_reachability(model),
-        )
-        stored = model._verdict = (model._changes, found)
+        ]
+        for event in events:
+            found += check_region(model, event)
+        if chronology is not None:
+            found += _check_chronology(chronology, events)
+        stored = model._verdict = (key, tuple(sorted_diagnostics(found)))
     # copies, so a caller who edits a diagnostic leaves the verdict as it was
-    diags = [
+    return [
         Diagnostic(d.severity, d.code, d.message, d.span, d.element)
         for d in stored[1]
     ]
-    for event in events:
-        diags += check_region(model, event)
-    if chronology is not None:
-        diags += _check_chronology(chronology, events)
-    return sorted_diagnostics(diags)
 
 
 __all__ = [

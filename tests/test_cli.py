@@ -401,8 +401,8 @@ def test_color_env_var(monkeypatch, capsys, broken_file):
 
 def test_simulate_validates_once(monkeypatch, capsys):
     # the CLI validates, and simulate checks through validate again, which
-    # reuses the model's stored verdict: the model-level rules run once, the
-    # event and chronology rules twice
+    # reuses the model's stored verdict: every rule runs once, the region
+    # rules once per event
     import tmkit.cli
     import tmkit.sim
 
@@ -421,9 +421,38 @@ def test_simulate_validates_once(monkeypatch, capsys):
     monkeypatch.setattr(
         rules, "_check_flows", counted("model", rules._check_flows)
     )
-    assert run(["simulate", str(corpus_path("davidson.tm"))]) == 0
+    monkeypatch.setattr(
+        rules, "check_region", counted("region", rules.check_region)
+    )
+    monkeypatch.setattr(
+        rules, "_check_chronology", counted("chronology", rules._check_chronology)
+    )
+    path = corpus_path("davidson.tm")
+    events = tmkit.dsl.parse(path.read_text(), str(path)).events
+    assert run(["simulate", str(path)]) == 0
     capsys.readouterr()
-    assert calls == ["cli", "model", "sim"]
+    assert calls == [
+        "cli", "model", *["region"] * len(events), "chronology", "sim"
+    ]
+
+
+# A flow written twice: the parser collapses it with a warning.
+REPEATED_FLOW = (
+    "thimac a { stage create; stage process; } "
+    "flow a.create -> a.process; flow a.create -> a.process;"
+)
+
+
+@pytest.mark.parametrize(
+    "command", ["parse", "validate", "normalize", "simulate", "render"]
+)
+def test_every_subcommand_prints_the_parser_warnings(command, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(REPEATED_FLOW))
+    assert run([command, "-"]) == 0
+    assert capsys.readouterr().err == (
+        "<stdin>:1:71: warning[DUPLICATE_EDGE] "
+        "duplicate flow a.create -> a.process collapsed\n"
+    )
 
 
 @pytest.mark.parametrize("module", ["tmkit", "tmkit.cli"])

@@ -16,12 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tmkit
-from tmkit import cli, dsl, graph
+from tmkit import cli, dsl
 from tmkit.behavior import (
     Chronology,
     EventDef,
-    region_connected,
-    region_edges,
+    check_region,
     topological_orders_contains,
 )
 from tmkit.core import Model, StageKind, edge_legal, normalize
@@ -47,6 +46,7 @@ from _support import (
     random_legal_chain_model,
     random_model,
     reference_linear_extension,
+    reference_region_edges,
     reference_simulate,
     reference_trace_to_json,
 )
@@ -673,21 +673,41 @@ def test_pure_port_relays_without_uturn():
 # -- region connectivity -------------------------------------------------------
 
 
+def _union_find_groups(region, edges) -> int:
+    """The number of weakly connected groups, by a union-find."""
+    parent = {s: s for s in region}
+
+    def root(s):
+        while parent[s] != s:
+            s = parent[s]
+        return s
+
+    groups = len(region)
+    for edge in edges:
+        a, b = root(edge.from_stage), root(edge.to_stage)
+        if a != b:
+            parent[a] = b
+            groups -= 1
+    return groups
+
+
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 1_000_000))
-def test_region_connected_matches_components(seed):
-    # the union-find against the component walk, on regions that may hold
-    # thimac ids and ids of nothing as well as stages
+def test_region_disconnected_matches_a_union_find(seed):
+    # check_region's connectivity warning against a union-find over the
+    # oracle's region scan, on random regions of stages
     rng = random.Random(seed)
     model = random_model(rng, max_stages=12, max_flows=14)
-    ids = [*model.stages, *model.thimacs, 10**6]
+    stages = list(model.stages)
     for _ in range(5):
-        region = set(rng.sample(ids, rng.randint(0, len(ids))))
-        members = {s for s in region if s in model.stages}
-        flows, triggers = region_edges(model, members)
-        pairs = [(e.from_stage, e.to_stage) for e in flows + triggers]
-        assert region_connected(model, region) == (
-            len(graph.components(members, pairs)) <= 1
+        region = set(rng.sample(stages, rng.randint(1, len(stages))))
+        flows, triggers = reference_region_edges(model, region)
+        diags = check_region(model, EventDef("E", region=region))
+        found = [d.code for d in diags]
+        assert found == (
+            ["REGION_DISCONNECTED"]
+            if _union_find_groups(region, flows + triggers) > 1
+            else []
         )
 
 

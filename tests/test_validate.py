@@ -454,8 +454,25 @@ _OP = st.one_of(
     ),
     st.tuples(st.just("transfer"), st.integers(0, 2)),
     st.tuples(st.just("replace"), st.integers(0, 15), st.booleans()),
+    st.tuples(
+        st.sampled_from(["region_add", "region_remove"]),
+        st.integers(0, 1),
+        st.integers(0, 15),
+    ),
+    st.tuples(st.just("region_unknown"), st.integers(0, 1)),
+    st.tuples(st.just("order"), st.integers(0, 2), st.integers(0, 2)),
     st.just(("validate",)),
 )
+
+
+def _fresh(events, chronology):
+    """Copies of the events and the chronology that share nothing mutable."""
+    return [
+        EventDef(
+            e.id, e.label, set(e.region), e.multiplicity, list(e.subevents), e.span
+        )
+        for e in events
+    ], Chronology(list(chronology.nodes), list(chronology.edges), chronology.span)
 
 
 @settings(max_examples=150, deadline=None)
@@ -471,6 +488,14 @@ def test_validate_equals_validate_of_a_copy_across_mutations(ops):
     model.add_flow("a.create", "a.process")
     model.add_flow("a.process", "b.process")
     model.add_flow("c.create", "c.process")
+    # events and a chronology that the ops edit in place ("X" is
+    # undeclared); every step checks them, and a "validate" op checks the
+    # model alone, which replaces the stored verdict
+    events = [
+        EventDef("E", region=set(model.thimacs[owners[0]].stages.values())),
+        EventDef("F", region=set(model.thimacs[owners[2]].stages.values())),
+    ]
+    chronology = Chronology(["E", "F"], [("E", "F")])
     for op in ops + [("validate",)]:
         stages = list(model.stages)
         if op[0] == "validate":
@@ -487,9 +512,24 @@ def test_validate_equals_validate_of_a_copy_across_mutations(ops):
             if kept:
                 del kept[op[1] % len(kept)]
             model.replace_flows(kept[::-1] if op[2] else kept)
+        elif op[0] == "region_add":
+            events[op[1]].region.add(stages[op[2] % len(stages)])
+        elif op[0] == "region_unknown":
+            events[op[1]].region.add(10**6)
+        elif op[0] == "region_remove":
+            region = events[op[1]].region
+            if region:
+                region.remove(sorted(region)[op[2] % len(region)])
+        elif op[0] == "order":
+            # may close a cycle, or name an undeclared event
+            names = "EFX"
+            chronology.add_edge(names[op[1]], names[op[2]])
         else:
             a, b = stages[op[1] % len(stages)], stages[op[2] % len(stages)]
             if op[0] == "trigger":
                 model.add_trigger(a, b)
             elif a != b:
                 model.add_flow(a, b)
+        assert validate(model, events, chronology) == validate(
+            model.copy(), *_fresh(events, chronology)
+        )
