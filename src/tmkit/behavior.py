@@ -160,7 +160,8 @@ def check_region(model: Model, event: EventDef) -> list[Diagnostic]:
         return diags
     flows, triggers = region_edges(model, event.region)
     pairs = [(e.from_stage, e.to_stage) for e in flows + triggers]
-    if len(graph.components(event.region, pairs)) > 1:
+    # the region is connected when its first component is the whole of it
+    if len(next(graph.components(event.region, pairs))) < len(event.region):
         diags.append(
             Diagnostic(
                 Severity.WARNING,

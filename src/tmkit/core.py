@@ -46,8 +46,13 @@ flows it was given, in order, and the stages it created. The record
 holds while the counter matches, so any ``add_*`` or ``replace_flows``
 after ``normalize`` leaves the model with none. ``copy`` carries a
 record that holds, and a second ``normalize`` keeps the first one.
-``render --simplified`` draws the record; the model JSON does not
-carry it, so a model read by ``from_json`` or built by hand has none.
+It is the one record of what normalization inserted: a flow keeps no
+list of its own. ``render --simplified`` draws the record; the model
+JSON does not carry it, so a model read by ``from_json`` or built by
+hand has none. That JSON still writes each flow's ``implicitSegments``
+as an empty list, only so that every recorded digest keeps its bytes
+until a change that may re-record them replaces the key with the
+record, and ``from_json`` ignores the key.
 
 ``LEGAL`` is the one table of the stage-wiring rule; ``edge_legal``,
 ``Model.flow_legal`` and the validator's FLOW_ILLEGAL read it, and
@@ -172,17 +177,14 @@ class Stage(Record):
 
 
 class FlowEdge(Record):
-    __slots__ = _fields = ("id", "from_stage", "to_stage", "implicit_segments", "span")
+    __slots__ = _fields = ("id", "from_stage", "to_stage", "span")
     arrow = "->"
 
     def __init__(
         self, id: ElementId, from_stage: ElementId, to_stage: ElementId,
-        # stages created by normalization while expanding this edge's chain
-        implicit_segments: list[ElementId] | None = None,
         span: SourceSpan | None = None,
     ) -> None:
         self.id, self.from_stage, self.to_stage = id, from_stage, to_stage
-        self.implicit_segments = [] if implicit_segments is None else implicit_segments
         self.span = span
 
 
@@ -462,8 +464,7 @@ class Model:
             for s in self.stages.values()
         }
         out.flows = [
-            FlowEdge(f.id, f.from_stage, f.to_stage, list(f.implicit_segments), f.span)
-            for f in self.flows
+            FlowEdge(f.id, f.from_stage, f.to_stage, f.span) for f in self.flows
         ]
         out.triggers = [
             TriggerEdge(t.id, t.from_stage, t.to_stage, t.span) for t in self.triggers
@@ -518,12 +519,13 @@ def normalize(model: Model, strict: bool = True) -> Model:
 
     Cross-machine flows gain the missing release/transfer/receive
     members; within-machine transfer skips gain the elided release or
-    receive. Existing stages are reused, created ones are recorded in
-    each expanded edge's ``implicit_segments``. Create stages are never
+    receive. Existing stages are reused. Create stages are never
     inserted: flow origins must be explicit.
 
-    The result's ``declared`` record holds the flows of ``model`` and the
-    stages created here, or ``model``'s own record if it has one.
+    The result's ``declared`` record, the one record of what was
+    inserted, holds the flows of ``model`` and the stages created here,
+    or ``model``'s own record if it has one. The model JSON's
+    ``implicitSegments`` is written empty and is not that record.
 
     With ``strict`` (the default) an edge admitting no legal expansion
     raises :class:`AmbiguousExpansion`; otherwise it is left in place
@@ -546,26 +548,13 @@ def normalize(model: Model, strict: bool = True) -> Model:
             new_flows.append(edge)
             continue
 
-        created: list[ElementId] = []
         chain_ids = [edge.from_stage]
         for kind, owner in plan:
             sid = out.thimacs[owner].stages.get(kind)
-            if sid is None:
-                sid = out.add_stage(owner, kind)
-                created.append(sid)
-            chain_ids.append(sid)
+            chain_ids.append(out.add_stage(owner, kind) if sid is None else sid)
         chain_ids.append(edge.to_stage)
-
         for a, b in zip(chain_ids, chain_ids[1:]):
-            new_flows.append(
-                FlowEdge(
-                    out._alloc(),
-                    a,
-                    b,
-                    implicit_segments=list(created),
-                    span=edge.span,
-                )
-            )
+            new_flows.append(FlowEdge(out._alloc(), a, b, edge.span))
     # expansions may recreate edges declared elsewhere; keep the first
     out.replace_flows(new_flows)
     out._declared = (out._changes, model.declared() or (

@@ -10,8 +10,13 @@ entry, once if it names something (a region entry that names a stage
 shares the ends' memo). It reads them as the parser reads
 a path, through ``parser.stage_at`` and ``stages_at``, and reports one
 that names nothing as DANGLING_REF at every occurrence, with the
-parser's message after the entry's context. An ``implicitSegments``
-entry is a lookup (``Model.find_stage``), which makes no stage.
+parser's message after the entry's context.
+
+Each flow is written with ``"implicitSegments": []`` and the key is
+ignored on read, whatever it holds. What normalization inserted is
+recorded once, in ``Model.declared()``, which the document does not
+carry; the empty key stays only so that every recorded digest keeps
+its bytes until a change that may re-record them replaces it.
 """
 
 from __future__ import annotations
@@ -55,8 +60,7 @@ def to_json(result: ParseResult) -> str:
         )
     flows = [
         f'{{\n      "from": {quoted[f.from_stage]},\n      "to": {quoted[f.to_stage]},\n'
-        f'      "implicitSegments": '
-        f'{_list("      ", [quoted[s] for s in f.implicit_segments])}\n    }}'
+        f'      "implicitSegments": []\n    }}'
         for f in model.flows
     ]
     triggers = [
@@ -225,31 +229,13 @@ def from_json(text: str) -> ParseResult:
                 err("DANGLING_REF", f"{context}: {exc}")
         return found
 
-    for entry in objects(doc.get("flows", []), "flows"):
-        src = read(entry.get("from"), "flow", ends)
-        dst = read(entry.get("to"), "flow", ends)
-        if src is None or dst is None:
-            continue
-        segments = []
-        for seg in entries(entry.get("implicitSegments", []), "flow implicitSegments"):
-            # a lookup: a bare thimac here is a port that already exists
-            if not isinstance(seg, str):
-                err("JSON_MALFORMED", "flow implicitSegments: stage reference must be a string")
-            elif (sid := model.find_stage(seg)) is None:
-                err("DANGLING_REF", f"flow implicitSegments: no stage at '{seg}'")
-            else:
-                segments.append(sid)
-        duplicate = add_edge(model, "->", src, dst)
-        if duplicate:
-            diags += duplicate  # the first entry's segments stay with the edge
-        else:
-            model.flows[-1].implicit_segments = segments
-
-    for entry in objects(doc.get("triggers", []), "triggers"):
-        src = read(entry.get("from"), "trigger", ends)
-        dst = read(entry.get("to"), "trigger", ends)
-        if src is not None and dst is not None:
-            diags += add_edge(model, "~>", src, dst)
+    # a flow's implicitSegments is not read
+    for section, what, arrow in (("flows", "flow", "->"), ("triggers", "trigger", "~>")):
+        for entry in objects(doc.get(section, []), section):
+            src = read(entry.get("from"), what, ends)
+            dst = read(entry.get("to"), what, ends)
+            if src is not None and dst is not None:
+                diags += add_edge(model, arrow, src, dst)
 
     # the notation gives a memory no meaning: each entry is an error
     for _ in objects(doc.get("memories", []), "memories"):

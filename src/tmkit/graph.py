@@ -24,11 +24,14 @@ Orders guaranteed:
     edges included), in the order the recursive search meets them
     (Tarjan, SIAM J. Comput. 1972).
 ``components``
-    Weakly connected components as sets, in the order of the first
-    node of each in ``nodes``. Adjacency is kept as lists, and the walk
-    is breadth first over a list that grows as it finds nodes, testing
-    each neighbour once against the nodes already seen; the order
-    inside a component is not part of the result.
+    Weakly connected components, yielded one at a time as lists, in
+    the order of the first node of each in ``nodes``. Adjacency is kept
+    as lists, and the walk is breadth first over the component's own
+    list, which grows as it finds nodes, testing each neighbour once
+    against the nodes already seen; the order inside a component is
+    not part of the result, and no set is made per component. A caller
+    that needs only the first one walks no other: REGION_DISCONNECTED
+    asks whether a region's first component is smaller than the region.
 ``topological``
     Kahn's algorithm (CACM 1962) with ties broken by position in
     ``nodes``: O((V + E) log V). Nodes on or after a cycle are left
@@ -101,14 +104,14 @@ def cycles(roots: Iterable[Node], succ: Succ) -> Iterator[list[Node]]:
                 done.add(path.pop())
 
 
-def components(nodes: Iterable[Node], edges: Edges) -> list[set[Node]]:
-    """Weakly connected components; every edge endpoint must be a node."""
+def components(nodes: Iterable[Node], edges: Edges) -> Iterator[list[Node]]:
+    """Weakly connected components, each a list of distinct nodes; every
+    edge endpoint must be a node."""
     adj: dict[Node, list[Node]] = {n: [] for n in nodes}
     for a, b in edges:
         adj[a].append(b)
         adj[b].append(a)
     seen: set[Node] = set()
-    out = []
     for node in adj:
         if node not in seen:
             seen.add(node)
@@ -118,8 +121,7 @@ def components(nodes: Iterable[Node], edges: Edges) -> list[set[Node]]:
                     if nxt not in seen:
                         seen.add(nxt)
                         comp.append(nxt)
-            out.append(set(comp))
-    return out
+            yield comp
 
 
 def topological(nodes: Iterable[Node], edges: Edges) -> list[Node]:

@@ -2,8 +2,8 @@
 
 Every finding is a diagnostic with a stable rule code; errors block
 simulation, warnings never do. FLOW_ILLEGAL tests each flow against the
-stage-wiring rule ``core.LEGAL`` (``legality`` is ``core.edge_legal``
-and ``legality_matrix`` a copy of the table). It is meant to be judged
+stage-wiring rule ``core.LEGAL``, the one legality table (``legality``
+is ``core.edge_legal``, its membership test). It is meant to be judged
 on a normalized model: run :func:`tmkit.core.normalize` first unless
 the point is to inspect the raw source form. It is also the only
 legality check the simulator has: ``simulate`` refuses a model with
@@ -42,7 +42,7 @@ from operator import attrgetter
 
 from . import graph
 from .behavior import Chronology, EventDef, check_region
-from .core import LEGAL, Model, StageKind
+from .core import Model, StageKind
 from .core import edge_legal as legality
 from .diagnostics import Diagnostic, Severity, collector_paused, sorted_diagnostics
 
@@ -60,11 +60,6 @@ RULE_CODES = (
 
 
 _to_stage = attrgetter("to_stage")
-
-
-def legality_matrix() -> set[tuple[StageKind, StageKind, bool]]:
-    """The full closed relation, for documentation and oracle tests."""
-    return set(LEGAL)
 
 
 def _check_flows(model: Model) -> list[Diagnostic]:
@@ -246,7 +241,6 @@ def validate(
 __all__ = [
     "RULE_CODES",
     "legality",
-    "legality_matrix",
     "validate",
     "chronology_cycle",
 ]

@@ -445,9 +445,8 @@ def reference_to_json(result) -> str:
         {
             "from": model.qualified_name(f.from_stage),
             "to": model.qualified_name(f.to_stage),
-            "implicitSegments": [
-                model.qualified_name(s) for s in f.implicit_segments
-            ],
+            # written empty: what normalization inserted is Model.declared()
+            "implicitSegments": [],
         }
         for f in model.flows
     ]

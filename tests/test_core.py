@@ -191,10 +191,13 @@ def test_normalize_cross_machine_process_to_process():
     # release+transfer on the source side, transfer+receive on the target
     assert len(norm.stages) == len(model.stages) + 4
     assert is_normalized(norm)
-    expanded = [f for f in norm.flows if f.implicit_segments]
-    assert len(expanded) == 5
-    inserted = set(expanded[0].implicit_segments)
-    assert len(inserted) == 4
+    declared, created = norm.declared()
+    assert declared == tuple((f.from_stage, f.to_stage) for f in model.flows)
+    assert created == norm.stages.keys() - model.stages.keys()
+    assert len(created) == 4
+    # the expanded flow became a chain of five through the created stages
+    chain = [f for f in norm.flows if {f.from_stage, f.to_stage} & created]
+    assert len(chain) == 5
 
 
 def test_normalize_within_machine_receive_to_transfer():
@@ -245,11 +248,35 @@ def test_normalize_idempotent_and_monotone_on_random_models():
                 assert edge.from_stage in after_srcs
         # inserting a stage always shows up under model_equal; a model
         # already in normal form is untouched
-        inserted = any(f.implicit_segments for f in once.flows)
+        inserted = bool(once.declared()[1])
         if inserted:
             assert not model_equal(model, once)
         if is_normalized(model):
             assert model_equal(model, once)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 1_000_000))
+def test_declared_record_names_the_stages_normalize_added(seed):
+    """``declared()`` is the one record of what ``normalize`` inserted:
+    its second member is exactly the stages the reference expansion
+    finds missing along the flows that are not legal."""
+    rng = random.Random(seed)
+    if seed % 2:
+        model = random_legal_chain_model(rng, machines=4)
+    else:
+        model = random_model(rng)
+    missing = set()
+    for f in model.flows:
+        if not model.flow_legal(f):
+            for kind, owner in reference_expansion(model, f.from_stage, f.to_stage) or ():
+                if kind not in model.thimacs[owner].stages:
+                    missing.add(f"{reference_qualified_name(model, owner)}.{kind.value}")
+    norm = normalize(model, strict=False)
+    declared, created = norm.declared()
+    assert declared == tuple((f.from_stage, f.to_stage) for f in model.flows)
+    assert {reference_qualified_name(norm, s) for s in created} == missing
+    assert created <= norm.stages.keys()
 
 
 def test_normalize_strict_raises_on_inexpansible_edge():
@@ -541,8 +568,9 @@ def _snapshot(model: Model):
         list(model.roots),
         [(t.id, t.name, t.parent, dict(t.stages), list(t.children)) for t in model.thimacs.values()],
         [(s.id, s.kind, s.thimac) for s in model.stages.values()],
-        [(f.id, f.from_stage, f.to_stage, list(f.implicit_segments)) for f in model.flows],
+        [(f.id, f.from_stage, f.to_stage) for f in model.flows],
         [(t.id, t.from_stage, t.to_stage) for t in model.triggers],
+        model.declared(),
     )
 
 
@@ -574,7 +602,7 @@ def test_copy_is_independent():
     tid = dup.add_thimac("extra")
     dup.add_stage(tid, StageKind.TRANSFER)
     dup.add_trigger(dup.flows[0].from_stage, dup.flows[0].to_stage)
-    dup.flows[0].implicit_segments.append(tid)
+    dup.flows[0].to_stage = dup.flows[0].from_stage
     assert _snapshot(model) == before
 
 

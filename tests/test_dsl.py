@@ -29,7 +29,7 @@ from _support import (
     reference_tokenize,
 )
 from conftest import CORPUS_NAMES
-from test_fuzz import _dsl_text
+from test_fuzz import _document, _dsl_text
 
 
 def errors(result):
@@ -538,7 +538,7 @@ _LABELS = st.one_of(
 def test_to_json_matches_the_oracle_on_generated_models(seed, labels, chronology):
     rng = random.Random(seed)
     if seed % 2:
-        # a legal chain normalizes, so its flows carry implicit segments
+        # a legal chain normalizes, so the model has a declared record
         model = normalize(random_legal_chain_model(rng, machines=4))
     else:
         model = random_model(rng)
@@ -608,7 +608,7 @@ CORNER_DOCUMENTS = {
             {
                 "from": "a.create",
                 "to": "a.b.process",
-                "implicitSegments": ["a.release", "a.transfer", "a.b.receive"],
+                "implicitSegments": [],
             },
             {"from": "a.b.process", "to": "a.create", "implicitSegments": []},
         ],
@@ -661,9 +661,8 @@ def test_from_json_reads_an_empty_chronology_object():
 
 def test_from_json_reports_each_dangling_reference_where_it_occurs():
     """An end or region entry that names nothing is one DANGLING_REF per
-    occurrence, with the parser's message after the entry's context. An
-    ``implicitSegments`` entry is a lookup with its own message. Entries
-    that DSL syntax cannot write are read the same way and raise
+    occurrence, with the parser's message after the entry's context.
+    Entries that DSL syntax cannot write are read the same way and raise
     nothing: an empty path or segment, a bare stage kind, and a stage
     kind before the end."""
     messages = {
@@ -682,10 +681,7 @@ def test_from_json_reports_each_dangling_reference_where_it_occurs():
                     "stages": [{"kind": "create"}, {"kind": "process"}, {"kind": "transfer"}],
                 }
             ],
-            "flows": [
-                {"from": ref, "to": ref},
-                {"from": "a.create", "to": "a.process", "implicitSegments": [ref, "a", ref]},
-            ],
+            "flows": [{"from": ref, "to": ref}],
             "triggers": [{"from": ref, "to": "a.create"}, {"from": "a.process", "to": ref}],
             "events": [{"id": "E", "region": [ref, "a.create", ref]}],
         }
@@ -694,8 +690,6 @@ def test_from_json_reports_each_dangling_reference_where_it_occurs():
         assert [d.render() for d in result.diagnostics] == [
             f"<model>: error[DANGLING_REF] flow: {message}",
             f"<model>: error[DANGLING_REF] flow: {message}",
-            f"<model>: error[DANGLING_REF] flow implicitSegments: no stage at '{ref}'",
-            f"<model>: error[DANGLING_REF] flow implicitSegments: no stage at '{ref}'",
             f"<model>: error[DANGLING_REF] trigger: {message}",
             f"<model>: error[DANGLING_REF] trigger: {message}",
             f"<model>: error[DANGLING_REF] event 'E' region: {message}",
@@ -855,18 +849,7 @@ def test_from_json_entries_that_are_not_objects(doc):
     [
         ({"events": [{"id": "E", "region": 5}]}, "event 'E' region"),
         ({"events": [{"id": "E", "contains": "F"}]}, "event 'E' contains"),
-        (
-            {
-                "thimacs": [
-                    {"name": "a", "stages": [{"kind": "transfer"}]},
-                    {"name": "b", "stages": [{"kind": "transfer"}]},
-                ],
-                "flows": [
-                    {"from": "a.transfer", "to": "b.transfer", "implicitSegments": 5}
-                ],
-            },
-            "flow implicitSegments",
-        ),
+        ({"flows": {"from": "a.transfer", "to": "b.transfer"}}, "flows"),
         ({"chronology": {"nodes": 5}}, "chronology nodes"),
         ({"chronology": {"edges": {"E": "F"}}}, "chronology edges"),
     ],
@@ -1096,6 +1079,45 @@ def test_from_json_duplicate_definitions_become_diagnostics():
     assert any(d.code == "DUPLICATE_DEF" for d in errors(result))
 
 
+# what a flow's implicitSegments may hold in a document: any JSON, stage
+# lists, unknown paths and bare thimacs
+_SEGMENTS = st.one_of(
+    st.none(),
+    st.integers(),
+    st.text(max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+    st.lists(
+        st.one_of(
+            st.sampled_from(
+                ["a", "b", "a.c", "ghost", "a.create", "a.release", "zz.release", "", "create"]
+            ),
+            st.integers(),
+            st.none(),
+        ),
+        max_size=4,
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=_document(), data=st.data())
+def test_from_json_ignores_implicit_segments(doc, data):
+    """A flow's implicitSegments, whatever it holds, changes neither the
+    diagnostics nor the model that ``from_json`` reads."""
+    flows = doc["flows"] if isinstance(doc["flows"], list) else []
+    entries = [entry for entry in flows if isinstance(entry, dict)]
+    for entry in entries:
+        entry.pop("implicitSegments", None)
+    without = dsl.from_json(json.dumps(doc))
+    for entry in entries:
+        entry["implicitSegments"] = data.draw(_SEGMENTS)
+    loaded = dsl.from_json(json.dumps(doc))
+    assert loaded.diagnostics == without.diagnostics
+    assert (loaded.model is None) == (without.model is None)
+    if without.model is not None:
+        assert dsl.to_json(loaded) == dsl.to_json(without)
+
+
 def test_from_json_repeated_flow_keeps_the_first_entry():
     flow = {"from": "a.release", "to": "a.transfer"}
     doc = {
@@ -1111,7 +1133,10 @@ def test_from_json_repeated_flow_keeps_the_first_entry():
     assert errors(result) == []
     model = result.model
     [edge] = model.flows
-    assert [model.qualified_name(s) for s in edge.implicit_segments] == ["a.release"]
+    assert model.qualified_name(edge.id) == "a.release->a.transfer"
+    # neither entry's implicitSegments is read, and a loaded model has no record
+    assert model.declared() is None
+    assert '"implicitSegments": []' in dsl.to_json(result)
     assert [d.render() for d in result.diagnostics] == [
         "<model>: warning[DUPLICATE_EDGE] duplicate flow a.release -> a.transfer collapsed"
     ]
@@ -1201,20 +1226,15 @@ def test_json_round_trip_preserves_normalization_provenance(load_corpus):
     simp = load_corpus("atm_simplified.tm")
     norm = normalize(simp.model)
     round1 = dsl.ParseResult(norm, simp.events, simp.chronology, [])
-    back = dsl.from_json(dsl.to_json(round1))
+    text = dsl.to_json(round1)
+    back = dsl.from_json(text)
     assert model_equal(back.model, norm)
-    inserted_before = {
-        norm.qualified_name(s)
-        for f in norm.flows
-        for s in f.implicit_segments
-    }
-    inserted_after = {
-        back.model.qualified_name(s)
-        for f in back.model.flows
-        for s in f.implicit_segments
-    }
-    assert inserted_before == inserted_after
-    assert inserted_before  # normalization really inserted stages
+    assert all(f["implicitSegments"] == [] for f in json.loads(text)["flows"])
+    # the inserted stages come back; the record of them stays with ``norm``
+    inserted = {norm.qualified_name(s) for s in norm.declared()[1]}
+    assert inserted  # normalization really inserted stages
+    assert inserted <= {back.model.qualified_name(s) for s in back.model.stages}
+    assert back.model.declared() is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -1227,13 +1247,16 @@ def test_json_round_trip_property_on_generated_models(seed):
     assert model_equal(model, back.model)
 
 
-def test_corpus_json_conforms_to_shipped_schema(load_corpus):
-    jsonschema = pytest.importorskip("jsonschema")
+def _shipped_schema() -> dict:
     from pathlib import Path
 
-    schema = json.loads(
-        (Path(__file__).parent.parent / "schemas" / "tm-model.schema.json").read_text()
-    )
+    path = Path(__file__).parent.parent / "schemas" / "tm-model.schema.json"
+    return json.loads(path.read_text())
+
+
+def test_corpus_json_conforms_to_shipped_schema(load_corpus):
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = _shipped_schema()
     for name in CORPUS_NAMES:
         doc = json.loads(dsl.to_json(load_corpus(name)))
         jsonschema.validate(doc, schema)
@@ -1242,3 +1265,33 @@ def test_corpus_json_conforms_to_shipped_schema(load_corpus):
     for memories in ([], [{"from": flow["from"], "to": flow["to"]}]):
         with pytest.raises(jsonschema.ValidationError, match="memories"):
             jsonschema.validate({**doc, "memories": memories}, schema)
+
+
+def test_shipped_schema_admits_what_from_json_reads():
+    """A path that ends at a thimac, as a flow or trigger end and as a
+    region entry, and a flow's implicitSegments in any form or left out:
+    the schema accepts the document and ``from_json`` loads it with no
+    diagnostic."""
+    jsonschema = pytest.importorskip("jsonschema")
+    stages = [{"kind": k, "annotation": None} for k in ("create", "release", "transfer")]
+    doc = {
+        "thimacs": [
+            {"name": "a", "parent": None, "annotation": None, "stages": stages},
+            {"name": "b", "parent": None, "annotation": None, "stages": []},
+        ],
+        "flows": [
+            {"from": "a.create", "to": "a.release", "implicitSegments": ["a.release"]},
+            {"from": "a.release", "to": "a.transfer", "implicitSegments": 5},
+            {"from": "a.transfer", "to": "b"},
+        ],
+        "triggers": [{"from": "b", "to": "a.create"}],
+        "events": [
+            {"id": "E", "label": None, "region": ["b"], "repeat": 1, "contains": []}
+        ],
+        "chronology": None,
+    }
+    jsonschema.validate(doc, _shipped_schema())
+    result = dsl.from_json(json.dumps(doc))
+    assert result.diagnostics == []
+    b_port = result.model.find_stage("b.transfer")
+    assert result.events[0].region == {b_port}

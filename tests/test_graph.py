@@ -132,7 +132,13 @@ def test_components_match_brute_force(seed):
     rng = random.Random(seed)
     nodes, edges = random_digraph(rng, max_nodes=12, edge_prob=rng.random() * 0.3)
     rng.shuffle(nodes)
-    assert graph.components(nodes, edges) == _brute_force_components(nodes, edges)
+    found = list(graph.components(nodes, edges))
+    assert [set(c) for c in found] == _brute_force_components(nodes, edges)
+    # each is a list of distinct nodes, headed by its first node in ``nodes``
+    order = list(dict.fromkeys(nodes))
+    for comp in found:
+        assert type(comp) is list and len(set(comp)) == len(comp)
+        assert comp[0] == min(comp, key=order.index)
 
 
 def test_topological_leaves_out_what_a_cycle_blocks():
@@ -148,10 +154,9 @@ def test_walks_are_iterative_on_long_chains():
     assert list(graph.preorder([0], chain.__getitem__)) == list(range(n + 1))
     assert [len(c) for c in graph.cycles([0], chain.__getitem__)] == [n + 2]
     assert len(list(graph.tree([0], lambda i: [i + 1] if i < n else []))) == 2 * (n + 1)
-    assert len(graph.components(range(n + 1), [(i, i + 1) for i in range(n)])) == 1
-    assert graph.topological(range(n, -1, -1), [(i, i + 1) for i in range(n)]) == list(
-        range(n + 1)
-    )
+    chain_edges = [(i, i + 1) for i in range(n)]
+    assert [len(c) for c in graph.components(range(n + 1), chain_edges)] == [n + 1]
+    assert graph.topological(range(n, -1, -1), chain_edges) == list(range(n + 1))
 
 
 # -- callers against the walks they replaced -----------------------------------

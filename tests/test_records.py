@@ -43,7 +43,7 @@ SIGNATURES = {
     ],
     FlowEdge: [
         ("id", REQUIRED), ("from_stage", REQUIRED), ("to_stage", REQUIRED),
-        ("implicit_segments", list), ("span", None),
+        ("span", None),
     ],
     TriggerEdge: [
         ("id", REQUIRED), ("from_stage", REQUIRED), ("to_stage", REQUIRED),
@@ -198,9 +198,7 @@ def test_reprs():
         "Stage(id=3, kind=<StageKind.CREATE: 'create'>, thimac=1, annotation=None, "
         "span=None)"
     )
-    assert repr(FlowEdge(5, 3, 4, [6])) == (
-        "FlowEdge(id=5, from_stage=3, to_stage=4, implicit_segments=[6], span=None)"
-    )
+    assert repr(FlowEdge(5, 3, 4)) == "FlowEdge(id=5, from_stage=3, to_stage=4, span=None)"
     assert repr(TriggerEdge(7, 3, 4, SourceSpan("f", 1, 2, 1, 8))) == (
         "TriggerEdge(id=7, from_stage=3, to_stage=4, span=SourceSpan(file='f', "
         "start_line=1, start_col=2, end_line=1, end_col=8))"

@@ -14,13 +14,11 @@ from hypothesis import strategies as st
 
 from tmkit import dsl
 from tmkit.behavior import Chronology, EventDef
-from tmkit.core import Model, StageKind, normalize
+from tmkit.core import LEGAL, Model, StageKind, normalize
 from tmkit.diagnostics import Severity
 from tmkit.errors import PreconditionViolated
 from tmkit.sim import simulate
-from tmkit.validate import (
-    RULE_CODES, chronology_cycle, legality, legality_matrix, validate
-)
+from tmkit.validate import RULE_CODES, chronology_cycle, legality, validate
 
 from _support import (
     ORACLE_LEGAL,
@@ -46,6 +44,7 @@ def codes(diags, severity=None):
 
 
 def test_legality_matrix_matches_the_documented_relation():
+    assert {(a.value, b.value, same) for a, b, same in LEGAL} == ORACLE_LEGAL
     for a, b, same in product(StageKind, StageKind, (True, False)):
         expected = (a.value, b.value, same) in ORACLE_LEGAL
         assert legality(a, b, same) == expected, (a, b, same)
@@ -61,7 +60,7 @@ def test_legality_key_examples():
 
 
 def test_legality_matrix_is_closed_and_small():
-    assert len(legality_matrix()) == 8
+    assert len(LEGAL) == 8
 
 
 # -- flow rules ------------------------------------------------------------
