@@ -122,15 +122,10 @@ def region_edges(model: Model, region: set[ElementId]) -> tuple[list, list]:
     model order, the sources in the region's iteration order; the
     triggers come in model order, which is ascending id.
     """
-    flows_from, triggers_from = model.flows_from, model.triggers_from
-    flows = [
-        e for s in region if s in flows_from
-        for d, e in flows_from[s].items() if d in region
-    ]
-    triggers = [
-        e for s in region if s in triggers_from
-        for d, e in triggers_from[s].items() if d in region
-    ]
+    flows, triggers = (
+        [e for s in region if s in index for d, e in index[s].items() if d in region]
+        for index in (model.flows_from, model.triggers_from)
+    )
     triggers.sort(key=lambda t: t.id)
     return flows, triggers
 

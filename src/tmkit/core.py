@@ -15,23 +15,26 @@ its id (``edges``), and flows and triggers by source (``flows_from``,
 ``triggers_from``), each ``{from: {to: edge}}`` with a source's edges in
 model order and a key only for a stage that has such an edge.
 ``triggers`` is in ascending id order, since each trigger is appended
-with a fresh id. Lookups (``find_thimac``, ``find_stage``,
-``find_flow``) and the duplicate checks are a dict probe or two, so
-building and resolving a model is linear in its size, and the edges
-leaving a set of stages cost their number to find. ``copy`` and
-``normalize`` rebuild the indexes for the model they return;
-``normalize`` swaps in its flows through ``replace_flows``.
+with a fresh id. ``add_flow`` and ``add_trigger`` are one add path,
+``_add_edge``, over the kind's list and per-source index: it resolves
+both ends, returns the first edge's id for a repeated ``(from, to)``
+pair, and otherwise allocates the edge, appends it and indexes it.
+Lookups (``find_thimac``, ``find_stage``, and ``find_flow``, which the
+add path does not call) and the duplicate check are a dict probe or
+two, so building and resolving a model is linear in its size, and the
+edges leaving a set of stages cost their number to find. ``copy`` and
+``normalize`` rebuild the indexes for the model they return, ``copy``
+in one loop over flows and triggers; ``normalize`` swaps in its flows
+through ``replace_flows``.
 The lookups make nothing: ``find_stage`` reads a path that ends at a
-thimac as its transfer port only if the port exists, so ``add_flow``
-and ``add_trigger``, which look up string ends with it, leave no new
-stage behind when they fail. The front ends read a path through
+thimac as its transfer port only if the port exists, so the add path,
+which looks up string ends with it, leaves no new stage and no edge
+behind when it fails. The front ends read a path through
 ``dsl.parser.stage_at``, which makes the port.
 ``add_thimac`` refuses a name that no path could reach: an empty one, a
-dotted one, or a stage-kind word. ``add_flow`` and ``add_trigger``
-accept equal endpoints, and collapse a repeated edge to the first one
-and return its id. ``LEGAL`` has no step from a stage to itself, so a
-self-flow is left to the validator's FLOW_ILLEGAL, as a self-trigger is
-to its TRIGGER_SELF.
+dotted one, or a stage-kind word. The add path accepts equal endpoints.
+``LEGAL`` has no step from a stage to itself, so a self-flow is left to
+the validator's FLOW_ILLEGAL, as a self-trigger is to its TRIGGER_SELF.
 
 ``_alloc`` (which every ``add_*`` that makes an element calls) and
 ``replace_flows`` are the only ways a model changes, and each bumps its
@@ -284,24 +287,34 @@ class Model:
             raise UnknownEndpoint(f"no stage with id {ref}")
         return ref
 
+    def _add_edge(
+        self,
+        record: type[FlowEdge] | type[TriggerEdge],
+        edges: list,
+        index: dict[ElementId, dict[ElementId, FlowEdge | TriggerEdge]],
+        from_stage: ElementId | str,
+        to_stage: ElementId | str,
+        span: SourceSpan | None,
+    ) -> ElementId:
+        src = self._resolve_endpoint(from_stage)
+        dst = self._resolve_endpoint(to_stage)
+        out = index.setdefault(src, {})
+        if dst in out:
+            # parallel duplicates collapse to the first edge
+            return out[dst].id
+        eid = self._alloc()
+        edge = out[dst] = record(eid, src, dst, span=span)
+        edges.append(edge)
+        self.edges[eid] = edge
+        return eid
+
     def add_flow(
         self,
         from_stage: ElementId | str,
         to_stage: ElementId | str,
         span: SourceSpan | None = None,
     ) -> ElementId:
-        src = self._resolve_endpoint(from_stage)
-        dst = self._resolve_endpoint(to_stage)
-        existing = self.find_flow(src, dst)
-        if existing is not None:
-            # parallel duplicates collapse to the first edge
-            return existing.id
-        eid = self._alloc()
-        edge = FlowEdge(eid, src, dst, span=span)
-        self.flows.append(edge)
-        self.flows_from.setdefault(src, {})[dst] = edge
-        self.edges[eid] = edge
-        return eid
+        return self._add_edge(FlowEdge, self.flows, self.flows_from, from_stage, to_stage, span)
 
     def replace_flows(self, flows: Iterable[FlowEdge]) -> None:
         """Make ``flows`` the flow list, keeping the first edge of each
@@ -323,16 +336,9 @@ class Model:
         to_stage: ElementId | str,
         span: SourceSpan | None = None,
     ) -> ElementId:
-        src = self._resolve_endpoint(from_stage)
-        dst = self._resolve_endpoint(to_stage)
-        out = self.triggers_from.setdefault(src, {})
-        if dst in out:
-            return out[dst].id
-        eid = self._alloc()
-        edge = out[dst] = TriggerEdge(eid, src, dst, span=span)
-        self.triggers.append(edge)
-        self.edges[eid] = edge
-        return eid
+        return self._add_edge(
+            TriggerEdge, self.triggers, self.triggers_from, from_stage, to_stage, span
+        )
 
     def ensure_transfer(self, thimac: ElementId) -> ElementId:
         """Return the thimac's transfer port, materializing it if absent."""
@@ -463,20 +469,16 @@ class Model:
             s.id: Stage(s.id, s.kind, s.thimac, s.annotation, s.span)
             for s in self.stages.values()
         }
-        out.flows = [
-            FlowEdge(f.id, f.from_stage, f.to_stage, f.span) for f in self.flows
-        ]
-        out.triggers = [
-            TriggerEdge(t.id, t.from_stage, t.to_stage, t.span) for t in self.triggers
-        ]
-        out.edges = {e.id: e for e in (*out.flows, *out.triggers)}
         out._next_id = self._next_id
         out._thimac_index = dict(self._thimac_index)
-        for edges, index in (
-            (out.flows, out.flows_from), (out.triggers, out.triggers_from)
+        for edges, copied, index in (
+            (self.flows, out.flows, out.flows_from),
+            (self.triggers, out.triggers, out.triggers_from),
         ):
             for e in edges:
-                index.setdefault(e.from_stage, {})[e.to_stage] = e
+                c = type(e)(e.id, e.from_stage, e.to_stage, e.span)
+                copied.append(c)
+                index.setdefault(c.from_stage, {})[c.to_stage] = out.edges[c.id] = c
         out._names = dict(self._names)
         out._declared = (out._changes, self.declared())
         return out

@@ -14,8 +14,9 @@ single run reports every diagnosable problem it can. A well-formed
 MEMORY_UNSUPPORTED; its endpoints are not resolved. Chronology
 statements name only events, so the parser builds the chronology
 itself. Lowering happens in two passes: thimac declarations first,
-then flows, triggers and events, which may therefore reference thimacs
-declared later in the file.
+then one loop over every flow statement and then every trigger
+statement (a trigger is a chain of two paths), followed by events; so
+edges and events may reference thimacs declared later in the file.
 """
 
 from __future__ import annotations
@@ -163,18 +164,13 @@ class _ThimacDecl:
         self.children: list[_ThimacDecl] = []
 
 
-class _FlowStmt:
+class _EdgeStmt:
+    """A flow chain, or a trigger as a chain of two paths."""
+
     __slots__ = ("paths", "span")
 
     def __init__(self, paths: list[_Path], span: SourceSpan) -> None:
         self.paths, self.span = paths, span
-
-
-class _TriggerStmt:
-    __slots__ = ("src", "dst", "span")
-
-    def __init__(self, src: _Path, dst: _Path, span: SourceSpan) -> None:
-        self.src, self.dst, self.span = src, dst, span
 
 
 class _EventDecl:
@@ -219,8 +215,8 @@ class _Parser:
         self.texts = tokens.texts
         self.diagnostics: list[Diagnostic] = []
         self.thimacs: list[_ThimacDecl] = []
-        self.flows: list[_FlowStmt] = []
-        self.triggers: list[_TriggerStmt] = []
+        self.flows: list[_EdgeStmt] = []
+        self.triggers: list[_EdgeStmt] = []
         self.events: list[_EventDecl] = []
         # chronology statements name only events, so need no lowering
         self.chronology: Chronology | None = None
@@ -410,7 +406,7 @@ class _Parser:
             self.error(i, "a flow statement needs at least one '->'")
             return self.sync(i)
         i = self.expect(i, _SEMI, "';'")
-        self.flows.append(_FlowStmt(paths, self.tokens.span(start)))
+        self.flows.append(_EdgeStmt(paths, self.tokens.span(start)))
         return i
 
     def dash_stmt(self, i: int) -> int:
@@ -426,7 +422,7 @@ class _Parser:
             return self.sync(i)
         i = self.expect(i, _SEMI, "';'")
         if self.texts[keyword] == "trigger":
-            self.triggers.append(_TriggerStmt(src, dst, self.tokens.span(keyword)))
+            self.triggers.append(_EdgeStmt([src, dst], self.tokens.span(keyword)))
         else:
             self.diagnostics.append(memory_unsupported(self.tokens.span(keyword)))
         return i
@@ -573,20 +569,17 @@ class _Lowering:
             self.diag("UNRESOLVED_PATH", str(exc), path.span)
             return None
 
-    def lower_flows(self) -> None:
-        for stmt in self.p.flows:
-            for src_path, dst_path in zip(stmt.paths, stmt.paths[1:]):
-                src = self.resolve(src_path)
-                dst = self.resolve(dst_path)
-                if src is not None and dst is not None:
-                    self.diagnostics += add_edge(self.model, "->", src, dst, stmt.span)
-
-    def lower_triggers(self) -> None:
-        for stmt in self.p.triggers:
-            src = self.resolve(stmt.src)
-            dst = self.resolve(stmt.dst)
-            if src is not None and dst is not None:
-                self.diagnostics += add_edge(self.model, "~>", src, dst, stmt.span)
+    def lower_edges(self) -> None:
+        """Every flow statement, then every trigger statement, one hop at
+        a time: both ends of each hop are read, so a chain's interior
+        path is read, and reported, once per hop."""
+        for arrow, stmts in (("->", self.p.flows), ("~>", self.p.triggers)):
+            for stmt in stmts:
+                for src_path, dst_path in zip(stmt.paths, stmt.paths[1:]):
+                    src = self.resolve(src_path)
+                    dst = self.resolve(dst_path)
+                    if src is not None and dst is not None:
+                        self.diagnostics += add_edge(self.model, arrow, src, dst, stmt.span)
 
     def lower_events(self) -> list[EventDef]:
         events: list[EventDef] = []
@@ -623,8 +616,7 @@ def parse(text: str, file: str = "<input>") -> ParseResult:
     parser.parse()
     lowering = _Lowering(parser)
     lowering.declare_thimacs()
-    lowering.lower_flows()
-    lowering.lower_triggers()
+    lowering.lower_edges()
     events = lowering.lower_events()
     diagnostics = sorted_diagnostics(
         diagnostics + parser.diagnostics + lowering.diagnostics

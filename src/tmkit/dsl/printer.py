@@ -42,16 +42,11 @@ def format_parts(
     """Deterministic one-statement-per-line rendering of a model."""
     events = events or []
     out = _thimacs(model)
-    for flow in model.flows:
-        out.append(
-            f"flow {model.qualified_name(flow.from_stage)} -> "
-            f"{model.qualified_name(flow.to_stage)};"
-        )
-    for trig in model.triggers:
-        out.append(
-            f"trigger {model.qualified_name(trig.from_stage)} ~> "
-            f"{model.qualified_name(trig.to_stage)};"
-        )
+    name = model.qualified_name
+    for word, edges in (("flow", model.flows), ("trigger", model.triggers)):
+        for e in edges:
+            a, b = name(e.from_stage), name(e.to_stage)
+            out.append(f"{word} {a} {e.arrow} {b};")
     for event in events:
         head = f"event {event.id}"
         if event.label is not None:

@@ -429,8 +429,10 @@ def _plan(model: Model, event: EventDef) -> _Plan:
     flows, triggers = region_edges(model, event.region)
     stages = model.stages
     by_src: dict[ElementId, list[FlowEdge]] = {}
-    for f in flows:
-        by_src.setdefault(f.from_stage, []).append(f)
+    trigs_by_src: dict[ElementId, list[TriggerEdge]] = {}
+    for edges, grouped in ((flows, by_src), (triggers, trigs_by_src)):
+        for e in edges:
+            grouped.setdefault(e.from_stage, []).append(e)
     routes = {}
     for sid, out in by_src.items():
         if stages[sid].kind is StageKind.TRANSFER:
@@ -442,9 +444,6 @@ def _plan(model: Model, event: EventDef) -> _Plan:
             )
         else:
             routes[sid] = (out, None, None)
-    trigs_by_src: dict[ElementId, list[TriggerEdge]] = {}
-    for t in triggers:
-        trigs_by_src.setdefault(t.from_stage, []).append(t)
     entered = {f.to_stage for f in flows} | {t.to_stage for t in triggers}
     origins = [
         sid

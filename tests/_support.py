@@ -24,11 +24,10 @@ from tmkit.dsl.lexer import KEYWORDS, Token, TokenKind
 from tmkit.dsl.parser import (
     ParseResult,
     _EventDecl,
-    _FlowStmt,
     _Lowering,
     _StageDecl,
     _ThimacDecl,
-    _TriggerStmt,
+    add_edge,
 )
 from tmkit.errors import (
     ContainmentCycle,
@@ -1069,6 +1068,19 @@ class _ReferencePath:
     span: SourceSpan
 
 
+@dataclass
+class _ReferenceFlow:
+    paths: list[_ReferencePath]
+    span: SourceSpan
+
+
+@dataclass
+class _ReferenceTrigger:
+    src: _ReferencePath
+    dst: _ReferencePath
+    span: SourceSpan
+
+
 def _token_span(tok: Token, file: str) -> SourceSpan:
     return SourceSpan(file, tok.line, tok.col, tok.end_line, tok.end_col)
 
@@ -1084,8 +1096,8 @@ class ReferenceParser:
         self.pos = 0
         self.diagnostics: list[Diagnostic] = []
         self.thimacs: list[_ThimacDecl] = []
-        self.flows: list[_FlowStmt] = []
-        self.triggers: list[_TriggerStmt] = []
+        self.flows: list[_ReferenceFlow] = []
+        self.triggers: list[_ReferenceTrigger] = []
         self.events: list[_EventDecl] = []
         self.chronology: Chronology | None = None
 
@@ -1271,7 +1283,7 @@ class ReferenceParser:
             self.sync_statement()
             return
         self.expect(TokenKind.SEMI, "';'")
-        self.flows.append(_FlowStmt(paths, _token_span(start, self.file)))
+        self.flows.append(_ReferenceFlow(paths, _token_span(start, self.file)))
 
     def dash_stmt(self) -> None:
         keyword = self.take()  # trigger | memory
@@ -1291,7 +1303,7 @@ class ReferenceParser:
         self.expect(TokenKind.SEMI, "';'")
         span = _token_span(keyword, self.file)
         if keyword.text == "trigger":
-            self.triggers.append(_TriggerStmt(src, dst, span))
+            self.triggers.append(_ReferenceTrigger(src, dst, span))
         else:
             # a memory is reported where it is read, and never lowered
             self.diagnostics.append(
@@ -1393,7 +1405,9 @@ class ReferenceParser:
 
 
 class ReferenceLowering(_Lowering):
-    """Lowering with the old recursive ``declare_thimacs``."""
+    """Lowering with the old recursive ``declare_thimacs`` and its own
+    flow and trigger loops over the reference statement records, so that
+    a fault in ``_Lowering.lower_edges`` shows as a difference."""
 
     def declare_thimacs(self) -> None:
         def declare(decl: _ThimacDecl, parent: int | None) -> None:
@@ -1415,6 +1429,21 @@ class ReferenceLowering(_Lowering):
 
         for decl in self.p.thimacs:
             declare(decl, None)
+
+    def lower_flows(self) -> None:
+        for stmt in self.p.flows:
+            for src_path, dst_path in zip(stmt.paths, stmt.paths[1:]):
+                src = self.resolve(src_path)
+                dst = self.resolve(dst_path)
+                if src is not None and dst is not None:
+                    self.diagnostics += add_edge(self.model, "->", src, dst, stmt.span)
+
+    def lower_triggers(self) -> None:
+        for stmt in self.p.triggers:
+            src = self.resolve(stmt.src)
+            dst = self.resolve(stmt.dst)
+            if src is not None and dst is not None:
+                self.diagnostics += add_edge(self.model, "~>", src, dst, stmt.span)
 
 
 def reference_parse(text: str, file: str = "<input>") -> ParseResult:

@@ -152,20 +152,57 @@ def test_add_flow_unknown_endpoint():
     assert illegal.element == edge
 
 
+# each add method with the list it appends to
+_ADDS = (("add_flow", "flows"), ("add_trigger", "triggers"))
+
+
 def test_add_flow_accepts_paths():
-    model = Model()
-    _machine(model, "a", StageKind.CREATE, StageKind.PROCESS)
-    model.add_flow("a.create", "a.process")
-    assert len(model.flows) == 1
+    for add, table in _ADDS:
+        model = Model()
+        a = _machine(model, "a", StageKind.CREATE, StageKind.PROCESS)
+        eid = getattr(model, add)("a.create", "a.process")
+        [edge] = getattr(model, table)
+        assert (edge.id, edge.from_stage, edge.to_stage) == (
+            eid, a[StageKind.CREATE], a[StageKind.PROCESS]
+        ), add
 
 
 def test_duplicate_parallel_flows_collapse():
-    model = Model()
-    a = _machine(model, "a", StageKind.CREATE, StageKind.PROCESS)
-    first = model.add_flow(a[StageKind.CREATE], a[StageKind.PROCESS])
-    second = model.add_flow(a[StageKind.CREATE], a[StageKind.PROCESS])
-    assert first == second
-    assert len(model.flows) == 1
+    for add, table in _ADDS:
+        model = Model()
+        a = _machine(model, "a", StageKind.CREATE, StageKind.PROCESS)
+        first = getattr(model, add)(a[StageKind.CREATE], a[StageKind.PROCESS])
+        changes = model._changes
+        second = getattr(model, add)("a.create", a[StageKind.PROCESS])
+        assert first == second, add
+        assert len(getattr(model, table)) == len(model.edges) == 1, add
+        assert model._changes == changes, add
+
+
+def test_add_edge_with_an_unknown_end_changes_nothing():
+    """Neither add method leaves an edge, an index entry, a port or a
+    change count behind when an end names no stage."""
+
+    def state(model):
+        return (
+            dict(model.edges), list(model.flows), list(model.triggers),
+            {s: dict(out) for s, out in model.flows_from.items()},
+            {s: dict(out) for s, out in model.triggers_from.items()},
+            dict(model.stages), model._changes,
+        )
+
+    for add, _ in _ADDS:
+        model = Model()
+        a = _machine(model, "a", StageKind.CREATE, StageKind.PROCESS)
+        model.add_thimac("b")  # no stages, so no transfer port
+        model.add_flow(a[StageKind.CREATE], a[StageKind.PROCESS])
+        model.add_trigger(a[StageKind.PROCESS], a[StageKind.CREATE])
+        before = state(model)
+        for bad in (12345, "nope", "a.nope", "a.release", "b", "b.transfer"):
+            for ends in ((a[StageKind.PROCESS], bad), (bad, a[StageKind.CREATE])):
+                with pytest.raises(UnknownEndpoint):
+                    getattr(model, add)(*ends)
+                assert state(model) == before, (add, ends)
 
 
 def test_add_trigger_any_kinds_allowed():
@@ -471,7 +508,12 @@ def _by_source(edges) -> dict:
 
 def _check_out_edges(model: Model, label: str) -> None:
     """The per-source indexes hold exactly the model's edges, each source's
-    in model order, and the triggers are in ascending id order."""
+    in model order, the triggers are in ascending id order, and ``edges``
+    holds exactly the flows and triggers, as the same objects."""
+    assert {eid: id(e) for eid, e in model.edges.items()} == {
+        e.id: id(e) for e in (*model.flows, *model.triggers)
+    }, label
+    assert len(model.edges) == len(model.flows) + len(model.triggers), label
     for index, edges in (
         (model.flows_from, model.flows), (model.triggers_from, model.triggers)
     ):

@@ -324,6 +324,15 @@ def test_parse_matches_reference_parser_on_corpus(name):
         "} } thimac { stage create; } flow a -> ; event { } chronology { E -> ; -> E; ",
         'event E "x" region { a; } } trigger a -> b; memory a ~> ; thimac a { stage x;',
         "thimac a { stage create; } event E { region { a.create.b; a.; } repeat 0; contains ; }",
+        # a trigger before a flow, both ending at portless thimacs: the
+        # trigger's port is made after every flow's
+        "trigger a.create ~> c; flow a.create -> a.process -> b;\n"
+        "thimac a { stage create; stage process; } thimac b { } thimac c { }",
+        # a repeated trigger, and a flow chain that repeats a hop
+        "thimac a { stage create; stage process; } thimac b { }\n"
+        "trigger a.process ~> b; flow a -> b -> a -> b; trigger a.process ~> b;",
+        # a chain whose interior path names nothing
+        "thimac a { stage create; stage process; } flow a.create -> ghost -> a.process;",
     ],
 )
 def test_parse_matches_reference_parser_on_hand_written_text(text):
