@@ -21,6 +21,8 @@ edges and events may reference thimacs declared later in the file.
 
 from __future__ import annotations
 
+from itertools import pairwise
+
 from .. import graph
 from ..behavior import Chronology, EventDef, check_containment
 from ..core import Model, StageKind, STAGE_KIND_NAMES
@@ -571,13 +573,14 @@ class _Lowering:
 
     def lower_edges(self) -> None:
         """Every flow statement, then every trigger statement, one hop at
-        a time: both ends of each hop are read, so a chain's interior
-        path is read, and reported, once per hop."""
+        a time: a hop's end is the next hop's start, so each path of a
+        statement is read once, in order, just before the first hop that
+        uses it is lowered, and a chain's interior path is reported once.
+        The element ids are those of reading both ends of every hop, since
+        a second read of a resolved path would allocate nothing."""
         for arrow, stmts in (("->", self.p.flows), ("~>", self.p.triggers)):
             for stmt in stmts:
-                for src_path, dst_path in zip(stmt.paths, stmt.paths[1:]):
-                    src = self.resolve(src_path)
-                    dst = self.resolve(dst_path)
+                for src, dst in pairwise(map(self.resolve, stmt.paths)):
                     if src is not None and dst is not None:
                         self.diagnostics += add_edge(self.model, arrow, src, dst, stmt.span)
 

@@ -848,11 +848,14 @@ _GROUP = 3 * _CHUNK
 _LOW = [str(n) for n in range(1000)]
 _LOW3 = [f"{n:03}" for n in range(1000)]
 
-# what a firing's entry starts with: the end of the entry before it
-_FIRING_HEAD = '\n    },\n    {\n      "step": '
-_FIRST_FIRING_HEAD = '  "firings": [\n    {\n      "step": '
+# an entry of each of the document's three lists starts with the close of
+# the entry before it and then opens itself (see _document)
+_CLOSE = "\n    }"
+_HEAD = f"{_CLOSE},\n    {{\n      "
 # a firing's slots, with the constant ones filled
-_FIRING_SLOTS = [_FIRING_HEAD, *[""] * 6, ',\n      "token": ', ""]
+_FIRING_SLOTS = [f'{_HEAD}"step": ', *[""] * 6, ',\n      "token": ', ""]
+
+
 class _Numbers(dict):
     """Numbers' texts; one not in the table is formatted when read."""
 
@@ -860,14 +863,6 @@ class _Numbers(dict):
 
     def __missing__(self, n: int) -> str:
         return str(n)
-
-
-# a replayed event order entry's slots: the event with the "instance" key,
-# the instance, the "tick" key, the tick and the entry's end
-_ORDER_SLOTS = ["", "", ',\n      "tick": ', "", "\n    }"]
-# a replayed final token's slots: the "id" key, the id, and the thing and
-# location
-_TOKEN_SLOTS = [',\n    {\n      "id": ', "", ""]
 
 
 def _chunks(trace: Trace, of: tuple | None = None) -> Iterator[tuple]:
@@ -979,17 +974,22 @@ def trace_to_json(model: Model, trace: Trace) -> str:
     template's event, element and kind pieces once, and each group of
     its copies repeats them by list multiplication and maps each copy's
     instance number and token ids once. The event order and the final
-    tokens are written the same way, into lists of slots: a run's
-    entries repeat its template's pieces and take their numbers from
-    slices of the table.
-    The string tables come from the stored entries (the stored firings
-    hold each run's template) and each run's template tokens, so no entry
-    per copy is read. Each chunk is joined and appended with ``text +=
-    ...``. ``text`` is the only reference to the text, so CPython 3.10
-    and 3.11 grow it in place: writing the ships trace peaks at 1.35x its
-    length under tracemalloc, the text plus one chunk, its slots and the
-    tables. CPython 3.12 and 3.13 peak at 2.2x, about what one entry per
-    firing joined at the end, or an ``io.StringIO``, would hold. The
+    tokens are written a part at a time (see ``_parts``): a stored
+    part's entries are one string each, and a run's entries are slots
+    that repeat its template's pieces and take their numbers from slices
+    of the table. The string tables come from the stored entries (the
+    stored firings hold each run's template) and each run's template
+    tokens, so no entry per copy is read.
+
+    Every part of the three lists, and the text around them (see
+    ``_document``), is joined and appended at one ``text += ...`` site.
+    ``text`` is the only reference to the text, so CPython grows it in
+    place. CPython 3.12 and 3.13 do that only at a ``+=`` site that the
+    interpreter has specialized, which a site that runs once never is, so
+    there a ``+=`` that runs once copies the whole text: with a second
+    site for the document's end, writing the ships trace peaked at 2.23x
+    its length under tracemalloc. With one site it peaks at 1.33x on 3.10
+    to 3.13: the text plus one chunk, its slots and the tables. The
     chunks start small, as long as all the chunks before them: without
     that ramp, a first call takes the same time and peak on 3.10 to 3.13
     (1.43x instead of 1.35x under tracemalloc on 3.10 and 3.11), but in
@@ -1028,29 +1028,9 @@ def trace_to_json(model: Model, trace: Trace) -> str:
     element_pieces = {
         el: f',\n      "element": {quoted[el]},\n      "kind": ' for el in elements
     }
-
-    # every entry starts with its separator; _json_list drops the first one
     order_heads = {
-        e: f',\n    {{\n      "event": {q[e]},\n      "instance": '
-        for e in order_events
+        e: f'{_HEAD}"event": {q[e]},\n      "instance": ' for e in order_events
     }
-    # a stored entry is one string; a run's entries are slots that repeat
-    # its event's piece and take its instances and ticks from the table
-    entries: list[str] = []
-    for at, n, part in _parts(trace, 5):
-        if part.__class__ is _Copies:
-            slots = _ORDER_SLOTS * n
-            slots[0::5] = [order_heads[part.event]] * n
-            slots[1::5] = strs[part.first : part.first + n]
-            slots[3::5] = strs[at : at + n]
-            entries += slots
-        else:
-            entries += [
-                f'{order_heads[e]}{nums[i]},\n      "tick": {nums[t]}\n    }}'
-                for e, i, t in part
-            ]
-    text = "".join(["{\n", _json_list("eventOrder", entries), ",\n"])
-    del entries  # the text holds it now
     # the steps' pieces in step order: thousands "" for 0-999, then "1"
     # for 1000-1999, and so on; the last three digits "0" to "999", then
     # "000" to "999" over and over
@@ -1062,63 +1042,94 @@ def trace_to_json(model: Model, trace: Trace) -> str:
         event_pieces.__getitem__, nums.__getitem__, element_pieces.__getitem__,
         attrgetter("quoted"), nums.__getitem__,
     )
-    # The chunks start small and grow (see the docstring): the ramp pays in
-    # a process that holds an earlier trace, and it sets where the text's
-    # large allocations fall. Without it, tmbench's corpus firings_per_s
-    # read lower in 3 of 3 pairs (1.42-1.51M against 1.50-1.64M), and its
-    # peak_rss_mb 54.3 against 57.7 MB. The slot list grows or shrinks by
-    # the change in chunk size, and each turn writes only the variable
-    # slots: the slot columns 1 to 6 and 8, and the first chunk's head.
-    written = 0
-    pieces: list[str] = []
-    for n, *columns in _chunks(trace, of):
-        del pieces[9 * n :]
-        pieces += _FIRING_SLOTS * (n - len(pieces) // 9)
-        pieces[1::9] = islice(thousands, n)
-        pieces[2::9] = islice(lows, n)
-        for slot, writes in zip((3, 4, 5, 6, 8), columns):
-            for start, stop, step, values in writes:
-                pieces[9 * start + slot : 9 * stop : 9 * step] = values
-        if not written:
-            pieces[0] = _FIRST_FIRING_HEAD
+
+    def event_order() -> Iterator[list[str]]:
+        # a stored entry is one string; a run's entries are slots that
+        # repeat its event's head and the "tick" key and take its instances
+        # and ticks from the table
+        for at, n, part in _parts(trace, 5):
+            if part.__class__ is _Copies:
+                slots = [order_heads[part.event], "", ',\n      "tick": ', ""] * n
+                slots[1::4] = strs[part.first : part.first + n]
+                slots[3::4] = strs[at : at + n]
+                yield slots
+                del slots
+            else:
+                yield [
+                    f'{order_heads[e]}{nums[i]},\n      "tick": {nums[t]}'
+                    for e, i, t in part
+                ]
+
+    def firings() -> Iterator[list[str]]:
+        # The chunks start small and grow (see the docstring): the ramp
+        # pays in a process that holds an earlier trace, and it sets where
+        # the text's large allocations fall. Without it, tmbench's corpus
+        # firings_per_s read lower in 3 of 3 pairs (1.42-1.51M against
+        # 1.50-1.64M), and its peak_rss_mb 54.3 against 57.7 MB. The slot
+        # list grows or shrinks by the change in chunk size, and each turn
+        # writes only the variable slots: the slot columns 1 to 6 and 8.
+        pieces: list[str] = []
+        for n, *columns in _chunks(trace, of):
+            del pieces[9 * n :]
+            pieces += _FIRING_SLOTS * (n - len(pieces) // 9)
+            pieces[1::9] = islice(thousands, n)
+            pieces[2::9] = islice(lows, n)
+            for slot, writes in zip((3, 4, 5, 6, 8), columns):
+                for start, stop, step, values in writes:
+                    pieces[9 * start + slot : 9 * stop : 9 * step] = values
+            yield pieces
+
+    def final_tokens() -> Iterator[list[str]]:
+        # a token is one string, but a run whose copies' tokens were not
+        # made is slots: the head with the "id" key, the id, and the thing
+        # and location of its template's tokens
+        for _, n, part in _parts(trace, 6):
+            if part.__class__ is _Copies and part.tokens is None:
+                slots = [f'{_HEAD}"id": ', "", ""] * n
+                slots[1::3] = strs[part.first_id : part.first_id + n]
+                slots[2::3] = [
+                    f',\n      "thing": {q[t.thing]},\n      "location": {quoted[t.location]}'
+                    for t in part.made
+                ] * part.count
+                yield slots
+                del slots
+            else:
+                yield [
+                    f'{_HEAD}"id": {nums[t.id]},\n      "thing": {q[t.thing]},\n'
+                    f'      "location": {quoted[t.location]}'
+                    for t in (part if part.__class__ is list else part.tokens)
+                ]
+
+    text = ""
+    for pieces in _document(event_order(), firings(), final_tokens()):
         text += "".join(pieces)
-        pieces[0] = _FIRING_HEAD
-        written += n
-    # a token is one string, but a run whose copies' tokens were not made is
-    # slots that repeat its template's tokens' pieces
-    entries = []
-    for _, n, part in _parts(trace, 6):
-        if part.__class__ is _Copies and part.tokens is None:
-            slots = _TOKEN_SLOTS * n
-            slots[1::3] = strs[part.first_id : part.first_id + n]
-            slots[2::3] = [
-                f',\n      "thing": {q[t.thing]},\n      "location": {quoted[t.location]}'
-                "\n    }"
-                for t in part.made
-            ] * part.count
-            entries += slots
-        else:
-            entries += [
-                f',\n    {{\n      "id": {nums[t.id]},\n      "thing": {q[t.thing]},\n'
-                f'      "location": {quoted[t.location]}\n    }}'
-                for t in (part if part.__class__ is list else part.tokens)
-            ]
-    text += "".join(
-        [
-            "\n    }\n  ]" if written else '  "firings": []',
-            ",\n",
-            _json_list("finalTokens", entries),
-            "\n}\n",
-        ]
-    )
+        del pieces
     return text
 
 
-def _json_list(key: str, entries: list[str]) -> str:
-    """One indented list member of the trace document, from the pieces of
-    its entries, each starting with a separator."""
-    if not entries:
-        return f'  "{key}": []'
-    entries[0] = f'  "{key}": [' + entries[0][1:]
-    entries.append("\n  ]")
-    return "".join(entries)
+def _document(*lists: Iterator[list[str]]) -> Iterator[list[str]]:
+    """The trace document as lists of text pieces: the parts of its
+    event order, firings and final tokens in order, and the text around
+    them. A part's first piece is the head of its first entry, which
+    starts with ``_CLOSE`` and a comma, the close of the entry before it.
+    A list's first entry drops them and follows the list's key instead,
+    and a non-empty list ends with its last entry's close. A part's head
+    is put back once the part is read, since a list of slots may be
+    reused. No part is held here, in trace_to_json or in the lists'
+    generators once it is read, so it is freed before the next is built.
+    With each part held until the next was built, tmbench's corpus
+    firings_per_s read 1.38-1.51M against 1.54-1.58M (3 runs each,
+    Python 3.11)."""
+    between = "{"  # the text not yet yielded
+    for key, parts in zip(("eventOrder", "firings", "finalTokens"), lists):
+        between, close = f'{between}\n  "{key}": [', "],"
+        for pieces in parts:
+            head = pieces[0]
+            if between:
+                pieces[0] = between + head.removeprefix(f"{_CLOSE},")
+                between, close = "", f"{_CLOSE}\n  ],"
+            yield pieces
+            pieces[0] = head
+            del pieces
+        between += close
+    yield [between[:-1], "\n}\n"]

@@ -40,8 +40,8 @@ from __future__ import annotations
 
 from operator import attrgetter
 
-from . import graph
-from .behavior import Chronology, EventDef, check_region
+from . import behavior, graph
+from .behavior import Chronology, EventDef
 from .core import Model, StageKind
 from .core import edge_legal as legality
 from .diagnostics import Diagnostic, Severity, collector_paused, sorted_diagnostics
@@ -227,7 +227,7 @@ def validate(
             *_check_reachability(model),
         ]
         for event in events:
-            found += check_region(model, event)
+            found += behavior.check_region(model, event)
         if chronology is not None:
             found += _check_chronology(chronology, events)
         stored = model._verdict = (key, tuple(sorted_diagnostics(found)))

@@ -28,6 +28,8 @@ from tmkit.dsl.parser import (
     _StageDecl,
     _ThimacDecl,
     add_edge,
+    stage_at,
+    stages_at,
 )
 from tmkit.errors import (
     ContainmentCycle,
@@ -35,6 +37,7 @@ from tmkit.errors import (
     DuplicateStageKind,
     PreconditionViolated,
     StepBudgetExceeded,
+    UnknownEndpoint,
     UnknownEvent,
 )
 from tmkit.sim import Firing, FiringKind, SimConfig
@@ -1405,9 +1408,12 @@ class ReferenceParser:
 
 
 class ReferenceLowering(_Lowering):
-    """Lowering with the old recursive ``declare_thimacs`` and its own
-    flow and trigger loops over the reference statement records, so that
-    a fault in ``_Lowering.lower_edges`` shows as a difference."""
+    """Lowering with the old recursive ``declare_thimacs``, and its own
+    path reads, flow and trigger loops and event loop over the reference
+    statement records, so that a fault in ``_Lowering``'s ``resolve``,
+    ``lower_edges`` or ``lower_events`` shows as a difference. It shares
+    only ``_Lowering``'s constructor and ``diag``, and the path resolvers
+    ``stage_at`` and ``stages_at``."""
 
     def declare_thimacs(self) -> None:
         def declare(decl: _ThimacDecl, parent: int | None) -> None:
@@ -1430,20 +1436,55 @@ class ReferenceLowering(_Lowering):
         for decl in self.p.thimacs:
             declare(decl, None)
 
+    def read(self, path: _ReferencePath, resolver=stage_at):
+        try:
+            return resolver(self.model, path.segments)
+        except UnknownEndpoint as exc:
+            self.diag("UNRESOLVED_PATH", str(exc), path.span)
+            return None
+
     def lower_flows(self) -> None:
+        # every path of a chain is read once, in order; each stage read
+        # after the first closes a hop from the one before it
         for stmt in self.p.flows:
-            for src_path, dst_path in zip(stmt.paths, stmt.paths[1:]):
-                src = self.resolve(src_path)
-                dst = self.resolve(dst_path)
-                if src is not None and dst is not None:
-                    self.diagnostics += add_edge(self.model, "->", src, dst, stmt.span)
+            ends: list[int | None] = []
+            for path in stmt.paths:
+                ends.append(self.read(path))
+                if len(ends) > 1 and None not in ends[-2:]:
+                    self.diagnostics += add_edge(
+                        self.model, "->", ends[-2], ends[-1], stmt.span
+                    )
 
     def lower_triggers(self) -> None:
         for stmt in self.p.triggers:
-            src = self.resolve(stmt.src)
-            dst = self.resolve(stmt.dst)
+            src = self.read(stmt.src)
+            dst = self.read(stmt.dst)
             if src is not None and dst is not None:
                 self.diagnostics += add_edge(self.model, "~>", src, dst, stmt.span)
+
+    def lower_events(self) -> list[EventDef]:
+        by_id: dict[str, EventDef] = {}
+        for decl in self.p.events:
+            if decl.id in by_id:
+                self.diag("DUPLICATE_DEF", f"event '{decl.id}' already declared", decl.span)
+                continue
+            region = set()
+            for path in decl.region:
+                region |= set(self.read(path, stages_at) or [])
+            by_id[decl.id] = EventDef(
+                decl.id, decl.label, region, 1 if decl.repeat is None else decl.repeat,
+                list(decl.contains), decl.span,
+            )
+        events = list(by_id.values())
+        for event in events:
+            for sub in event.subevents:
+                if sub not in by_id:
+                    self.diag(
+                        "UNRESOLVED_PATH",
+                        f"event '{event.id}' contains undeclared event '{sub}'", event.span,
+                    )
+        self.diagnostics += reference_containment_cycles(events)
+        return events
 
 
 def reference_parse(text: str, file: str = "<input>") -> ParseResult:

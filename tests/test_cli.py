@@ -421,8 +421,9 @@ def test_simulate_validates_once(monkeypatch, capsys):
     monkeypatch.setattr(
         rules, "_check_flows", counted("model", rules._check_flows)
     )
+    behavior = importlib.import_module("tmkit.behavior")
     monkeypatch.setattr(
-        rules, "check_region", counted("region", rules.check_region)
+        behavior, "check_region", counted("region", behavior.check_region)
     )
     monkeypatch.setattr(
         rules, "_check_chronology", counted("chronology", rules._check_chronology)
@@ -826,10 +827,14 @@ def test_benchmark_traced_attributes_resolve_after_a_fresh_import():
         ("tmkit.cli", "validate", ["validate", "{model}"]),
         ("tmkit.sim", "trace_to_json", ["simulate", "{model}", "--trace", "-"]),
         ("tmkit.render", "render_dot", ["render", "{model}", "--mode", "events"]),
+        ("tmkit.behavior", "check_region", ["validate", "{model}"]),
     ],
 )
 def test_cli_calls_the_traced_attributes(module, attr, argv, monkeypatch, capsys):
+    # each is called once, but validation checks each event's region
     assert (module, attr) in {(m, a) for m, a, _ in _traced()}
+    model = str(corpus_path("atm_full.tm"))
+    events = tmkit.dsl.parse(Path(model).read_text(encoding="utf-8")).events
     target = importlib.import_module(module)
     real = getattr(target, attr)
     calls = []
@@ -839,10 +844,9 @@ def test_cli_calls_the_traced_attributes(module, attr, argv, monkeypatch, capsys
         return real(*args, **kwargs)
 
     monkeypatch.setattr(target, attr, counted)
-    model = str(corpus_path("atm_full.tm"))
     assert run([a.format(model=model) for a in argv]) == 0
     capsys.readouterr()
-    assert len(calls) == 1
+    assert len(calls) == (len(events) if attr == "check_region" else 1)
 
 
 @pytest.mark.parametrize(

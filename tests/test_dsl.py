@@ -333,10 +333,26 @@ def test_parse_matches_reference_parser_on_corpus(name):
         "trigger a.process ~> b; flow a -> b -> a -> b; trigger a.process ~> b;",
         # a chain whose interior path names nothing
         "thimac a { stage create; stage process; } flow a.create -> ghost -> a.process;",
+        # a repeated event id: the first declaration is kept, and the
+        # second's region and containment are not read
+        "thimac a { stage create; } event E { region { a; } contains F; }\n"
+        "event E { region { ghost; } repeat 2; contains E, G; } event F { region { a; } }",
     ],
 )
 def test_parse_matches_reference_parser_on_hand_written_text(text):
     _assert_same_parse(text, "h.tm")
+
+
+def test_a_chains_interior_path_is_read_and_reported_once():
+    # a hop's end is the next hop's start, so the path between two hops
+    # that names nothing is one finding at its span
+    result = dsl.parse(
+        "thimac a { stage create; stage process; } flow a.create -> ghost -> a.process;",
+        "h.tm",
+    )
+    assert [d.render() for d in result.diagnostics] == [
+        "h.tm:1:60: error[UNRESOLVED_PATH] no thimac at path 'ghost'"
+    ]
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import random
@@ -419,6 +420,15 @@ def test_trace_json_of_hand_built_traces():
             [FiringKind.TRIGGER_FIRE] * 2, [None, None], [("E", 1, 0), ("E", 2, 1)],
         ),
     }
+    # each of the three lists empty, or with two entries, in all eight
+    # ways: a list's first entry drops the close of the entry before it,
+    # and a non-empty list ends with its last entry's close
+    for order, firings, final in itertools.product((0, 2), repeat=3):
+        traces[f"{order} in eventOrder, {firings} firings, {final} finalTokens"] = Trace(
+            ["E"] * firings, [1, 2][:firings], [create, flow][:firings],
+            [spawn, move][:firings], [1, 1][:firings], [("E", 1, 0), ("E", 2, 1)][:order],
+            [Token(1, "m", process), Token(2, "m", create)][:final],
+        )
     for case, trace in traces.items():
         assert trace_to_json(model, trace) == reference_trace_to_json(model, trace), case
 
