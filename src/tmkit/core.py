@@ -24,8 +24,9 @@ add path does not call) and the duplicate check are a dict probe or
 two, so building and resolving a model is linear in its size, and the
 edges leaving a set of stages cost their number to find. ``copy`` and
 ``normalize`` rebuild the indexes for the model they return, ``copy``
-in one loop over flows and triggers; ``normalize`` swaps in its flows
-through ``replace_flows``.
+in one loop over flows and triggers. ``normalize`` copies the model
+without its flows and gives the copy its new flows through
+``replace_flows``, so each flow is built and indexed once.
 The lookups make nothing: ``find_stage`` reads a path that ends at a
 thimac as its transfer port only if the port exists, so the add path,
 which looks up string ends with it, leaves no new stage and no edge
@@ -451,6 +452,10 @@ class Model:
     def copy(self) -> "Model":
         """An independent copy: new element objects and containers, with
         the (immutable) source spans and ``declared`` record shared."""
+        return self._copy(self.flows)
+
+    def _copy(self, flows: Iterable[FlowEdge]) -> "Model":
+        """``copy``, with copies of ``flows`` as its flows."""
         out = Model()
         out.roots = list(self.roots)
         out.thimacs = {
@@ -472,7 +477,7 @@ class Model:
         out._next_id = self._next_id
         out._thimac_index = dict(self._thimac_index)
         for edges, copied, index in (
-            (self.flows, out.flows, out.flows_from),
+            (flows, out.flows, out.flows_from),
             (self.triggers, out.triggers, out.triggers_from),
         ):
             for e in edges:
@@ -533,21 +538,22 @@ def normalize(model: Model, strict: bool = True) -> Model:
     raises :class:`AmbiguousExpansion`; otherwise it is left in place
     for the validator to report.
     """
-    out = model.copy()
+    out = model._copy(())  # its flows are built and indexed once, below
     new_flows: list[FlowEdge] = []
-    for edge in out.flows:
-        if out.flow_legal(edge):
-            new_flows.append(edge)
-            continue
-        plan = _expansion(out.stages[edge.from_stage], out.stages[edge.to_stage])
+    for edge in model.flows:
+        legal = out.flow_legal(edge)
+        plan = None if legal else _expansion(
+            out.stages[edge.from_stage], out.stages[edge.to_stage]
+        )
         if plan is None:
-            if strict:
+            if strict and not legal:
                 raise AmbiguousExpansion(
                     f"flow {out.qualified_name(edge.from_stage)} -> "
                     f"{out.qualified_name(edge.to_stage)} has no legal expansion",
                     edge.span,
                 )
-            new_flows.append(edge)
+            kept = FlowEdge(edge.id, edge.from_stage, edge.to_stage, edge.span)
+            new_flows.append(kept)
             continue
 
         chain_ids = [edge.from_stage]

@@ -2,12 +2,15 @@
 
 ``tokenize`` returns the lexemes of a text as parallel columns
 (``Tokens``): each token's kind, its text as written and its start
-offset, plus the offset at which each line starts. No object is built
-per lexeme. Line and column are worked out, by a bisect of the line
-table, only when a span is built (``Tokens.span``): the parser asks
-once per element or diagnostic, not once per token. Indexing a
-``Tokens`` builds the ``Token`` record with positions, for tests and
-for readers that want one lexeme at a time.
+offset, plus the offset at which each line starts. The columns come
+from one ``re.split`` of the text by C-level passes: no Python step is
+taken per lexeme, except for the few lexemes that make no plain token
+(comments and lexical errors), and equal lexemes share one string.
+Line and column are worked out, by a bisect of the line table, only
+when a span is built (``Tokens.span``): the parser asks once per
+element or diagnostic, not once per token. Indexing a ``Tokens``
+builds the ``Token`` record with positions, for tests and for readers
+that want one lexeme at a time.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import enum
 import re
 from bisect import bisect_right
 from collections import namedtuple
+from itertools import accumulate, compress, count, islice
 
 from ..core import STAGE_KIND_NAMES
 from ..diagnostics import Diagnostic, Severity, SourceSpan
@@ -72,33 +76,23 @@ def is_identifier(text: str) -> bool:
 _STRING_CONTENT = r'(?:[^"\\\n]+|\\.?)*'
 _STRING_VALUE = re.compile(f'"({_STRING_CONTENT})', re.DOTALL)
 
-# Each match skips blanks and complete comments, then takes one lexeme
-# (or, at the end of the text, none). Each token kind has its own group,
-# so a match's ``lastindex`` gives the kind. ``BAD`` takes any single
-# character the other alternatives refuse, so matches tile the whole
-# text and ``finditer`` never skips input.
+# One lexeme, in the one group, so ``split`` alternates the blanks
+# between lexemes with the lexemes. A comment, closed or not, is a
+# lexeme here and ``tokenize`` drops it. The last alternative takes any
+# single character the others refuse except a blank, so only blanks
+# fall between matches.
 _SCANNER = re.compile(
     r"""
-    (?: [ \t\r\n]+ | //[^\n]* | /\*.*?\*/ )*
-    (?:
-        (?P<IDENT> _WORD )
-      | (?P<LBRACE>\{) | (?P<RBRACE>\}) | (?P<SEMI>;) | (?P<DOT>\.)
-      | (?P<COMMA>,) | (?P<AT>@) | (?P<ARROW>->) | (?P<DASH_ARROW>~>)
-      | (?P<INT>[0-9]+)
-      | (?P<STRING>" _STRING_CONTENT (?P<CLOSE>")? )
-      | (?P<OPEN_COMMENT>/\*.*)
-      | (?P<BAD>.)
-      | \Z
+    (
+        _WORD | [0-9]+ | [{};.,@] | -> | ~>
+      | " _STRING_CONTENT "?
+      | //[^\n]* | /\*.*?\*/ | /\*.*
+      | [^ \t\r\n]
     )
     """.replace("_WORD", _WORD)
     .replace("_STRING_CONTENT", _STRING_CONTENT),
     re.VERBOSE | re.DOTALL,
 )
-# token kind by group index; None for the groups that make no token
-_KIND_OF_GROUP: list[TokenKind | None] = [None] * (_SCANNER.groups + 1)
-for _name, _index in _SCANNER.groupindex.items():
-    _KIND_OF_GROUP[_index] = TokenKind.__members__.get(_name)
-_OPEN_COMMENT = _SCANNER.groupindex["OPEN_COMMENT"]
 _NEWLINE = re.compile("\n")
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 _ESCAPES = {"n": "\n", "t": "\t"}
@@ -115,13 +109,18 @@ def string_value(lexeme: str) -> str:
     return _ESCAPE.sub(_unescape, body) if "\\" in body else body
 
 
+_STRING_KIND = TokenKind.STRING
+_new_tuple = tuple.__new__
+
+
 class Tokens:
     """The tokens of one text (ending with EOF) as parallel columns.
 
     ``texts[i]`` is token ``i`` as written, so it ends at offset
     ``starts[i] + len(texts[i])``; a string keeps its quotes and escapes
-    (``string_value`` gives its value). Lines count "\\n" only; columns
-    count characters from 1, so a tab or a "\\r" is one column.
+    (``string_value`` gives its value). Equal texts are one string
+    object. Lines count "\\n" only; columns count characters from 1, so
+    a tab or a "\\r" is one column.
     """
 
     __slots__ = ("file", "kinds", "texts", "starts", "line_starts")
@@ -152,26 +151,37 @@ class Tokens:
 
     def span(self, first: int, last: int | None = None) -> SourceSpan:
         """From the start of token ``first`` to the end of token ``last``
-        (by default ``first`` itself)."""
+        (by default ``first`` itself).
+
+        The parser asks for one token's span once per declared element.
+        A token other than a string ends on the line it starts on, so
+        that span takes one bisect of the line table, and every span is
+        built by ``tuple.__new__``: the namedtuple's own ``__new__`` is a
+        Python function."""
         line_starts = self.line_starts
         start = self.starts[first]
         line = bisect_right(line_starts, start)
         col = start - line_starts[line - 1] + 1
         if last is None or last == first:
+            if self.kinds[first] is not _STRING_KIND:
+                # EOF is empty, and ends where it starts
+                end_col = col + (len(self.texts[first]) or 1) - 1
+                return _new_tuple(SourceSpan, (self.file, line, col, line, end_col))
             last, end_line, last_col = first, line, col
         else:
             start = self.starts[last]
             end_line = bisect_right(line_starts, start)
             last_col = start - line_starts[end_line - 1] + 1
         end_col = last_col + len(self.texts[last]) - 1
-        if self.kinds[last] is TokenKind.STRING:  # the one kind that spans lines
+        if self.kinds[last] is _STRING_KIND:  # the one kind that spans lines
             end = start + len(self.texts[last])
             end_line = bisect_right(line_starts, end)
             end_col = end - line_starts[end_line - 1]
         # an end column is never before the last token's start column:
         # EOF is empty, and a string ending in an escaped newline would
         # end at column 0 of the next line
-        return SourceSpan(self.file, line, col, end_line, max(last_col, end_col))
+        end_col = max(last_col, end_col)
+        return _new_tuple(SourceSpan, (self.file, line, col, end_line, end_col))
 
 
 def _position(line_starts: list[int], offset: int) -> tuple[int, int]:
@@ -180,55 +190,91 @@ def _position(line_starts: list[int], offset: int) -> tuple[int, int]:
     return line, offset - line_starts[line - 1] + 1
 
 
+_FIXED_KINDS = {
+    **dict.fromkeys(KEYWORDS, TokenKind.KEYWORD),
+    **{kind.value: kind for kind in TokenKind if not kind.value[0].isalpha()},
+}
+
+
+def _kind(lexeme: str) -> TokenKind | str:
+    """The token kind of a scanner lexeme, or the name of a lexeme that
+    makes no plain token: ``tokenize`` drops a "COMMENT", drops and
+    reports an "OPEN_COMMENT" or a "STRAY" character, and reports an
+    "UNTERMINATED" string but keeps it as a STRING."""
+    kind = _FIXED_KINDS.get(lexeme)
+    if kind is not None:
+        return kind
+    first = lexeme[0]
+    if first.isascii() and first.isalpha():  # every keyword is fixed
+        return TokenKind.IDENT
+    if "0" <= first <= "9":
+        return TokenKind.INT
+    if first == '"':
+        # closed by a last quote other than the first one, after an
+        # even run of backslashes (an odd run escapes it)
+        body = lexeme[1:-1]
+        escaped = (len(body) - len(body.rstrip("\\"))) % 2
+        closed = len(lexeme) > 1 and lexeme[-1] == '"' and not escaped
+        return TokenKind.STRING if closed else "UNTERMINATED"
+    if lexeme[:2] == "//":
+        return "COMMENT"
+    if lexeme[:2] == "/*":
+        # an open comment runs to the end of the text, so it ends in
+        # "*/" only where that "*" is its opening one, as in "/*/"
+        return "COMMENT" if len(lexeme) > 3 and lexeme[-2:] == "*/" else "OPEN_COMMENT"
+    return "STRAY"
+
+
 def tokenize(text: str, file: str) -> tuple[Tokens, list[Diagnostic]]:
     """Split ``text`` into tokens (ending with EOF) and lexical diagnostics.
 
     A string stops before an unescaped newline; a backslash escapes any
     character, a newline included.
+
+    The columns come from C-level passes over one ``split`` of the text:
+    the offsets from the running sum of the pieces' lengths, the texts
+    from a table of the distinct lexemes (so equal lexemes share one
+    string), and the kinds from classifying each distinct lexeme once.
+    Only a lexeme that makes no plain token (a comment, a stray
+    character, an unterminated string or block comment) takes a Python
+    step of its own.
     """
     line_starts = [0]
     line_starts += [m.end() for m in _NEWLINE.finditer(text)]
-    kinds: list[TokenKind] = []
-    texts: list[str] = []
-    starts: list[int] = []
+    pieces = _SCANNER.split(text)  # blanks, then each lexeme and the blanks after it
+    table: dict[str, str] = {}
+    lexemes = islice(pieces, 1, None, 2)
+    texts = list(map(table.setdefault, lexemes, islice(pieces, 1, None, 2)))
+    pieces[1::2] = texts  # frees the copies of repeated lexemes
+    # each lexeme's start, then the end of the text for EOF
+    starts = list(islice(accumulate(map(len, pieces)), 0, None, 2))
+    del pieces
+    kind_of = dict(zip(table, map(_kind, table)))
+    kinds: list = list(map(kind_of.__getitem__, texts))
+    kinds.append(TokenKind.EOF)
+    texts.append("")
     diags: list[Diagnostic] = []
-    add_kind, add_text, add_start = kinds.append, texts.append, starts.append
-    kind_of_group = _KIND_OF_GROUP
-    ident, keyword, string = TokenKind.IDENT, TokenKind.KEYWORD, TokenKind.STRING
-    for m in _SCANNER.finditer(text):
-        index = m.lastindex
-        if index is None:  # blanks and comments up to the end of the text
+    odd = {lexeme for lexeme, kind in kind_of.items() if isinstance(kind, str)}
+    if not odd:
+        return Tokens(file, kinds, texts, starts, line_starts), diags
+    for i in compress(count(), map(odd.__contains__, texts)):
+        kind = kinds[i]
+        kinds[i] = None  # dropped below
+        if kind == "COMMENT":
             continue
-        lexeme = m[index]
-        kind = kind_of_group[index]
-        if kind is ident:
-            if lexeme in KEYWORDS:
-                kind = keyword
-        elif kind is string or kind is None:
-            start = m.start(index)
-            if kind is string:
-                if m["CLOSE"] is None:
-                    diags.append(_lex_error(
-                        "unterminated string literal", file,
-                        _position(line_starts, start), _position(line_starts, m.end()),
-                    ))
-            else:
-                here = _position(line_starts, start)
-                if index == _OPEN_COMMENT:
-                    diags.append(_lex_error(
-                        "unterminated block comment", file, here, (here[0], here[1] + 1)
-                    ))
-                else:
-                    diags.append(_lex_error(
-                        f"unexpected character {lexeme!r}", file, here, here
-                    ))
-                continue
-        add_kind(kind)
-        add_text(lexeme)
-        add_start(m.start(index))
-    add_kind(TokenKind.EOF)
-    add_text("")
-    add_start(len(text))
+        here = _position(line_starts, starts[i])
+        if kind == "UNTERMINATED":
+            kinds[i] = TokenKind.STRING
+            end = _position(line_starts, starts[i] + len(texts[i]))
+            message = "unterminated string literal"
+        elif kind == "OPEN_COMMENT":
+            end, message = (here[0], here[1] + 1), "unterminated block comment"
+        else:
+            end, message = here, f"unexpected character {texts[i]!r}"
+        diags.append(_lex_error(message, file, here, end))
+    texts = list(compress(texts, kinds))
+    starts = list(compress(starts, kinds))
+    kinds = list(filter(None, kinds))
     return Tokens(file, kinds, texts, starts, line_starts), diags
 
 

@@ -577,10 +577,26 @@ class _Lowering:
         statement is read once, in order, just before the first hop that
         uses it is lowered, and a chain's interior path is reported once.
         The element ids are those of reading both ends of every hop, since
-        a second read of a resolved path would allocate nothing."""
+        a second read of a resolved path would allocate nothing.
+
+        So each distinct path is read until it resolves, and its id is
+        kept by its segments, as ``from_json`` keeps its ``ends``. A path
+        that did not resolve is read, and reported, again where it
+        recurs, since a later end may make the port it names."""
+        ids: dict[tuple[str, ...], int] = {}
+
+        def read(path: _Path) -> int | None:
+            key = tuple(path.segments)
+            found = ids.get(key)
+            if found is None:
+                found = self.resolve(path)
+                if found is not None:
+                    ids[key] = found
+            return found
+
         for arrow, stmts in (("->", self.p.flows), ("~>", self.p.triggers)):
             for stmt in stmts:
-                for src, dst in pairwise(map(self.resolve, stmt.paths)):
+                for src, dst in pairwise(map(read, stmt.paths)):
                     if src is not None and dst is not None:
                         self.diagnostics += add_edge(self.model, arrow, src, dst, stmt.span)
 

@@ -632,8 +632,15 @@ def test_normalize_leaves_input_unchanged(seed):
     for tid, thimac in out.thimacs.items():
         assert thimac is not model.thimacs[tid]
         assert thimac.stages is not model.thimacs[tid].stages
-    out.add_thimac("fresh")
+    assert {id(edge) for edge in out.edges.values()}.isdisjoint(
+        map(id, model.edges.values())
+    )
+    flows_from = {src: dict(dsts) for src, dsts in model.flows_from.items()}
+    fresh = out.add_stage(out.add_thimac("fresh"), StageKind.PROCESS)
     assert model.find_thimac("fresh") is None
+    for src in model.stages:
+        out.add_flow(src, fresh)
+    assert model.flows_from == flows_from
 
 
 def test_copy_is_independent():

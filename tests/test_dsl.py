@@ -253,6 +253,36 @@ def test_tokenize_matches_reference_tokenizer(text):
     assert _tokens_and_diagnostics(text, "f.tm") == reference_tokenize(text, "f.tm")
 
 
+@pytest.mark.parametrize(
+    "text, kinds, messages",
+    [
+        ("\r\n", "EOF", []),
+        ("a \n", "IDENT EOF", []),
+        # a stray backslash, then a string whose quote the backslash escapes
+        ('\\"\\"', "STRING EOF",
+         ["unexpected character '\\\\'", "unterminated string literal"]),
+        ("// a comment\n/* and a block */\n", "EOF", []),
+        ("/", "EOF", ["unexpected character '/'"]),
+        ("thimac a { /* open\n}", "KEYWORD IDENT LBRACE EOF",
+         ["unterminated block comment"]),
+        ("a; //", "IDENT SEMI EOF", []),
+        ('x "one\\\ntwo" y', "IDENT STRING IDENT EOF", []),
+        ("thimac a {\r\n  stage create;\r\n}\r\n",
+         "KEYWORD IDENT LBRACE KEYWORD KEYWORD SEMI RBRACE EOF", []),
+    ],
+    ids=[
+        "crlf-only", "trailing-blanks", "escaped-quote", "comments-only",
+        "slash", "open-comment-after-tokens", "line-comment-at-end",
+        "escaped-newline-in-string", "crlf-lines",
+    ],
+)
+def test_tokenize_pinned_cases(text, kinds, messages):
+    tokens, diagnostics = tokenize(text, "p.tm")
+    assert [kind.name for kind in tokens.kinds] == kinds.split()
+    assert [d.message for d in diagnostics] == messages
+    assert _tokens_and_diagnostics(text, "p.tm") == reference_tokenize(text, "p.tm")
+
+
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_tokenize_matches_reference_on_corpus(name):
     text = corpus_path(name).read_text(encoding="utf-8")
@@ -353,6 +383,30 @@ def test_a_chains_interior_path_is_read_and_reported_once():
     assert [d.render() for d in result.diagnostics] == [
         "h.tm:1:60: error[UNRESOLVED_PATH] no thimac at path 'ghost'"
     ]
+
+
+def test_an_unresolved_end_is_reported_in_each_statement_that_writes_it():
+    # lowering keeps the id of each end path it resolved, and reads a path
+    # that named nothing again where it recurs: 'ghost' is reported once
+    # per statement, and 'b.transfer' names the port that 'b' made
+    text = (
+        "thimac a { stage create; stage process; }\n"
+        "thimac b { stage receive; }\n"
+        "flow a.create -> ghost;\n"
+        "flow ghost -> a.process;\n"
+        "trigger a.create ~> ghost;\n"
+        "flow a.process -> b.transfer;\n"
+        "flow a.create -> b;\n"
+        "flow b.transfer -> b.receive;\n"
+    )
+    result = dsl.parse(text, "h.tm")
+    assert [d.render() for d in result.diagnostics] == [
+        "h.tm:3:18: error[UNRESOLVED_PATH] no thimac at path 'ghost'",
+        "h.tm:4:6: error[UNRESOLVED_PATH] no thimac at path 'ghost'",
+        "h.tm:5:21: error[UNRESOLVED_PATH] no thimac at path 'ghost'",
+        "h.tm:6:19: error[UNRESOLVED_PATH] thimac 'b' has no transfer stage",
+    ]
+    _assert_same_parse(text, "h.tm")
 
 
 @pytest.mark.parametrize(
