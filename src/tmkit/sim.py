@@ -163,10 +163,11 @@ class FiringKind(enum.Enum):
     TOKEN_SPAWN = "TokenSpawn"
 
     def __init__(self, value: str) -> None:
-        # the value as a JSON string literal, read once per firing by
-        # trace_to_json; a plain attribute, where a dict keyed by member
+        # the kind's piece of a firing entry, read once per firing by
+        # trace_to_json: the value as a JSON string literal and the "token"
+        # key after it; a plain attribute, where a dict keyed by member
         # would call the pure-Python Enum.__hash__
-        self.quoted = encode_basestring_ascii(value)
+        self.piece = f'{encode_basestring_ascii(value)},\n      "token": '
 
 
 class Token(Record):
@@ -264,7 +265,7 @@ class Trace(Record):
         n_order, n_firings, n_tokens = self._sizes()
         columns = [[None] * n_firings for _ in range(5)]
         at = 0
-        for n, *parts in _chunks(self):
+        for n, *parts in _chunks(self, range(max(n_order, n_tokens) + 1)):
             for column, writes in zip(columns, parts):
                 for start, stop, step, values in writes:
                     column[at + start : at + stop : step] = values
@@ -833,14 +834,16 @@ def coverage(model: Model, trace: Trace, events: list[EventDef]) -> dict:
 # the most firings trace_to_json formats before it appends them to its
 # text, unless a group of a run's copies (below) fills the chunk further; a
 # chunk never splits a copy. A chunk's slots are held beside the text: at
-# 16384, writing the ships trace peaked at 1.61x its length under
-# tracemalloc, against 1.35x at 4096, and took longer (Python 3.11)
-_CHUNK = 4096
+# 4096, writing the ships trace peaked at 1.30x its length under
+# tracemalloc, against 1.13x at 1024 (Python 3.10 to 3.13), and tmbench's
+# recurrence and corpus firings_per_s read 9% and 19% lower (4 of 4 pairs
+# each, Python 3.11, 2-vCPU Xeon)
+_CHUNK = 1024
 # the most firings of a group of a run's copies, which costs its template
 # and its copies' numbers: an append moves the text when the allocator
 # cannot grow it where it is, so a long run's text is appended in fewer,
-# larger pieces. Capped at _CHUNK, the ships 16k write took 51-60 ms,
-# against 29-41 ms (best of 10, Python 3.11, 2-vCPU Xeon)
+# larger pieces. Capped at _CHUNK, the ships 16k write took 65-71 ms,
+# against 26-29 ms (best of 12, Python 3.11, 2-vCPU Xeon)
 _GROUP = 3 * _CHUNK
 
 # a step is written as its thousands (none below 1000) and then its last
@@ -852,8 +855,6 @@ _LOW3 = [f"{n:03}" for n in range(1000)]
 # the entry before it and then opens itself (see _document)
 _CLOSE = "\n    }"
 _HEAD = f"{_CLOSE},\n    {{\n      "
-# a firing's slots, with the constant ones filled
-_FIRING_SLOTS = [f'{_HEAD}"step": ', *[""] * 6, ',\n      "token": ', ""]
 
 
 class _Numbers(dict):
@@ -865,13 +866,15 @@ class _Numbers(dict):
         return str(n)
 
 
-def _chunks(trace: Trace, of: tuple | None = None) -> Iterator[tuple]:
+def _chunks(trace: Trace, numbers: Sequence, of: tuple | None = None) -> Iterator[tuple]:
     """The trace's firings in step order, a chunk at a time: the chunk's
     length n, then for each of the five firing columns, in ``Trace``'s
     order, the writes that fill the chunk's n entries of it. A write is
     ``(start, stop, step, values)``, for the chunk's extended slice
-    ``[start:stop:step]``; with ``of``, each value is mapped by the
-    column's function in it.
+    ``[start:stop:step]``. Item i of ``numbers`` stands for the number i
+    in a run's copies; with ``of``, each value of the stored firings and
+    each of a run's template entries is mapped by the column's function in
+    it.
 
     A chunk is about as long as all the chunks before it (16 firings at
     first), up to ``_CHUNK`` (see trace_to_json). It is filled in step
@@ -879,12 +882,13 @@ def _chunks(trace: Trace, of: tuple | None = None) -> Iterator[tuple]:
     copies, each written at its offset in it; a group may fill it up to
     ``_GROUP`` firings. A slice is one write per column. In a group, the
     template's entries, mapped once per run, are repeated by list
-    multiplication, and the copies' instance numbers and token ids are
-    mapped once each. While the group has fewer copies than the template
-    has firings, those are written in step order, one write per column;
-    otherwise one template firing at a time, across the copies, with the
-    template's length as the step. So a run costs its template and its
-    copies, not its firings."""
+    multiplication, and the copies' instance numbers and token ids, which
+    a run numbers consecutively, are slices of ``numbers``. While the
+    group has fewer copies than the template has firings, those are
+    written in step order, one write per column; otherwise one template
+    firing at a time, across the copies, with the template's length as
+    the step. So a run costs its template and its copies, not its
+    firings."""
     columns = trace._lists[:5]
     writes: list[list[tuple]] = [[] for _ in columns]
     n = written = start = 0  # the chunk's firings; the firings before it
@@ -911,10 +915,8 @@ def _chunks(trace: Trace, of: tuple | None = None) -> Iterator[tuple]:
                 # _GROUP firings, and at least one
                 c = min(max(1, (min(max(written, 16), _GROUP) - n) // k), left - done)
                 g = c * k
-                copies = range(run.first + done, run.first + done + c)
-                ids = range(run.first_id + done * m, run.first_id + (done + c) * m)
-                if of:
-                    copies, ids = list(map(of[1], copies)), list(map(of[4], ids))
+                copies = numbers[run.first + done : run.first + done + c]
+                ids = numbers[run.first_id + done * m : run.first_id + (done + c) * m]
                 writes[0].append((n, n + g, 1, event * g))
                 writes[2].append((n, n + g, 1, elements * c))
                 writes[3].append((n, n + g, 1, kinds * c))
@@ -959,27 +961,28 @@ def trace_to_json(model: Model, trace: Trace) -> str:
     is formatted once into a number table (with None as ``null``): a
     simulated trace's numbers are all below its instance and token
     counts, so the table is made for that range, and a run's copies'
-    numbers are slices of it. A firing entry is 9 pieces: the head (which
-    closes the entry before it), the step's thousands and its last three
-    digits, the event with the "instance" key, the instance, the element
-    with the "kind" key, the kind, the "token" key and the token. Each
-    piece is a shared string read from a table, so no string is made per
-    firing.
+    numbers are slices of it. A firing entry is 7 pieces: the head (which
+    closes the entry before it) with the "step" key and the step's
+    thousands, the step's last three digits, the event with the
+    "instance" key, the instance, the element with the "kind" key, the
+    kind with the "token" key, and the token. Each piece is a shared
+    string read from a table, and a head is made once per thousand steps,
+    so no string is made per firing.
 
     The firings are written about ``_CHUNK`` at a time (see ``_chunks``),
-    into one list of slots: the constant slots are filled when the list
-    grows, and each other slot column is filled by a few extended-slice
-    assignments, which run in C, so a chunk costs a few operations per
-    column rather than bytecode per firing. A run of copies maps its
-    template's event, element and kind pieces once, and each group of
-    its copies repeats them by list multiplication and maps each copy's
-    instance number and token ids once. The event order and the final
-    tokens are written a part at a time (see ``_parts``): a stored
-    part's entries are one string each, and a run's entries are slots
-    that repeat its template's pieces and take their numbers from slices
-    of the table. The string tables come from the stored entries (the
-    stored firings hold each run's template) and each run's template
-    tokens, so no entry per copy is read.
+    into one list of 7 slots a firing. Each slot column is filled by a
+    few extended-slice assignments, which run in C, so a chunk costs a
+    few operations per column rather than bytecode per firing. A run of
+    copies maps its template's event, element and kind pieces once, and
+    each group of its copies repeats them by list multiplication and
+    takes its copies' instance numbers and token ids as slices of the
+    number table. The event order and the final tokens are written a
+    part at a time (see ``_parts``): a stored part's entries are one
+    string each, and a run's entries are slots that repeat its
+    template's pieces and take their numbers from slices of the table.
+    The string tables come from the stored entries (the stored firings
+    hold each run's template) and each run's template tokens, so no
+    entry per copy is read.
 
     Every part of the three lists, and the text around them (see
     ``_document``), is joined and appended at one ``text += ...`` site.
@@ -988,14 +991,13 @@ def trace_to_json(model: Model, trace: Trace) -> str:
     interpreter has specialized, which a site that runs once never is, so
     there a ``+=`` that runs once copies the whole text: with a second
     site for the document's end, writing the ships trace peaked at 2.23x
-    its length under tracemalloc. With one site it peaks at 1.33x on 3.10
-    to 3.13: the text plus one chunk, its slots and the tables. The
-    chunks start small, as long as all the chunks before them: without
-    that ramp, a first call takes the same time and peak on 3.10 to 3.13
-    (1.43x instead of 1.35x under tracemalloc on 3.10 and 3.11), but in
-    a process that holds an earlier trace, simulating and writing the
-    corpus took a median of 15.0-15.5 ms a round with it and 16.8-17.2
-    ms without (Python 3.11, 2-vCPU Xeon).
+    its length under tracemalloc. With one site it peaks at 1.12-1.13x
+    on 3.10 to 3.13: the text plus one chunk, its slots and the tables.
+    The chunks start small, as long as all the chunks before them: that
+    ramp leaves the peak as it is, but it sets where the text's large
+    allocations fall, and without it tmbench's recurrence firings_per_s
+    read 2.11-2.17M against 2.99-3.07M (3 of 3 pairs, Python 3.11,
+    2-vCPU Xeon).
     """
     # the stored firings hold every event, element and kind of a run's
     # template; a run gives its copies' instance numbers, ticks and token
@@ -1031,16 +1033,18 @@ def trace_to_json(model: Model, trace: Trace) -> str:
     order_heads = {
         e: f'{_HEAD}"event": {q[e]},\n      "instance": ' for e in order_events
     }
-    # the steps' pieces in step order: thousands "" for 0-999, then "1"
-    # for 1000-1999, and so on; the last three digits "0" to "999", then
-    # "000" to "999" over and over
-    thousands = chain.from_iterable(
-        map(repeat, chain(("",), map(str, count(1))), repeat(1000))
-    )
+    # the steps' pieces in step order: the entry's head with the "step"
+    # key and the thousands, "" for 0-999, then "1" for 1000-1999, and so
+    # on, one string per thousand steps; the last three digits "0" to
+    # "999", then "000" to "999" over and over
+    heads = chain.from_iterable(map(
+        repeat, map(f'{_HEAD}"step": '.__add__, chain(("",), map(str, count(1)))),
+        repeat(1000),
+    ))
     lows = chain(_LOW, cycle(_LOW3))
     of = (
         event_pieces.__getitem__, nums.__getitem__, element_pieces.__getitem__,
-        attrgetter("quoted"), nums.__getitem__,
+        attrgetter("piece"), nums.__getitem__,
     )
 
     def event_order() -> Iterator[list[str]]:
@@ -1061,22 +1065,17 @@ def trace_to_json(model: Model, trace: Trace) -> str:
                 ]
 
     def firings() -> Iterator[list[str]]:
-        # The chunks start small and grow (see the docstring): the ramp
-        # pays in a process that holds an earlier trace, and it sets where
-        # the text's large allocations fall. Without it, tmbench's corpus
-        # firings_per_s read lower in 3 of 3 pairs (1.42-1.51M against
-        # 1.50-1.64M), and its peak_rss_mb 54.3 against 57.7 MB. The slot
+        # The chunks start small and grow (see the docstring). The slot
         # list grows or shrinks by the change in chunk size, and each turn
-        # writes only the variable slots: the slot columns 1 to 6 and 8.
+        # writes every slot.
         pieces: list[str] = []
-        for n, *columns in _chunks(trace, of):
-            del pieces[9 * n :]
-            pieces += _FIRING_SLOTS * (n - len(pieces) // 9)
-            pieces[1::9] = islice(thousands, n)
-            pieces[2::9] = islice(lows, n)
-            for slot, writes in zip((3, 4, 5, 6, 8), columns):
+        for n, *columns in _chunks(trace, strs, of):
+            pieces[7 * n :] = [""] * (7 * n - len(pieces))
+            pieces[0::7] = islice(heads, n)
+            pieces[1::7] = islice(lows, n)
+            for slot, writes in enumerate(columns, 2):
                 for start, stop, step, values in writes:
-                    pieces[9 * start + slot : 9 * stop : 9 * step] = values
+                    pieces[7 * start + slot : 7 * stop : 7 * step] = values
             yield pieces
 
     def final_tokens() -> Iterator[list[str]]:

@@ -436,8 +436,9 @@ def test_trace_json_of_hand_built_traces():
 @pytest.mark.parametrize(
     "count",
     [
-        0, 1, 15, 16, 17, 33, 999, 1000, 1001, _CHUNK - 1, _CHUNK, _CHUNK + 1,
-        2 * _CHUNK + 1, 9999, 10000, 10001,
+        0, 1, 15, 16, 17, 33, 999, 1000, 1001,
+        *(n * _CHUNK + d for n in (1, 4) for d in (-1, 0, 1)), 2 * _CHUNK + 1,
+        8 * _CHUNK + 1, 9999, 10000, 10001,
     ],
 )
 def test_trace_json_across_chunk_boundaries(count):
@@ -1148,6 +1149,43 @@ def test_simulate_matches_reference_on_scenarios(replays, source, outcome, repla
     assert replays == replayed
 
 
+# Big's template makes two firings per part, 2 * (_GROUP // 4 + 1) in all:
+# more than half of _GROUP, so each group of its 3 copies is one copy,
+# written in step order
+LONG_TEMPLATE = (
+    _spawners("big", _GROUP // 4 + 1)
+    + "event Big { region { big; } repeat 4; }\nchronology { Big; }"
+)
+
+
+@pytest.mark.parametrize(
+    "source, shape",
+    [
+        (
+            _pass_after_warm(1500),
+            lambda run, k: all(
+                0 < s - run.at < run.count * k and (s - run.at) % k for s in (1000, 10000)
+            ),
+        ),
+        (LONG_TEMPLATE, lambda run, k: k > _GROUP // 2 and run.count > 1),
+        (_pass_after_warm(5), lambda run, k: run.count < k and -1 in run.made_at),
+    ],
+    ids=[
+        "steps-1000-and-10000-partway-through-a-copy",
+        "one-copy-a-group",
+        "null-tokens-in-fewer-copies-than-firings",
+    ],
+)
+def test_trace_json_of_runs_of_copies(source, shape):
+    # the writer takes a group's instance numbers and token ids as slices
+    # of its number table, and its steps from the step pieces, whatever
+    # copy they fall in; each case is one run of the shape named
+    model, events, chronology = parse_normalized(source)
+    (run,) = simulate(model, events, chronology)._copies
+    assert shape(run, len(run.kinds))
+    assert_matches_reference(model, events, chronology)
+
+
 def test_rest_spawn_broadcast_trace_is_the_references_byte_for_byte():
     result = dsl.parse(REST_SPAWN_BROADCAST, "scenario.tm")
     model = normalize(result.model)
@@ -1276,12 +1314,20 @@ def ships(repeat: int):
 # copies: counts around one and several full groups, and around _CHUNK
 # // 10 and _CHUNK copies. Repeats 1 and 2 have no copy and one. Since
 # _GROUP is 3 * _CHUNK, 2 + 3 * (_CHUNK // 10) makes exactly one full
-# group; 2 + _GROUP // 10 makes one full group and one copy more.
+# group; 2 + _GROUP // 10 makes one full group and one copy more. The
+# same counts for a chunk four times as long span several groups.
 @pytest.mark.parametrize(
     "repeat",
     [
-        1, 2, 4000, 16000, 1 + _CHUNK // 10, 2 + 3 * (_CHUNK // 10), 1 + _CHUNK,
-        2 + _GROUP // 10, 2 + 3 * (_GROUP // 10),
+        1, 2, 4000, 16000,
+        *(
+            count
+            for chunk, group in ((_CHUNK, _GROUP), (4 * _CHUNK, 4 * _GROUP))
+            for count in (
+                1 + chunk // 10, 2 + 3 * (chunk // 10), 1 + chunk,
+                2 + group // 10, 2 + 3 * (group // 10),
+            )
+        ),
     ],
 )
 def test_ships_replay_matches_reference(replays, repeat):
