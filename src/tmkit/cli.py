@@ -1,8 +1,10 @@
 """Command-line driver: parse, validate, normalize, simulate, render.
 
 Exit codes: 0 success, 1 parse/validation errors, 2 usage errors,
-3 simulation errors (running out of memory among them, reported by
-``main`` as one line). Warnings alone exit 0 unless --deny-warnings.
+3 simulation errors and running out of memory, which ``main`` reports as
+one line: ``simulation error: out of memory`` for ``simulate`` and
+``error: out of memory`` for any other subcommand. Warnings alone exit 0
+unless --deny-warnings.
 
 Start-up rule: a subcommand imports only the modules it runs. ``core``,
 ``dsl`` and ``validate`` serve every subcommand and are imported here
@@ -292,14 +294,18 @@ def main() -> None:
     # written; a locale's encoding could fail on a non-ASCII name midway
     if hasattr(sys.stdout, "reconfigure"):
         sys.stdout.reconfigure(encoding="utf-8")
+    argv = sys.argv[1:]
     try:
-        status = run(sys.argv[1:])
+        status = run(argv)
     except MemoryError:
         status = None
     if status is None:
         # once the except block has ended, the traceback and the frames it
-        # kept (and with them the trace) are freed, so printing has room
-        print("simulation error: out of memory", file=sys.stderr)
+        # kept (and with them the trace) are freed, so there is room to
+        # parse the arguments again, as they parsed before, and to print
+        command = _build_parser().parse_args(argv).command
+        what = "simulation error" if command == "simulate" else "error"
+        print(f"{what}: out of memory", file=sys.stderr)
         status = EXIT_SIM
     sys.exit(status)
 

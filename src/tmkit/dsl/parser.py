@@ -13,10 +13,12 @@ single run reports every diagnosable problem it can. A well-formed
 ``memory P ~> Q;`` statement is parsed like a trigger and reported as
 MEMORY_UNSUPPORTED; its endpoints are not resolved. Chronology
 statements name only events, so the parser builds the chronology
-itself. Lowering happens in two passes: thimac declarations first,
-then one loop over every flow statement and then every trigger
-statement (a trigger is a chain of two paths), followed by events; so
-edges and events may reference thimacs declared later in the file.
+itself; it builds each event's ``EventDef`` too, and keeps the region
+paths beside it. Lowering happens in two passes: thimac declarations
+first, then one loop over every flow statement and then every trigger
+statement (a trigger is a chain of two paths), followed by the events'
+regions; so edges and events may reference thimacs declared later in
+the file.
 """
 
 from __future__ import annotations
@@ -175,17 +177,6 @@ class _EdgeStmt:
         self.paths, self.span = paths, span
 
 
-class _EventDecl:
-    __slots__ = ("id", "label", "region", "repeat", "contains", "span")
-
-    def __init__(
-        self, id: str, label: str | None, region: list[_Path], repeat: int | None,
-        contains: list[str], span: SourceSpan,
-    ) -> None:
-        self.id, self.label, self.region = id, label, region
-        self.repeat, self.contains, self.span = repeat, contains, span
-
-
 # token kinds as module globals: the parser compares one per token, and
 # a global lookup is cheaper than an attribute of the enum class
 _IDENT = TokenKind.IDENT
@@ -219,7 +210,8 @@ class _Parser:
         self.thimacs: list[_ThimacDecl] = []
         self.flows: list[_EdgeStmt] = []
         self.triggers: list[_EdgeStmt] = []
-        self.events: list[_EventDecl] = []
+        # each event as declared, with an empty region, and its region paths
+        self.events: list[tuple[EventDef, list[_Path]]] = []
         # chronology statements name only events, so need no lowering
         self.chronology: Chronology | None = None
 
@@ -445,9 +437,8 @@ class _Parser:
             self.expected(i, "'{'")
             return self.sync(i)
         i += 1
+        event = EventDef(texts[name], label, span=self.tokens.span(name))
         region: list[_Path] = []
-        repeat: int | None = None
-        contains: list[str] = []
         if texts[i] == "region":
             i += 1
             if kinds[i] is not _LBRACE:
@@ -472,7 +463,8 @@ class _Parser:
                 i += 1
                 if repeat is not None and repeat < 1:
                     self.error(at, "repeat count must be at least 1")
-                    repeat = None
+                elif repeat is not None:
+                    event.multiplicity = repeat
             else:
                 self.expected(i, "a repeat count")
             i = self.expect(i, _SEMI, "';'")
@@ -480,20 +472,15 @@ class _Parser:
             while True:
                 i += 1  # contains, or a comma
                 if kinds[i] is _IDENT:
-                    contains.append(texts[i])
+                    event.subevents.append(texts[i])
                     i += 1
                 else:
                     self.expected(i, "an event name")
                 if kinds[i] is not _COMMA:
                     break
             i = self.expect(i, _SEMI, "';'")
-        i = self.expect(i, _RBRACE, "'}'")
-        self.events.append(
-            _EventDecl(
-                texts[name], label, region, repeat, contains, self.tokens.span(name)
-            )
-        )
-        return i
+        self.events.append((event, region))
+        return self.expect(i, _RBRACE, "'}'")
 
     def chrono_decl(self, i: int) -> int:
         kinds, texts = self.kinds, self.texts
@@ -601,28 +588,20 @@ class _Lowering:
                         self.diagnostics += add_edge(self.model, arrow, src, dst, stmt.span)
 
     def lower_events(self) -> list[EventDef]:
+        """The parsed events, each region filled from its paths; a
+        repeated event id is reported and its event dropped."""
         events: list[EventDef] = []
         seen: set[str] = set()
-        for decl in self.p.events:
-            if decl.id in seen:
+        for event, paths in self.p.events:
+            if event.id in seen:
                 self.diag(
-                    "DUPLICATE_DEF", f"event '{decl.id}' already declared", decl.span
+                    "DUPLICATE_DEF", f"event '{event.id}' already declared", event.span
                 )
                 continue
-            seen.add(decl.id)
-            region: set[int] = set()
-            for path in decl.region:
-                region.update(self.resolve(path, stages_at) or ())
-            events.append(
-                EventDef(
-                    decl.id,
-                    decl.label,
-                    region,
-                    decl.repeat if decl.repeat is not None else 1,
-                    list(decl.contains),
-                    decl.span,
-                )
-            )
+            seen.add(event.id)
+            for path in paths:
+                event.region.update(self.resolve(path, stages_at) or ())
+            events.append(event)
         self.diagnostics += check_containment(events, "UNRESOLVED_PATH")
         return events
 

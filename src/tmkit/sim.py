@@ -16,14 +16,16 @@ defines none):
   2. Adoption: tokens left resting at region stages by earlier
      instances rejoin the active set (ascending token id).
   3. Start pass: each in-region trigger whose source stage held a
-     token before this instance fires once; the source emits a single
-     StageFire record first. This is how one event reacts to things
-     another event left standing.
+     token before this instance fires once, in model order, with its
+     chain (below) before the next; a source emits a single StageFire
+     record before its first trigger. This is how one event reacts to
+     things another event left standing.
   4. Movement: active tokens repeatedly move along their eligible
      in-region out-flow in FIFO order. A token entering a stage fires
-     that stage's in-region outgoing triggers. A stage with several
-     eligible out-flows broadcasts: the token is replicated along each
-     extra edge (with a warning). Quiescence ends the instance.
+     that stage's in-region outgoing triggers, with their chain. A stage
+     with several eligible out-flows broadcasts: the token is replicated
+     along each extra edge (with a warning). Quiescence ends the
+     instance.
 
 * A transfer stage is one bidirectional port. Tokens that arrived from
   their own machine's release leave across the boundary; tokens that
@@ -34,7 +36,11 @@ defines none):
 * Triggers are signals: a trigger to a create stage originates a new
   thing; a trigger to any other stage enables the thing already
   waiting in that machine, injecting one at the target only when the
-  machine is empty (a boundary arrival).
+  machine is empty (a boundary arrival). A token made by a trigger (or
+  by an origin spawn) fires its stage's in-region triggers in turn: the
+  triggers fired together go in model order, and then, breadth first,
+  the triggers of each stage where one of them made a token, in the
+  order the tokens were made. That is a trigger's chain.
 
 * Tokens are never destroyed. Whatever rests at instance end stays in
   a global pool and may be picked up by later events, which is how one
@@ -400,63 +406,56 @@ def linear_extension(chronology: Chronology) -> list[str]:
 
 
 class _Plan:
-    """What one event's instances read of the model, built once per node."""
+    """One event's region, compiled once per chronology node: all that its
+    instances read of the model (see the module docstring). It owns the
+    in-region triggers, in model order and by source stage, each stage's
+    route, the origins, and the stages an instance watches or reads."""
 
     __slots__ = ("triggers", "trigs_by_src", "routes", "origins", "watched", "reads")
 
-    def __init__(
-        self, triggers: list[TriggerEdge],
-        trigs_by_src: dict[ElementId, list[TriggerEdge]],
+    def __init__(self, model: Model, event: EventDef) -> None:
+        # region_edges is looked up in this module at each call, so that a
+        # wrapper set on the module attribute sees it
+        flows, triggers = region_edges(model, event.region)
+        stages = model.stages
+        by_src: dict[ElementId, list[FlowEdge]] = {}
+        trigs_by_src: dict[ElementId, list[TriggerEdge]] = {}
+        for edges, grouped in ((flows, by_src), (triggers, trigs_by_src)):
+            for e in edges:
+                grouped.setdefault(e.from_stage, []).append(e)
         # per stage with out-flows: (all out-flows, None, None), or for a
         # transfer port (cross-machine out-flows, within-machine out-flows,
         # its machine's release stage or None); the keys are the stages that
         # can move a token
         routes: dict[
-            ElementId,
-            tuple[list[FlowEdge], list[FlowEdge] | None, ElementId | None],
-        ],
-        origins: list[ElementId],
-        # the stages whose occupancy an instance reads (see the module docstring)
-        watched: list[ElementId],
-    ) -> None:
+            ElementId, tuple[list[FlowEdge], list[FlowEdge] | None, ElementId | None]
+        ] = {}
+        for sid, out in by_src.items():
+            if stages[sid].kind is StageKind.TRANSFER:
+                thimac = stages[sid].thimac
+                routes[sid] = (
+                    [e for e in out if stages[e.to_stage].thimac != thimac],
+                    [e for e in out if stages[e.to_stage].thimac == thimac],
+                    model.thimacs[thimac].stages.get(StageKind.RELEASE),
+                )
+            else:
+                routes[sid] = (out, None, None)
+        entered = {f.to_stage for f in flows} | {t.to_stage for t in triggers}
+        origins = [
+            sid
+            for sid in sorted(event.region)
+            if stages[sid].kind is StageKind.CREATE and sid not in entered
+        ]
+        # the stages whose occupancy an instance reads
+        watched = set(origins) | trigs_by_src.keys()
+        for t in triggers:
+            target = stages[t.to_stage]
+            if target.kind is not StageKind.CREATE:
+                watched.update(model.thimacs[target.thimac].stages.values())
         self.triggers, self.trigs_by_src, self.routes = triggers, trigs_by_src, routes
-        self.origins, self.watched = origins, watched
+        self.origins, self.watched = origins, sorted(watched)
         # every stage where an instance reads the resting tokens
         self.reads = routes.keys() | watched
-
-
-def _plan(model: Model, event: EventDef) -> _Plan:
-    """Compile the event's region (see the module docstring)."""
-    flows, triggers = region_edges(model, event.region)
-    stages = model.stages
-    by_src: dict[ElementId, list[FlowEdge]] = {}
-    trigs_by_src: dict[ElementId, list[TriggerEdge]] = {}
-    for edges, grouped in ((flows, by_src), (triggers, trigs_by_src)):
-        for e in edges:
-            grouped.setdefault(e.from_stage, []).append(e)
-    routes = {}
-    for sid, out in by_src.items():
-        if stages[sid].kind is StageKind.TRANSFER:
-            thimac = stages[sid].thimac
-            routes[sid] = (
-                [e for e in out if stages[e.to_stage].thimac != thimac],
-                [e for e in out if stages[e.to_stage].thimac == thimac],
-                model.thimacs[thimac].stages.get(StageKind.RELEASE),
-            )
-        else:
-            routes[sid] = (out, None, None)
-    entered = {f.to_stage for f in flows} | {t.to_stage for t in triggers}
-    origins = [
-        sid
-        for sid in sorted(event.region)
-        if stages[sid].kind is StageKind.CREATE and sid not in entered
-    ]
-    watched = set(origins) | trigs_by_src.keys()
-    for t in triggers:
-        target = stages[t.to_stage]
-        if target.kind is not StageKind.CREATE:
-            watched.update(model.thimacs[target.thimac].stages.values())
-    return _Plan(triggers, trigs_by_src, routes, origins, sorted(watched))
 
 
 class _Run:
@@ -502,10 +501,6 @@ class _Run:
 
     # -- token bookkeeping ----------------------------------------------
 
-    def _machine_occupied(self, thimac_id: ElementId) -> bool:
-        thimac = self.model.thimacs[thimac_id]
-        return any(self.at.get(sid) for sid in thimac.stages.values())
-
     def _spawn(self, stage: ElementId, thing: str | None = None) -> Token:
         """Make the next token, active and resting at ``stage``, and record
         its TokenSpawn; the thing is by default a new one of the stage's
@@ -522,30 +517,30 @@ class _Run:
 
     # -- firing ----------------------------------------------------------
 
-    def _fire_stage_triggers(self, stage: ElementId) -> None:
-        trigs_by_src = self.plan.trigs_by_src
-        if stage not in trigs_by_src:
-            return
-        # iterative so trigger chains are bounded by the step budget,
-        # not the interpreter's recursion limit
-        work = [stage]
-        i = 0
-        while i < len(work):
-            for trig in trigs_by_src.get(work[i], ()):
+    def _fire(self, triggers: Sequence[TriggerEdge]) -> None:
+        """The one walk of triggers: fire the given ones in order, then,
+        breadth first, the in-region triggers of each stage where one of
+        them made a token, in the order the tokens were made. The start
+        pass passes one trigger at a time, and a token entering or made at
+        a stage passes that stage's triggers. A trigger to a create stage,
+        or into an empty machine, makes a token at its target; any other
+        enables the thing waiting in the target's machine, which adoption
+        covers."""
+        model, at, trigs_by_src = self.model, self.at, self.plan.trigs_by_src
+        # a list read as it grows, so that a chain is bounded by the step
+        # budget, not the interpreter's recursion limit
+        work = [triggers]
+        for fired in work:
+            for trig in fired:
                 self._emit(FiringKind.TRIGGER_FIRE, trig.id, None)
-                spawned = self._trigger_effect(trig.to_stage)
-                if spawned is not None:
-                    work.append(spawned)
-            i += 1
-
-    def _trigger_effect(self, target: ElementId) -> ElementId | None:
-        """Apply one trigger; returns the spawn stage if a token appeared."""
-        stage = self.model.stages[target]
-        if stage.kind is not StageKind.CREATE and self._machine_occupied(stage.thimac):
-            # the waiting thing is considered enabled; adoption covers it
-            return None
-        self._spawn(target)
-        return target
+                stage = model.stages[trig.to_stage]
+                if stage.kind is not StageKind.CREATE and any(
+                    at.get(sid) for sid in model.thimacs[stage.thimac].stages.values()
+                ):
+                    continue
+                self._spawn(trig.to_stage)
+                if trig.to_stage in trigs_by_src:
+                    work.append(trigs_by_src[trig.to_stage])
 
     # -- movement --------------------------------------------------------
 
@@ -571,7 +566,7 @@ class _Run:
         del self.at[token.location][token.id]
         token.prev_stage, token.location = edge.from_stage, stage
         self.at[stage][token.id] = token
-        self._fire_stage_triggers(stage)
+        self._fire(self.plan.trigs_by_src.get(stage, ()))
 
     def _broadcast(self, token: Token, edges: list[FlowEdge], event_id: str) -> None:
         """Move a token along the first of several eligible out-flows and
@@ -677,7 +672,7 @@ class _Run:
             if at.get(stage_id):
                 continue
             self._spawn(stage_id)
-            self._fire_stage_triggers(stage_id)
+            self._fire(plan.trigs_by_src.get(stage_id, ()))
 
         # 2. adopt resting tokens that can still move inside this region; a
         # stage with a route has an out-flow, so only a port can hold one
@@ -693,7 +688,9 @@ class _Run:
         self.active.extend(sorted(adoptable, key=lambda t: t.id))
         quiet = not adoptable
 
-        # 3. start pass over triggers with a previously held source
+        # 3. start pass: the triggers with a previously held source, in
+        # model order, each with its chain, a source's StageFire before its
+        # first
         start_fired: set[ElementId] = set()
         for trig in plan.triggers:
             if trig.from_stage not in held_before:
@@ -701,10 +698,7 @@ class _Run:
             if trig.from_stage not in start_fired:
                 start_fired.add(trig.from_stage)
                 self._emit(FiringKind.STAGE_FIRE, trig.from_stage, None)
-            self._emit(FiringKind.TRIGGER_FIRE, trig.id, None)
-            spawned = self._trigger_effect(trig.to_stage)
-            if spawned is not None:
-                self._fire_stage_triggers(spawned)
+            self._fire([trig])
 
         # 4. movement rounds until quiescence (see the module docstring); a
         # move along a token's one eligible out-flow is _move written out
@@ -741,7 +735,7 @@ class _Run:
                 token.prev_stage, token.location = edge.from_stage, stage
                 at[stage][token.id] = token
                 if stage in trigs_by_src:
-                    self._fire_stage_triggers(stage)
+                    self._fire(trigs_by_src[stage])
             self.active = moved + self.active
 
         made = len(kinds) - first
@@ -786,7 +780,7 @@ def simulate(
     run = _Run(model, config)
     for node in linear_extension(chronology):
         event = by_id[node]
-        run.run_node(event, _plan(model, event))
+        run.run_node(event, _Plan(model, event))
     return run.trace
 
 

@@ -23,7 +23,6 @@ from tmkit.diagnostics import has_errors, sorted_diagnostics
 from tmkit.dsl.lexer import KEYWORDS, Token, TokenKind
 from tmkit.dsl.parser import (
     ParseResult,
-    _EventDecl,
     _Lowering,
     _StageDecl,
     _ThimacDecl,
@@ -1084,6 +1083,16 @@ class _ReferenceTrigger:
     span: SourceSpan
 
 
+@dataclass
+class _ReferenceEvent:
+    id: str
+    label: str | None
+    region: list[_ReferencePath]
+    repeat: int | None
+    contains: list[str]
+    span: SourceSpan
+
+
 def _token_span(tok: Token, file: str) -> SourceSpan:
     return SourceSpan(file, tok.line, tok.col, tok.end_line, tok.end_col)
 
@@ -1101,7 +1110,7 @@ class ReferenceParser:
         self.thimacs: list[_ThimacDecl] = []
         self.flows: list[_ReferenceFlow] = []
         self.triggers: list[_ReferenceTrigger] = []
-        self.events: list[_EventDecl] = []
+        self.events: list[_ReferenceEvent] = []
         self.chronology: Chronology | None = None
 
     # token helpers
@@ -1372,7 +1381,7 @@ class ReferenceParser:
             self.expect(TokenKind.SEMI, "';'")
         self.expect(TokenKind.RBRACE, "'}'")
         self.events.append(
-            _EventDecl(
+            _ReferenceEvent(
                 name_tok.text, label, region, repeat, contains,
                 _token_span(name_tok, self.file),
             )

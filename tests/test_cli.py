@@ -727,6 +727,39 @@ def test_counting_a_huge_repeat_costs_its_template(tmp_path):
         ), repeat
 
 
+# Runs ``tm`` through ``cli.main`` in a fresh interpreter where the writer
+# that ``cli`` calls runs out of memory (argv: tmkit's source folder, then
+# the arguments of ``tm``).
+_WRITER_OUT_OF_MEMORY = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from tmkit import cli
+def write(text, out):
+    raise MemoryError
+cli._write_output = write
+sys.argv = ["tm", *sys.argv[2:]]
+cli.main()
+"""
+
+
+def test_out_of_memory_names_what_ran_out(tmp_path):
+    # simulate reports a simulation error; a subcommand that does not
+    # simulate reports a plain error; each exits 3 with one line and no
+    # output
+    src = str(Path(tmkit.__file__).parent.parent)
+    model = str(corpus_path("atm_full.tm"))
+    for argv, line in (
+        (["render", model], "error: out of memory\n"),
+        (["normalize", model, "-o", str(tmp_path / "n.tm")], "error: out of memory\n"),
+        (["simulate", model, "--trace", "-"], "simulation error: out of memory\n"),
+    ):
+        done = subprocess.run(
+            [sys.executable, "-c", _WRITER_OUT_OF_MEMORY, src, *argv],
+            capture_output=True, text=True,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (3, "", line), argv
+
+
 # Each public name of tmkit and the module it is defined in or re-exported from.
 PUBLIC_HOMES = {
     "tmkit.behavior": [

@@ -66,6 +66,27 @@ START_PASS = (
     "event E2 { region { msg.process; reply.create; } }\n"
     "chronology { E1 -> E2; }"
 )
+# the start pass over two held sources: a's and b's triggers alternate in
+# model order, and x's chain (u and v, then u's w) fires breadth first
+# before b's first trigger; x's triggers, declared between, have no held
+# source
+HELD_CHAINS = (
+    "thimac a { stage create; stage process; }\n"
+    "thimac b { stage create; stage process; }\n"
+    "flow a.create -> a.process;\n"
+    "flow b.create -> b.process;\n"
+    + "".join(f"thimac {m} {{ stage create; }}\n" for m in "xyzquvw")
+    + "trigger a.process ~> x.create;\n"
+    "trigger b.process ~> y.create;\n"
+    "trigger x.create ~> u.create;\n"
+    "trigger x.create ~> v.create;\n"
+    "trigger u.create ~> w.create;\n"
+    "trigger a.process ~> z.create;\n"
+    "trigger b.process ~> q.create;\n"
+    "event Fill { region { a; b; } }\n"
+    "event Ring { region { a.process; b.process; x; y; z; q; u; v; w; } }\n"
+    "chronology { Fill -> Ring; }"
+)
 # a trigger enables the box token waiting in its machine
 WAITING_TOKEN = (
     "thimac gate { stage process; stage create; }\n"
@@ -1099,6 +1120,7 @@ def test_simulate_matches_reference_on_corpus(load_corpus, name):
     "source, outcome, replayed",
     [
         (START_PASS, "StageFire", []),
+        (HELD_CHAINS, "StageFire", []),
         (WAITING_TOKEN, "FlowMove", []),
         (PORT_RELAY, "FlowMove", []),
         (BROADCAST, "broadcast", []),
@@ -1121,6 +1143,7 @@ def test_simulate_matches_reference_on_corpus(load_corpus, name):
     ],
     ids=[
         "start-pass",
+        "held-sources-with-chains",
         "waiting-token",
         "port-relay",
         "broadcast",
